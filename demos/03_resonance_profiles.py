@@ -17,7 +17,7 @@ PHI_D = 0.485
 # feature is bracketed, so neither tail nor peak is clipped.
 for mode in ("position", "fidelity"):
     reach = auto_range(KICKS, PHI_D, 1, mode)
-    scan = scan_epsilon(KICKS, PHI_D, 1, mode, reach, points=65, threads=4)
+    scan = scan_epsilon(KICKS, PHI_D, 1, mode, reach, points=65)
     width = scan_width(scan)
     print(f"{mode:>9} scan: |eps| <= {reach:.4g}, "
           f"peak {max(scan.values):.6f}, "
@@ -25,7 +25,7 @@ for mode in ("position", "fidelity"):
 
 # The raw profile is available point by point; print a coarse slice of
 # the fidelity peak to see the shape (it is symmetric in epsilon).
-scan = scan_epsilon(KICKS, PHI_D, 1, "fidelity", 0.032, points=33, threads=4)
+scan = scan_epsilon(KICKS, PHI_D, 1, "fidelity", 0.032, points=33)
 print("\n   epsilon     fidelity")
 for eps, val in list(zip(scan.epsilons, scan.values))[16::2]:
     print(f"{eps:>10.4f} {val:>12.6f}")

@@ -13,7 +13,7 @@ from kickedrotor import compare_modes
 # Measure both widths on one list of kick numbers and fit width ~ N^gamma.
 # Threads parallelise the per-point propagations; results are identical
 # for any thread count.
-cmp = compare_modes(range(5, 13), 0.485, 1, points=65, threads=8)
+cmp = compare_modes(range(5, 13), 0.485, 1, points=65)
 
 print("   N   position width   fidelity width   ratio")
 for N, wp, wf, ratio in cmp.table:

@@ -6,20 +6,21 @@ scaling (width power laws). Numeric fields are written with the shortest
 representation that parses back to the identical float, so identical
 physics yields identical bytes. Wall-clock time lives only in the
 standalone manifest file; the manifest block embedded in data files omits
-it (and the thread count), keeping outputs byte-stable across re-runs and
-across --threads values.
+it, keeping outputs byte-stable across re-runs. --threads is accepted and
+has no effect: sweeps run serially.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 a numerical
-invariant failed (the message names it).
+invariant failed (the message names it), including a NaN or an infinity
+that a JSON file would have to carry.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ from .scanner import (
 )
 from .wavepacket import SimConfig, SpatialGrid, default_n_points, to_position
 
+
+class NonFiniteOutputError(ArithmeticError):
+    """A JSON file would carry a NaN or an infinity, which JSON cannot hold."""
+
+
 _NUMERICAL_ERRORS = (
     LeakageError,
     TruncationError,
@@ -52,28 +58,38 @@ _NUMERICAL_ERRORS = (
     RangeCapError,
     FitRefusalError,
     DegenerateDensityError,
+    NonFiniteOutputError,
 )
 
 
-def _fmt(x) -> str:
-    # shortest representation that parses back to the identical value
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    # serialized before the file is opened, so a refusal leaves no file
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
+
+
+def _write_table(out: Path, stem: str, fmt: str, manifest: dict, columns: dict,
+                 meta: dict | None = None, extra: dict | None = None) -> None:
+    """Write out/<stem>.csv (a header row, then the columns row by row) or
+    out/<stem>.json ({"manifest", "data": {**meta, **columns}, **extra}).
+
+    Columns are lists of Python ints and floats, whose str and repr are the
+    shortest text that parses back to the identical value.
+    """
+    if fmt == "csv":
+        with open(out / f"{stem}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(list(columns))
+            writer.writerows(zip(*columns.values()))
+    else:
+        _write_json(out / f"{stem}.json", {
+            "manifest": manifest,
+            "data": {**(meta or {}), **columns},
+            **(extra or {}),
+        })
 
 
 def _listify(arr) -> list[float]:
@@ -91,38 +107,13 @@ def _manifest(command: str, config: dict, health: dict | None = None) -> dict:
     return block
 
 
-def _write_manifest_file(out: Path, block: dict, started: float) -> None:
-    full = dict(block)
-    full["wall_time_s"] = time.monotonic() - started
-    _write_json(out / "manifest.json", full)
-
-
-def _config_dict(cfg: SimConfig) -> dict:
-    return {
-        "phi_d": cfg.phi_d,
-        "epsilon": cfg.epsilon,
-        "l": cfg.l,
-        "kicks": cfg.kicks,
-        "half_width": cfg.half_width,
-        "n_points": cfg.n_points,
-    }
-
-
 def _out_dir(raw: str) -> Path:
     out = Path(raw)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QKR_THREADS", "")
-    return max(1, int(env)) if env.strip() else 1
-
-
-def _cmd_evolve(args) -> int:
-    started = time.monotonic()
+def _cmd_evolve(args) -> tuple[Path, dict]:
     cfg = SimConfig(
         phi_d=args.phi_d,
         epsilon=args.epsilon,
@@ -141,29 +132,17 @@ def _cmd_evolve(args) -> int:
         "edge_occupancy": state.edge_occupancy(),
         "half_width_used": state.half_width,
     }
-    manifest = _manifest("evolve", _config_dict(cfg), health)
+    manifest = _manifest("evolve", asdict(cfg), health)
     out = _out_dir(args.out)
-    if args.format == "csv":
-        _write_csv(out / "position_density.csv", ["X", "density"],
-                   zip(pos.support, pos.values))
-        _write_csv(out / "momentum_density.csv", ["m", "prob"],
-                   zip(mom.support.astype(int), mom.values))
-    else:
-        _write_json(out / "position_density.json", {
-            "manifest": manifest,
-            "data": {"X": _listify(pos.support), "density": _listify(pos.values)},
-        })
-        _write_json(out / "momentum_density.json", {
-            "manifest": manifest,
-            "data": {"m": [int(v) for v in mom.support],
-                     "prob": _listify(mom.values)},
-        })
-    _write_manifest_file(out, manifest, started)
-    return 0
+    _write_table(out, "position_density", args.format, manifest,
+                 {"X": _listify(pos.support), "density": _listify(pos.values)})
+    _write_table(out, "momentum_density", args.format, manifest,
+                 {"m": [int(v) for v in mom.support],
+                  "prob": _listify(mom.values)})
+    return out, manifest
 
 
-def _cmd_perturbative(args) -> int:
-    started = time.monotonic()
+def _cmd_perturbative(args) -> tuple[Path, dict]:
     cfg = SimConfig(
         phi_d=args.phi_d,
         epsilon=args.epsilon,
@@ -178,39 +157,27 @@ def _cmd_perturbative(args) -> int:
         cfg.kicks, cfg.phi_d, cfg.epsilon, grid, cfg.half_width
     ).values
     diff = numeric - approx
-    manifest = _manifest("perturbative", _config_dict(cfg), {
+    manifest = _manifest("perturbative", asdict(cfg), {
         "norm_drift": abs(1.0 - state.norm_sq()),
         "edge_occupancy": state.edge_occupancy(),
     })
     out = _out_dir(args.out)
-    if args.format == "csv":
-        _write_csv(out / "density_comparison.csv",
-                   ["X", "numeric", "perturbative", "difference"],
-                   zip(grid.nodes, numeric, approx, diff))
-    else:
-        _write_json(out / "density_comparison.json", {
-            "manifest": manifest,
-            "data": {
-                "X": _listify(grid.nodes),
-                "numeric": _listify(numeric),
-                "perturbative": _listify(approx),
-                "difference": _listify(diff),
-            },
-        })
-    _write_manifest_file(out, manifest, started)
-    return 0
+    _write_table(out, "density_comparison", args.format, manifest, {
+        "X": _listify(grid.nodes),
+        "numeric": _listify(numeric),
+        "perturbative": _listify(approx),
+        "difference": _listify(diff),
+    })
+    return out, manifest
 
 
-def _cmd_scan(args) -> int:
-    started = time.monotonic()
-    threads = _threads(args)
+def _cmd_scan(args) -> tuple[Path, dict]:
     if args.eps_max == "auto":
-        eps_max = auto_range(args.kicks, args.phi_d, args.l, args.mode,
-                             threads=threads)
+        eps_max = auto_range(args.kicks, args.phi_d, args.l, args.mode)
     else:
         eps_max = float(args.eps_max)
     scan = scan_epsilon(args.kicks, args.phi_d, args.l, args.mode,
-                        eps_max, args.points, threads)
+                        eps_max, args.points)
     manifest = _manifest("scan", {
         "phi_d": args.phi_d,
         "l": args.l,
@@ -220,22 +187,13 @@ def _cmd_scan(args) -> int:
         "points": args.points,
     })
     out = _out_dir(args.out)
-    if args.format == "csv":
-        _write_csv(out / "scan.csv", ["epsilon", "value"],
-                   zip(scan.epsilons, scan.values))
-    else:
-        _write_json(out / "scan.json", {
-            "manifest": manifest,
-            "data": {
-                "kicks": scan.kicks,
-                "mode": scan.mode,
-                "epsilon": _listify(scan.epsilons),
-                "value": _listify(scan.values),
-            },
-            "fwhm": scan_width(scan),
-        })
-    _write_manifest_file(out, manifest, started)
-    return 0
+    # only the JSON file carries the width, so only it can fail on one
+    extra = {"fwhm": scan_width(scan)} if args.format == "json" else None
+    _write_table(out, "scan", args.format, manifest,
+                 {"epsilon": _listify(scan.epsilons),
+                  "value": _listify(scan.values)},
+                 meta={"kicks": scan.kicks, "mode": scan.mode}, extra=extra)
+    return out, manifest
 
 
 def _read_fixture(path: str) -> tuple[list[int], list[float]]:
@@ -261,74 +219,43 @@ def _fit_block(ws) -> dict:
     }
 
 
-def _cmd_scaling(args) -> int:
-    started = time.monotonic()
-    threads = _threads(args)
+def _cmd_scaling(args) -> tuple[Path, dict]:
     out = _out_dir(args.out)
     if args.fixture:
-        ns, widths = _read_fixture(args.fixture)
-        ws = fit_widths(ns, widths)
-        manifest = _manifest("scaling", {"fixture": args.fixture,
-                                         "mode": args.mode})
-        if args.format == "csv":
-            _write_csv(out / "scaling.csv", ["N", "width"],
-                       zip(ws.kick_numbers, ws.widths))
-        else:
-            _write_json(out / "scaling.json", {
-                "manifest": manifest,
-                "data": {"N": [int(n) for n in ws.kick_numbers],
-                         "width": _listify(ws.widths)},
-                "fit": _fit_block(ws),
-            })
-        _write_manifest_file(out, manifest, started)
-        return 0
-
-    n_list = list(range(args.n_from, args.n_to + 1))
-    base = {
-        "phi_d": args.phi_d,
-        "l": args.l,
-        "n_from": args.n_from,
-        "n_to": args.n_to,
-        "mode": args.mode,
-        "points": args.points,
-    }
-    manifest = _manifest("scaling", base)
-    if args.mode == "both":
-        cmp = compare_modes(n_list, args.phi_d, args.l, args.points, threads)
-        if args.format == "csv":
-            _write_csv(out / "scaling.csv",
-                       ["N", "position", "fidelity", "ratio"], cmp.table)
-        else:
-            _write_json(out / "scaling.json", {
-                "manifest": manifest,
-                "data": {
-                    "N": [r[0] for r in cmp.table],
-                    "position": [r[1] for r in cmp.table],
-                    "fidelity": [r[2] for r in cmp.table],
-                    "ratio": [r[3] for r in cmp.table],
-                },
-                "fit": {
-                    "position": _fit_block(cmp.position),
-                    "fidelity": _fit_block(cmp.fidelity),
-                    "crossover_first_exceed": cmp.crossover_first_exceed,
-                    "crossover_fit": cmp.crossover_fit,
-                },
-            })
+        config = {"fixture": args.fixture, "mode": args.mode}
     else:
-        ws = width_scaling(n_list, args.phi_d, args.l, args.mode,
-                           args.points, threads)
-        if args.format == "csv":
-            _write_csv(out / "scaling.csv", ["N", "width"],
-                       zip(ws.kick_numbers, ws.widths))
+        n_list = list(range(args.n_from, args.n_to + 1))
+        config = {
+            "phi_d": args.phi_d,
+            "l": args.l,
+            "n_from": args.n_from,
+            "n_to": args.n_to,
+            "mode": args.mode,
+            "points": args.points,
+        }
+    if args.mode == "both" and not args.fixture:
+        cmp = compare_modes(n_list, args.phi_d, args.l, args.points)
+        columns = dict(zip(("N", "position", "fidelity", "ratio"),
+                           map(list, zip(*cmp.table))))
+        fit = {
+            "position": _fit_block(cmp.position),
+            "fidelity": _fit_block(cmp.fidelity),
+            "crossover_first_exceed": cmp.crossover_first_exceed,
+            "crossover_fit": cmp.crossover_fit,
+        }
+    else:
+        if args.fixture:
+            ws = fit_widths(*_read_fixture(args.fixture))
         else:
-            _write_json(out / "scaling.json", {
-                "manifest": manifest,
-                "data": {"N": [int(n) for n in ws.kick_numbers],
-                         "width": _listify(ws.widths)},
-                "fit": _fit_block(ws),
-            })
-    _write_manifest_file(out, manifest, started)
-    return 0
+            ws = width_scaling(n_list, args.phi_d, args.l, args.mode,
+                               args.points)
+        columns = {"N": [int(n) for n in ws.kick_numbers],
+                   "width": _listify(ws.widths)}
+        fit = _fit_block(ws)
+    manifest = _manifest("scaling", config)
+    _write_table(out, "scaling", args.format, manifest, columns,
+                 extra={"fit": fit})
+    return out, manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65,
                    help="odd sweep point count (default 65)")
     p.add_argument("--threads", type=int, default=None,
-                   help="sweep worker threads (default: QKR_THREADS or 1)")
+                   help="accepted and ignored; sweeps run serially")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("scaling", help="width power law over kick numbers")
@@ -384,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("position", "fidelity", "both"),
                    required=True)
     p.add_argument("--points", type=int, default=65)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored; sweeps run serially")
     p.add_argument("--fixture", default=None,
                    help="test hook: fit a CSV of N,width rows, no simulation")
     p.set_defaults(func=_cmd_scaling)
@@ -394,8 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        out, manifest = args.func(args)
+        # wall time only here: the manifest block in data files omits it
+        wall = {"wall_time_s": time.monotonic() - started}
+        _write_json(out / "manifest.json", {**manifest, **wall})
+        return 0
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,8 @@ epsilon: forming it as a difference of two large phases loses about ten
 significant digits at epsilon = 1e-8, m = 40.
 
 Two independent evolution routes are kept deliberately separate: the
-spectral route (FFT kick application) and a dense-matrix route whose kick
+spectral route (one core, _run, kicking on the grid of to_position and
+holding the only auto-grow loop) and a dense-matrix route whose kick
 matrix is built from Bessel coefficients. They share no transform code and
 cross-validate each other to 1e-9.
 """
@@ -24,16 +25,13 @@ import numpy as np
 from .analytics import MINUS_I_POW, bessel_j_row
 from .wavepacket import (
     EDGE_LEAK_BOUND,
-    ROOT_TWO_PI,
     TWO_PI,
     MomentumWavefunction,
     SimConfig,
-    SpatialGrid,
+    _analyze,
+    _synthesize,
     default_half_width,
     default_n_points,
-    init_momentum_eigenstate,
-    to_momentum,
-    to_position,
 )
 
 #: dense route is an oracle, not a workhorse; keep the cost bounded
@@ -53,25 +51,6 @@ class LeakageError(RuntimeError):
             f"edge occupancy {occupancy:.3e} exceeds {EDGE_LEAK_BOUND:.0e}"
             f"{where}; enlarge half_width"
         )
-
-    def at_period(self, period: int) -> "LeakageError":
-        return LeakageError(self.occupancy, period)
-
-
-@dataclass(frozen=True)
-class KickOperator:
-    """Position-space phase factor exp(-i sign phi cos X).
-
-    sign = +1 is the driving pulse, sign = -1 the reversed pulse used by
-    the echo protocol.
-    """
-
-    phi: float
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -96,6 +75,8 @@ class FreePhaseSpec:
             raise ValueError(f"unknown free-phase mode {self.mode!r}")
         if self.mode == "revival_relative" and self.l < 1:
             raise ValueError("l must be a positive integer")
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.hbar_s)):
+            raise ValueError("epsilon and hbar_s must be finite")
 
     @classmethod
     def revival_relative(cls, l: int, epsilon: float) -> "FreePhaseSpec":
@@ -116,71 +97,56 @@ class FreePhaseSpec:
         return np.exp(-1j * self.phases(m))
 
 
-def _kick_factor_on_grid(n: int, phi: float, sign: int) -> np.ndarray:
+def _kick_phases(n: int, phi: float) -> np.ndarray:
+    """exp(-i phi cos X_j) on the n-point grid; phi < 0 is the reversed pulse."""
     X = TWO_PI * np.arange(n) / n
-    return np.exp(-1j * sign * phi * np.cos(X))
+    return np.exp(-1j * phi * np.cos(X))
 
 
-def _apply_kick_amps(
-    amps: np.ndarray, half_width: int, n: int, phi: float, sign: int
-) -> np.ndarray:
-    """Kick in position space via the exact transform pair."""
-    m = np.arange(-half_width, half_width + 1)
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[m % n] = amps
-    pos = n * np.fft.ifft(spectrum) / ROOT_TWO_PI
-    pos *= _kick_factor_on_grid(n, phi, sign)
-    back = np.fft.fft(pos) * ROOT_TWO_PI / n
-    return back[m % n]
+def _kick(amps: np.ndarray, kick: np.ndarray, period: int | None = None) -> np.ndarray:
+    """One kick, applied on the grid between the exact transform pair.
 
-
-def apply_kick(
-    wf: MomentumWavefunction,
-    op: KickOperator,
-    grid: SpatialGrid | None = None,
-) -> MomentumWavefunction:
-    """Apply one kick. Norm is preserved; position density is untouched.
-
-    Raises LeakageError when the kick pushes measurable probability into
-    the outermost ladder sites.
+    Raises LeakageError when the outermost ladder sites hold more than
+    EDGE_LEAK_BOUND, or a NaN.
     """
-    n = grid.n_points if grid is not None else default_n_points(wf.half_width)
-    if n < 2 * (2 * wf.half_width + 1):
-        raise ValueError("grid too small for this ladder")
-    out = _apply_kick_amps(wf.amps, wf.half_width, n, op.phi, op.sign)
-    result = MomentumWavefunction(wf.half_width, out)
-    occ = result.edge_occupancy()
-    if occ > EDGE_LEAK_BOUND:
-        raise LeakageError(occ)
-    return result
-
-
-def apply_free(
-    wf: MomentumWavefunction, spec: FreePhaseSpec
-) -> MomentumWavefunction:
-    """Multiply the free-flight phase factors; norm preserved exactly."""
-    return MomentumWavefunction(wf.half_width, wf.amps * spec.factors(wf.m_values))
-
-
-def _evolve_amps(
-    kicks: int,
-    phi_d: float,
-    spec: FreePhaseSpec,
-    half_width: int,
-    n_points: int,
-) -> np.ndarray:
-    """Shared inner loop of the spectral route (kick then free, N times)."""
-    M = half_width
-    amps = np.zeros(2 * M + 1, dtype=complex)
-    amps[M] = 1.0
-    factors = spec.factors(np.arange(-M, M + 1))
-    for period in range(1, kicks + 1):
-        amps = _apply_kick_amps(amps, M, n_points, phi_d, 1)
-        occ = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
-        if occ > EDGE_LEAK_BOUND:
-            raise LeakageError(occ, period)
-        amps = amps * factors
+    amps = _analyze(_synthesize(amps, len(kick)) * kick, (len(amps) - 1) // 2)
+    occ = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
+    if not occ <= EDGE_LEAK_BOUND:
+        raise LeakageError(occ, period)
     return amps
+
+
+def _run(kicks: int, phi_d: float, free: FreePhaseSpec,
+         half_width: int | None = None, n_points: int | None = None,
+         auto_grow: bool = True, echo: bool = False) -> MomentumWavefunction:
+    """The spectral core: delta_{m,0} through N periods (kick, free flight).
+
+    echo appends the reversed kick of amplitude N*phi_d, with no free
+    flight. A tripped edge-leakage bound restarts the run with a doubled
+    ladder when auto_grow is set.
+    """
+    if not (math.isfinite(phi_d) and phi_d > 0):
+        raise ValueError(f"phi_d must be finite and positive, got {phi_d!r}")
+    # the reversed pulse of amplitude N*phi_d can double the momentum reach
+    reach = 2 * kicks if echo else kicks
+    M = default_half_width(reach, phi_d) if half_width is None else int(half_width)
+    n = default_n_points(M) if n_points is None else int(n_points)
+    while True:
+        kick = _kick_phases(n, phi_d)
+        factors = free.factors(np.arange(-M, M + 1))
+        amps = np.zeros(2 * M + 1, dtype=complex)
+        amps[M] = 1.0
+        try:
+            for period in range(1, kicks + 1):
+                amps = _kick(amps, kick, period) * factors
+            if echo:
+                amps = _kick(amps, _kick_phases(n, -kicks * phi_d), kicks + 1)
+            return MomentumWavefunction(M, amps)
+        except LeakageError:
+            if not auto_grow or 2 * M > _GROW_CAP:
+                raise
+            M = 2 * M
+            n = default_n_points(M)
 
 
 def propagate(
@@ -197,17 +163,7 @@ def propagate(
     restriction; only the first-order analytics do). A tripped edge-leakage
     bound restarts the run with a doubled ladder when auto_grow is set.
     """
-    M = default_half_width(kicks, phi_d) if half_width is None else int(half_width)
-    n = default_n_points(M) if n_points is None else int(n_points)
-    while True:
-        try:
-            amps = _evolve_amps(kicks, phi_d, free, M, n)
-            return MomentumWavefunction(M, amps)
-        except LeakageError:
-            if not auto_grow or 2 * M > _GROW_CAP:
-                raise
-            M = 2 * M
-            n = default_n_points(M)
+    return _run(kicks, phi_d, free, half_width, n_points, auto_grow)
 
 
 def evolve(
@@ -223,14 +179,8 @@ def evolve(
     """
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
     grow = config.auto_sized if auto_grow is None else auto_grow
-    return propagate(
-        config.kicks,
-        config.phi_d,
-        spec,
-        half_width=config.half_width,
-        n_points=config.n_points,
-        auto_grow=grow,
-    )
+    return propagate(config.kicks, config.phi_d, spec, config.half_width,
+                     config.n_points, grow)
 
 
 def kick_matrix(phi: float, half_width: int) -> np.ndarray:
@@ -313,22 +263,5 @@ def fidelity_protocol(
     N = int(kicks)
     if N < 1:
         raise ValueError("kicks must be >= 1")
-    if phi_d <= 0:
-        raise ValueError("phi_d must be positive")
-    # the reversed pulse of amplitude N*phi_d can double the momentum reach
-    M = default_half_width(2 * N, phi_d)
-    n = default_n_points(M)
-    spec = FreePhaseSpec.revival_relative(l, epsilon)
-    while True:
-        try:
-            amps = _evolve_amps(N, phi_d, spec, M, n)
-            amps = _apply_kick_amps(amps, M, n, N * phi_d, -1)
-            occ = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
-            if occ > EDGE_LEAK_BOUND:
-                raise LeakageError(occ, N + 1)
-            return float(abs(amps[M]) ** 2)
-        except LeakageError:
-            if 2 * M > _GROW_CAP:
-                raise
-            M = 2 * M
-            n = default_n_points(M)
+    state = _run(N, phi_d, FreePhaseSpec.revival_relative(l, epsilon), echo=True)
+    return float(abs(state.amps[state.half_width]) ** 2)

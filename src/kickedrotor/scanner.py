@@ -7,8 +7,10 @@ half depth shrinks with the kick number as a power law, and comparing the
 two laws locates the kick number where the position profile stops being
 the narrower one.
 
-Sweep points are evaluated strictly one detuning at a time, so results are
-bitwise identical for any thread count and evaluation order. Detunings
+Sweep points are evaluated serially, one detuning at a time, so results
+are bitwise identical from run to run. The threads arguments are accepted
+and ignored: a thread pool over these short FFT runs measured slower than
+the serial loop on a 2-vCPU machine (timings in the README). Detunings
 beyond the config validity window are legitimate here: the propagation is
 exact unitary evolution at any detuning (the 1e-2 window bounds only the
 first-order analytics), and at small kick numbers the profile tails extend
@@ -17,7 +19,6 @@ past it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,12 @@ class FitRefusalError(RuntimeError):
     """Log-log fit quality too poor to quote a power-law exponent."""
 
 
-def _position_value(kicks: int, phi_d: float, l: int, epsilon: float) -> float:
-    state = propagate(kicks, phi_d, FreePhaseSpec.revival_relative(l, epsilon))
-    grid = SpatialGrid(default_n_points(state.half_width))
-    return sigma_x(position_density(to_position(state, grid)))
-
-
 def _point_value(mode: str, kicks: int, phi_d: float, l: int, eps: float) -> float:
     if mode == "fidelity":
         return fidelity_protocol(kicks, phi_d, eps, l)
-    return _position_value(kicks, phi_d, l, eps)
+    state = propagate(kicks, phi_d, FreePhaseSpec.revival_relative(l, eps))
+    grid = SpatialGrid(default_n_points(state.half_width))
+    return sigma_x(position_density(to_position(state, grid)))
 
 
 def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
@@ -71,15 +68,9 @@ def _sweep_values(
     epsilons: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    def at(eps: float) -> float:
-        return _point_value(mode, kicks, phi_d, l, float(eps))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(at, epsilons))
-    else:
-        values = [at(e) for e in epsilons]
-    return np.array(values)
+    return np.array(
+        [_point_value(mode, kicks, phi_d, l, float(e)) for e in epsilons]
+    )
 
 
 @dataclass(frozen=True)
@@ -233,15 +224,22 @@ class WidthScaling:
 
 
 def fit_widths(n_values, widths) -> WidthScaling:
-    """Fit a power law to given widths; refuse fits with r^2 < 0.9."""
+    """Fit a power law to given widths.
+
+    Raises FitRefusalError for a non-finite width or r^2 below 0.9, and
+    ValueError for a non-positive width or fewer than 4 kick numbers.
+    """
     n_arr = np.asarray(n_values, dtype=int)
     w_arr = np.asarray(widths, dtype=float)
     if len(n_arr) < 4:
         raise ValueError("need at least 4 kick numbers")
-    if np.any(w_arr <= 0):
+    # written to fail closed: a NaN width or r^2 never passes a check
+    if not np.all(np.isfinite(w_arr)):
+        raise FitRefusalError(f"non-finite width in {w_arr.tolist()}")
+    if not np.all(w_arr > 0):
         raise ValueError("widths must be positive")
     gamma, intercept, r2 = power_law_fit(n_arr, w_arr)
-    if r2 < 0.9:
+    if not r2 >= 0.9:
         raise FitRefusalError(
             f"r_squared = {r2:.4f} below 0.9; widths do not follow a power law"
         )

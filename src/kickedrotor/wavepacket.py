@@ -159,8 +159,8 @@ class SimConfig:
     n_points: int | None = None
 
     def __post_init__(self):
-        if not (self.phi_d > 0):
-            raise ValueError("phi_d must be positive")
+        if not (math.isfinite(self.phi_d) and self.phi_d > 0):
+            raise ValueError("phi_d must be finite and positive")
         if not abs(self.epsilon) < EPSILON_VALIDITY:
             raise ValueError(
                 f"|epsilon| must be below {EPSILON_VALIDITY} "
@@ -208,16 +208,6 @@ class SimConfig:
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.n_points)
 
-    def resized(self, half_width: int) -> "SimConfig":
-        return SimConfig(
-            phi_d=self.phi_d,
-            epsilon=self.epsilon,
-            l=self.l,
-            kicks=self.kicks,
-            half_width=half_width,
-            n_points=None,
-        )
-
 
 def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
     """The m = 0 ladder eigenstate, psi(m) = delta_{m,0}."""
@@ -229,6 +219,21 @@ def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
     return MomentumWavefunction(M, amps)
 
 
+def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
+    """Ladder amplitudes to the n grid samples Psi(X_j); no Nyquist check."""
+    M = (len(amps) - 1) // 2
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[np.arange(-M, M + 1) % n] = amps
+    return n * np.fft.ifft(spectrum) / ROOT_TWO_PI
+
+
+def _analyze(values: np.ndarray, half_width: int) -> np.ndarray:
+    """Grid samples back to the ladder amplitudes m in [-M, M]; no check."""
+    n = len(values)
+    spectrum = np.fft.fft(values) * ROOT_TWO_PI / n
+    return spectrum[np.arange(-half_width, half_width + 1) % n]
+
+
 def to_position(
     wf: MomentumWavefunction, grid: SpatialGrid
 ) -> PositionWavefunction:
@@ -238,11 +243,7 @@ def to_position(
             f"grid of {grid.n_points} points cannot resolve half_width "
             f"{wf.half_width}"
         )
-    n = grid.n_points
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[wf.m_values % n] = wf.amps
-    values = n * np.fft.ifft(spectrum) / ROOT_TWO_PI
-    return PositionWavefunction(grid, values)
+    return PositionWavefunction(grid, _synthesize(wf.amps, grid.n_points))
 
 
 def to_momentum(
@@ -255,7 +256,4 @@ def to_momentum(
             f"half_width {M} violates the Nyquist margin of a "
             f"{pwf.grid.n_points}-point grid"
         )
-    n = pwf.grid.n_points
-    spectrum = np.fft.fft(pwf.values) * ROOT_TWO_PI / n
-    m = np.arange(-M, M + 1)
-    return MomentumWavefunction(M, spectrum[m % n])
+    return MomentumWavefunction(M, _analyze(pwf.values, M))

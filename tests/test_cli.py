@@ -15,7 +15,7 @@ from kickedrotor import (
     position_density,
     to_position,
 )
-from kickedrotor.cli import main
+from kickedrotor.cli import NonFiniteOutputError, _write_table, main
 
 
 def read_csv(path):
@@ -166,19 +166,25 @@ class TestScanCommand:
         assert code == 2
 
     def test_byte_stable_across_threads(self, tmp_path):
-        base = [
+        scan = [
             "scan", "--kicks", "5", "--mode", "fidelity",
             "--eps-max", "0.032", "--points", "33",
         ]
-        for fmt in ("csv", "json"):
+        scaling = [
+            "scaling", "--mode", "both", "--n-from", "5", "--n-to", "8",
+            "--points", "33",
+        ]
+        runs = [(scan, "scan", "csv"), (scan, "scan", "json"),
+                (scaling, "scaling", "json")]
+        for base, stem, fmt in runs:
             outs = []
             for threads in ("1", "4"):
-                out = tmp_path / f"{fmt}-{threads}"
+                out = tmp_path / f"{stem}-{fmt}-{threads}"
                 code = main(base + ["--format", fmt, "--threads", threads,
                                     "--out", str(out)])
                 assert code == 0
                 outs.append(out)
-            name = f"scan.{fmt}"
+            name = f"{stem}.{fmt}"
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
@@ -235,6 +241,17 @@ class TestScalingCommand:
         ])
         assert code == 3
 
+    def test_fixture_nan_width_exits_3(self, tmp_path):
+        fixture = tmp_path / "widths.csv"
+        fixture.write_text("N,width\n4,0.0625\n8,nan\n16,0.004\n32,0.001\n")
+        out = tmp_path / "x"
+        code = main([
+            "scaling", "--mode", "position", "--fixture", str(fixture),
+            "--format", "json", "--out", str(out),
+        ])
+        assert code == 3
+        assert not (out / "scaling.json").exists()
+
     def test_missing_fixture_exits_2(self, tmp_path):
         code = main([
             "scaling", "--mode", "position",
@@ -272,6 +289,12 @@ class TestScalingCommand:
         assert header == ["N", "width"]
         widths = [float(r[1]) for r in rows]
         assert widths == sorted(widths, reverse=True)
+
+
+def test_json_refuses_non_finite_and_writes_nothing(tmp_path):
+    with pytest.raises(NonFiniteOutputError):
+        _write_table(tmp_path, "t", "json", {}, {"x": [1.0, math.nan]})
+    assert not (tmp_path / "t.json").exists()
 
 
 class TestEntryPoint:

@@ -5,13 +5,10 @@ import pytest
 
 from kickedrotor import (
     FreePhaseSpec,
-    KickOperator,
     LeakageError,
     MomentumWavefunction,
     SimConfig,
     SpatialGrid,
-    apply_free,
-    apply_kick,
     bessel_j_ladder,
     default_n_points,
     evolve,
@@ -23,6 +20,7 @@ from kickedrotor import (
     resonant_state,
     to_position,
 )
+from kickedrotor.propagator import _kick, _kick_phases
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -39,10 +37,16 @@ def random_state(seed: int, M: int = 8, margin: int = 10) -> MomentumWavefunctio
     return MomentumWavefunction(M, vec / np.linalg.norm(vec))
 
 
+def kick(wf: MomentumWavefunction, phi: float, n: int | None = None):
+    # the spectral core's kick step applied to an arbitrary state
+    n = default_n_points(wf.half_width) if n is None else n
+    return MomentumWavefunction(wf.half_width, _kick(wf.amps, _kick_phases(n, phi)))
+
+
 class TestKick:
     def test_delta_becomes_bessel_ladder(self):
         M = 33
-        kicked = apply_kick(init_momentum_eigenstate(M), KickOperator(0.485))
+        kicked = kick(init_momentum_eigenstate(M), 0.485)
         minus_i = np.array([1, -1j, -1, 1j])
         m = np.arange(-M, M + 1)
         expect = minus_i[np.mod(m, 4)] * bessel_j_ladder(0.485, M)
@@ -53,22 +57,17 @@ class TestKick:
 
     def test_zero_strength_is_identity(self):
         wf = random_state(1, margin=2)
-        out = apply_kick(wf, KickOperator(0.0))
+        out = kick(wf, 0.0)
         assert np.max(np.abs(out.amps - wf.amps)) < 1e-14
 
     def test_opposite_sign_inverts(self):
         wf = random_state(2, M=40)
-        fwd = apply_kick(wf, KickOperator(0.485, sign=1))
-        back = apply_kick(fwd, KickOperator(0.485, sign=-1))
+        back = kick(kick(wf, 0.485), -0.485)
         assert np.max(np.abs(back.amps - wf.amps)) < 1e-13
-
-    def test_sign_validated(self):
-        with pytest.raises(ValueError):
-            KickOperator(0.485, sign=0)
 
     def test_norm_preserved_per_application(self):
         wf = random_state(3, M=40)
-        out = apply_kick(wf, KickOperator(1.3))
+        out = kick(wf, 1.3)
         assert abs(out.norm_sq() - 1.0) < 1e-12
 
     def test_position_density_untouched_by_kick(self):
@@ -76,7 +75,7 @@ class TestKick:
         wf = random_state(4, M=20)
         grid = SpatialGrid(default_n_points(40))
         before = np.abs(to_position(wf, grid).values) ** 2
-        kicked = apply_kick(wf, KickOperator(0.9), grid=grid)
+        kicked = kick(wf, 0.9, n=grid.n_points)
         after = np.abs(to_position(kicked, grid).values) ** 2
         assert np.max(np.abs(after - before)) < 1e-12
 
@@ -85,7 +84,12 @@ class TestKick:
         amps = np.zeros(2 * M + 1, dtype=complex)
         amps[-1] = 1.0  # all mass on m = +M
         with pytest.raises(LeakageError):
-            apply_kick(MomentumWavefunction(M, amps), KickOperator(0.485))
+            kick(MomentumWavefunction(M, amps), 0.485)
+
+    def test_leakage_guard_fails_closed_on_nan(self):
+        amps = np.full(2 * 8 + 1, np.nan, dtype=complex)
+        with pytest.raises(LeakageError):
+            _kick(amps, _kick_phases(default_n_points(8), 0.485))
 
 
 class TestFreeFlight:
@@ -116,8 +120,8 @@ class TestFreeFlight:
 
     def test_free_flight_preserves_norm(self):
         wf = random_state(5, margin=2)
-        out = apply_free(wf, FreePhaseSpec.revival_relative(1, 3e-3))
-        assert abs(out.norm_sq() - 1.0) < 1e-12
+        out = wf.amps * FreePhaseSpec.revival_relative(1, 3e-3).factors(wf.m_values)
+        assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
     def test_mode_validated(self):
         with pytest.raises(ValueError):
@@ -192,7 +196,7 @@ class TestDenseRoute:
     def test_center_column_matches_spectral_kick(self):
         M = 35
         U = kick_matrix(0.485, M)
-        kicked = apply_kick(init_momentum_eigenstate(M), KickOperator(0.485))
+        kicked = kick(init_momentum_eigenstate(M), 0.485)
         assert np.max(np.abs(U[:, M] - kicked.amps)) < 1e-12
 
     def test_warns_when_ladder_cannot_hold_strength(self):
@@ -238,3 +242,44 @@ class TestFidelityProtocol:
     def test_kick_count_validated(self):
         with pytest.raises(ValueError):
             fidelity_protocol(0, 0.485, 0.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_free_phases_reject(self, bad):
+        with pytest.raises(ValueError):
+            FreePhaseSpec.revival_relative(1, bad)
+        with pytest.raises(ValueError):
+            FreePhaseSpec.general(bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_propagate_rejects(self, bad):
+        with pytest.raises(ValueError):
+            propagate(5, bad, FreePhaseSpec.revival_relative(1, 0.0))
+        with pytest.raises(ValueError):
+            propagate(5, 0.485, FreePhaseSpec.revival_relative(1, bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_evolve_rejects(self, bad):
+        with pytest.raises(ValueError):
+            evolve(SimConfig(kicks=5, half_width=40, phi_d=bad))
+        with pytest.raises(ValueError):
+            evolve(SimConfig(kicks=5), free=FreePhaseSpec.general(bad))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_fidelity_protocol_rejects(self, bad):
+        with pytest.raises(ValueError):
+            fidelity_protocol(5, 0.485, bad)
+        with pytest.raises(ValueError):
+            fidelity_protocol(5, bad, 0.0)
+
+    def test_non_positive_strength_rejected(self):
+        spec = FreePhaseSpec.revival_relative(1, 0.0)
+        for phi_d in (0.0, -0.485):
+            with pytest.raises(ValueError):
+                propagate(5, phi_d, spec)
+            with pytest.raises(ValueError):
+                fidelity_protocol(5, phi_d, 0.0)

@@ -127,6 +127,11 @@ class TestPowerLawFit:
         with pytest.raises(FitRefusalError):
             fit_widths([4, 8, 16, 32], [1.0, 2.0, 0.1, 5.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refusal_on_non_finite_width(self, bad):
+        with pytest.raises(FitRefusalError):
+            fit_widths([1, 2, 3, 4], [1.0, bad, 1.0, 1.0])
+
     def test_input_guards(self):
         with pytest.raises(ValueError):
             fit_widths([4, 8, 16], [1.0, 0.5, 0.25])

@@ -111,12 +111,6 @@ class TestSimConfig:
         with pytest.raises(GridTooSmallError):
             SimConfig(kicks=0, half_width=32, n_points=64)
 
-    def test_resized(self):
-        cfg = SimConfig(kicks=5).resized(99)
-        assert cfg.half_width == 99
-        assert cfg.kicks == 5
-        assert not cfg.auto_sized
-
 
 class TestStates:
     def test_initial_state_is_delta(self):
