@@ -11,8 +11,6 @@ cross; past the crossing the position probe needs the finer control.
 from kickedrotor import compare_modes
 
 # Measure both widths on one list of kick numbers and fit width ~ N^gamma.
-# Threads parallelise the per-point propagations; results are identical
-# for any thread count.
 cmp = compare_modes(range(5, 13), 0.485, 1, points=65)
 
 print("   N   position width   fidelity width   ratio")

@@ -110,7 +110,10 @@ def resonant_state(
     """State after t kicks at exact revival: psi(m) = (-i)^m J_m(t*phi_d).
 
     Raises TruncationError when the ladder is too short to hold the state
-    (norm deficit above 1e-10).
+    (norm deficit above 1e-10), and ValueError outside the domain of
+    bessel_j_row: t*phi_d > 1000 (t > 2061 at phi_d = 0.485) or a half
+    width above 10000. propagate has no such limit, so past it the
+    numerics have no closed form to be checked against.
     """
     t = int(t)
     if t < 0:

@@ -7,7 +7,9 @@ representation that parses back to the identical float, so identical
 physics yields identical bytes. Wall-clock time lives only in the
 standalone manifest file; the manifest block embedded in data files omits
 it, keeping outputs byte-stable across re-runs. --threads is accepted and
-has no effect: sweeps run serially.
+has no effect: a sweep propagates its whole detuning grid as one batch in
+one thread. scan refuses a profile it cannot take the width of (exit 3)
+in CSV as well as in JSON, although only the JSON file carries the width.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 a numerical
 invariant failed (the message names it), including a NaN or an infinity
@@ -178,6 +180,9 @@ def _cmd_scan(args) -> tuple[Path, dict]:
         eps_max = float(args.eps_max)
     scan = scan_epsilon(args.kicks, args.phi_d, args.l, args.mode,
                         eps_max, args.points)
+    # a profile without a width is refused in either format, before any
+    # file is written; only the JSON file carries the width
+    width = scan_width(scan)
     manifest = _manifest("scan", {
         "phi_d": args.phi_d,
         "l": args.l,
@@ -187,8 +192,7 @@ def _cmd_scan(args) -> tuple[Path, dict]:
         "points": args.points,
     })
     out = _out_dir(args.out)
-    # only the JSON file carries the width, so only it can fail on one
-    extra = {"fwhm": scan_width(scan)} if args.format == "json" else None
+    extra = {"fwhm": width} if args.format == "json" else None
     _write_table(out, "scan", args.format, manifest,
                  {"epsilon": _listify(scan.epsilons),
                   "value": _listify(scan.values)},
@@ -301,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65,
                    help="odd sweep point count (default 65)")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; sweeps run serially")
+                   help="accepted and ignored; a sweep runs as one batch")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("scaling", help="width power law over kick numbers")
@@ -312,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--points", type=int, default=65)
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; sweeps run serially")
+                   help="accepted and ignored; a sweep runs as one batch")
     p.add_argument("--fixture", default=None,
                    help="test hook: fit a CSV of N,width rows, no simulation")
     p.set_defaults(func=_cmd_scaling)

@@ -10,9 +10,10 @@ significant digits at epsilon = 1e-8, m = 40.
 
 Two independent evolution routes are kept deliberately separate: the
 spectral route (one core, _run, kicking on the grid of to_position and
-holding the only auto-grow loop) and a dense-matrix route whose kick
-matrix is built from Bessel coefficients. They share no transform code and
-cross-validate each other to 1e-9.
+holding the only auto-grow loop; it propagates a whole stack of detunings
+at once, and a single state is the one-row case) and a dense-matrix route
+whose kick matrix is built from Bessel coefficients. They share no
+transform code and cross-validate each other to 1e-9.
 """
 from __future__ import annotations
 
@@ -26,8 +27,10 @@ from .analytics import MINUS_I_POW, bessel_j_row
 from .wavepacket import (
     EDGE_LEAK_BOUND,
     TWO_PI,
+    GridTooSmallError,
     MomentumWavefunction,
     SimConfig,
+    SpatialGrid,
     _analyze,
     _synthesize,
     default_half_width,
@@ -106,24 +109,31 @@ def _kick_phases(n: int, phi: float) -> np.ndarray:
 def _kick(amps: np.ndarray, kick: np.ndarray, period: int | None = None) -> np.ndarray:
     """One kick, applied on the grid between the exact transform pair.
 
-    Raises LeakageError when the outermost ladder sites hold more than
-    EDGE_LEAK_BOUND, or a NaN.
+    amps is one ladder state or a (P, 2M+1) stack of them. Raises
+    LeakageError, with the worst occupancy, when the outermost ladder sites
+    of any row hold more than EDGE_LEAK_BOUND, or a NaN.
     """
-    amps = _analyze(_synthesize(amps, len(kick)) * kick, (len(amps) - 1) // 2)
-    occ = float(abs(amps[0]) ** 2 + abs(amps[-1]) ** 2)
-    if not occ <= EDGE_LEAK_BOUND:
-        raise LeakageError(occ, period)
+    M = (amps.shape[-1] - 1) // 2
+    values = _synthesize(amps, len(kick))
+    amps = _analyze(np.multiply(values, kick, out=values), M)
+    occ = np.abs(amps[..., 0]) ** 2 + np.abs(amps[..., -1]) ** 2
+    if not (occ <= EDGE_LEAK_BOUND).all():
+        raise LeakageError(float(np.max(occ)), period)
     return amps
 
 
-def _run(kicks: int, phi_d: float, free: FreePhaseSpec,
+def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
          half_width: int | None = None, n_points: int | None = None,
-         auto_grow: bool = True, echo: bool = False) -> MomentumWavefunction:
-    """The spectral core: delta_{m,0} through N periods (kick, free flight).
+         auto_grow: bool = True, echo: bool = False) -> np.ndarray:
+    """The spectral core: delta_{m,0} through N periods (kick, free flight),
+    once per FreePhaseSpec in frees, as one (P, 2M+1) stack.
 
-    echo appends the reversed kick of amplitude N*phi_d, with no free
-    flight. A tripped edge-leakage bound restarts the run with a doubled
-    ladder when auto_grow is set.
+    All rows share one ladder, one kick factor and one reversed pulse;
+    row p gets the free-flight factors of frees[p] and comes out
+    bit-identical to a one-row run on the same ladder. echo appends the
+    reversed kick of amplitude N*phi_d, with no free flight. A leak in any
+    row restarts the whole stack with a doubled ladder when auto_grow is
+    set.
     """
     if not (math.isfinite(phi_d) and phi_d > 0):
         raise ValueError(f"phi_d must be finite and positive, got {phi_d!r}")
@@ -131,22 +141,39 @@ def _run(kicks: int, phi_d: float, free: FreePhaseSpec,
     reach = 2 * kicks if echo else kicks
     M = default_half_width(reach, phi_d) if half_width is None else int(half_width)
     n = default_n_points(M) if n_points is None else int(n_points)
+    if not SpatialGrid(n).fits_ladder(M):
+        raise GridTooSmallError(
+            f"n_points={n} cannot resolve a ladder of half width {M}"
+        )
     while True:
         kick = _kick_phases(n, phi_d)
-        factors = free.factors(np.arange(-M, M + 1))
-        amps = np.zeros(2 * M + 1, dtype=complex)
-        amps[M] = 1.0
+        m = np.arange(-M, M + 1)
+        factors = np.array([free.factors(m) for free in frees])
+        amps = np.zeros(factors.shape, dtype=complex)
+        amps[:, M] = 1.0
         try:
             for period in range(1, kicks + 1):
-                amps = _kick(amps, kick, period) * factors
+                amps = _kick(amps, kick, period)
+                amps *= factors
             if echo:
                 amps = _kick(amps, _kick_phases(n, -kicks * phi_d), kicks + 1)
-            return MomentumWavefunction(M, amps)
+            return amps
         except LeakageError:
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
             M = 2 * M
             n = default_n_points(M)
+
+
+def _echo_fidelities(kicks: int, phi_d: float,
+                      frees: list[FreePhaseSpec]) -> list[float]:
+    """F = |<delta_0 | psi>|^2 after the echo protocol, one per row."""
+    N = int(kicks)
+    if N < 1:
+        raise ValueError("kicks must be >= 1")
+    amps = _run(N, phi_d, frees, echo=True)
+    center = amps[:, (amps.shape[1] - 1) // 2]
+    return [abs(complex(a)) ** 2 for a in center]
 
 
 def propagate(
@@ -162,8 +189,11 @@ def propagate(
     Exact at any detuning (the unitary propagation has no small-epsilon
     restriction; only the first-order analytics do). A tripped edge-leakage
     bound restarts the run with a doubled ladder when auto_grow is set.
+    Nor is the kick number limited, unlike the closed form resonant_state,
+    which refuses N*phi_d > 1000.
     """
-    return _run(kicks, phi_d, free, half_width, n_points, auto_grow)
+    amps = _run(kicks, phi_d, [free], half_width, n_points, auto_grow)
+    return MomentumWavefunction((amps.shape[1] - 1) // 2, amps[0])
 
 
 def evolve(
@@ -260,8 +290,5 @@ def fidelity_protocol(
     epsilon is not restricted here: the propagation is exact at any
     detuning, and resonance profiles need the far tails.
     """
-    N = int(kicks)
-    if N < 1:
-        raise ValueError("kicks must be >= 1")
-    state = _run(N, phi_d, FreePhaseSpec.revival_relative(l, epsilon), echo=True)
-    return float(abs(state.amps[state.half_width]) ** 2)
+    free = FreePhaseSpec.revival_relative(l, epsilon)
+    return _echo_fidelities(kicks, phi_d, [free])[0]

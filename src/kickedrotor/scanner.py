@@ -7,14 +7,19 @@ half depth shrinks with the kick number as a power law, and comparing the
 two laws locates the kick number where the position profile stops being
 the narrower one.
 
-Sweep points are evaluated serially, one detuning at a time, so results
-are bitwise identical from run to run. The threads arguments are accepted
-and ignored: a thread pool over these short FFT runs measured slower than
-the serial loop on a 2-vCPU machine (timings in the README). Detunings
-beyond the config validity window are legitimate here: the propagation is
-exact unitary evolution at any detuning (the 1e-2 window bounds only the
-first-order analytics), and at small kick numbers the profile tails extend
-past it.
+A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
+detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
+one FFT pair for the whole block instead of one per point, memory stays
+bounded by the block whatever the point count, and each row is
+bit-identical to its own single-point propagation. Results are bitwise identical from run to run.
+width_scaling remembers each detuning it has evaluated for a kick number:
+the auto_range probe grids and the final scan grid are all multiples of
+r/2^k, so every repeated detuning is the identical float and is computed
+once. The threads arguments are accepted and ignored (timings in the
+README). Detunings beyond the config validity window are legitimate here:
+the propagation is exact unitary evolution at any detuning (the 1e-2
+window bounds only the first-order analytics), and at small kick numbers
+the profile tails extend past it.
 """
 from __future__ import annotations
 
@@ -24,8 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observables import Profile, fwhm, position_density, sigma_x
-from .propagator import FreePhaseSpec, fidelity_protocol, propagate
-from .wavepacket import SpatialGrid, default_n_points, to_position
+from .propagator import FreePhaseSpec, _echo_fidelities, _run
+from .wavepacket import (
+    MomentumWavefunction,
+    SpatialGrid,
+    default_n_points,
+    to_position,
+)
 
 MODES = ("position", "fidelity")
 
@@ -35,6 +45,8 @@ FIDELITY_HALF_LEVEL = 0.5
 RANGE_CAP = 0.1
 #: number of points in the coarse probe sweeps of auto_range
 PROBE_POINTS = 17
+#: detunings per core call: bounds a sweep's memory whatever its point count
+SWEEP_BLOCK = 128
 
 
 class RangeCapError(RuntimeError):
@@ -45,17 +57,11 @@ class FitRefusalError(RuntimeError):
     """Log-log fit quality too poor to quote a power-law exponent."""
 
 
-def _point_value(mode: str, kicks: int, phi_d: float, l: int, eps: float) -> float:
-    if mode == "fidelity":
-        return fidelity_protocol(kicks, phi_d, eps, l)
-    state = propagate(kicks, phi_d, FreePhaseSpec.revival_relative(l, eps))
-    grid = SpatialGrid(default_n_points(state.half_width))
-    return sigma_x(position_density(to_position(state, grid)))
-
-
 def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
     # exact 0 at the center and exact sign symmetry, which linspace over
-    # [-e, e] does not guarantee
+    # [-e, e] does not guarantee; point i is i * (e / (points // 2)), so
+    # when the step ratio of two grids is a power of two, their common
+    # detunings are the identical floats
     half = np.linspace(0.0, epsilon_max, (points + 1) // 2)
     return np.concatenate([-half[:0:-1], half])
 
@@ -68,9 +74,55 @@ def _sweep_values(
     epsilons: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    return np.array(
-        [_point_value(mode, kicks, phi_d, l, float(e)) for e in epsilons]
-    )
+    """The observable at each detuning, one core call per SWEEP_BLOCK rows."""
+    frees = [FreePhaseSpec.revival_relative(l, float(e)) for e in epsilons]
+    values: list[float] = []
+    for start in range(0, len(frees), SWEEP_BLOCK):
+        block = frees[start:start + SWEEP_BLOCK]
+        if mode == "fidelity":
+            values.extend(_echo_fidelities(kicks, phi_d, block))
+            continue
+        amps = _run(kicks, phi_d, block)
+        M = (amps.shape[1] - 1) // 2
+        grid = SpatialGrid(default_n_points(M))
+        for row in amps:
+            state = to_position(MomentumWavefunction(M, row), grid)
+            values.append(sigma_x(position_density(state)))
+    return np.array(values)
+
+
+def _remembering(mode: str, kicks: int, phi_d: float, l: int):
+    """Sweep evaluator that computes each detuning once, on first request.
+
+    Keys are the grid floats themselves; the probe and scan grids repeat
+    detunings bit for bit (see _symmetric_grid), never approximately.
+    """
+    memo: dict[float, float] = {}
+
+    def values(epsilons: np.ndarray) -> np.ndarray:
+        missing = [e for e in epsilons.tolist() if e not in memo]
+        if missing:
+            new = _sweep_values(mode, kicks, phi_d, l, np.array(missing))
+            memo.update(zip(missing, new.tolist()))
+        return np.array([memo[e] for e in epsilons.tolist()])
+
+    return values
+
+
+def _check_points(points: int) -> None:
+    if points < 33 or points % 2 == 0:
+        raise ValueError("points must be odd and >= 33")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+
+
+def _check_cap(cap: float) -> None:
+    # a NaN cap would never stop the doubling ladder
+    if not (math.isfinite(cap) and cap > 0):
+        raise ValueError(f"cap must be finite and positive, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -116,12 +168,12 @@ def scan_epsilon(
     threads: int = 1,
 ) -> EpsilonScan:
     """Sweep the chosen observable over [-epsilon_max, epsilon_max]."""
-    if points < 33 or points % 2 == 0:
-        raise ValueError("points must be odd and >= 33")
-    if not epsilon_max > 0:
-        raise ValueError("epsilon_max must be positive")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_points(points)
+    if not (math.isfinite(epsilon_max) and epsilon_max > 0):
+        raise ValueError(
+            f"epsilon_max must be finite and positive, got {epsilon_max!r}"
+        )
+    _check_mode(mode)
     eps = _symmetric_grid(float(epsilon_max), points)
     vals = _sweep_values(mode, kicks, phi_d, l, eps, threads)
     return EpsilonScan(kicks, mode, eps, vals)
@@ -160,17 +212,21 @@ def auto_range(
     """Smallest range from the doubling ladder 0.1/N^2, 0.2/N^2, ... that
     brackets the profile, so that a width extraction succeeds.
 
-    Raises RangeCapError when the cap is reached first.
+    Each probe step is one sweep of PROBE_POINTS detunings, of which only
+    those the earlier steps did not evaluate are propagated. Raises
+    RangeCapError when the cap is reached first.
     """
+    _check_cap(cap)
+    return _probe_ladder(kicks, mode, cap, _remembering(mode, kicks, phi_d, l))
+
+
+def _probe_ladder(kicks: int, mode: str, cap: float, values) -> float:
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    _check_mode(mode)
     r = min(0.1 / (kicks * kicks), cap)
     while True:
-        eps = _symmetric_grid(r, PROBE_POINTS)
-        vals = _sweep_values(mode, kicks, phi_d, l, eps, threads)
-        if _adequate(mode, vals):
+        if _adequate(mode, values(_symmetric_grid(r, PROBE_POINTS))):
             return r
         if r >= cap:
             raise RangeCapError(
@@ -255,17 +311,24 @@ def width_scaling(
     threads: int = 1,
     cap: float = RANGE_CAP,
 ) -> WidthScaling:
-    """Measure profile widths over the given kick numbers and fit the law."""
+    """Measure profile widths over the given kick numbers and fit the law.
+
+    Per kick number, the auto_range probes and the final scan share one
+    memo, so each distinct detuning is propagated once.
+    """
     n_arr = np.asarray(list(n_list), dtype=int)
     if len(n_arr) < 4:
         raise ValueError("need at least 4 kick numbers")
     if np.any(n_arr < 2):
         raise ValueError("all kick numbers must be >= 2")
+    _check_mode(mode)
+    _check_points(points)
+    _check_cap(cap)
     widths = []
-    for N in n_arr:
-        r = auto_range(int(N), phi_d, l, mode, cap=cap, threads=threads)
-        scan = scan_epsilon(int(N), phi_d, l, mode, r, points, threads)
-        widths.append(scan_width(scan))
+    for N in n_arr.tolist():
+        values = _remembering(mode, N, phi_d, l)
+        eps = _symmetric_grid(_probe_ladder(N, mode, cap, values), points)
+        widths.append(scan_width(EpsilonScan(N, mode, eps, values(eps))))
     return fit_widths(n_arr, widths)
 
 
@@ -293,6 +356,8 @@ def compare_modes(
     cap: float = RANGE_CAP,
 ) -> ModeComparison:
     """Run both width scalings on one kick-number list and compare them."""
+    # both scalings read the list; an iterator would be empty the second time
+    n_list = list(n_list)
     pos = width_scaling(n_list, phi_d, l, "position", points, threads, cap)
     fid = width_scaling(n_list, phi_d, l, "fidelity", points, threads, cap)
     rows = []

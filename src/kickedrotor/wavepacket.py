@@ -220,18 +220,36 @@ def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
 
 
 def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
-    """Ladder amplitudes to the n grid samples Psi(X_j); no Nyquist check."""
-    M = (len(amps) - 1) // 2
-    spectrum = np.zeros(n, dtype=complex)
-    spectrum[np.arange(-M, M + 1) % n] = amps
-    return n * np.fft.ifft(spectrum) / ROOT_TWO_PI
+    """Ladder amplitudes to the n grid samples Psi(X_j).
+
+    No Nyquist check: the callers hold n >= 2(2M+1). Works along the last
+    axis, so a (P, 2M+1) stack gives (P, n) samples; each row comes out
+    bit-identical to its own 1-d transform.
+    """
+    M = (amps.shape[-1] - 1) // 2
+    spectrum = np.zeros(amps.shape[:-1] + (n,), dtype=complex)
+    # m >= 0 sits at index m, m < 0 at index n + m
+    spectrum[..., :M + 1] = amps[..., M:]
+    spectrum[..., n - M:] = amps[..., :M]
+    # the same operations as n * ifft(spectrum) / ROOT_TWO_PI, scaled in
+    # place instead of with a fresh grid-sized temporary for each step
+    values = np.fft.ifft(spectrum)
+    np.multiply(n, values, out=values)
+    return np.divide(values, ROOT_TWO_PI, out=values)
 
 
 def _analyze(values: np.ndarray, half_width: int) -> np.ndarray:
-    """Grid samples back to the ladder amplitudes m in [-M, M]; no check."""
-    n = len(values)
-    spectrum = np.fft.fft(values) * ROOT_TWO_PI / n
-    return spectrum[np.arange(-half_width, half_width + 1) % n]
+    """Grid samples back to the ladder amplitudes m in [-M, M].
+
+    No Nyquist check; works along the last axis, like _synthesize.
+    """
+    n = values.shape[-1]
+    # values is never written: it may be a frozen PositionWavefunction array
+    spectrum = np.fft.fft(values)
+    np.multiply(spectrum, ROOT_TWO_PI, out=spectrum)
+    np.divide(spectrum, n, out=spectrum)
+    M = half_width
+    return np.concatenate([spectrum[..., n - M:], spectrum[..., :M + 1]], axis=-1)
 
 
 def to_position(

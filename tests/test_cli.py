@@ -141,15 +141,19 @@ class TestScanCommand:
         man = read_json(tmp_path / "a" / "manifest.json")
         assert man["config"]["epsilon_max"] == pytest.approx(0.032, rel=1e-12)
 
-    def test_no_crossing_exits_3(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_crossing_exits_3(self, tmp_path, fmt):
         # a range far below the feature size leaves the profile flat to
-        # rounding noise; the width request must fail loudly
+        # rounding noise; the width request must fail loudly, also when
+        # the file written would not carry the width
+        out = tmp_path / "x"
         code = main([
             "scan", "--kicks", "5", "--mode", "fidelity",
             "--eps-max", "1e-18", "--points", "33",
-            "--format", "json", "--out", str(tmp_path / "x"),
+            "--format", fmt, "--out", str(out),
         ])
         assert code == 3
+        assert not list(out.glob("scan.*"))
 
     def test_range_cap_exits_3(self, tmp_path):
         code = main([

@@ -5,6 +5,7 @@ import pytest
 
 from kickedrotor import (
     FreePhaseSpec,
+    GridTooSmallError,
     LeakageError,
     MomentumWavefunction,
     SimConfig,
@@ -20,7 +21,7 @@ from kickedrotor import (
     resonant_state,
     to_position,
 )
-from kickedrotor.propagator import _kick, _kick_phases
+from kickedrotor.propagator import _kick, _kick_phases, _run
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -85,6 +86,22 @@ class TestKick:
         amps[-1] = 1.0  # all mass on m = +M
         with pytest.raises(LeakageError):
             kick(MomentumWavefunction(M, amps), 0.485)
+
+    def test_stack_is_kicked_row_by_row(self):
+        rows = np.array([random_state(s, M=40).amps for s in range(6, 10)])
+        kick = _kick_phases(default_n_points(40), 0.485)
+        stacked = _kick(rows, kick)
+        assert stacked.shape == rows.shape
+        for row, out in zip(rows, stacked):
+            assert np.array_equal(out, _kick(row, kick))
+
+    def test_leakage_checked_on_every_row(self):
+        rows = np.array([random_state(s, M=8, margin=4).amps for s in range(3)])
+        rows[2] = 0.0
+        rows[2, -1] = 1.0  # only the last row sits on the edge
+        with pytest.raises(LeakageError) as err:
+            _kick(rows, _kick_phases(default_n_points(8), 0.485))
+        assert err.value.occupancy > 0.5
 
     def test_leakage_guard_fails_closed_on_nan(self):
         amps = np.full(2 * 8 + 1, np.nan, dtype=complex)
@@ -162,6 +179,12 @@ class TestEvolve:
         assert out.half_width > 8
         assert abs(out.norm_sq() - 1.0) < 1e-12
         assert out.edge_occupancy() < 1e-14
+
+    def test_grid_below_nyquist_margin_refused(self):
+        # 128 points cannot carry a ladder of 81 sites without aliasing
+        with pytest.raises(GridTooSmallError):
+            propagate(5, 0.485, FreePhaseSpec.revival_relative(1, 0.0),
+                      half_width=40, n_points=128)
 
     def test_explicit_config_does_not_grow_by_default(self):
         with pytest.raises(LeakageError):
@@ -283,3 +306,40 @@ class TestNonFiniteInputs:
                 propagate(5, phi_d, spec)
             with pytest.raises(ValueError):
                 fidelity_protocol(5, phi_d, 0.0)
+
+
+class TestBatchedCore:
+    FREES = [FreePhaseSpec.revival_relative(1, e)
+             for e in (0.0, 1e-4, -3e-3, 2e-2)]
+
+    def test_one_row_is_propagate(self):
+        for free in self.FREES:
+            amps = _run(7, 0.485, [free])
+            state = propagate(7, 0.485, free)
+            assert amps.shape == (1, 2 * state.half_width + 1)
+            assert np.array_equal(amps[0], state.amps)
+
+    def test_rows_match_their_own_runs(self):
+        amps = _run(9, 0.485, self.FREES)
+        M = (amps.shape[1] - 1) // 2
+        for free, row in zip(self.FREES, amps):
+            assert np.array_equal(row, _run(9, 0.485, [free], half_width=M)[0])
+
+    def test_leaking_stack_grows_as_a_whole(self):
+        with pytest.raises(LeakageError):
+            _run(20, 0.485, self.FREES, half_width=8, auto_grow=False)
+        amps = _run(20, 0.485, self.FREES, half_width=8)
+        M = (amps.shape[1] - 1) // 2
+        assert amps.shape == (len(self.FREES), 2 * M + 1)
+        assert M > 8
+        for free, row in zip(self.FREES, amps):
+            one = _run(20, 0.485, [free], half_width=M, auto_grow=False)[0]
+            assert np.max(np.abs(row - one)) < 1e-12
+            assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
+
+    def test_echo_rows_match_fidelity_protocol(self):
+        amps = _run(6, 0.485, self.FREES, echo=True)
+        M = (amps.shape[1] - 1) // 2
+        for free, row in zip(self.FREES, amps):
+            f = fidelity_protocol(6, 0.485, free.epsilon)
+            assert abs(complex(row[M])) ** 2 == f

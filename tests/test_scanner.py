@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +8,38 @@ import pytest
 from kickedrotor import (
     EpsilonScan,
     FitRefusalError,
+    FreePhaseSpec,
     RangeCapError,
+    SpatialGrid,
     UNIFORM_SIGMA_X,
     auto_range,
     compare_modes,
+    default_n_points,
+    fidelity_protocol,
     fit_widths,
+    position_density,
     power_law_fit,
+    propagate,
     scan_epsilon,
     scan_width,
+    sigma_x,
+    to_position,
     width_scaling,
 )
-from kickedrotor.scanner import _symmetric_grid
+from kickedrotor import propagator, scanner
+from kickedrotor.scanner import _symmetric_grid, _sweep_values
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+BAD_BOUNDS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+@pytest.fixture
+def no_propagation(monkeypatch):
+    """Fail the test if any sweep point is evaluated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep ran before the input was refused")
+
+    monkeypatch.setattr(scanner, "_sweep_values", refuse)
 
 
 class TestGrid:
@@ -60,6 +83,94 @@ class TestEpsilonScan:
         b = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33, threads=4)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.epsilons, b.epsilons)
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("kicks", [5, 12])
+    def test_position_rows_equal_per_point_route(self, kicks):
+        eps = _symmetric_grid(0.4 / kicks**2, 33)
+        batch = _sweep_values("position", kicks, 0.485, 1, eps)
+        single = []
+        for e in eps:
+            state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e))
+            grid = SpatialGrid(default_n_points(state.half_width))
+            single.append(sigma_x(position_density(to_position(state, grid))))
+        assert np.array_equal(batch, np.array(single))
+
+    @pytest.mark.parametrize("kicks", [5, 12])
+    def test_fidelity_rows_equal_protocol(self, kicks):
+        eps = _symmetric_grid(0.4 / kicks**2, 33)
+        batch = _sweep_values("fidelity", kicks, 0.485, 1, eps)
+        single = [fidelity_protocol(kicks, 0.485, e) for e in eps]
+        assert np.array_equal(batch, np.array(single))
+
+    @pytest.mark.parametrize("mode", ["position", "fidelity"])
+    def test_blocks_equal_one_block(self, mode, monkeypatch):
+        eps = _symmetric_grid(0.4 / 5**2, 2 * scanner.SWEEP_BLOCK + 33)
+        calls = []
+        original = scanner._run
+
+        def counting(kicks, phi_d, frees, *args, **kwargs):
+            calls.append(len(frees))
+            return original(kicks, phi_d, frees, *args, **kwargs)
+
+        monkeypatch.setattr(scanner, "_run", counting)
+        monkeypatch.setattr(propagator, "_run", counting)
+        blocked = _sweep_values(mode, 5, 0.485, 1, eps)
+        assert calls == [scanner.SWEEP_BLOCK, scanner.SWEEP_BLOCK, 33]
+        monkeypatch.setattr(scanner, "SWEEP_BLOCK", len(eps))
+        assert np.array_equal(blocked, _sweep_values(mode, 5, 0.485, 1, eps))
+        assert calls[3:] == [len(eps)]
+
+    @pytest.mark.parametrize("mode", ["position", "fidelity"])
+    def test_width_scaling_evaluates_each_detuning_once(self, mode, monkeypatch):
+        evaluated = {}
+        original = scanner._sweep_values
+
+        def counting(mode_, kicks, phi_d, l, eps, threads=1):
+            evaluated.setdefault(kicks, []).extend(eps.tolist())
+            return original(mode_, kicks, phi_d, l, eps, threads)
+
+        monkeypatch.setattr(scanner, "_sweep_values", counting)
+        n_list = [5, 6, 7, 8]
+        ws = width_scaling(n_list, 0.485, 1, mode)
+        monkeypatch.undo()
+        for N in n_list:
+            r_final = auto_range(N, 0.485, 1, mode)
+            expected = set(_symmetric_grid(r_final, 65).tolist())
+            r = 0.1 / N**2
+            while r <= r_final:  # the probe ladder up to the chosen range
+                expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
+                r *= 2.0
+            assert len(evaluated[N]) == len(set(evaluated[N]))
+            assert set(evaluated[N]) == expected
+        # and the memo changes no width
+        for N, w in zip(n_list, ws.widths):
+            scan = scan_epsilon(N, 0.485, 1, mode, auto_range(N, 0.485, 1, mode))
+            assert w == scan_width(scan)
+
+
+class TestBadBounds:
+    @pytest.mark.parametrize("bad", BAD_BOUNDS)
+    @pytest.mark.filterwarnings("error")
+    def test_scan_refuses_epsilon_max(self, bad, no_propagation):
+        with pytest.raises(ValueError, match="epsilon_max"):
+            scan_epsilon(5, 0.485, 1, "fidelity", bad)
+
+    @pytest.mark.parametrize("bad", BAD_BOUNDS)
+    def test_auto_range_refuses_cap(self, bad, no_propagation):
+        with pytest.raises(ValueError, match="cap"):
+            auto_range(5, 0.485, 1, "position", cap=bad)
+
+    @pytest.mark.parametrize("bad", BAD_BOUNDS)
+    def test_width_scaling_refuses_cap(self, bad, no_propagation):
+        with pytest.raises(ValueError, match="cap"):
+            width_scaling([5, 6, 7, 8], 0.485, 1, "fidelity", cap=bad)
+
+    @pytest.mark.parametrize("bad", BAD_BOUNDS)
+    def test_compare_modes_refuses_cap(self, bad, no_propagation):
+        with pytest.raises(ValueError, match="cap"):
+            compare_modes([5, 6, 7, 8], 0.485, 1, cap=bad)
 
 
 class TestAutoRange:
@@ -144,6 +255,10 @@ class TestPowerLawFit:
 
 
 class TestCompareModes:
+    def test_kick_numbers_may_be_a_one_shot_iterator(self):
+        cmp = compare_modes((n for n in range(5, 9)), 0.485, 1, points=33)
+        assert [row[0] for row in cmp.table] == [5, 6, 7, 8]
+
     def test_narrower_position_feature_and_crossover_estimate(self):
         cmp = compare_modes([5, 6, 7, 8], 0.485, 1, points=33, threads=4)
         assert len(cmp.table) == 4
@@ -155,3 +270,14 @@ class TestCompareModes:
         # ratios rise monotonically toward the crossover
         ratios = [row[3] for row in cmp.table]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_compare_modes_matches_bench_reference():
+    # the widths and laws of the reference code, read from the benchmark's
+    # reference file
+    ref = json.loads(REFERENCE.read_text())["sweep"]
+    cmp = compare_modes(list(range(5, 19)), 0.485, 1, points=65)
+    for law, mode in ((cmp.position, "position"), (cmp.fidelity, "fidelity")):
+        assert law.widths == pytest.approx(ref[f"{mode}_widths"], rel=1e-12, abs=0)
+        assert law.gamma == pytest.approx(ref[f"gamma_{mode}"], rel=1e-12, abs=0)
+    assert cmp.crossover_fit == pytest.approx(ref["crossover_fit"], rel=1e-12, abs=0)
