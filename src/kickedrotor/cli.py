@@ -4,12 +4,14 @@ Four subcommands: evolve (densities after N periods), perturbative
 (first-order density against the full numerics), scan (detuning sweeps),
 scaling (width power laws). Numeric fields are written with the shortest
 representation that parses back to the identical float, so identical
-physics yields identical bytes. Wall-clock time lives only in the
-standalone manifest file; the manifest block embedded in data files omits
-it, keeping outputs byte-stable across re-runs. --threads is accepted and
-has no effect: a sweep propagates its whole detuning grid as one batch in
-one thread. scan refuses a profile it cannot take the width of (exit 3)
-in CSV as well as in JSON, although only the JSON file carries the width.
+physics yields identical bytes. Wall-clock times (the total, and for
+perturbative the stage_s of its evolve and first_order stages) live only
+in the standalone manifest file; the manifest block embedded in data files
+omits them, keeping outputs byte-stable across re-runs. --threads is
+accepted and has no effect: a sweep propagates its whole detuning grid as
+one batch in one thread. scan refuses a profile it cannot take the width
+of (exit 3) in CSV as well as in JSON, although only the JSON file
+carries the width.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters, 3 a numerical
 invariant failed (the message names it), including a NaN or an infinity
@@ -39,7 +41,7 @@ from .propagator import LeakageError, evolve
 from .scanner import (
     FitRefusalError,
     RangeCapError,
-    auto_range,
+    auto_scan,
     compare_modes,
     fit_widths,
     scan_epsilon,
@@ -152,12 +154,16 @@ def _cmd_perturbative(args) -> tuple[Path, dict]:
         kicks=args.kicks,
         n_points=args.grid,
     )
+    started = time.monotonic()
     state = evolve(cfg, auto_grow=False)
     grid = cfg.grid()
     numeric = position_density(to_position(state, grid)).values
+    evolved = time.monotonic()
     approx = perturbative_density(
         cfg.kicks, cfg.phi_d, cfg.epsilon, grid, cfg.half_width
     ).values
+    stage_s = {"evolve": evolved - started,
+               "first_order": time.monotonic() - evolved}
     diff = numeric - approx
     manifest = _manifest("perturbative", asdict(cfg), {
         "norm_drift": abs(1.0 - state.norm_sq()),
@@ -170,16 +176,19 @@ def _cmd_perturbative(args) -> tuple[Path, dict]:
         "perturbative": _listify(approx),
         "difference": _listify(diff),
     })
-    return out, manifest
+    # stage times, like wall time, only in the standalone manifest
+    return out, {**manifest, "stage_s": stage_s}
 
 
 def _cmd_scan(args) -> tuple[Path, dict]:
     if args.eps_max == "auto":
-        eps_max = auto_range(args.kicks, args.phi_d, args.l, args.mode)
+        scan = auto_scan(args.kicks, args.phi_d, args.l, args.mode,
+                         args.points)
     else:
-        eps_max = float(args.eps_max)
-    scan = scan_epsilon(args.kicks, args.phi_d, args.l, args.mode,
-                        eps_max, args.points)
+        scan = scan_epsilon(args.kicks, args.phi_d, args.l, args.mode,
+                            float(args.eps_max), args.points)
+    # the grid ends exactly at the range (see scanner._symmetric_grid)
+    eps_max = float(scan.epsilons[-1])
     # a profile without a width is refused in either format, before any
     # file is written; only the JSON file carries the width
     width = scan_width(scan)

@@ -11,13 +11,14 @@ A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
 detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
 one FFT pair for the whole block instead of one per point, memory stays
 bounded by the block whatever the point count, and each row is
-bit-identical to its own single-point propagation. Results are bitwise identical from run to run.
-width_scaling remembers each detuning it has evaluated for a kick number:
-the auto_range probe grids and the final scan grid are all multiples of
-r/2^k, so every repeated detuning is the identical float and is computed
-once. The threads arguments are accepted and ignored (timings in the
-README). Detunings beyond the config validity window are legitimate here:
-the propagation is exact unitary evolution at any detuning (the 1e-2
+bit-identical to its own single-point propagation. Results are bitwise
+identical from run to run. auto_scan (behind width_scaling and qkr scan
+--eps-max auto) remembers each detuning it has evaluated for a kick
+number: the auto_range probe grids and the final scan grid are all
+multiples of r/2^k, so every repeated detuning is the identical float and
+is computed once. The threads arguments are accepted and ignored (timings
+in the README). Detunings beyond the config validity window are legitimate
+here: the propagation is exact unitary evolution at any detuning (the 1e-2
 window bounds only the first-order analytics), and at small kick numbers
 the profile tails extend past it.
 """
@@ -236,6 +237,27 @@ def _probe_ladder(kicks: int, mode: str, cap: float, values) -> float:
         r = min(2.0 * r, cap)
 
 
+def auto_scan(
+    kicks: int,
+    phi_d: float,
+    l: int,
+    mode: str,
+    points: int = 65,
+    cap: float = RANGE_CAP,
+) -> EpsilonScan:
+    """Sweep over the auto_range range, reusing the probes' detunings.
+
+    The probe ladder and the final grid share one memo, so each distinct
+    detuning is propagated once; the result is the scan_epsilon sweep over
+    [-r, r] for the range r that auto_range returns.
+    """
+    _check_points(points)
+    _check_cap(cap)
+    values = _remembering(mode, kicks, phi_d, l)
+    eps = _symmetric_grid(_probe_ladder(kicks, mode, cap, values), points)
+    return EpsilonScan(kicks, mode, eps, values(eps))
+
+
 def scan_width(scan: EpsilonScan) -> float:
     """Full width at half depth of a sweep, with the mode's level rule.
 
@@ -313,22 +335,17 @@ def width_scaling(
 ) -> WidthScaling:
     """Measure profile widths over the given kick numbers and fit the law.
 
-    Per kick number, the auto_range probes and the final scan share one
-    memo, so each distinct detuning is propagated once.
+    Per kick number, one auto_scan: the probes and the final scan share
+    one memo, so each distinct detuning is propagated once.
     """
     n_arr = np.asarray(list(n_list), dtype=int)
     if len(n_arr) < 4:
         raise ValueError("need at least 4 kick numbers")
     if np.any(n_arr < 2):
         raise ValueError("all kick numbers must be >= 2")
-    _check_mode(mode)
-    _check_points(points)
-    _check_cap(cap)
-    widths = []
-    for N in n_arr.tolist():
-        values = _remembering(mode, N, phi_d, l)
-        eps = _symmetric_grid(_probe_ladder(N, mode, cap, values), points)
-        widths.append(scan_width(EpsilonScan(N, mode, eps, values(eps))))
+    # auto_scan validates mode, points and cap before it propagates
+    widths = [scan_width(auto_scan(N, phi_d, l, mode, points, cap))
+              for N in n_arr.tolist()]
     return fit_widths(n_arr, widths)
 
 

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
+from kickedrotor import analytics
 from kickedrotor import (
+    CorrectionField,
+    PerturbativeDensity,
     SimConfig,
     SpatialGrid,
     TruncationError,
@@ -113,9 +116,66 @@ class TestResonantState:
             resonant_state(40, 0.485, 5)
 
 
+def correction_loop(k, phi_d, epsilon, grid, half_width):
+    """The correction field with one numpy reduction per gap d: the direct
+    form of S_d = sum_m (2 m d + d^2) J_{m+d} J_m, kept as a reference."""
+    M = half_width
+    J = bessel_j_ladder(k * phi_d, M)
+    m = np.arange(-M, M + 1).astype(float)
+    coeff = np.zeros(grid.n_points, dtype=complex)
+    i_pow = 1j ** np.mod(np.arange(0, 2 * M + 2), 4)
+    for d in range(1, 2 * M + 1):
+        s_d = float(np.sum((2.0 * m[: 2 * M + 1 - d] * d + d * d)
+                           * J[d:] * J[: 2 * M + 1 - d]))
+        coeff[d] = 2.0 * epsilon * i_pow[d + 1] * s_d
+    return np.fft.fft(coeff).real
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.fixture
+def no_bessel(monkeypatch):
+    """Fail the test if any Bessel ladder is computed."""
+    def refuse(*args):
+        raise AssertionError("Bessel work before the epsilon check")
+
+    monkeypatch.setattr(analytics, "bessel_j_ladder", refuse)
+
+
 class TestCorrectionField:
-    def _grid(self, cfg):
-        return SpatialGrid(cfg.n_points)
+    @pytest.mark.parametrize("k", [1, 7, 40, 200])
+    def test_matches_per_gap_reference(self, k):
+        cfg = SimConfig(kicks=k)
+        grid = cfg.grid()
+        field = correction_term(k, 0.485, 1.1e-6, grid, cfg.half_width).values
+        ref = correction_loop(k, 0.485, 1.1e-6, grid, cfg.half_width)
+        assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("eps", NON_FINITE)
+    def test_refuses_non_finite_epsilon(self, eps, no_bessel):
+        with pytest.raises(ValueError, match="epsilon"):
+            correction_term(2, 0.485, eps, SpatialGrid(256), 35)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_guard_fails_closed(self, bad):
+        grid = SpatialGrid(256)
+        with pytest.raises(ValueError, match="integrates"):
+            CorrectionField(grid, np.full(256, bad), 1e-6, 0.485)
+
+    # doubling is exact only while the field is a normal float; near
+    # |eps| ~ 1e-304 its values turn subnormal, where doubling rounds
+    @settings(max_examples=60)
+    @given(st.integers(1, 60),
+           st.floats(-1e-2, 1e-2).filter(lambda e: not 0 < abs(e) < 1e-290))
+    def test_properties(self, k, eps):
+        cfg = SimConfig(kicks=k)
+        grid = cfg.grid()
+        field = correction_term(k, 0.485, eps, grid, cfg.half_width).values
+        assert np.all(np.isfinite(field))
+        assert abs(float(np.mean(field)) * TWO_PI) < 1e-12
+        doubled = correction_term(k, 0.485, 2.0 * eps, grid, cfg.half_width)
+        assert np.array_equal(doubled.values, 2.0 * field)
 
     def test_zero_detuning_gives_zero_field(self):
         cfg = SimConfig(kicks=1)
@@ -155,6 +215,27 @@ class TestCorrectionField:
 
 
 class TestPerturbativeDensity:
+    def test_is_background_plus_per_period_fields(self):
+        cfg = SimConfig(kicks=200)
+        grid, M = cfg.grid(), cfg.half_width
+        dens = perturbative_density(200, 0.485, 1.1e-6, grid, M).values
+        expect = np.full(grid.n_points, 1.0 / TWO_PI)
+        for k in range(1, 201):
+            expect = expect + correction_term(k, 0.485, 1.1e-6, grid, M).values
+        assert np.max(np.abs(dens - expect)) <= 1e-15
+
+    @pytest.mark.parametrize("eps", NON_FINITE)
+    def test_refuses_non_finite_epsilon(self, eps, no_bessel):
+        cfg = SimConfig(kicks=3)
+        with pytest.raises(ValueError, match="epsilon"):
+            perturbative_density(3, 0.485, eps, cfg.grid(), cfg.half_width)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_guard_fails_closed(self, bad):
+        grid = SpatialGrid(256)
+        with pytest.raises(ValueError, match="integrates"):
+            PerturbativeDensity(grid, np.full(256, bad), 3, 1e-6)
+
     def test_no_kicks_is_uniform(self):
         cfg = SimConfig(kicks=0)
         dens = perturbative_density(0, 0.485, 1e-5, cfg.grid(), cfg.half_width)

@@ -15,6 +15,7 @@ from kickedrotor import (
     position_density,
     to_position,
 )
+from kickedrotor import scanner
 from kickedrotor.cli import NonFiniteOutputError, _write_table, main
 
 
@@ -105,6 +106,20 @@ class TestPerturbativeCommand:
         for r in rows[:32]:
             assert float(r[3]) == float(r[1]) - float(r[2])
 
+    def test_json_byte_stable_with_stage_times(self, tmp_path):
+        args = ["perturbative", "--kicks", "20", "--epsilon", "1.1e-6",
+                "--format", "json"]
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(args + ["--out", str(out)]) == 0
+        name = "density_comparison.json"
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert "stage_s" not in read_json(outs[0] / name)["manifest"]
+        stages = read_json(outs[0] / "manifest.json")["stage_s"]
+        assert set(stages) == {"evolve", "first_order"}
+        for seconds in stages.values():
+            assert isinstance(seconds, float) and seconds >= 0.0
+
     def test_detuning_window_enforced(self, tmp_path):
         code = main([
             "perturbative", "--kicks", "5", "--epsilon", "0.5",
@@ -140,6 +155,21 @@ class TestScanCommand:
         assert code == 0
         man = read_json(tmp_path / "a" / "manifest.json")
         assert man["config"]["epsilon_max"] == pytest.approx(0.032, rel=1e-12)
+
+    def test_auto_range_probes_are_reused(self, tmp_path, monkeypatch):
+        rows = []
+        original = scanner._sweep_values
+
+        def counting(mode, kicks, phi_d, l, eps, threads=1):
+            rows.append(len(eps))
+            return original(mode, kicks, phi_d, l, eps, threads)
+
+        monkeypatch.setattr(scanner, "_sweep_values", counting)
+        code = main(["scan", "--kicks", "40", "--mode", "fidelity",
+                     "--out", str(tmp_path / "a")])
+        assert code == 0
+        # every detuning of the 65-point grid, each propagated once
+        assert sum(rows) == 65
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_crossing_exits_3(self, tmp_path, fmt):

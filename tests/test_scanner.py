@@ -13,6 +13,7 @@ from kickedrotor import (
     SpatialGrid,
     UNIFORM_SIGMA_X,
     auto_range,
+    auto_scan,
     compare_modes,
     default_n_points,
     fidelity_protocol,
@@ -150,6 +151,26 @@ class TestBatchedSweep:
             assert w == scan_width(scan)
 
 
+    @pytest.mark.parametrize("mode,kicks", [("position", 7), ("fidelity", 40)])
+    def test_auto_scan_reuses_probes(self, mode, kicks, monkeypatch):
+        evaluated = []
+        original = scanner._sweep_values
+
+        def counting(mode_, kicks_, phi_d, l, eps, threads=1):
+            evaluated.extend(eps.tolist())
+            return original(mode_, kicks_, phi_d, l, eps, threads)
+
+        monkeypatch.setattr(scanner, "_sweep_values", counting)
+        scan = auto_scan(kicks, 0.485, 1, mode)
+        monkeypatch.undo()
+        assert len(evaluated) == len(set(evaluated))
+        assert set(scan.epsilons.tolist()) <= set(evaluated)
+        # bit-identical to the sweep over the range auto_range returns
+        ref = scan_epsilon(kicks, 0.485, 1, mode, auto_range(kicks, 0.485, 1, mode))
+        assert np.array_equal(scan.epsilons, ref.epsilons)
+        assert np.array_equal(scan.values, ref.values)
+
+
 class TestBadBounds:
     @pytest.mark.parametrize("bad", BAD_BOUNDS)
     @pytest.mark.filterwarnings("error")
@@ -161,6 +182,15 @@ class TestBadBounds:
     def test_auto_range_refuses_cap(self, bad, no_propagation):
         with pytest.raises(ValueError, match="cap"):
             auto_range(5, 0.485, 1, "position", cap=bad)
+
+    @pytest.mark.parametrize("bad", BAD_BOUNDS)
+    def test_auto_scan_refuses_cap(self, bad, no_propagation):
+        with pytest.raises(ValueError, match="cap"):
+            auto_scan(5, 0.485, 1, "position", cap=bad)
+
+    def test_auto_scan_refuses_points(self, no_propagation):
+        with pytest.raises(ValueError, match="points"):
+            auto_scan(5, 0.485, 1, "position", points=64)
 
     @pytest.mark.parametrize("bad", BAD_BOUNDS)
     def test_width_scaling_refuses_cap(self, bad, no_propagation):
