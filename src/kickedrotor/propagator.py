@@ -32,9 +32,10 @@ from .wavepacket import (
     SimConfig,
     SpatialGrid,
     _analyze,
+    _as_int,
+    _propagation_points,
     _synthesize,
     default_half_width,
-    default_n_points,
 )
 
 #: dense route is an oracle, not a workhorse; keep the cost bounded
@@ -83,7 +84,8 @@ class FreePhaseSpec:
 
     @classmethod
     def revival_relative(cls, l: int, epsilon: float) -> "FreePhaseSpec":
-        return cls(mode="revival_relative", l=int(l), epsilon=float(epsilon))
+        return cls(mode="revival_relative", l=_as_int("l", l),
+                   epsilon=float(epsilon))
 
     @classmethod
     def general(cls, hbar_s: float) -> "FreePhaseSpec":
@@ -134,21 +136,37 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     reversed kick of amplitude N*phi_d, with no free flight. A leak in any
     row restarts the whole stack with a doubled ladder when auto_grow is
     set.
+
+    The kicks run on an n-point grid, n = _propagation_points(M), the
+    smallest 5-smooth length at or above 4(M+1), unless n_points is
+    given; a grown ladder always gets its _propagation_points length.
+    Bad arguments raise ValueError before the first kick.
     """
     if not (math.isfinite(phi_d) and phi_d > 0):
         raise ValueError(f"phi_d must be finite and positive, got {phi_d!r}")
+    kicks = _as_int("kicks", kicks)
+    if kicks < 0:
+        raise ValueError("kicks must be non-negative")
     # the reversed pulse of amplitude N*phi_d can double the momentum reach
     reach = 2 * kicks if echo else kicks
-    M = default_half_width(reach, phi_d) if half_width is None else int(half_width)
-    n = default_n_points(M) if n_points is None else int(n_points)
-    if not SpatialGrid(n).fits_ladder(M):
+    if half_width is None:
+        M = default_half_width(reach, phi_d)
+    else:
+        M = _as_int("half_width", half_width)
+        if M < 1:
+            raise ValueError("half_width must be >= 1")
+    grid = SpatialGrid(_propagation_points(M) if n_points is None else n_points)
+    if not grid.fits_ladder(M):
         raise GridTooSmallError(
-            f"n_points={n} cannot resolve a ladder of half width {M}"
+            f"n_points={grid.n_points} cannot resolve a ladder of half width {M}"
         )
+    n = grid.n_points
     while True:
         kick = _kick_phases(n, phi_d)
         m = np.arange(-M, M + 1)
         factors = np.array([free.factors(m) for free in frees])
+        if not np.isfinite(factors).all():
+            raise ValueError("free-flight phases overflow at this detuning")
         amps = np.zeros(factors.shape, dtype=complex)
         amps[:, M] = 1.0
         try:
@@ -162,16 +180,16 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
             M = 2 * M
-            n = default_n_points(M)
+            n = _propagation_points(M)
 
 
 def _echo_fidelities(kicks: int, phi_d: float,
                       frees: list[FreePhaseSpec]) -> list[float]:
     """F = |<delta_0 | psi>|^2 after the echo protocol, one per row."""
-    N = int(kicks)
-    if N < 1:
+    # fails closed on NaN; _run refuses the rest of the non-integers
+    if not kicks >= 1:
         raise ValueError("kicks must be >= 1")
-    amps = _run(N, phi_d, frees, echo=True)
+    amps = _run(kicks, phi_d, frees, echo=True)
     center = amps[:, (amps.shape[1] - 1) // 2]
     return [abs(complex(a)) ** 2 for a in center]
 

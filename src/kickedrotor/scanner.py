@@ -34,6 +34,7 @@ from .propagator import FreePhaseSpec, _echo_fidelities, _run
 from .wavepacket import (
     MomentumWavefunction,
     SpatialGrid,
+    _as_int,
     default_n_points,
     to_position,
 )
@@ -64,7 +65,13 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
     # when the step ratio of two grids is a power of two, their common
     # detunings are the identical floats
     half = np.linspace(0.0, epsilon_max, (points + 1) // 2)
-    return np.concatenate([-half[:0:-1], half])
+    grid = np.concatenate([-half[:0:-1], half])
+    # a range of a few subnormals has coinciding points
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(
+            f"range {epsilon_max!r} cannot hold {points} distinct detunings"
+        )
+    return grid
 
 
 def _sweep_values(
@@ -110,9 +117,11 @@ def _remembering(mode: str, kicks: int, phi_d: float, l: int):
     return values
 
 
-def _check_points(points: int) -> None:
+def _check_points(points: int) -> int:
+    points = _as_int("points", points)
     if points < 33 or points % 2 == 0:
         raise ValueError("points must be odd and >= 33")
+    return points
 
 
 def _check_mode(mode: str) -> None:
@@ -169,7 +178,7 @@ def scan_epsilon(
     threads: int = 1,
 ) -> EpsilonScan:
     """Sweep the chosen observable over [-epsilon_max, epsilon_max]."""
-    _check_points(points)
+    points = _check_points(points)
     if not (math.isfinite(epsilon_max) and epsilon_max > 0):
         raise ValueError(
             f"epsilon_max must be finite and positive, got {epsilon_max!r}"
@@ -222,6 +231,7 @@ def auto_range(
 
 
 def _probe_ladder(kicks: int, mode: str, cap: float, values) -> float:
+    kicks = _as_int("kicks", kicks)
     if kicks < 1:
         raise ValueError("kicks must be >= 1")
     _check_mode(mode)
@@ -251,7 +261,7 @@ def auto_scan(
     detuning is propagated once; the result is the scan_epsilon sweep over
     [-r, r] for the range r that auto_range returns.
     """
-    _check_points(points)
+    points = _check_points(points)
     _check_cap(cap)
     values = _remembering(mode, kicks, phi_d, l)
     eps = _symmetric_grid(_probe_ladder(kicks, mode, cap, values), points)

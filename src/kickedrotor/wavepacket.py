@@ -40,17 +40,55 @@ def _as_int(name: str, value) -> int:
 
 
 def default_half_width(kicks: int, phi_d: float) -> int:
-    """Ladder truncation that keeps edge occupancy below EDGE_LEAK_BOUND.
+    """Ladder truncation that keeps the state's truncation error near rounding.
 
-    Amplitudes decay super-exponentially beyond |m| ~ N*phi_d, so a fixed
-    additive margin suffices.
+    After N periods the amplitudes are J_m(x), x = N*phi_d. Past |m| ~ x
+    they fall off through the Airy transition
+    J_{x+d}(x) ~ (2/x)**(1/3) Ai(d (2/x)**(1/3)) (DLMF 10.19(ii)), whose
+    width grows like x**(1/3), so no fixed margin suffices at large x.
+    The margin ceil(11.2 (x/2)**(1/3)), and at least 32, keeps the edge
+    amplitude |J_M(x)| below about 1e-12 at every x (4e-13 at x = 145.5,
+    2.3e-13 at x = 970). The two terms agree up to x = 46.6, so every
+    ladder up to there is ceil(x) + 32, as with the fixed margin.
     """
-    return int(math.ceil(kicks * phi_d)) + 32
+    x = kicks * phi_d
+    if not 0 <= x < math.inf:
+        raise ValueError(f"kicks * phi_d must be finite and >= 0, got {x!r}")
+    return int(math.ceil(x)) + max(32, math.ceil(11.2 * (x / 2) ** (1 / 3)))
 
 
 def default_n_points(half_width: int) -> int:
-    """Smallest power of two at or above 4*(M+1)."""
+    """Smallest power of two at or above 4*(M+1): the observation grid.
+
+    sigma_x and the position files sample the density on this grid. It
+    stays a power of two because sigma_x depends on n through its dx**2/12
+    term and its argmax rotation, so another length would move every
+    width and every position file. The spectral core propagates on the
+    shorter _propagation_points length instead.
+    """
     return 1 << max(3, int(math.ceil(math.log2(4 * (half_width + 1)))))
+
+
+def _propagation_points(half_width: int) -> int:
+    """Smallest 5-smooth length 2**a 3**b 5**c at or above 4*(M+1).
+
+    The spectral core's FFT length: such lengths transform about as fast
+    per point as a power of two, and the nearest one is at most 1.1x
+    4*(M+1) for every M up to 4096 (4236 -> 4320), where the next power
+    of two can be almost 2x (4236 -> 8192).
+    """
+    target = 4 * (half_width + 1)
+    best = 1 << (target - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd times the smallest power of two that reaches target
+            need = -(-target // odd)
+            best = min(best, odd << (need - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -185,7 +223,8 @@ class SimConfig:
             if self.n_points is None
             else _as_int("n_points", self.n_points)
         )
-        if n < 2 * (2 * M + 1):
+        # below 2 points no grid exists, let alone one that fits the ladder
+        if n < 2 or not SpatialGrid(n).fits_ladder(M):
             raise GridTooSmallError(
                 f"n_points={n} cannot resolve a ladder of half width {M}; "
                 f"need at least {2 * (2 * M + 1)}"

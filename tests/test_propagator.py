@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,10 +22,14 @@ from kickedrotor import (
     resonant_state,
     to_position,
 )
+from kickedrotor import propagator
 from kickedrotor.propagator import _kick, _kick_phases, _run
+from kickedrotor.wavepacket import _propagation_points
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
+#: the closed form at revival, a package contract
+CLOSED_FORM_TOL = 1e-10
 
 
 def random_state(seed: int, M: int = 8, margin: int = 10) -> MomentumWavefunction:
@@ -167,6 +172,16 @@ class TestEvolve:
                 auto_grow=False,
             )
         assert err.value.period >= 1
+
+    @pytest.mark.parametrize("kicks", [200, 300, 1000, 2000])
+    def test_long_orbit_default_ladder_holds_closed_form(self, kicks):
+        # no restart: the default ladder itself carries the Bessel tail
+        spec = FreePhaseSpec.revival_relative(1, 0.0)
+        cfg = SimConfig(kicks=kicks)
+        for state in (propagate(kicks, 0.485, spec, auto_grow=False), evolve(cfg)):
+            assert state.half_width == cfg.half_width
+            expect = resonant_state(kicks, 0.485, state.half_width)
+            assert np.max(np.abs(state.amps - expect.amps)) < CLOSED_FORM_TOL
 
     def test_auto_growth_recovers(self):
         out = propagate(
@@ -328,10 +343,14 @@ class TestBatchedCore:
     def test_leaking_stack_grows_as_a_whole(self):
         with pytest.raises(LeakageError):
             _run(20, 0.485, self.FREES, half_width=8, auto_grow=False)
-        amps = _run(20, 0.485, self.FREES, half_width=8)
+        with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
+            amps = _run(20, 0.485, self.FREES, half_width=8)
         M = (amps.shape[1] - 1) // 2
         assert amps.shape == (len(self.FREES), 2 * M + 1)
-        assert M > 8
+        assert M == 32
+        # each grown stack runs on its own ladder's 5-smooth length
+        grids = [call.args[0] for call in phases.call_args_list]
+        assert grids == [_propagation_points(m) for m in (8, 16, 32)] == [36, 72, 135]
         for free, row in zip(self.FREES, amps):
             one = _run(20, 0.485, [free], half_width=M, auto_grow=False)[0]
             assert np.max(np.abs(row - one)) < 1e-12

@@ -1,9 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from kickedrotor import (
     GridTooSmallError,
@@ -17,8 +19,15 @@ from kickedrotor import (
     to_momentum,
     to_position,
 )
+from kickedrotor.wavepacket import _propagation_points
 
 TWO_PI = 2 * math.pi
+#: every 2^a 3^b 5^c up to 2^15, sorted
+FIVE_SMOOTH = sorted(
+    2**a * 3**b * 5**c
+    for a in range(16) for b in range(10) for c in range(7)
+    if 2**a * 3**b * 5**c <= 1 << 15
+)
 
 
 @st.composite
@@ -46,6 +55,29 @@ class TestSizing:
     def test_half_width_margin(self):
         assert default_half_width(10, 0.485) == 37
         assert default_half_width(0, 0.485) == 32
+
+    def test_margin_is_fixed_up_to_x_46(self):
+        for phi_d in (0.1, 0.485, 1.0, 2.3):
+            for kicks in range(int(46 / phi_d) + 1):
+                expect = math.ceil(kicks * phi_d) + 32
+                assert default_half_width(kicks, phi_d) == expect
+
+    @pytest.mark.parametrize("kicks", [100, 300, 1000, 2000, 4000])
+    def test_edge_amplitude_below_1e12_at_large_x(self, kicks):
+        x = kicks * 0.485
+        assert abs(special.jv(default_half_width(kicks, 0.485), x)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_margin_refuses_unsizeable_reach(self, bad):
+        with pytest.raises(ValueError):
+            default_half_width(1, bad)
+
+    def test_propagation_points_smallest_5_smooth(self):
+        for M in range(1, 4097):
+            n = _propagation_points(M)
+            assert n == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH, 4 * (M + 1))]
+            assert 4 * (M + 1) <= n <= default_n_points(M)
+            assert SpatialGrid(n).fits_ladder(M)
 
     def test_n_points_power_of_two_and_fits(self):
         for M in (1, 5, 37, 64, 100):
@@ -110,6 +142,16 @@ class TestSimConfig:
     def test_grid_too_small_for_ladder(self):
         with pytest.raises(GridTooSmallError):
             SimConfig(kicks=0, half_width=32, n_points=64)
+
+    @pytest.mark.parametrize("n_points", [-4, 0, 1, 129])
+    def test_grid_refusal_message(self, n_points):
+        with pytest.raises(GridTooSmallError) as err:
+            SimConfig(kicks=0, half_width=32, n_points=n_points)
+        assert str(err.value) == (
+            f"n_points={n_points} cannot resolve a ladder of half width 32; "
+            "need at least 130"
+        )
+        assert SimConfig(kicks=0, half_width=32, n_points=130).n_points == 130
 
 
 class TestStates:
