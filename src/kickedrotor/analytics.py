@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import TWO_PI, MomentumWavefunction, SpatialGrid
+from .wavepacket import (TWO_PI, GridTooSmallError, MomentumWavefunction,
+                         SpatialGrid, _as_int)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -36,7 +37,7 @@ def bessel_j_row(x: float, n_max: int) -> np.ndarray:
 
     Valid for 0 <= x <= 1000 and n_max <= 10000.
     """
-    n_max = int(n_max)
+    n_max = _as_int("n_max", n_max)
     if n_max < 0 or n_max > _DOMAIN_ORDER:
         raise ValueError(f"order out of range: {n_max}")
     x = float(x)
@@ -84,9 +85,8 @@ def bessel_j_row(x: float, n_max: int) -> np.ndarray:
 
 def bessel_j(n: int, x: float) -> float:
     """J_n(x) with J_{-n}(x) = (-1)^n J_n(x) honored exactly."""
-    n = int(n)
-    if abs(n) > _DOMAIN_ORDER:
-        raise ValueError(f"order out of range: {n}")
+    n = _as_int("n", n)
+    # bessel_j_row refuses |n| past its domain
     value = float(bessel_j_row(x, abs(n))[abs(n)])
     if n < 0 and n % 2:
         return -value
@@ -95,7 +95,7 @@ def bessel_j(n: int, x: float) -> float:
 
 def bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
     """J_m(x) for m = -M..M as one array (index m + M)."""
-    M = int(half_width)
+    M = _as_int("half_width", half_width)
     row = bessel_j_row(x, M)
     out = np.empty(2 * M + 1)
     out[M:] = row
@@ -115,10 +115,10 @@ def resonant_state(
     width above 10000. propagate has no such limit, so past it the
     numerics have no closed form to be checked against.
     """
-    t = int(t)
+    t = _as_int("t", t)
     if t < 0:
         raise ValueError("t must be non-negative")
-    M = int(half_width)
+    M = _as_int("half_width", half_width)
     ladder = bessel_j_ladder(t * phi_d, M)
     m = np.arange(-M, M + 1)
     amps = MINUS_I_POW[np.mod(m, 4)] * ladder
@@ -172,17 +172,18 @@ def correction_term(
     every gap at once. Epsilon enters only as the final factor, so the
     field is exactly zero at epsilon = 0 and doubles exactly with it.
     Assembled on the grid through one FFT of the coefficient vector.
-    Raises ValueError for a non-finite epsilon.
+    Raises ValueError for a non-finite epsilon and GridTooSmallError for a
+    grid that cannot resolve the ladder.
     """
-    k = int(k)
+    k = _as_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_epsilon(epsilon)
-    M = int(half_width)
+    M = _as_int("half_width", half_width)
+    if not grid.fits_ladder(M):
+        raise GridTooSmallError(f"grid too small for half_width {M}")
     n = grid.n_points
     L = 2 * M + 1
-    if n < 2 * L:
-        raise ValueError("grid too small for this ladder")
     a = k * phi_d
     J = bessel_j_ladder(a, M)
     m = np.arange(-M, M + 1).astype(float)
@@ -237,7 +238,7 @@ def perturbative_density(
     k*phi_d. The result is 1/2pi plus the sum of the per-segment fields.
     Raises ValueError for a non-finite epsilon.
     """
-    N = int(kicks)
+    N = _as_int("kicks", kicks)
     if N < 0:
         raise ValueError("kicks must be non-negative")
     _check_epsilon(epsilon)

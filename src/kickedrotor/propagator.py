@@ -1,4 +1,4 @@
-"""One-period Floquet evolution: kick, free flight, and the reversed pulse.
+"""One-period Floquet evolution: kick and free flight, and the echo overlap.
 
 Each period applies the kick factor exp(-i phi_d cos X) followed by the
 free-flight factor exp(-i hbar_s m^2 / 2). At the primary revivals
@@ -13,7 +13,8 @@ spectral route (one core, _run, kicking on the grid of to_position and
 holding the only auto-grow loop; it propagates a whole stack of detunings
 at once, and a single state is the one-row case) and a dense-matrix route
 whose kick matrix is built from Bessel coefficients. They share no
-transform code and cross-validate each other to 1e-9.
+transform code and cross-validate each other to 1e-9. The echo's reversed
+pulse is not a pass of its own but an overlap (see fidelity_protocol).
 """
 from __future__ import annotations
 
@@ -103,7 +104,7 @@ class FreePhaseSpec:
 
 
 def _kick_phases(n: int, phi: float) -> np.ndarray:
-    """exp(-i phi cos X_j) on the n-point grid; phi < 0 is the reversed pulse."""
+    """exp(-i phi cos X_j) on the n-point grid; phi < 0 gives the adjoint kick."""
     X = TWO_PI * np.arange(n) / n
     return np.exp(-1j * phi * np.cos(X))
 
@@ -126,16 +127,14 @@ def _kick(amps: np.ndarray, kick: np.ndarray, period: int | None = None) -> np.n
 
 def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
          half_width: int | None = None, n_points: int | None = None,
-         auto_grow: bool = True, echo: bool = False) -> np.ndarray:
+         auto_grow: bool = True) -> np.ndarray:
     """The spectral core: delta_{m,0} through N periods (kick, free flight),
     once per FreePhaseSpec in frees, as one (P, 2M+1) stack.
 
-    All rows share one ladder, one kick factor and one reversed pulse;
-    row p gets the free-flight factors of frees[p] and comes out
-    bit-identical to a one-row run on the same ladder. echo appends the
-    reversed kick of amplitude N*phi_d, with no free flight. A leak in any
-    row restarts the whole stack with a doubled ladder when auto_grow is
-    set.
+    All rows share one ladder, sized from kicks alone, and one kick
+    factor; row p gets the free-flight factors of frees[p] and comes out
+    bit-identical to a one-row run on the same ladder. A leak in any row
+    restarts the whole stack with a doubled ladder when auto_grow is set.
 
     The kicks run on an n-point grid, n = _propagation_points(M), the
     smallest 5-smooth length at or above 4(M+1), unless n_points is
@@ -147,10 +146,8 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     kicks = _as_int("kicks", kicks)
     if kicks < 0:
         raise ValueError("kicks must be non-negative")
-    # the reversed pulse of amplitude N*phi_d can double the momentum reach
-    reach = 2 * kicks if echo else kicks
     if half_width is None:
-        M = default_half_width(reach, phi_d)
+        M = default_half_width(kicks, phi_d)
     else:
         M = _as_int("half_width", half_width)
         if M < 1:
@@ -173,8 +170,6 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
             for period in range(1, kicks + 1):
                 amps = _kick(amps, kick, period)
                 amps *= factors
-            if echo:
-                amps = _kick(amps, _kick_phases(n, -kicks * phi_d), kicks + 1)
             return amps
         except LeakageError:
             if not auto_grow or 2 * M > _GROW_CAP:
@@ -185,13 +180,17 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
 
 def _echo_fidelities(kicks: int, phi_d: float,
                       frees: list[FreePhaseSpec]) -> list[float]:
-    """F = |<delta_0 | psi>|^2 after the echo protocol, one per row."""
+    """F = |<K(N phi_d) delta_0 | psi_N>|^2 on the driven ladder, one per row."""
     # fails closed on NaN; _run refuses the rest of the non-integers
     if not kicks >= 1:
         raise ValueError("kicks must be >= 1")
-    amps = _run(kicks, phi_d, frees, echo=True)
-    center = amps[:, (amps.shape[1] - 1) // 2]
-    return [abs(complex(a)) ** 2 for a in center]
+    amps = _run(kicks, phi_d, frees)
+    M = (amps.shape[1] - 1) // 2
+    target = np.zeros(2 * M + 1, dtype=complex)
+    target[M] = 1.0
+    target = _kick(target, _kick_phases(_propagation_points(M), kicks * phi_d))
+    # one vdot per row: a stacked matmul would break row bit-identity
+    return [abs(complex(np.vdot(target, row))) ** 2 for row in amps]
 
 
 def propagate(
@@ -242,7 +241,7 @@ def kick_matrix(phi: float, half_width: int) -> np.ndarray:
     truncation agree to better than 1e-12 once half_width >= phi + 32;
     a warning is emitted when unitarity still degrades past 1e-8.
     """
-    M = int(half_width)
+    M = _as_int("half_width", half_width)
     if M < 1:
         raise ValueError("half_width must be >= 1")
     row = bessel_j_row(abs(phi), M)
@@ -304,6 +303,8 @@ def fidelity_protocol(
     kick of amplitude N*phi_d with no trailing free flight, and returns
     F = |<delta_0 | psi>|^2. At epsilon = 0 the free flights are identities
     and the reversed pulse cancels the accumulated kick exactly, so F = 1.
+    The kick is unitary, K(-a) = K(a)^dagger, so the pulse is evaluated as
+    the overlap <K(N phi_d) delta_0 | psi_N> on the driven ladder and grid.
 
     epsilon is not restricted here: the propagation is exact at any
     detuning, and resonance profiles need the far tails.

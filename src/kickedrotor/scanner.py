@@ -145,14 +145,12 @@ class EpsilonScan:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        _check_mode(self.mode)
         eps = np.asarray(self.epsilons, dtype=float)
         vals = np.asarray(self.values, dtype=float)
         if eps.shape != vals.shape or eps.ndim != 1:
             raise ValueError("epsilons and values must be 1-d and same length")
-        if len(eps) < 33 or len(eps) % 2 == 0:
-            raise ValueError("scans need an odd point count >= 33")
+        _check_points(len(eps))
         if not np.all(np.diff(eps) > 0):
             raise ValueError("epsilons must be strictly increasing")
         if eps[len(eps) // 2] != 0.0:

@@ -8,6 +8,7 @@ from scipy import special
 from kickedrotor import analytics
 from kickedrotor import (
     CorrectionField,
+    GridTooSmallError,
     PerturbativeDensity,
     SimConfig,
     SpatialGrid,
@@ -114,6 +115,43 @@ class TestResonantState:
     def test_truncation_error_when_ladder_too_small(self):
         with pytest.raises(TruncationError):
             resonant_state(40, 0.485, 5)
+
+
+NOT_AN_INTEGER = [2.5, math.nan, math.inf, -math.inf]
+GRID = SpatialGrid(256)
+
+
+class TestIntegerArguments:
+    """Integer arguments of the closed forms are refused, never truncated."""
+
+    CALLS = {
+        "bessel_j_row.n_max": lambda v: bessel_j_row(0.485, v),
+        "bessel_j.n": lambda v: bessel_j(v, 0.485),
+        "bessel_j_ladder.half_width": lambda v: bessel_j_ladder(0.485, v),
+        "resonant_state.t": lambda v: resonant_state(v, 0.485, 40),
+        "resonant_state.half_width": lambda v: resonant_state(3, 0.485, v),
+        "correction_term.k": lambda v: correction_term(v, 0.485, 1e-6, GRID, 35),
+        "correction_term.half_width":
+            lambda v: correction_term(2, 0.485, 1e-6, GRID, v),
+        "perturbative_density.kicks":
+            lambda v: perturbative_density(v, 0.485, 1e-6, GRID, 35),
+    }
+
+    @pytest.mark.parametrize("bad", NOT_AN_INTEGER)
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            self.CALLS[call](bad)
+
+    def test_integral_floats_accepted(self):
+        assert resonant_state(3.0, 0.485, 40.0).half_width == 40
+        assert bessel_j(2.0, 0.485) == bessel_j(2, 0.485)
+
+    def test_correction_grid_rule_is_fits_ladder(self):
+        # 2(2M+1) = 142 points fit M = 35; one fewer does not
+        correction_term(2, 0.485, 1e-6, SpatialGrid(142), 35)
+        with pytest.raises(GridTooSmallError):
+            correction_term(2, 0.485, 1e-6, SpatialGrid(141), 35)
 
 
 def correction_loop(k, phi_d, epsilon, grid, half_width):

@@ -1,8 +1,10 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,10 +335,15 @@ def test_json_refuses_non_finite_and_writes_nothing(tmp_path):
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child finds the package the way this test process did
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "kickedrotor", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "evolve" in proc.stdout and "scaling" in proc.stdout

@@ -12,6 +12,7 @@ from kickedrotor import (
     SimConfig,
     SpatialGrid,
     bessel_j_ladder,
+    default_half_width,
     default_n_points,
     evolve,
     evolve_dense,
@@ -281,6 +282,16 @@ class TestFidelityProtocol:
         with pytest.raises(ValueError):
             fidelity_protocol(0, 0.485, 0.0)
 
+    def test_echo_runs_on_the_driven_ladder(self):
+        # the reversed pulse is read as an overlap, so the ladder is sized
+        # for N*phi_d (M = 555, n = 2250), not for the doubled reach
+        # (M = 1058, n = 4320)
+        with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
+            f = fidelity_protocol(1000, 0.485, 0.0)
+        assert abs(f - 1.0) <= 1e-12
+        assert default_half_width(1000, 0.485) == 555
+        assert {call.args[0] for call in phases.call_args_list} == {2250}
+
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
@@ -313,6 +324,11 @@ class TestNonFiniteInputs:
             fidelity_protocol(5, 0.485, bad)
         with pytest.raises(ValueError):
             fidelity_protocol(5, bad, 0.0)
+
+    @pytest.mark.parametrize("bad", [2.5] + NON_FINITE)
+    def test_kick_matrix_refuses_non_integer_width(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            kick_matrix(0.485, bad)
 
     def test_non_positive_strength_rejected(self):
         spec = FreePhaseSpec.revival_relative(1, 0.0)
@@ -356,9 +372,14 @@ class TestBatchedCore:
             assert np.max(np.abs(row - one)) < 1e-12
             assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
 
-    def test_echo_rows_match_fidelity_protocol(self):
-        amps = _run(6, 0.485, self.FREES, echo=True)
-        M = (amps.shape[1] - 1) // 2
-        for free, row in zip(self.FREES, amps):
-            f = fidelity_protocol(6, 0.485, free.epsilon)
-            assert abs(complex(row[M])) ** 2 == f
+    @pytest.mark.parametrize("kicks", [1, 6, 40])
+    def test_echo_overlap_equals_reversed_pulse(self, kicks):
+        # <delta_0 | K(-a) psi> = <K(a) delta_0 | psi>: the explicit reversed
+        # kick, on a ladder sized for its doubled reach, gives the same F
+        M = default_half_width(2 * kicks, 0.485)
+        amps = _run(kicks, 0.485, self.FREES, half_width=M, auto_grow=False)
+        reversed_kick = _kick_phases(_propagation_points(M), -kicks * 0.485)
+        echoed = _kick(amps, reversed_kick)
+        for free, row in zip(self.FREES, echoed):
+            f = fidelity_protocol(kicks, 0.485, free.epsilon)
+            assert abs(abs(complex(row[M])) ** 2 - f) <= 1e-13
