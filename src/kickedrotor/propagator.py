@@ -230,6 +230,13 @@ def evolve(
                      config.n_points, grow)
 
 
+def _unitarity_error(U: np.ndarray) -> float:
+    """max |U^H U - I| of a circulant U, from the first Gram column U^H U[:, 0]."""
+    gram = U.conj().T @ U[:, 0]
+    gram[0] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
 def kick_matrix(phi: float, half_width: int) -> np.ndarray:
     """Dense kick operator on the ladder, entries (-i)^(n-m) J_{n-m}(phi).
 
@@ -240,26 +247,32 @@ def kick_matrix(phi: float, half_width: int) -> np.ndarray:
     phase expanded on the finite ladder and stays unitary. Wrap and
     truncation agree to better than 1e-12 once half_width >= phi + 32;
     a warning is emitted when unitarity still degrades past 1e-8.
+
+    With wrapped differences the matrix is circulant, U[n, m] =
+    c[(n - m) mod L], L = 2M+1, so it is gathered from its generating
+    column c. U^H U is circulant too, and the unitarity check reads its
+    first column U^H c, which holds every distinct entry of the Gram
+    matrix.
     """
     M = _as_int("half_width", half_width)
     if M < 1:
         raise ValueError("half_width must be >= 1")
+    L = 2 * M + 1
     row = bessel_j_row(abs(phi), M)
-    m = np.arange(-M, M + 1)
-    diff = np.subtract.outer(m, m)
-    # signed representative of n - m modulo the ladder size
-    diff = (diff + M) % (2 * M + 1) - M
+    k = np.arange(L)
+    # signed representative of each order difference modulo L
+    diff = (k + M) % L - M
     vals = row[np.abs(diff)]
     # J_{-d} = (-1)^d J_d, and J_d(-x) = (-1)^d J_d(x)
-    neg = diff < 0
-    vals = np.where(neg & (np.abs(diff) % 2 == 1), -vals, vals)
+    odd = np.abs(diff) % 2 == 1
+    vals = np.where((diff < 0) & odd, -vals, vals)
     if phi < 0:
-        vals = np.where(np.abs(diff) % 2 == 1, -vals, vals)
-    U = MINUS_I_POW[np.mod(diff, 4)] * vals
-    gram_err = float(
-        np.max(np.abs(U.conj().T @ U - np.eye(2 * M + 1)))
-    )
-    if gram_err > 1e-8:
+        vals = np.where(odd, -vals, vals)
+    c = MINUS_I_POW[np.mod(diff, 4)] * vals
+    U = c[np.subtract.outer(k, k) % L]
+    gram_err = _unitarity_error(U)
+    # fails closed: a NaN Gram error warns
+    if not gram_err <= 1e-8:
         warnings.warn(
             f"kick matrix unitarity error {gram_err:.2e} at half_width {M}; "
             "truncation too tight",
@@ -276,7 +289,10 @@ def evolve_dense(
 
     Same contract as evolve; exists purely as an independent check of the
     spectral route. Capped at half_width 512 because the dense cost grows
-    quadratically.
+    quadratically: the kick matrix is gathered from its generating column
+    and checked from one Gram column, and each period is one matrix-vector
+    product. Free-flight factors that overflow raise ValueError before the
+    first product, as in the spectral core.
     """
     M = config.half_width
     if M > DENSE_HALF_WIDTH_CAP:
@@ -284,8 +300,10 @@ def evolve_dense(
             f"dense route capped at half_width {DENSE_HALF_WIDTH_CAP}, got {M}"
         )
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
-    U = kick_matrix(config.phi_d, M)
     factors = spec.factors(np.arange(-M, M + 1))
+    if not np.isfinite(factors).all():
+        raise ValueError("free-flight phases overflow at this detuning")
+    U = kick_matrix(config.phi_d, M)
     amps = np.zeros(2 * M + 1, dtype=complex)
     amps[M] = 1.0
     for _ in range(config.kicks):

@@ -1,10 +1,11 @@
 """Non-finite and extreme inputs through the public entry points.
 
 Every refusal is a ValueError raised before the first kick: the spectral
-core's kick step is counted, and a refused call must have made none. No
-drawn input that is accepted is large enough to run for long or to
-allocate a large ladder; extreme kick numbers are drawn only with a
-ladder of at most 6 sites a side, which the first kick already overflows.
+core's kick step is counted, and a refused call must have made none; a
+refused dense run must not have built its kick matrix. No drawn input
+that is accepted is large enough to run for long or to allocate a large
+ladder; extreme kick numbers are drawn only with a ladder of at most 6
+sites a side, which the first kick already overflows.
 """
 import math
 from contextlib import contextmanager
@@ -18,7 +19,9 @@ from kickedrotor import (
     FreePhaseSpec,
     LeakageError,
     RangeCapError,
+    SimConfig,
     auto_scan,
+    evolve_dense,
     fidelity_protocol,
     propagate,
     scan_epsilon,
@@ -88,6 +91,17 @@ def test_propagate_refuses_before_any_kick(a):
     assert_refused(lambda: propagate(
         a["kicks"], a["phi_d"], FreePhaseSpec.revival_relative(1, a["epsilon"]),
         a["half_width"], a["n_points"]))
+
+
+@given(st.integers(0, 40), OVERFLOWING, st.integers(33, 64))
+def test_evolve_dense_refuses_overflowing_phases(kicks, epsilon, half_width):
+    # the dense twin refuses before it builds its matrix, so before any product
+    config = SimConfig(kicks=kicks, half_width=half_width)
+    free = FreePhaseSpec.revival_relative(1, epsilon)
+    with mock.patch.object(propagator, "kick_matrix", wraps=propagator.kick_matrix) as build:
+        with pytest.raises(ValueError, match="overflow"):
+            evolve_dense(config, free)
+    assert build.call_count == 0
 
 
 @given(st.integers(10**6, 10**18), st.floats(0.485, 2.0), NEAR_CAP, st.integers(1, 6))

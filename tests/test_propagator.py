@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,8 @@ from kickedrotor import (
     to_position,
 )
 from kickedrotor import propagator
-from kickedrotor.propagator import _kick, _kick_phases, _run
+from kickedrotor.analytics import MINUS_I_POW, bessel_j_row
+from kickedrotor.propagator import _kick, _kick_phases, _run, _unitarity_error
 from kickedrotor.wavepacket import _propagation_points
 
 J0_0485 = 0.942052665520175
@@ -217,6 +219,24 @@ class TestEvolve:
             assert abs(out.amps[40]) > 1 - 1e-10
 
 
+def kick_matrix_reference(phi: float, M: int) -> np.ndarray:
+    """The elementwise kick matrix: every entry from its own wrapped order."""
+    row = bessel_j_row(abs(phi), M)
+    m = np.arange(-M, M + 1)
+    diff = np.subtract.outer(m, m)
+    diff = (diff + M) % (2 * M + 1) - M
+    vals = row[np.abs(diff)]
+    neg = diff < 0
+    vals = np.where(neg & (np.abs(diff) % 2 == 1), -vals, vals)
+    if phi < 0:
+        vals = np.where(np.abs(diff) % 2 == 1, -vals, vals)
+    return MINUS_I_POW[np.mod(diff, 4)] * vals
+
+
+def full_gram_error(U: np.ndarray) -> float:
+    return float(np.max(np.abs(U.conj().T @ U - np.eye(len(U)))))
+
+
 class TestDenseRoute:
     def test_zero_strength_matrix_is_identity(self):
         U = kick_matrix(0.0, 5)
@@ -251,6 +271,46 @@ class TestDenseRoute:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             evolve_dense(SimConfig(kicks=1, half_width=513))
+
+    @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
+    @pytest.mark.parametrize("M", [1, 2, 5, 41, 452, 512])
+    @pytest.mark.parametrize("phi", [0.0, 0.485, -0.485, 1.7, -1.7, 40.0, 485.0])
+    def test_gathered_matrix_is_the_elementwise_one(self, phi, M):
+        assert np.array_equal(kick_matrix(phi, M), kick_matrix_reference(phi, M))
+
+    @pytest.mark.parametrize("phi, tight, enough", [(40.0, 60, 61), (0.485, 5, 6),
+                                                    (-1.7, 9, 10)])
+    def test_warning_boundary(self, phi, tight, enough):
+        with pytest.warns(RuntimeWarning, match="unitarity error"):
+            kick_matrix(phi, tight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kick_matrix(phi, enough)
+
+    @pytest.mark.parametrize("phi, M", [(40.0, 60), (40.0, 61), (0.485, 5), (0.485, 6),
+                                        (-1.7, 9), (-1.7, 10), (0.485, 452),
+                                        (485.0, 512)])
+    def test_one_gram_column_is_the_full_product(self, phi, M):
+        U = kick_matrix_reference(phi, M)
+        assert abs(_unitarity_error(U) - full_gram_error(U)) <= 1e-14
+
+    def test_nan_gram_error_warns(self, monkeypatch):
+        row = bessel_j_row(0.485, 5)
+        row[3] = math.nan
+        monkeypatch.setattr(propagator, "bessel_j_row", lambda x, n: row)
+        with pytest.warns(RuntimeWarning, match="unitarity error nan"):
+            kick_matrix(0.485, 5)
+
+    def test_dense_evolution_is_the_elementwise_loop(self):
+        M, eps = 452, 1.1e-6
+        out = evolve_dense(SimConfig(kicks=400, epsilon=eps, half_width=M))
+        U = kick_matrix_reference(0.485, M)
+        factors = FreePhaseSpec.revival_relative(1, eps).factors(np.arange(-M, M + 1))
+        amps = np.zeros(2 * M + 1, dtype=complex)
+        amps[M] = 1.0
+        for _ in range(400):
+            amps = factors * (U @ amps)
+        assert np.array_equal(out.amps, amps)
 
 
 class TestFidelityProtocol:
