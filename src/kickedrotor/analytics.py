@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import (TWO_PI, GridTooSmallError, MomentumWavefunction,
-                         SpatialGrid, _as_int)
+from .wavepacket import (TWO_PI, MomentumWavefunction, SpatialGrid, _as_int,
+                         _check_grid)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -180,8 +180,7 @@ def correction_term(
         raise ValueError("k must be >= 1")
     _check_epsilon(epsilon)
     M = _as_int("half_width", half_width)
-    if not grid.fits_ladder(M):
-        raise GridTooSmallError(f"grid too small for half_width {M}")
+    _check_grid(grid.n_points, M)
     n = grid.n_points
     L = 2 * M + 1
     a = k * phi_d

@@ -48,7 +48,8 @@ from .scanner import (
     scan_width,
     width_scaling,
 )
-from .wavepacket import SimConfig, SpatialGrid, default_n_points, to_position
+from .wavepacket import (SimConfig, SpatialGrid, _as_int, default_n_points,
+                         to_position)
 
 
 class NonFiniteOutputError(ArithmeticError):
@@ -210,17 +211,23 @@ def _cmd_scan(args) -> tuple[Path, dict]:
 
 
 def _read_fixture(path: str) -> tuple[list[int], list[float]]:
-    ns, widths = [], []
+    """N,width rows; a first row whose N is not a number is the header."""
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            try:
-                n = float(row[0])
-            except ValueError:
-                continue  # header row
-            ns.append(int(n))
+        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
+    if rows:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            del rows[0]  # header row
+    ns, widths = [], []
+    for line, row in rows:
+        try:
+            if len(row) != 2:
+                raise ValueError(f"expected N,width, got {row!r}")
+            ns.append(_as_int("N", float(row[0])))
             widths.append(float(row[1]))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {line}: {exc}") from None
     return ns, widths
 
 
@@ -296,14 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", type=int, default=None,
                    help="momentum ladder half width (default: sized from N)")
     p.add_argument("--grid", type=int, default=None,
-                   help="position grid points (default: sized from basis)")
+                   help="observation grid points (default: sized from basis)")
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("perturbative",
                        help="first-order density vs full numerics")
     common(p)
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None,
+                   help="observation grid points (default: sized from N)")
     p.set_defaults(func=_cmd_perturbative)
 
     p = sub.add_parser("scan", help="observable swept over detuning")

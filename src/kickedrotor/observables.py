@@ -42,10 +42,14 @@ class Density:
         values = np.asarray(self.values, dtype=float)
         if support.shape != values.shape or support.ndim != 1:
             raise ValueError("support and values must be 1-d and same length")
-        if float(values.min(initial=0.0)) < -1e-12:
-            raise ValueError("density values must be non-negative")
         total = self._total(support, values, self.kind)
-        if abs(total - 1.0) > 1e-10:
+        # written to fail closed: a NaN or infinity never passes a check, and
+        # only a non-finite total pays for the elementwise scan
+        if not math.isfinite(total) and not np.isfinite(values).all():
+            raise ValueError("density values must be finite")
+        if not float(values.min(initial=0.0)) >= -1e-12:
+            raise ValueError("density values must be non-negative")
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"density sums to {total!r}, not 1")
         support = support.copy()
         values = values.copy()
@@ -81,7 +85,7 @@ def sigma_x(d: Density) -> float:
     n = len(d.values)
     dx = TWO_PI / n
     mass = float(np.sum(d.values)) * dx
-    if mass < 1.0 - 1e-6:
+    if not mass >= 1.0 - 1e-6:
         raise DegenerateDensityError(f"total mass {mass!r} below 1 - 1e-6")
     shifted = np.roll(d.values, n // 2 - int(np.argmax(d.values)))
     X = dx * np.arange(n)

@@ -9,7 +9,7 @@ epsilon: forming it as a difference of two large phases loses about ten
 significant digits at epsilon = 1e-8, m = 40.
 
 Two independent evolution routes are kept deliberately separate: the
-spectral route (one core, _run, kicking on the grid of to_position and
+spectral route (one core, _run, kicking on its own FFT length and
 holding the only auto-grow loop; it propagates a whole stack of detunings
 at once, and a single state is the one-row case) and a dense-matrix route
 whose kick matrix is built from Bessel coefficients. They share no
@@ -28,11 +28,10 @@ from .analytics import MINUS_I_POW, bessel_j_row
 from .wavepacket import (
     EDGE_LEAK_BOUND,
     TWO_PI,
-    GridTooSmallError,
     MomentumWavefunction,
     SimConfig,
-    SpatialGrid,
     _analyze,
+    _as_half_width,
     _as_int,
     _propagation_points,
     _synthesize,
@@ -78,15 +77,17 @@ class FreePhaseSpec:
     def __post_init__(self):
         if self.mode not in ("revival_relative", "general"):
             raise ValueError(f"unknown free-phase mode {self.mode!r}")
-        if self.mode == "revival_relative" and self.l < 1:
-            raise ValueError("l must be a positive integer")
+        if self.mode == "revival_relative":
+            l = _as_int("l", self.l)
+            if l < 1:
+                raise ValueError("l must be a positive integer")
+            object.__setattr__(self, "l", l)
         if not (math.isfinite(self.epsilon) and math.isfinite(self.hbar_s)):
             raise ValueError("epsilon and hbar_s must be finite")
 
     @classmethod
     def revival_relative(cls, l: int, epsilon: float) -> "FreePhaseSpec":
-        return cls(mode="revival_relative", l=_as_int("l", l),
-                   epsilon=float(epsilon))
+        return cls(mode="revival_relative", l=l, epsilon=float(epsilon))
 
     @classmethod
     def general(cls, hbar_s: float) -> "FreePhaseSpec":
@@ -126,8 +127,7 @@ def _kick(amps: np.ndarray, kick: np.ndarray, period: int | None = None) -> np.n
 
 
 def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
-         half_width: int | None = None, n_points: int | None = None,
-         auto_grow: bool = True) -> np.ndarray:
+         half_width: int | None = None, auto_grow: bool = True) -> np.ndarray:
     """The spectral core: delta_{m,0} through N periods (kick, free flight),
     once per FreePhaseSpec in frees, as one (P, 2M+1) stack.
 
@@ -136,10 +136,9 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     bit-identical to a one-row run on the same ladder. A leak in any row
     restarts the whole stack with a doubled ladder when auto_grow is set.
 
-    The kicks run on an n-point grid, n = _propagation_points(M), the
-    smallest 5-smooth length at or above 4(M+1), unless n_points is
-    given; a grown ladder always gets its _propagation_points length.
-    Bad arguments raise ValueError before the first kick.
+    Every ladder, first or grown, is kicked on _propagation_points(M)
+    points, which always hold the Nyquist margin; no caller picks the
+    grid. Bad arguments raise ValueError before the first kick.
     """
     if not (math.isfinite(phi_d) and phi_d > 0):
         raise ValueError(f"phi_d must be finite and positive, got {phi_d!r}")
@@ -149,17 +148,9 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     if half_width is None:
         M = default_half_width(kicks, phi_d)
     else:
-        M = _as_int("half_width", half_width)
-        if M < 1:
-            raise ValueError("half_width must be >= 1")
-    grid = SpatialGrid(_propagation_points(M) if n_points is None else n_points)
-    if not grid.fits_ladder(M):
-        raise GridTooSmallError(
-            f"n_points={grid.n_points} cannot resolve a ladder of half width {M}"
-        )
-    n = grid.n_points
+        M = _as_half_width(half_width)
     while True:
-        kick = _kick_phases(n, phi_d)
+        kick = _kick_phases(_propagation_points(M), phi_d)
         m = np.arange(-M, M + 1)
         factors = np.array([free.factors(m) for free in frees])
         if not np.isfinite(factors).all():
@@ -175,7 +166,6 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
             M = 2 * M
-            n = _propagation_points(M)
 
 
 def _echo_fidelities(kicks: int, phi_d: float,
@@ -198,7 +188,6 @@ def propagate(
     phi_d: float,
     free: FreePhaseSpec,
     half_width: int | None = None,
-    n_points: int | None = None,
     auto_grow: bool = True,
 ) -> MomentumWavefunction:
     """Parameter-level evolution of delta_{m,0} through N periods.
@@ -207,9 +196,9 @@ def propagate(
     restriction; only the first-order analytics do). A tripped edge-leakage
     bound restarts the run with a doubled ladder when auto_grow is set.
     Nor is the kick number limited, unlike the closed form resonant_state,
-    which refuses N*phi_d > 1000.
+    which refuses N*phi_d > 1000. The FFT length is the core's own.
     """
-    amps = _run(kicks, phi_d, [free], half_width, n_points, auto_grow)
+    amps = _run(kicks, phi_d, [free], half_width, auto_grow)
     return MomentumWavefunction((amps.shape[1] - 1) // 2, amps[0])
 
 
@@ -221,13 +210,14 @@ def evolve(
     """Propagate delta_{m,0} through config.kicks periods.
 
     Each period is kick(phi_d) then free flight; the returned state is the
-    one after the final free flight. When the config was auto-sized, a
-    tripped edge-leakage bound restarts the run with a doubled ladder.
+    one after the final free flight: propagate's on config.half_width, as
+    config.n_points names only the observation grid. When the config was
+    auto-sized, a tripped edge-leakage bound restarts the run with a
+    doubled ladder.
     """
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
     grow = config.auto_sized if auto_grow is None else auto_grow
-    return propagate(config.kicks, config.phi_d, spec, config.half_width,
-                     config.n_points, grow)
+    return propagate(config.kicks, config.phi_d, spec, config.half_width, grow)
 
 
 def _unitarity_error(U: np.ndarray) -> float:
@@ -254,9 +244,7 @@ def kick_matrix(phi: float, half_width: int) -> np.ndarray:
     first column U^H c, which holds every distinct entry of the Gram
     matrix.
     """
-    M = _as_int("half_width", half_width)
-    if M < 1:
-        raise ValueError("half_width must be >= 1")
+    M = _as_half_width(half_width)
     L = 2 * M + 1
     row = bessel_j_row(abs(phi), M)
     k = np.arange(L)

@@ -309,16 +309,26 @@ class WidthScaling:
     r_squared: float
 
 
+def _kick_numbers(n_values) -> np.ndarray:
+    # _as_int refuses 4.5, which a dtype=int cast would truncate to 4; the
+    # range keeps log N finite and the cast from overflowing
+    ns = [_as_int("kick number", n) for n in n_values]
+    if len(ns) < 4:
+        raise ValueError("need at least 4 kick numbers")
+    if not all(1 <= n < 2**63 for n in ns):
+        raise ValueError(f"kick numbers must lie in [1, 2**63), got {ns}")
+    return np.array(ns, dtype=int)
+
+
 def fit_widths(n_values, widths) -> WidthScaling:
     """Fit a power law to given widths.
 
     Raises FitRefusalError for a non-finite width or r^2 below 0.9, and
-    ValueError for a non-positive width or fewer than 4 kick numbers.
+    ValueError for a kick number that is not an integer in [1, 2**63), a
+    non-positive width or fewer than 4 kick numbers.
     """
-    n_arr = np.asarray(n_values, dtype=int)
+    n_arr = _kick_numbers(n_values)
     w_arr = np.asarray(widths, dtype=float)
-    if len(n_arr) < 4:
-        raise ValueError("need at least 4 kick numbers")
     # written to fail closed: a NaN width or r^2 never passes a check
     if not np.all(np.isfinite(w_arr)):
         raise FitRefusalError(f"non-finite width in {w_arr.tolist()}")
@@ -346,9 +356,7 @@ def width_scaling(
     Per kick number, one auto_scan: the probes and the final scan share
     one memo, so each distinct detuning is propagated once.
     """
-    n_arr = np.asarray(list(n_list), dtype=int)
-    if len(n_arr) < 4:
-        raise ValueError("need at least 4 kick numbers")
+    n_arr = _kick_numbers(n_list)
     if np.any(n_arr < 2):
         raise ValueError("all kick numbers must be >= 2")
     # auto_scan validates mode, points and cap before it propagates

@@ -39,6 +39,24 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _as_half_width(value) -> int:
+    """The ladder half width M as an int; refuses non-integers and M < 1."""
+    M = _as_int("half_width", value)
+    if M < 1:
+        raise ValueError("half_width must be >= 1")
+    return M
+
+
+def _check_grid(n_points: int, half_width: int) -> None:
+    """The one Nyquist refusal, n_points < 2(2M+1); for M >= 0 it refuses n < 2."""
+    need = 2 * (2 * half_width + 1)
+    if not n_points >= need:
+        raise GridTooSmallError(
+            f"n_points={n_points} cannot resolve a ladder of half width "
+            f"{half_width}; need at least {need}"
+        )
+
+
 def default_half_width(kicks: int, phi_d: float) -> int:
     """Ladder truncation that keeps the state's truncation error near rounding.
 
@@ -111,9 +129,6 @@ class SpatialGrid:
     def spacing(self) -> float:
         return TWO_PI / self.n_points
 
-    def fits_ladder(self, half_width: int) -> bool:
-        return self.n_points >= 2 * (2 * half_width + 1)
-
 
 @dataclass(frozen=True)
 class MomentumWavefunction:
@@ -127,9 +142,7 @@ class MomentumWavefunction:
     amps: np.ndarray
 
     def __post_init__(self):
-        M = _as_int("half_width", self.half_width)
-        if M < 1:
-            raise ValueError("half_width must be >= 1")
+        M = _as_half_width(self.half_width)
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 * M + 1,):
             raise ValueError(
@@ -184,7 +197,9 @@ class SimConfig:
     Planck constant), epsilon the dimensionless detuning of the kick period
     from the primary revival period (period = (1 + epsilon) times revival),
     l the resonance order, kicks the number of periods. half_width and
-    n_points are filled from the sizing rules when not given. epsilon is
+    n_points are filled from the sizing rules when not given. n_points
+    names only the observation grid of to_position, sigma_x and the
+    position files; the spectral core picks its own FFT length. epsilon is
     restricted to the small-detuning window |epsilon| < 1e-2 in which the
     first-order analytics hold.
     """
@@ -211,24 +226,11 @@ class SimConfig:
         if kicks < 0:
             raise ValueError("kicks must be non-negative")
         auto_sized = self.half_width is None
-        M = (
-            default_half_width(kicks, self.phi_d)
-            if auto_sized
-            else _as_int("half_width", self.half_width)
-        )
-        if M < 1:
-            raise ValueError("half_width must be >= 1")
-        n = (
-            default_n_points(M)
-            if self.n_points is None
-            else _as_int("n_points", self.n_points)
-        )
-        # below 2 points no grid exists, let alone one that fits the ladder
-        if n < 2 or not SpatialGrid(n).fits_ladder(M):
-            raise GridTooSmallError(
-                f"n_points={n} cannot resolve a ladder of half width {M}; "
-                f"need at least {2 * (2 * M + 1)}"
-            )
+        M = (default_half_width(kicks, self.phi_d) if auto_sized
+             else _as_half_width(self.half_width))
+        n = (default_n_points(M) if self.n_points is None
+             else _as_int("n_points", self.n_points))
+        _check_grid(n, M)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "kicks", kicks)
         object.__setattr__(self, "half_width", M)
@@ -250,9 +252,7 @@ class SimConfig:
 
 def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
     """The m = 0 ladder eigenstate, psi(m) = delta_{m,0}."""
-    M = _as_int("half_width", half_width)
-    if M < 1:
-        raise ValueError("half_width must be >= 1")
+    M = _as_half_width(half_width)
     amps = np.zeros(2 * M + 1, dtype=complex)
     amps[M] = 1.0
     return MomentumWavefunction(M, amps)
@@ -295,11 +295,7 @@ def to_position(
     wf: MomentumWavefunction, grid: SpatialGrid
 ) -> PositionWavefunction:
     """Exact synthesis Psi(X_j) = (2*pi)**-0.5 sum_m psi(m) e^{i m X_j}."""
-    if not grid.fits_ladder(wf.half_width):
-        raise GridTooSmallError(
-            f"grid of {grid.n_points} points cannot resolve half_width "
-            f"{wf.half_width}"
-        )
+    _check_grid(grid.n_points, wf.half_width)
     return PositionWavefunction(grid, _synthesize(wf.amps, grid.n_points))
 
 
@@ -307,10 +303,6 @@ def to_momentum(
     pwf: PositionWavefunction, half_width: int
 ) -> MomentumWavefunction:
     """Exact analysis psi(m) = (2*pi)**-0.5 (2*pi/n) sum_j Psi(X_j) e^{-imX_j}."""
-    M = _as_int("half_width", half_width)
-    if not pwf.grid.fits_ladder(M):
-        raise GridTooSmallError(
-            f"half_width {M} violates the Nyquist margin of a "
-            f"{pwf.grid.n_points}-point grid"
-        )
+    M = _as_half_width(half_width)
+    _check_grid(pwf.grid.n_points, M)
     return MomentumWavefunction(M, _analyze(pwf.values, M))

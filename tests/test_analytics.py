@@ -147,7 +147,7 @@ class TestIntegerArguments:
         assert resonant_state(3.0, 0.485, 40.0).half_width == 40
         assert bessel_j(2.0, 0.485) == bessel_j(2, 0.485)
 
-    def test_correction_grid_rule_is_fits_ladder(self):
+    def test_correction_grid_rule_is_the_nyquist_rule(self):
         # 2(2M+1) = 142 points fit M = 35; one fewer does not
         correction_term(2, 0.485, 1e-6, SpatialGrid(142), 35)
         with pytest.raises(GridTooSmallError):

@@ -288,6 +288,24 @@ class TestScalingCommand:
         assert code == 3
         assert not (out / "scaling.json").exists()
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("4.5,0.015625", "line 3"), ("inf,0.015625", "line 3"), ("8", "line 3"),
+        ("0,0.015625", "kick numbers must lie"), ("1e30,0.015625", "kick numbers must lie"),
+    ], ids=["fractional-N", "infinite-N", "one-field", "zero-N", "huge-N"])
+    def test_malformed_fixture_row_exits_2(self, tmp_path, capsys, bad_row, message):
+        fixture = tmp_path / "widths.csv"
+        fixture.write_text(
+            f"N,width\n4,0.0625\n{bad_row}\n16,0.00390625\n32,0.0009765625\n"
+        )
+        out = tmp_path / "x"
+        code = main([
+            "scaling", "--mode", "position", "--fixture", str(fixture),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "scaling.csv").exists()
+
     def test_missing_fixture_exits_2(self, tmp_path):
         code = main([
             "scaling", "--mode", "position",

@@ -60,10 +60,8 @@ def assert_refused(call):
 @st.composite
 def refused_propagate(draw):
     a = {"kicks": draw(st.integers(0, 40)), "phi_d": draw(st.floats(1e-3, 2.0)),
-         "epsilon": draw(NEAR_CAP), "half_width": draw(st.none() | st.integers(1, 64)),
-         "n_points": None}
-    bad = draw(st.sampled_from(["kicks", "phi_d", "epsilon", "half_width",
-                                "n_points", "nyquist", "reach"]))
+         "epsilon": draw(NEAR_CAP), "half_width": draw(st.none() | st.integers(1, 64))}
+    bad = draw(st.sampled_from(["kicks", "phi_d", "epsilon", "half_width", "reach"]))
     if bad == "kicks":
         a["kicks"] = draw(NOT_AN_INTEGER | st.integers(-10**18, -1))
     elif bad == "phi_d":
@@ -73,12 +71,6 @@ def refused_propagate(draw):
         a["half_width"] = draw(st.none() | st.integers(33, 64))
     elif bad == "half_width":
         a["half_width"] = draw(NOT_AN_INTEGER | st.integers(-10**18, 0))
-    elif bad == "n_points":
-        a["n_points"] = draw(NOT_AN_INTEGER | st.integers(-10**18, 1))
-    elif bad == "nyquist":
-        # an explicit grid below 2(2M+1) points, up to an absurd ladder
-        a["half_width"] = draw(st.integers(1, 10**18))
-        a["n_points"] = draw(st.integers(2, min(2 * (2 * a["half_width"] + 1) - 1, 4096)))
     else:
         # kicks * phi_d overflows, so no ladder can be sized
         a.update(kicks=draw(st.integers(10**9, 10**18)),
@@ -90,7 +82,7 @@ def refused_propagate(draw):
 def test_propagate_refuses_before_any_kick(a):
     assert_refused(lambda: propagate(
         a["kicks"], a["phi_d"], FreePhaseSpec.revival_relative(1, a["epsilon"]),
-        a["half_width"], a["n_points"]))
+        a["half_width"]))
 
 
 @given(st.integers(0, 40), OVERFLOWING, st.integers(33, 64))

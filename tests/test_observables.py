@@ -53,6 +53,26 @@ class TestDensity:
         with pytest.raises(ValueError):
             Density("momentum", np.arange(-2.0, 3.0), np.full(5, 0.3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        X = TWO_PI * np.arange(8) / 8
+        vals = np.full(8, 1.0 / TWO_PI)
+        vals[3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            Density("position", X, vals)
+        with pytest.raises(ValueError, match="must be finite"):
+            Density("position", X, np.full(8, bad))
+        with pytest.raises(ValueError, match="must be finite"):
+            Density("momentum", np.arange(-2.0, 3.0), [0.0, 0.0, bad, 0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_state_with_non_finite_amplitude_rejected(self, bad):
+        amps = np.zeros(9, dtype=complex)
+        amps[4] = bad
+        wf = MomentumWavefunction(4, amps)
+        with pytest.raises(ValueError, match="must be finite"):
+            momentum_density(wf)
+
     def test_from_states(self):
         wf = init_momentum_eigenstate(4)
         assert momentum_density(wf).values[4] == 1.0

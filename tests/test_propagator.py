@@ -7,7 +7,6 @@ import pytest
 
 from kickedrotor import (
     FreePhaseSpec,
-    GridTooSmallError,
     LeakageError,
     MomentumWavefunction,
     SimConfig,
@@ -148,6 +147,17 @@ class TestFreeFlight:
         out = wf.amps * FreePhaseSpec.revival_relative(1, 3e-3).factors(wf.m_values)
         assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("bad", [1.5, 0, math.nan, math.inf, -math.inf])
+    def test_directly_built_spec_needs_integer_l(self, bad):
+        with mock.patch.object(propagator, "_kick", wraps=_kick) as kicks:
+            with pytest.raises(ValueError, match="l must be"):
+                propagate(3, 0.485, FreePhaseSpec("revival_relative", l=bad, epsilon=1e-3))
+        assert kicks.call_count == 0
+
+    def test_integral_l_stored_as_int(self):
+        spec = FreePhaseSpec("revival_relative", l=2.0, epsilon=1e-3)
+        assert spec.l == 2 and type(spec.l) is int
+
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             FreePhaseSpec(mode="bogus")
@@ -198,11 +208,26 @@ class TestEvolve:
         assert abs(out.norm_sq() - 1.0) < 1e-12
         assert out.edge_occupancy() < 1e-14
 
-    def test_grid_below_nyquist_margin_refused(self):
-        # 128 points cannot carry a ladder of 81 sites without aliasing
-        with pytest.raises(GridTooSmallError):
-            propagate(5, 0.485, FreePhaseSpec.revival_relative(1, 0.0),
-                      half_width=40, n_points=128)
+    @pytest.mark.parametrize("cfg, grow", [
+        (SimConfig(kicks=400, epsilon=1.1e-6), None),
+        (SimConfig(kicks=60, epsilon=-2e-4, half_width=70), None),
+        (SimConfig(kicks=50, epsilon=3e-4, n_points=4096), None),
+        (SimConfig(kicks=20, epsilon=1e-3, half_width=8), True),
+    ], ids=["auto-sized", "explicit-half-width", "explicit-n-points", "auto-grows"])
+    def test_evolve_is_propagate_on_the_same_ladder(self, cfg, grow):
+        spec = FreePhaseSpec.revival_relative(cfg.l, cfg.epsilon)
+        with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
+            state = evolve(cfg, auto_grow=grow)
+        expect = propagate(cfg.kicks, cfg.phi_d, spec, cfg.half_width,
+                           auto_grow=cfg.auto_sized if grow is None else grow)
+        assert np.array_equal(state.amps, expect.amps)
+        # the core kicks on its own lengths only, never on cfg.n_points
+        ladders = [cfg.half_width << k for k in range(len(phases.call_args_list))]
+        assert ladders[-1] == state.half_width
+        grids = [call.args[0] for call in phases.call_args_list]
+        assert grids == [_propagation_points(M) for M in ladders]
+        if grow:
+            assert state.half_width > cfg.half_width
 
     def test_explicit_config_does_not_grow_by_default(self):
         with pytest.raises(LeakageError):

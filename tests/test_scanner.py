@@ -273,6 +273,21 @@ class TestPowerLawFit:
         with pytest.raises(FitRefusalError):
             fit_widths([1, 2, 3, 4], [1.0, bad, 1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [4.5, math.nan, math.inf, -math.inf])
+    def test_non_integer_kick_number_refused(self, bad):
+        widths = [0.0625, 0.015625, 0.00390625, 0.0009765625]
+        with pytest.raises(ValueError, match="kick number must be an integer"):
+            fit_widths([bad, 8, 16, 32], widths)
+        with pytest.raises(ValueError, match="kick number must be an integer"):
+            width_scaling([5, 6, 7, bad], 0.485, 1, "position")
+        assert list(fit_widths([4.0, 8, 16, 32], widths).kick_numbers) == [4, 8, 16, 32]
+
+    @pytest.mark.parametrize("bad", [0, -4, 2**63])
+    def test_kick_number_out_of_range_refused(self, bad):
+        # log N would be -inf or NaN, and 2**63 overflows the int64 cast
+        with pytest.raises(ValueError, match="kick numbers must lie"):
+            fit_widths([bad, 8, 16, 32], [0.0625, 0.015625, 0.00390625, 0.0009765625])
+
     def test_input_guards(self):
         with pytest.raises(ValueError):
             fit_widths([4, 8, 16], [1.0, 0.5, 0.25])

@@ -19,7 +19,8 @@ from kickedrotor import (
     to_momentum,
     to_position,
 )
-from kickedrotor.wavepacket import _propagation_points
+from kickedrotor.analytics import correction_term
+from kickedrotor.wavepacket import _check_grid, _propagation_points
 
 TWO_PI = 2 * math.pi
 #: every 2^a 3^b 5^c up to 2^15, sorted
@@ -77,18 +78,18 @@ class TestSizing:
             n = _propagation_points(M)
             assert n == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH, 4 * (M + 1))]
             assert 4 * (M + 1) <= n <= default_n_points(M)
-            assert SpatialGrid(n).fits_ladder(M)
+            _check_grid(n, M)
 
     def test_n_points_power_of_two_and_fits(self):
         for M in (1, 5, 37, 64, 100):
             n = default_n_points(M)
             assert n & (n - 1) == 0
-            assert SpatialGrid(n).fits_ladder(M)
+            _check_grid(n, M)
 
     def test_nyquist_margin_is_exactly_twice_the_ladder(self):
-        g = SpatialGrid(2 * (2 * 7 + 1))
-        assert g.fits_ladder(7)
-        assert not SpatialGrid(2 * (2 * 7 + 1) - 1).fits_ladder(7)
+        _check_grid(2 * (2 * 7 + 1), 7)
+        with pytest.raises(GridTooSmallError):
+            _check_grid(2 * (2 * 7 + 1) - 1, 7)
 
 
 class TestSpatialGrid:
@@ -152,6 +153,24 @@ class TestSimConfig:
             "need at least 130"
         )
         assert SimConfig(kicks=0, half_width=32, n_points=130).n_points == 130
+
+    @pytest.mark.parametrize("site", ["SimConfig", "to_position", "to_momentum",
+                                      "correction_term"])
+    def test_every_site_refuses_with_the_one_message(self, site):
+        grid = SpatialGrid(129)
+        calls = {
+            "SimConfig": lambda: SimConfig(kicks=0, half_width=32, n_points=129),
+            "to_position": lambda: to_position(init_momentum_eigenstate(32), grid),
+            "to_momentum": lambda: to_momentum(
+                PositionWavefunction(grid, np.zeros(129)), 32),
+            "correction_term": lambda: correction_term(1, 0.485, 1e-6, grid, 32),
+        }
+        with pytest.raises(GridTooSmallError) as err:
+            calls[site]()
+        assert str(err.value) == (
+            "n_points=129 cannot resolve a ladder of half width 32; "
+            "need at least 130"
+        )
 
 
 class TestStates:
