@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import (TWO_PI, MomentumWavefunction, SpatialGrid, _as_int,
-                         _check_grid)
+from .wavepacket import (TWO_PI, MomentumWavefunction, SpatialGrid, _as_finite,
+                         _as_int, _check_grid, _grid_samples)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -84,17 +84,19 @@ def bessel_j_row(x: float, n_max: int) -> np.ndarray:
 
 
 def bessel_j(n: int, x: float) -> float:
-    """J_n(x) with J_{-n}(x) = (-1)^n J_n(x) honored exactly."""
+    """J_n(x), read from the ladder of half width |n|, sign rules included."""
     n = _as_int("n", n)
     # bessel_j_row refuses |n| past its domain
-    value = float(bessel_j_row(x, abs(n))[abs(n)])
-    if n < 0 and n % 2:
-        return -value
-    return value
+    return float(bessel_j_ladder(x, abs(n))[abs(n) + n])
 
 
 def bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
-    """J_m(x) for m = -M..M as one array (index m + M)."""
+    """J_m(x) for m = -M..M as one array (index m + M), x >= 0.
+
+    The one place the Bessel sign rules are applied: J_{-d}(x) =
+    (-1)^d J_d(x) fills the negative orders, and J_d(-x) = J_{-d}(x)
+    means a negative argument reads this ladder reversed.
+    """
     M = _as_int("half_width", half_width)
     row = bessel_j_row(x, M)
     out = np.empty(2 * M + 1)
@@ -115,9 +117,8 @@ def resonant_state(
     width above 10000. propagate has no such limit, so past it the
     numerics have no closed form to be checked against.
     """
-    t = _as_int("t", t)
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = _as_int("t", t, 0)
+    _as_finite("phi_d", phi_d, positive=True)
     M = _as_int("half_width", half_width)
     ladder = bessel_j_ladder(t * phi_d, M)
     m = np.arange(-M, M + 1)
@@ -144,15 +145,11 @@ class CorrectionField:
     bessel_argument: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid")
+        vals = _grid_samples(self.grid, self.values, float)
         mean = float(np.mean(vals)) * TWO_PI
         # written to fail closed: a NaN integral never passes
         if not abs(mean) <= 1e-12:
             raise ValueError(f"correction field integrates to {mean:.3e}, not 0")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
@@ -172,13 +169,13 @@ def correction_term(
     every gap at once. Epsilon enters only as the final factor, so the
     field is exactly zero at epsilon = 0 and doubles exactly with it.
     Assembled on the grid through one FFT of the coefficient vector.
-    Raises ValueError for a non-finite epsilon and GridTooSmallError for a
-    grid that cannot resolve the ladder.
+    Raises ValueError for a non-finite epsilon or a phi_d that is not
+    finite and positive, and GridTooSmallError for a grid that cannot
+    resolve the ladder.
     """
-    k = _as_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_epsilon(epsilon)
+    k = _as_int("k", k, 1)
+    _as_finite("phi_d", phi_d, positive=True)
+    _as_finite("epsilon", epsilon)
     M = _as_int("half_width", half_width)
     _check_grid(grid.n_points, M)
     n = grid.n_points
@@ -196,12 +193,6 @@ def correction_term(
     return CorrectionField(grid, values, float(epsilon), a)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    # a NaN or infinite detuning would fill the field with NaN
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
-
-
 @dataclass(frozen=True)
 class PerturbativeDensity:
     """Uniform background plus the accumulated first-order corrections."""
@@ -212,14 +203,10 @@ class PerturbativeDensity:
     epsilon: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid")
+        vals = _grid_samples(self.grid, self.values, float)
         total = float(np.mean(vals)) * TWO_PI
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"density integrates to {total!r}, not 1")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
 
@@ -237,10 +224,8 @@ def perturbative_density(
     k*phi_d. The result is 1/2pi plus the sum of the per-segment fields.
     Raises ValueError for a non-finite epsilon.
     """
-    N = _as_int("kicks", kicks)
-    if N < 0:
-        raise ValueError("kicks must be non-negative")
-    _check_epsilon(epsilon)
+    N = _as_int("kicks", kicks, 0)
+    _as_finite("epsilon", epsilon)
     values = np.full(grid.n_points, 1.0 / TWO_PI)
     for k in range(1, N + 1):
         values = values + correction_term(k, phi_d, epsilon, grid, half_width).values

@@ -29,7 +29,7 @@ class NoCrossingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Density:
-    """Non-negative values on a position grid (1/radian) or momentum ladder."""
+    """Values >= 0 on a position grid (1/radian) or momentum ladder."""
 
     kind: str
     support: np.ndarray
@@ -48,7 +48,7 @@ class Density:
         if not math.isfinite(total) and not np.isfinite(values).all():
             raise ValueError("density values must be finite")
         if not float(values.min(initial=0.0)) >= -1e-12:
-            raise ValueError("density values must be non-negative")
+            raise ValueError("density values must not be negative")
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"density sums to {total!r}, not 1")
         support = support.copy()

@@ -18,20 +18,20 @@ pulse is not a pass of its own but an overlap (see fidelity_protocol).
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import MINUS_I_POW, bessel_j_row
+from .analytics import MINUS_I_POW, bessel_j_ladder
 from .wavepacket import (
     EDGE_LEAK_BOUND,
     TWO_PI,
     MomentumWavefunction,
     SimConfig,
+    _all_finite,
     _analyze,
-    _as_half_width,
+    _as_finite,
     _as_int,
     _propagation_points,
     _synthesize,
@@ -66,7 +66,8 @@ class FreePhaseSpec:
     and is dropped. general mode applies theta_m = (hbar_s/2) m^2 reduced
     mod 2 pi through the integer-exact split u = hbar_s/(4 pi),
     theta_m = 2 pi frac(u m^2), so that rational u (the recurrence points)
-    produces bit-exact phases.
+    produces bit-exact phases. factors refuses phases that overflow, the
+    one check both evolution routes make on their input.
     """
 
     mode: str
@@ -78,12 +79,9 @@ class FreePhaseSpec:
         if self.mode not in ("revival_relative", "general"):
             raise ValueError(f"unknown free-phase mode {self.mode!r}")
         if self.mode == "revival_relative":
-            l = _as_int("l", self.l)
-            if l < 1:
-                raise ValueError("l must be a positive integer")
-            object.__setattr__(self, "l", l)
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.hbar_s)):
-            raise ValueError("epsilon and hbar_s must be finite")
+            object.__setattr__(self, "l", _as_int("l", self.l, 1))
+        _as_finite("epsilon", self.epsilon)
+        _as_finite("hbar_s", self.hbar_s)
 
     @classmethod
     def revival_relative(cls, l: int, epsilon: float) -> "FreePhaseSpec":
@@ -101,7 +99,10 @@ class FreePhaseSpec:
         return TWO_PI * np.mod(u * m2, 1.0)
 
     def factors(self, m: np.ndarray) -> np.ndarray:
-        return np.exp(-1j * self.phases(m))
+        factors = np.exp(-1j * self.phases(m))
+        if not _all_finite(factors):
+            raise ValueError("free-flight phases overflow at this detuning")
+        return factors
 
 
 def _kick_phases(n: int, phi: float) -> np.ndarray:
@@ -140,21 +141,16 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     points, which always hold the Nyquist margin; no caller picks the
     grid. Bad arguments raise ValueError before the first kick.
     """
-    if not (math.isfinite(phi_d) and phi_d > 0):
-        raise ValueError(f"phi_d must be finite and positive, got {phi_d!r}")
-    kicks = _as_int("kicks", kicks)
-    if kicks < 0:
-        raise ValueError("kicks must be non-negative")
+    _as_finite("phi_d", phi_d, positive=True)
+    kicks = _as_int("kicks", kicks, 0)
     if half_width is None:
         M = default_half_width(kicks, phi_d)
     else:
-        M = _as_half_width(half_width)
+        M = _as_int("half_width", half_width, 1)
     while True:
         kick = _kick_phases(_propagation_points(M), phi_d)
         m = np.arange(-M, M + 1)
         factors = np.array([free.factors(m) for free in frees])
-        if not np.isfinite(factors).all():
-            raise ValueError("free-flight phases overflow at this detuning")
         amps = np.zeros(factors.shape, dtype=complex)
         amps[:, M] = 1.0
         try:
@@ -171,9 +167,7 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
 def _echo_fidelities(kicks: int, phi_d: float,
                       frees: list[FreePhaseSpec]) -> list[float]:
     """F = |<K(N phi_d) delta_0 | psi_N>|^2 on the driven ladder, one per row."""
-    # fails closed on NaN; _run refuses the rest of the non-integers
-    if not kicks >= 1:
-        raise ValueError("kicks must be >= 1")
+    kicks = _as_int("kicks", kicks, 1)
     amps = _run(kicks, phi_d, frees)
     M = (amps.shape[1] - 1) // 2
     target = np.zeros(2 * M + 1, dtype=complex)
@@ -244,19 +238,14 @@ def kick_matrix(phi: float, half_width: int) -> np.ndarray:
     first column U^H c, which holds every distinct entry of the Gram
     matrix.
     """
-    M = _as_half_width(half_width)
+    M = _as_int("half_width", half_width, 1)
     L = 2 * M + 1
-    row = bessel_j_row(abs(phi), M)
+    J = bessel_j_ladder(abs(phi), M)
     k = np.arange(L)
     # signed representative of each order difference modulo L
     diff = (k + M) % L - M
-    vals = row[np.abs(diff)]
-    # J_{-d} = (-1)^d J_d, and J_d(-x) = (-1)^d J_d(x)
-    odd = np.abs(diff) % 2 == 1
-    vals = np.where((diff < 0) & odd, -vals, vals)
-    if phi < 0:
-        vals = np.where(odd, -vals, vals)
-    c = MINUS_I_POW[np.mod(diff, 4)] * vals
+    # J_d(-x) = J_{-d}(x): a negative kick reads the ladder reversed
+    c = MINUS_I_POW[np.mod(diff, 4)] * (J[M - diff] if phi < 0 else J[M + diff])
     U = c[np.subtract.outer(k, k) % L]
     gram_err = _unitarity_error(U)
     # fails closed: a NaN Gram error warns
@@ -280,7 +269,7 @@ def evolve_dense(
     quadratically: the kick matrix is gathered from its generating column
     and checked from one Gram column, and each period is one matrix-vector
     product. Free-flight factors that overflow raise ValueError before the
-    first product, as in the spectral core.
+    kick matrix is built (FreePhaseSpec.factors).
     """
     M = config.half_width
     if M > DENSE_HALF_WIDTH_CAP:
@@ -289,8 +278,6 @@ def evolve_dense(
         )
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
     factors = spec.factors(np.arange(-M, M + 1))
-    if not np.isfinite(factors).all():
-        raise ValueError("free-flight phases overflow at this detuning")
     U = kick_matrix(config.phi_d, M)
     amps = np.zeros(2 * M + 1, dtype=complex)
     amps[M] = 1.0

@@ -34,6 +34,7 @@ from .propagator import FreePhaseSpec, _echo_fidelities, _run
 from .wavepacket import (
     MomentumWavefunction,
     SpatialGrid,
+    _as_finite,
     _as_int,
     default_n_points,
     to_position,
@@ -129,12 +130,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}")
 
 
-def _check_cap(cap: float) -> None:
-    # a NaN cap would never stop the doubling ladder
-    if not (math.isfinite(cap) and cap > 0):
-        raise ValueError(f"cap must be finite and positive, got {cap!r}")
-
-
 @dataclass(frozen=True)
 class EpsilonScan:
     """One observable swept over a symmetric detuning grid."""
@@ -176,13 +171,12 @@ def scan_epsilon(
     threads: int = 1,
 ) -> EpsilonScan:
     """Sweep the chosen observable over [-epsilon_max, epsilon_max]."""
+    # the sweep rule: a profile needs at least one kick, in either mode
+    kicks = _as_int("kicks", kicks, 1)
     points = _check_points(points)
-    if not (math.isfinite(epsilon_max) and epsilon_max > 0):
-        raise ValueError(
-            f"epsilon_max must be finite and positive, got {epsilon_max!r}"
-        )
+    epsilon_max = _as_finite("epsilon_max", epsilon_max, positive=True)
     _check_mode(mode)
-    eps = _symmetric_grid(float(epsilon_max), points)
+    eps = _symmetric_grid(epsilon_max, points)
     vals = _sweep_values(mode, kicks, phi_d, l, eps, threads)
     return EpsilonScan(kicks, mode, eps, vals)
 
@@ -224,15 +218,14 @@ def auto_range(
     those the earlier steps did not evaluate are propagated. Raises
     RangeCapError when the cap is reached first.
     """
-    _check_cap(cap)
     return _probe_ladder(kicks, mode, cap, _remembering(mode, kicks, phi_d, l))
 
 
 def _probe_ladder(kicks: int, mode: str, cap: float, values) -> float:
-    kicks = _as_int("kicks", kicks)
-    if kicks < 1:
-        raise ValueError("kicks must be >= 1")
+    kicks = _as_int("kicks", kicks, 1)
     _check_mode(mode)
+    # a NaN cap would never stop the doubling ladder
+    _as_finite("cap", cap, positive=True)
     r = min(0.1 / (kicks * kicks), cap)
     while True:
         if _adequate(mode, values(_symmetric_grid(r, PROBE_POINTS))):
@@ -260,7 +253,6 @@ def auto_scan(
     [-r, r] for the range r that auto_range returns.
     """
     points = _check_points(points)
-    _check_cap(cap)
     values = _remembering(mode, kicks, phi_d, l)
     eps = _symmetric_grid(_probe_ladder(kicks, mode, cap, values), points)
     return EpsilonScan(kicks, mode, eps, values(eps))
@@ -309,14 +301,14 @@ class WidthScaling:
     r_squared: float
 
 
-def _kick_numbers(n_values) -> np.ndarray:
+def _kick_numbers(n_values, least: int = 1) -> np.ndarray:
     # _as_int refuses 4.5, which a dtype=int cast would truncate to 4; the
     # range keeps log N finite and the cast from overflowing
     ns = [_as_int("kick number", n) for n in n_values]
     if len(ns) < 4:
         raise ValueError("need at least 4 kick numbers")
-    if not all(1 <= n < 2**63 for n in ns):
-        raise ValueError(f"kick numbers must lie in [1, 2**63), got {ns}")
+    if not all(least <= n < 2**63 for n in ns):
+        raise ValueError(f"kick numbers must lie in [{least}, 2**63), got {ns}")
     return np.array(ns, dtype=int)
 
 
@@ -356,9 +348,7 @@ def width_scaling(
     Per kick number, one auto_scan: the probes and the final scan share
     one memo, so each distinct detuning is propagated once.
     """
-    n_arr = _kick_numbers(n_list)
-    if np.any(n_arr < 2):
-        raise ValueError("all kick numbers must be >= 2")
+    n_arr = _kick_numbers(n_list, least=2)
     # auto_scan validates mode, points and cap before it propagates
     widths = [scan_width(auto_scan(N, phi_d, l, mode, points, cap))
               for N in n_arr.tolist()]

@@ -10,6 +10,11 @@ The two pictures are linked by the discrete Fourier pair
 
 which is exact (not approximate) as long as the grid oversamples the
 ladder, n >= 2*(2M+1). FFTs are used internally; the contract is the sum.
+
+The package's argument rules live here, one owner each: _as_int
+(integers, optionally with a least value), _as_finite (finite, or finite
+and positive), _all_finite and _grid_samples (arrays) and _check_grid
+(the Nyquist margin). Modules call them, so each rule has one message.
 """
 from __future__ import annotations
 
@@ -33,18 +38,39 @@ class GridTooSmallError(ValueError):
     """Spatial grid cannot resolve the momentum ladder (Nyquist margin)."""
 
 
-def _as_int(name: str, value) -> int:
+def _as_int(name: str, value, least: int | None = None) -> int:
+    """value as an int; refuses 2.5, NaN, +-inf and, if given, values below least."""
     if not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
 
 
-def _as_half_width(value) -> int:
-    """The ladder half width M as an int; refuses non-integers and M < 1."""
-    M = _as_int("half_width", value)
-    if M < 1:
-        raise ValueError("half_width must be >= 1")
-    return M
+def _as_finite(name: str, value, positive: bool = False) -> float:
+    """value as a float; refuses NaN, +-inf and, if positive, values <= 0."""
+    x = float(value)
+    if positive and not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """No NaN and no +-inf in values. The squared norm is finite unless an
+    entry is not (or it overflows), so it gates the costlier elementwise scan."""
+    return (math.isfinite(np.vdot(values, values).real)
+            or bool(np.isfinite(values).all()))
+
+
+def _grid_samples(grid: SpatialGrid, values, dtype) -> np.ndarray:
+    """values as a read-only copy of dtype, one sample per grid point."""
+    vals = np.array(values, dtype=dtype)
+    if vals.shape != (grid.n_points,):
+        raise ValueError("values length must match grid")
+    vals.setflags(write=False)
+    return vals
 
 
 def _check_grid(n_points: int, half_width: int) -> None:
@@ -116,10 +142,7 @@ class SpatialGrid:
     n_points: int
 
     def __post_init__(self):
-        n = _as_int("n_points", self.n_points)
-        if n < 2:
-            raise ValueError("n_points must be at least 2")
-        object.__setattr__(self, "n_points", n)
+        object.__setattr__(self, "n_points", _as_int("n_points", self.n_points, 2))
 
     @property
     def nodes(self) -> np.ndarray:
@@ -142,12 +165,14 @@ class MomentumWavefunction:
     amps: np.ndarray
 
     def __post_init__(self):
-        M = _as_half_width(self.half_width)
+        M = _as_int("half_width", self.half_width, 1)
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape != (2 * M + 1,):
             raise ValueError(
                 f"amps must have shape ({2 * M + 1},), got {amps.shape}"
             )
+        if not _all_finite(amps):
+            raise ValueError("amps must be finite")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "half_width", M)
@@ -178,11 +203,9 @@ class PositionWavefunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError("values length must match grid")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        vals = _grid_samples(self.grid, self.values, complex)
+        if not _all_finite(vals):
+            raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
     def norm_sq(self) -> float:
@@ -212,22 +235,17 @@ class SimConfig:
     n_points: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi_d) and self.phi_d > 0):
-            raise ValueError("phi_d must be finite and positive")
+        _as_finite("phi_d", self.phi_d, positive=True)
         if not abs(self.epsilon) < EPSILON_VALIDITY:
             raise ValueError(
                 f"|epsilon| must be below {EPSILON_VALIDITY} "
                 f"(got {self.epsilon!r})"
             )
-        l = _as_int("l", self.l)
-        if l < 1:
-            raise ValueError("l must be a positive integer")
-        kicks = _as_int("kicks", self.kicks)
-        if kicks < 0:
-            raise ValueError("kicks must be non-negative")
+        l = _as_int("l", self.l, 1)
+        kicks = _as_int("kicks", self.kicks, 0)
         auto_sized = self.half_width is None
         M = (default_half_width(kicks, self.phi_d) if auto_sized
-             else _as_half_width(self.half_width))
+             else _as_int("half_width", self.half_width, 1))
         n = (default_n_points(M) if self.n_points is None
              else _as_int("n_points", self.n_points))
         _check_grid(n, M)
@@ -252,7 +270,7 @@ class SimConfig:
 
 def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
     """The m = 0 ladder eigenstate, psi(m) = delta_{m,0}."""
-    M = _as_half_width(half_width)
+    M = _as_int("half_width", half_width, 1)
     amps = np.zeros(2 * M + 1, dtype=complex)
     amps[M] = 1.0
     return MomentumWavefunction(M, amps)
@@ -303,6 +321,6 @@ def to_momentum(
     pwf: PositionWavefunction, half_width: int
 ) -> MomentumWavefunction:
     """Exact analysis psi(m) = (2*pi)**-0.5 (2*pi/n) sum_j Psi(X_j) e^{-imX_j}."""
-    M = _as_half_width(half_width)
+    M = _as_int("half_width", half_width, 1)
     _check_grid(pwf.grid.n_points, M)
     return MomentumWavefunction(M, _analyze(pwf.values, M))

@@ -194,6 +194,18 @@ class TestScanCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("mode", ["position", "fidelity"])
+    @pytest.mark.parametrize("eps_max", ["0.01", "auto"])
+    def test_zero_kicks_exits_2(self, tmp_path, capsys, mode, eps_max):
+        # a sweep needs at least one kick in every mode and range choice
+        code = main([
+            "scan", "--kicks", "0", "--mode", mode, "--eps-max", eps_max,
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "kicks must be >= 1, got 0" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("scan.*"))
+
     def test_bad_points_exits_2(self, tmp_path):
         code = main([
             "scan", "--kicks", "5", "--mode", "fidelity", "--points", "34",

@@ -20,10 +20,15 @@ from kickedrotor import (
     LeakageError,
     RangeCapError,
     SimConfig,
+    SpatialGrid,
+    auto_range,
     auto_scan,
+    correction_term,
     evolve_dense,
     fidelity_protocol,
+    perturbative_density,
     propagate,
+    resonant_state,
     scan_epsilon,
 )
 from kickedrotor import propagator
@@ -52,9 +57,10 @@ def counting_kicks():
 
 def assert_refused(call):
     with counting_kicks() as kick:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             call()
     assert kick.call_count == 0
+    return err.value
 
 
 @st.composite
@@ -204,3 +210,100 @@ def test_auto_scan_at_the_range_cap_stays_inside_it(kicks, mode, cap):
         return
     assert 0 < scan.epsilons[-1] <= cap
     assert np.all(np.isfinite(scan.values))
+
+
+def integer_rule(name, least):
+    """Bad values of an integer argument and the one message each gets."""
+    cases = [(v, f"{name} must be an integer, got {v!r}")
+             for v in (2.5, math.nan, math.inf, -math.inf)]
+    return cases + [(least - 1, f"{name} must be >= {least}, got {least - 1!r}")]
+
+
+def positive_rule(name):
+    return [(v, f"{name} must be finite and positive, got {v!r}")
+            for v in (math.nan, math.inf, -math.inf, 0.0)]
+
+
+def finite_rule(name):
+    return [(v, f"{name} must be finite, got {v!r}")
+            for v in (math.nan, math.inf, -math.inf)]
+
+
+GRID = SpatialGrid(128)
+SPEC = FreePhaseSpec.revival_relative
+
+
+def sweep_entries(mode):
+    return [
+        (f"scan_epsilon[{mode}]",
+         lambda kicks=5, phi_d=0.485, l=1, epsilon_max=0.02:
+             scan_epsilon(kicks, phi_d, l, mode, epsilon_max, 33),
+         {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+          "l": integer_rule("l", 1), "epsilon_max": positive_rule("epsilon_max")}),
+        (f"auto_range[{mode}]",
+         lambda kicks=5, phi_d=0.485, l=1, cap=0.1: auto_range(kicks, phi_d, l, mode, cap),
+         {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+          "l": integer_rule("l", 1), "cap": positive_rule("cap")}),
+        (f"auto_scan[{mode}]",
+         lambda kicks=5, phi_d=0.485, l=1, cap=0.1: auto_scan(kicks, phi_d, l, mode, 33, cap),
+         {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+          "l": integer_rule("l", 1), "cap": positive_rule("cap")}),
+    ]
+
+
+#: (entry point, call with one argument overridden, {argument: bad cases})
+SHARED_RULES = [
+    ("propagate",
+     lambda kicks=3, phi_d=0.485, l=1, epsilon=1e-3, half_width=None:
+         propagate(kicks, phi_d, SPEC(l, epsilon), half_width),
+     {"kicks": integer_rule("kicks", 0), "phi_d": positive_rule("phi_d"),
+      "l": integer_rule("l", 1), "epsilon": finite_rule("epsilon"),
+      "half_width": integer_rule("half_width", 1)}),
+    ("fidelity_protocol",
+     lambda kicks=3, phi_d=0.485, epsilon=1e-3, l=1:
+         fidelity_protocol(kicks, phi_d, epsilon, l),
+     {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+      "l": integer_rule("l", 1), "epsilon": finite_rule("epsilon")}),
+    ("SimConfig",
+     lambda kicks=3, phi_d=0.485, l=1, half_width=None:
+         SimConfig(phi_d=phi_d, l=l, kicks=kicks, half_width=half_width),
+     {"kicks": integer_rule("kicks", 0), "phi_d": positive_rule("phi_d"),
+      "l": integer_rule("l", 1), "half_width": integer_rule("half_width", 1)}),
+    ("FreePhaseSpec.revival_relative",
+     lambda l=1, epsilon=1e-3: SPEC(l, epsilon),
+     {"l": integer_rule("l", 1), "epsilon": finite_rule("epsilon")}),
+    ("FreePhaseSpec.general",
+     lambda hbar_s=1.0: FreePhaseSpec.general(hbar_s),
+     {"hbar_s": finite_rule("hbar_s")}),
+    ("resonant_state",
+     lambda t=3, phi_d=0.485: resonant_state(t, phi_d, 40),
+     {"t": integer_rule("t", 0), "phi_d": positive_rule("phi_d")}),
+    ("correction_term",
+     lambda k=2, phi_d=0.485, epsilon=1e-6: correction_term(k, phi_d, epsilon, GRID, 35),
+     {"k": integer_rule("k", 1), "phi_d": positive_rule("phi_d"),
+      "epsilon": finite_rule("epsilon")}),
+    ("perturbative_density",
+     lambda kicks=3, phi_d=0.485, epsilon=1e-6:
+         perturbative_density(kicks, phi_d, epsilon, GRID, 35),
+     {"kicks": integer_rule("kicks", 0), "phi_d": positive_rule("phi_d"),
+      "epsilon": finite_rule("epsilon")}),
+    *sweep_entries("position"),
+    *sweep_entries("fidelity"),
+]
+
+SHARED_CASES = [
+    pytest.param(call, arg, value, message, id=f"{entry}-{arg}={value!r}")
+    for entry, call, rules in SHARED_RULES
+    for arg, cases in rules.items()
+    for value, message in cases
+]
+
+
+@pytest.mark.parametrize("call, arg, value, message", SHARED_CASES)
+def test_each_rule_has_one_message(call, arg, value, message):
+    """Every entry point words a broken argument rule the same way.
+
+    This includes kicks = 0 for every sweep in both modes: a profile
+    over zero kicks is flat, so sweeps refuse it before the first kick.
+    """
+    assert str(assert_refused(lambda: call(**{arg: value}))) == message

@@ -69,9 +69,9 @@ class TestDensity:
     def test_state_with_non_finite_amplitude_rejected(self, bad):
         amps = np.zeros(9, dtype=complex)
         amps[4] = bad
-        wf = MomentumWavefunction(4, amps)
+        # refused when the state is built, before a density is formed
         with pytest.raises(ValueError, match="must be finite"):
-            momentum_density(wf)
+            momentum_density(MomentumWavefunction(4, amps))
 
     def test_from_states(self):
         wf = init_momentum_eigenstate(4)

@@ -24,7 +24,7 @@ from kickedrotor import (
     to_position,
 )
 from kickedrotor import propagator
-from kickedrotor.analytics import MINUS_I_POW, bessel_j_row
+from kickedrotor.analytics import MINUS_I_POW, bessel_j_ladder, bessel_j_row
 from kickedrotor.propagator import _kick, _kick_phases, _run, _unitarity_error
 from kickedrotor.wavepacket import _propagation_points
 
@@ -320,9 +320,9 @@ class TestDenseRoute:
         assert abs(_unitarity_error(U) - full_gram_error(U)) <= 1e-14
 
     def test_nan_gram_error_warns(self, monkeypatch):
-        row = bessel_j_row(0.485, 5)
-        row[3] = math.nan
-        monkeypatch.setattr(propagator, "bessel_j_row", lambda x, n: row)
+        ladder = bessel_j_ladder(0.485, 5)
+        ladder[5 + 3] = math.nan  # J_3
+        monkeypatch.setattr(propagator, "bessel_j_ladder", lambda x, M: ladder)
         with pytest.warns(RuntimeWarning, match="unitarity error nan"):
             kick_matrix(0.485, 5)
 

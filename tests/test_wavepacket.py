@@ -193,6 +193,21 @@ class TestStates:
         with pytest.raises(ValueError):
             init_momentum_eigenstate(3).overlap(init_momentum_eigenstate(4))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan)])
+    def test_non_finite_states_refused(self, bad):
+        # refused when built, so no transform ever sees the value (an inf
+        # amplitude would warn inside _synthesize, which the suite's
+        # RuntimeWarning filter turns into an error)
+        amps = np.zeros(9, dtype=complex)
+        amps[4] = bad
+        with pytest.raises(ValueError, match="amps must be finite"):
+            MomentumWavefunction(4, amps)
+        values = np.full(32, 1.0 / math.sqrt(2 * math.pi), dtype=complex)
+        values[7] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            PositionWavefunction(SpatialGrid(32), values)
+
 
 class TestTransforms:
     def test_delta_maps_to_flat_wave(self):
