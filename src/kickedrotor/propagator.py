@@ -18,6 +18,7 @@ pulse is not a pass of its own but an overlap (see fidelity_protocol).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ from .wavepacket import (
     TWO_PI,
     MomentumWavefunction,
     SimConfig,
-    _all_finite,
     _analyze,
     _as_finite,
     _as_int,
@@ -67,7 +67,9 @@ class FreePhaseSpec:
     mod 2 pi through the integer-exact split u = hbar_s/(4 pi),
     theta_m = 2 pi frac(u m^2), so that rational u (the recurrence points)
     produces bit-exact phases. factors refuses phases that overflow, the
-    one check both evolution routes make on their input.
+    one check both evolution routes make on their input; it compares the
+    largest phase argument with the float range before forming any phase,
+    so the refusal comes without a numpy overflow warning.
     """
 
     mode: str
@@ -99,10 +101,17 @@ class FreePhaseSpec:
         return TWO_PI * np.mod(u * m2, 1.0)
 
     def factors(self, m: np.ndarray) -> np.ndarray:
-        factors = np.exp(-1j * self.phases(m))
-        if not _all_finite(factors):
+        # the largest phase argument, 2 pi l |eps| M^2 or u M^2, in the
+        # order phases multiplies it out; Python floats overflow to inf
+        # without a warning
+        reach = float(np.abs(m).max()) ** 2
+        if self.mode == "revival_relative":
+            largest = TWO_PI * self.l * abs(self.epsilon) * reach
+        else:
+            largest = abs(self.hbar_s / (2.0 * TWO_PI)) * reach
+        if not math.isfinite(largest):
             raise ValueError("free-flight phases overflow at this detuning")
-        return factors
+        return np.exp(-1j * self.phases(m))
 
 
 def _kick_phases(n: int, phi: float) -> np.ndarray:
@@ -164,17 +173,27 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
             M = 2 * M
 
 
-def _echo_fidelities(kicks: int, phi_d: float,
-                      frees: list[FreePhaseSpec]) -> list[float]:
-    """F = |<K(N phi_d) delta_0 | psi_N>|^2 on the driven ladder, one per row."""
+def _echo_fidelities(kicks: int, phi_d: float):
+    """The echo read-out of N driven periods, F = |<K(N phi_d) delta_0 | psi_N>|^2.
+
+    Returns a function from a (P, 2M+1) stack of driven rows to their P
+    fidelities. The target K(N phi_d) delta_0 is built on first read of
+    each ladder M and kept for every later read by the same function.
+    """
     kicks = _as_int("kicks", kicks, 1)
-    amps = _run(kicks, phi_d, frees)
-    M = (amps.shape[1] - 1) // 2
-    target = np.zeros(2 * M + 1, dtype=complex)
-    target[M] = 1.0
-    target = _kick(target, _kick_phases(_propagation_points(M), kicks * phi_d))
-    # one vdot per row: a stacked matmul would break row bit-identity
-    return [abs(complex(np.vdot(target, row))) ** 2 for row in amps]
+    targets: dict[int, np.ndarray] = {}
+
+    def fidelities(amps: np.ndarray) -> list[float]:
+        M = (amps.shape[1] - 1) // 2
+        if M not in targets:
+            target = np.zeros(2 * M + 1, dtype=complex)
+            target[M] = 1.0
+            targets[M] = _kick(target, _kick_phases(_propagation_points(M),
+                                                    kicks * phi_d))
+        # one vdot per row: a stacked matmul would break row bit-identity
+        return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
+
+    return fidelities
 
 
 def propagate(
@@ -303,4 +322,5 @@ def fidelity_protocol(
     detuning, and resonance profiles need the far tails.
     """
     free = FreePhaseSpec.revival_relative(l, epsilon)
-    return _echo_fidelities(kicks, phi_d, [free])[0]
+    echo = _echo_fidelities(kicks, phi_d)
+    return echo(_run(kicks, phi_d, [free]))[0]

@@ -9,14 +9,22 @@ the narrower one.
 
 A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
 detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
-one FFT pair for the whole block instead of one per point, memory stays
-bounded by the block whatever the point count, and each row is
-bit-identical to its own single-point propagation. Results are bitwise
-identical from run to run. auto_scan (behind width_scaling and qkr scan
---eps-max auto) remembers each detuning it has evaluated for a kick
+one FFT pair for the whole block instead of one per point, and each row is
+bit-identical to its own single-point propagation. Rows go into a row
+store keyed by detuning and are observed in batches: a block of position
+rows is synthesized as one stack on the observation grid and each row then
+goes through the same density and sigma_x checks as a lone state; an echo
+row is one vdot against a target built once per ladder. Results are
+bitwise identical from run to run. auto_scan (behind width_scaling and qkr
+scan --eps-max auto) remembers each detuning it has evaluated for a kick
 number: the auto_range probe grids and the final scan grid are all
 multiples of r/2^k, so every repeated detuning is the identical float and
-is computed once. The threads arguments are accepted and ignored (timings
+is computed once. width_scaling and compare_modes keep one row store per
+kick number, which compare_modes shares between its two modes, so a
+detuning both modes need is propagated once; the store is dropped when the
+kick number is done. Any other sweep drops each block's rows once they are
+observed, so its memory stays bounded by the block whatever the point
+count. The threads arguments are accepted and ignored (timings
 in the README). Detunings beyond the config validity window are legitimate
 here: the propagation is exact unitary evolution at any detuning (the 1e-2
 window bounds only the first-order analytics), and at small kick numbers
@@ -24,6 +32,8 @@ the profile tails extend past it.
 """
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,12 +42,12 @@ import numpy as np
 from .observables import Profile, fwhm, position_density, sigma_x
 from .propagator import FreePhaseSpec, _echo_fidelities, _run
 from .wavepacket import (
-    MomentumWavefunction,
+    PositionWavefunction,
     SpatialGrid,
     _as_finite,
     _as_int,
+    _synthesize,
     default_n_points,
-    to_position,
 )
 
 MODES = ("position", "fidelity")
@@ -75,6 +85,51 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
     return grid
 
 
+class _RowStore:
+    """Driven rows of one sweep (kicks, phi_d, l), keyed by detuning.
+
+    Each row keeps the ladder its core call ran on, so a row of a stack
+    that auto-grew is observed on the grown ladder, as it is on its own.
+    The echo reader is kept here too, so its target is built once per
+    ladder.
+    """
+
+    def __init__(self, kicks: int, phi_d: float, l: int):
+        self.sweep = (kicks, phi_d, l)
+        self.rows: dict[float, np.ndarray] = {}
+        self.echo = _echo_fidelities(kicks, phi_d)
+
+    def fill(self, epsilons: list[float]) -> None:
+        """Propagate, as one stack, the detunings not stored yet."""
+        missing = [e for e in dict.fromkeys(epsilons) if e not in self.rows]
+        if missing:
+            kicks, phi_d, l = self.sweep
+            frees = [FreePhaseSpec.revival_relative(l, e) for e in missing]
+            self.rows.update(zip(missing, _run(kicks, phi_d, frees)))
+
+    def observe(self, mode: str, epsilons: list[float]) -> list[float]:
+        """The observable of each stored row, one stack per ladder."""
+        values: list[float] = []
+        for _, same in itertools.groupby((self.rows[e] for e in epsilons), len):
+            amps = np.array(list(same))
+            values.extend(self.echo(amps) if mode == "fidelity"
+                          else _spreads(amps))
+        return values
+
+
+def _spreads(amps: np.ndarray) -> list[float]:
+    """sigma_x of each row, synthesized as one stack on the observation grid."""
+    grid = SpatialGrid(default_n_points((amps.shape[1] - 1) // 2))
+    return [sigma_x(position_density(PositionWavefunction(grid, values)))
+            for values in _synthesize(amps, grid.n_points)]
+
+
+#: the row store of the kick number _widths is measuring, read by every
+#: mode it measures; unset outside _widths
+_SHARED_ROWS: contextvars.ContextVar[_RowStore | None] = contextvars.ContextVar(
+    "_SHARED_ROWS", default=None)
+
+
 def _sweep_values(
     mode: str,
     kicks: int,
@@ -83,20 +138,21 @@ def _sweep_values(
     epsilons: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    """The observable at each detuning, one core call per SWEEP_BLOCK rows."""
-    frees = [FreePhaseSpec.revival_relative(l, float(e)) for e in epsilons]
+    """The observable at each detuning, one core call per SWEEP_BLOCK rows.
+
+    Rows are read from the shared store of this sweep when _widths set one.
+    Otherwise each block gets a store of its own, dropped once observed.
+    """
+    shared = _SHARED_ROWS.get()
+    if shared is not None and shared.sweep != (kicks, phi_d, l):
+        shared = None
+    eps = epsilons.tolist()
     values: list[float] = []
-    for start in range(0, len(frees), SWEEP_BLOCK):
-        block = frees[start:start + SWEEP_BLOCK]
-        if mode == "fidelity":
-            values.extend(_echo_fidelities(kicks, phi_d, block))
-            continue
-        amps = _run(kicks, phi_d, block)
-        M = (amps.shape[1] - 1) // 2
-        grid = SpatialGrid(default_n_points(M))
-        for row in amps:
-            state = to_position(MomentumWavefunction(M, row), grid)
-            values.append(sigma_x(position_density(state)))
+    for start in range(0, len(eps), SWEEP_BLOCK):
+        block = eps[start:start + SWEEP_BLOCK]
+        store = shared if shared is not None else _RowStore(kicks, phi_d, l)
+        store.fill(block)
+        values.extend(store.observe(mode, block))
     return np.array(values)
 
 
@@ -349,10 +405,27 @@ def width_scaling(
     one memo, so each distinct detuning is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
-    # auto_scan validates mode, points and cap before it propagates
-    widths = [scan_width(auto_scan(N, phi_d, l, mode, points, cap))
-              for N in n_arr.tolist()]
-    return fit_widths(n_arr, widths)
+    return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points, cap)[0])
+
+
+def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
+            points: int, cap: float) -> list[list[float]]:
+    """Per mode, the auto_scan width at each kick number.
+
+    The modes of one kick number read one row store, so a detuning that
+    several modes need is propagated once; the store is dropped when that
+    kick number is done, and on any error.
+    """
+    widths: list[list[float]] = [[] for _ in modes]
+    for N in n_arr.tolist():
+        token = _SHARED_ROWS.set(_RowStore(N, phi_d, l))
+        try:
+            # auto_scan validates mode, points and cap before it propagates
+            for mode, column in zip(modes, widths):
+                column.append(scan_width(auto_scan(N, phi_d, l, mode, points, cap)))
+        finally:
+            _SHARED_ROWS.reset(token)
+    return widths
 
 
 @dataclass(frozen=True)
@@ -378,11 +451,15 @@ def compare_modes(
     threads: int = 1,
     cap: float = RANGE_CAP,
 ) -> ModeComparison:
-    """Run both width scalings on one kick-number list and compare them."""
-    # both scalings read the list; an iterator would be empty the second time
-    n_list = list(n_list)
-    pos = width_scaling(n_list, phi_d, l, "position", points, threads, cap)
-    fid = width_scaling(n_list, phi_d, l, "fidelity", points, threads, cap)
+    """Run both width scalings on one kick-number list and compare them.
+
+    Bit for bit the two width_scaling calls, but each kick number is
+    measured in both modes before the next, from one set of driven rows;
+    so the first error raised is that of the first kick number that fails.
+    """
+    n_arr = _kick_numbers(n_list, least=2)
+    pos, fid = (fit_widths(n_arr, w)
+                for w in _widths(n_arr, phi_d, l, MODES, points, cap))
     rows = []
     first_exceed = None
     for N, wp, wf in zip(pos.kick_numbers, pos.widths, fid.widths):

@@ -86,6 +86,18 @@ class TestEpsilonScan:
         assert np.array_equal(a.epsilons, b.epsilons)
 
 
+def _probe_and_scan_grid(N, mode):
+    """Every detuning auto_scan evaluates: the probe ladder up to the chosen
+    range and the final grid."""
+    r_final = auto_range(N, 0.485, 1, mode)
+    expected = set(_symmetric_grid(r_final, 65).tolist())
+    r = 0.1 / N**2
+    while r <= r_final:
+        expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
+        r *= 2.0
+    return expected
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("kicks", [5, 12])
     def test_position_rows_equal_per_point_route(self, kicks):
@@ -137,14 +149,8 @@ class TestBatchedSweep:
         ws = width_scaling(n_list, 0.485, 1, mode)
         monkeypatch.undo()
         for N in n_list:
-            r_final = auto_range(N, 0.485, 1, mode)
-            expected = set(_symmetric_grid(r_final, 65).tolist())
-            r = 0.1 / N**2
-            while r <= r_final:  # the probe ladder up to the chosen range
-                expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
-                r *= 2.0
             assert len(evaluated[N]) == len(set(evaluated[N]))
-            assert set(evaluated[N]) == expected
+            assert set(evaluated[N]) == _probe_and_scan_grid(N, mode)
         # and the memo changes no width
         for N, w in zip(n_list, ws.widths):
             scan = scan_epsilon(N, 0.485, 1, mode, auto_range(N, 0.485, 1, mode))
@@ -169,6 +175,114 @@ class TestBatchedSweep:
         ref = scan_epsilon(kicks, 0.485, 1, mode, auto_range(kicks, 0.485, 1, mode))
         assert np.array_equal(scan.epsilons, ref.epsilons)
         assert np.array_equal(scan.values, ref.values)
+
+
+@pytest.fixture
+def counted_rows(monkeypatch):
+    """(kicks, epsilon) of every row the spectral core propagates."""
+    rows = []
+    original = scanner._run
+
+    def counting(kicks, phi_d, frees, *args, **kwargs):
+        rows.extend((kicks, free.epsilon) for free in frees)
+        return original(kicks, phi_d, frees, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "_run", counting)
+    monkeypatch.setattr(propagator, "_run", counting)
+    return rows
+
+
+def _law_bits(ws):
+    return (ws.kick_numbers.tolist(), ws.widths.tobytes(), ws.gamma,
+            ws.intercept, ws.r_squared)
+
+
+class TestSharedRows:
+    def test_compare_modes_propagates_each_pair_once(self, counted_rows):
+        n_list = list(range(5, 19))
+        compare_modes(n_list, 0.485, 1, points=65)
+        rows = list(counted_rows)
+        assert len(rows) == len(set(rows)) == 1510
+        for N in n_list:
+            propagated = {e for kicks, e in rows if kicks == N}
+            assert propagated == (_probe_and_scan_grid(N, "position")
+                                  | _probe_and_scan_grid(N, "fidelity"))
+
+    def test_one_store_per_kick_number_shared_by_both_modes(self, monkeypatch):
+        seen = []
+        original = scanner._sweep_values
+
+        def spying(mode, kicks, phi_d, l, eps, threads=1):
+            seen.append((kicks, mode, scanner._SHARED_ROWS.get()))
+            return original(mode, kicks, phi_d, l, eps, threads)
+
+        monkeypatch.setattr(scanner, "_sweep_values", spying)
+        compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
+        stores = {}
+        for kicks, mode, store in seen:
+            assert store is not None and store.sweep == (kicks, 0.485, 1)
+            stores.setdefault(kicks, set()).add(id(store))
+        assert all(len(ids) == 1 for ids in stores.values())
+        assert len(set().union(*stores.values())) == 4
+        assert {mode for _, mode, _ in seen} == set(scanner.MODES)
+        assert scanner._SHARED_ROWS.get() is None
+
+    def test_compare_modes_is_two_width_scalings(self):
+        n_list = list(range(5, 13))
+        cmp = compare_modes(n_list, 0.485, 1)
+        pos = width_scaling(n_list, 0.485, 1, "position")
+        fid = width_scaling(n_list, 0.485, 1, "fidelity")
+        assert _law_bits(cmp.position) == _law_bits(pos)
+        assert _law_bits(cmp.fidelity) == _law_bits(fid)
+        table = tuple((N, wp, wf, wp / wf) for N, wp, wf in
+                      zip(n_list, pos.widths.tolist(), fid.widths.tolist()))
+        assert cmp.table == table
+        first = next((N for N, wp, wf, _ in table if wp >= wf), None)
+        assert cmp.crossover_first_exceed == first
+        assert cmp.crossover_fit == math.exp(
+            (fid.intercept - pos.intercept) / (pos.gamma - fid.gamma))
+
+    def test_no_store_outlives_the_call(self, counted_rows):
+        n_list = [8, 7, 6, 5]
+        before = _law_bits(width_scaling(n_list, 0.485, 1, "position"))
+        compare_modes(n_list, 0.485, 1, points=33)
+        assert scanner._SHARED_ROWS.get() is None
+        assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
+        # N = 8, 7 and 6 are bracketed within 0.025 in both modes, N = 5 is not
+        counted_rows.clear()
+        with pytest.raises(RangeCapError, match="kicks=5, mode=position"):
+            compare_modes(n_list, 0.485, 1, cap=0.025)
+        assert {kicks for kicks, _ in counted_rows} == {8, 7, 6, 5}
+        assert scanner._SHARED_ROWS.get() is None
+        assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
+
+    @pytest.mark.parametrize("kicks", [5, 12])
+    @pytest.mark.parametrize("first", scanner.MODES)
+    def test_observation_ignores_which_mode_propagated(self, kicks, first,
+                                                        counted_rows):
+        eps = _symmetric_grid(0.4 / kicks**2, 33)
+        second = next(mode for mode in scanner.MODES if mode != first)
+        values = {}
+        token = scanner._SHARED_ROWS.set(scanner._RowStore(kicks, 0.485, 1))
+        try:
+            # the first mode propagates every other row, the second reads
+            # those and propagates the rest, and the first then reads those
+            head = _sweep_values(first, kicks, 0.485, 1, eps[::2])
+            values[second] = _sweep_values(second, kicks, 0.485, 1, eps)
+            tail = _sweep_values(first, kicks, 0.485, 1, eps[1::2])
+        finally:
+            scanner._SHARED_ROWS.reset(token)
+        values[first] = np.empty(len(eps))
+        values[first][::2], values[first][1::2] = head, tail
+        assert sorted(counted_rows) == sorted((kicks, e) for e in eps.tolist())
+        sigma, fidelity = [], []
+        for e in eps:
+            state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e))
+            grid = SpatialGrid(default_n_points(state.half_width))
+            sigma.append(sigma_x(position_density(to_position(state, grid))))
+            fidelity.append(fidelity_protocol(kicks, 0.485, e))
+        assert np.array_equal(values["position"], np.array(sigma))
+        assert np.array_equal(values["fidelity"], np.array(fidelity))
 
 
 class TestBadBounds:
