@@ -146,9 +146,9 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     bit-identical to a one-row run on the same ladder. A leak in any row
     restarts the whole stack with a doubled ladder when auto_grow is set.
 
-    Every ladder, first or grown, is kicked on _propagation_points(M)
-    points, which always hold the Nyquist margin; no caller picks the
-    grid. Bad arguments raise ValueError before the first kick.
+    Every ladder, first or grown, is kicked on _propagation_points(M,
+    phi_d) points, on which the kick is exact; no caller picks the grid.
+    Bad arguments raise ValueError before the first kick.
     """
     _as_finite("phi_d", phi_d, positive=True)
     kicks = _as_int("kicks", kicks, 0)
@@ -157,7 +157,7 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     else:
         M = _as_int("half_width", half_width, 1)
     while True:
-        kick = _kick_phases(_propagation_points(M), phi_d)
+        kick = _kick_phases(_propagation_points(M, phi_d), phi_d)
         m = np.arange(-M, M + 1)
         factors = np.array([free.factors(m) for free in frees])
         amps = np.zeros(factors.shape, dtype=complex)
@@ -178,9 +178,10 @@ def _echo_fidelities(kicks: int, phi_d: float):
 
     Returns a function from a (P, 2M+1) stack of driven rows to their P
     fidelities. The target K(N phi_d) delta_0 is built on first read of
-    each ladder M and kept for every later read by the same function.
+    each ladder M, on the grid that kicks by N phi_d exactly, and kept
+    for every later read by the same function.
     """
-    kicks = _as_int("kicks", kicks, 1)
+    pulse = _as_int("kicks", kicks, 1) * phi_d
     targets: dict[int, np.ndarray] = {}
 
     def fidelities(amps: np.ndarray) -> list[float]:
@@ -188,8 +189,8 @@ def _echo_fidelities(kicks: int, phi_d: float):
         if M not in targets:
             target = np.zeros(2 * M + 1, dtype=complex)
             target[M] = 1.0
-            targets[M] = _kick(target, _kick_phases(_propagation_points(M),
-                                                    kicks * phi_d))
+            targets[M] = _kick(target, _kick_phases(
+                _propagation_points(M, pulse), pulse))
         # one vdot per row: a stacked matmul would break row bit-identity
         return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
 
@@ -316,7 +317,7 @@ def fidelity_protocol(
     F = |<delta_0 | psi>|^2. At epsilon = 0 the free flights are identities
     and the reversed pulse cancels the accumulated kick exactly, so F = 1.
     The kick is unitary, K(-a) = K(a)^dagger, so the pulse is evaluated as
-    the overlap <K(N phi_d) delta_0 | psi_N> on the driven ladder and grid.
+    the overlap <K(N phi_d) delta_0 | psi_N> on the driven ladder.
 
     epsilon is not restricted here: the propagation is exact at any
     detuning, and resonance profiles need the far tails.

@@ -8,8 +8,13 @@ The two pictures are linked by the discrete Fourier pair
     Psi(X_j) = (2*pi)**-0.5 * sum_m psi(m) exp(i m X_j)
     psi(m)   = (2*pi)**-0.5 * (2*pi/n) * sum_j Psi(X_j) exp(-i m X_j)
 
-which is exact (not approximate) as long as the grid oversamples the
-ladder, n >= 2*(2M+1). FFTs are used internally; the contract is the sum.
+which is exact (not approximate) on any grid that holds the ladder,
+n >= 2M+1. Two grids are used. The observation grid samples the density
+|Psi|**2, whose band is 4M+1, so it keeps the Nyquist margin
+n >= 2*(2M+1) (default_n_points, _check_grid). The propagation grid only
+carries the kick exp(-i phi cos X) back to the ladder, which is exact once
+n - 2M exceeds the kick's own Bessel reach (_propagation_points). FFTs
+are used internally; the contract is the sum.
 
 The package's argument rules live here, one owner each: _as_int
 (integers, optionally with a least value), _as_finite (finite, or finite
@@ -39,8 +44,14 @@ class GridTooSmallError(ValueError):
 
 
 def _as_int(name: str, value, least: int | None = None) -> int:
-    """value as an int; refuses 2.5, NaN, +-inf and, if given, values below least."""
-    if not float(value).is_integer():
+    """value as an int; refuses 2.5, NaN, +-inf, integers past the float
+    range (10**400: float() would raise OverflowError) and, if given,
+    values below least."""
+    try:
+        integral = float(value).is_integer()
+    except OverflowError:
+        raise ValueError(f"{name} must lie within the float range") from None
+    if not integral:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and int(value) < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
@@ -98,30 +109,46 @@ def default_half_width(kicks: int, phi_d: float) -> int:
     x = kicks * phi_d
     if not 0 <= x < math.inf:
         raise ValueError(f"kicks * phi_d must be finite and >= 0, got {x!r}")
-    return int(math.ceil(x)) + max(32, math.ceil(11.2 * (x / 2) ** (1 / 3)))
+    return _bessel_reach(x, 11.2)
+
+
+def _bessel_reach(x: float, widths: float) -> int:
+    """ceil(x) plus `widths` Airy widths (x/2)**(1/3), and at least 32:
+    the order past which |J_m(x)| stays below a bound set by widths."""
+    return int(math.ceil(x)) + max(32, math.ceil(widths * (x / 2) ** (1 / 3)))
 
 
 def default_n_points(half_width: int) -> int:
     """Smallest power of two at or above 4*(M+1): the observation grid.
 
-    sigma_x and the position files sample the density on this grid. It
-    stays a power of two because sigma_x depends on n through its dx**2/12
-    term and its argmax rotation, so another length would move every
-    width and every position file. The spectral core propagates on the
-    shorter _propagation_points length instead.
+    sigma_x and the position files sample the density on this grid, so
+    it holds the density's Nyquist margin. It stays a power of two
+    because sigma_x depends on n through its dx**2/12 term and its argmax
+    rotation, so another length would move every width and every
+    position file. The spectral core kicks on the shorter
+    _propagation_points length instead.
     """
     return 1 << max(3, int(math.ceil(math.log2(4 * (half_width + 1)))))
 
 
-def _propagation_points(half_width: int) -> int:
-    """Smallest 5-smooth length 2**a 3**b 5**c at or above 4*(M+1).
+def _propagation_points(half_width: int, phi: float) -> int:
+    """Smallest 5-smooth length 2**a 3**b 5**c that kicks by phi exactly.
 
-    The spectral core's FFT length: such lengths transform about as fast
-    per point as a power of two, and the nearest one is at most 1.1x
-    4*(M+1) for every M up to 4096 (4236 -> 4320), where the next power
-    of two can be almost 2x (4236 -> 8192).
+    The spectral core's FFT length. On n points the kick's coefficients
+    (-i)**d J_d(phi) alias onto d + k*n, and between two sites of the
+    ladder d spans [-2M, 2M], so the nearest alias is J_{n-2M}(phi). The
+    target is the ladder plus the reach of one kick, 2M+1 +
+    ceil(|phi|) + max(32, ceil(13.2 (|phi|/2)**(1/3))): two Airy widths
+    more than default_half_width's 11.2 keep the nearest alias below
+    7e-16 for every |phi| up to 5000 (11.2 lets it reach 4.6e-13). Up to
+    |phi| = 28.5 the reach is ceil(|phi|) + 32, the one-kick ladder
+    default_half_width(1, |phi|). That is about half the density's
+    Nyquist length 4*(M+1): 1152 against 2250 at M = 555, phi = 0.485.
+    5-smooth lengths transform about as fast per point as a power of two,
+    and the nearest one is at most 1.11x the target for every target up
+    to 8192, where the next power of two can be almost 2x.
     """
-    target = 4 * (half_width + 1)
+    target = 2 * half_width + 1 + _bessel_reach(abs(phi), 13.2)
     best = 1 << (target - 1).bit_length()
     odd5 = 1
     while odd5 < best:
@@ -279,7 +306,7 @@ def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
 def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
     """Ladder amplitudes to the n grid samples Psi(X_j).
 
-    No Nyquist check: the callers hold n >= 2(2M+1). Works along the last
+    No grid check: the callers hold n >= 2M+1. Works along the last
     axis, so a (P, 2M+1) stack gives (P, n) samples; each row comes out
     bit-identical to its own 1-d transform.
     """
@@ -298,7 +325,7 @@ def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
 def _analyze(values: np.ndarray, half_width: int) -> np.ndarray:
     """Grid samples back to the ladder amplitudes m in [-M, M].
 
-    No Nyquist check; works along the last axis, like _synthesize.
+    No grid check; works along the last axis, like _synthesize.
     """
     n = values.shape[-1]
     # values is never written: it may be a frozen PositionWavefunction array

@@ -206,6 +206,15 @@ class TestScanCommand:
         assert "kicks must be >= 1, got 0" in capsys.readouterr().err
         assert not list((tmp_path / "x").glob("scan.*"))
 
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys):
+        code = main([
+            "scan", "--kicks", "5", "--mode", "fidelity", "--l", str(10**400),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "l must lie within the float range" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("scan.*"))
+
     def test_bad_points_exits_2(self, tmp_path):
         code = main([
             "scan", "--kicks", "5", "--mode", "fidelity", "--points", "34",

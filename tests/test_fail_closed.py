@@ -231,11 +231,24 @@ def test_auto_scan_at_the_range_cap_stays_inside_it(kicks, mode, cap):
     assert np.all(np.isfinite(scan.values))
 
 
+#: an integer that float() cannot convert (it raises OverflowError)
+PAST_FLOAT_RANGE = 10**400
+
+
 def integer_rule(name, least):
     """Bad values of an integer argument and the one message each gets."""
     cases = [(v, f"{name} must be an integer, got {v!r}")
              for v in (2.5, math.nan, math.inf, -math.inf)]
+    cases += [(v, f"{name} must lie within the float range")
+              for v in (PAST_FLOAT_RANGE, -PAST_FLOAT_RANGE)]
     return cases + [(least - 1, f"{name} must be >= {least}, got {least - 1!r}")]
+
+
+def case_id(value):
+    """repr(value), with the 401-digit integer written as a power."""
+    if isinstance(value, int) and abs(value) == PAST_FLOAT_RANGE:
+        return f"{'-' if value < 0 else ''}10**400"
+    return repr(value)
 
 
 def positive_rule(name):
@@ -311,7 +324,7 @@ SHARED_RULES = [
 ]
 
 SHARED_CASES = [
-    pytest.param(call, arg, value, message, id=f"{entry}-{arg}={value!r}")
+    pytest.param(call, arg, value, message, id=f"{entry}-{arg}={case_id(value)}")
     for entry, call, rules in SHARED_RULES
     for arg, cases in rules.items()
     for value, message in cases
@@ -326,3 +339,4 @@ def test_each_rule_has_one_message(call, arg, value, message):
     over zero kicks is flat, so sweeps refuse it before the first kick.
     """
     assert str(assert_refused(lambda: call(**{arg: value}))) == message
+

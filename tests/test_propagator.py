@@ -116,6 +116,29 @@ class TestKick:
             _kick(amps, _kick_phases(default_n_points(8), 0.485))
 
 
+class TestKickGrid:
+    """The core's FFT length kicks exactly: no alias of the kick's Bessel
+    coefficients reaches the ladder, so a longer grid changes nothing."""
+
+    @pytest.mark.parametrize("phi", [0.1, 0.485, 2.3, 10.0, 50.0])
+    @pytest.mark.parametrize("M", [1, 8, 40, 300])
+    def test_equals_the_kick_on_an_eight_times_longer_grid(self, M, phi):
+        rng = np.random.default_rng(M)
+        filled = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
+        delta = np.zeros(2 * M + 1, dtype=complex)
+        delta[M] = 1.0
+        rows = np.array([filled / np.linalg.norm(filled), delta])
+        n = _propagation_points(M, phi)
+        # a filled ladder sits on its edges; only the grid is under test
+        with mock.patch.object(propagator, "EDGE_LEAK_BOUND", math.inf):
+            short = _kick(rows, _kick_phases(n, phi))
+            long = _kick(rows, _kick_phases(8 * n, phi))
+            # the check has teeth: the bare ladder length aliases
+            bare = _kick(rows, _kick_phases(2 * M + 1, phi))
+        assert np.max(np.abs(short - long)) <= 1e-14
+        assert np.max(np.abs(bare - long)) > 1e-6
+
+
 class TestFreeFlight:
     def test_revival_at_zero_detuning_is_identity(self):
         spec = FreePhaseSpec.revival_relative(1, 0.0)
@@ -225,7 +248,7 @@ class TestEvolve:
         ladders = [cfg.half_width << k for k in range(len(phases.call_args_list))]
         assert ladders[-1] == state.half_width
         grids = [call.args[0] for call in phases.call_args_list]
-        assert grids == [_propagation_points(M) for M in ladders]
+        assert grids == [_propagation_points(M, cfg.phi_d) for M in ladders]
         if grow:
             assert state.half_width > cfg.half_width
 
@@ -369,13 +392,17 @@ class TestFidelityProtocol:
 
     def test_echo_runs_on_the_driven_ladder(self):
         # the reversed pulse is read as an overlap, so the ladder is sized
-        # for N*phi_d (M = 555, n = 2250), not for the doubled reach
-        # (M = 1058, n = 4320)
+        # for N*phi_d (M = 555), not for the doubled reach (M = 1058); the
+        # driven kick runs on 1152 points and the one pulse of N*phi_d =
+        # 485 on 1728, each the length that kicks by its own phi exactly
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
             f = fidelity_protocol(1000, 0.485, 0.0)
         assert abs(f - 1.0) <= 1e-12
         assert default_half_width(1000, 0.485) == 555
-        assert {call.args[0] for call in phases.call_args_list} == {2250}
+        grids = {call.args for call in phases.call_args_list}
+        assert grids == {(1152, 0.485), (1728, 1000 * 0.485)}
+        assert grids == {(_propagation_points(555, phi), phi)
+                         for phi in (0.485, 1000 * 0.485)}
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -451,7 +478,8 @@ class TestBatchedCore:
         assert M == 32
         # each grown stack runs on its own ladder's 5-smooth length
         grids = [call.args[0] for call in phases.call_args_list]
-        assert grids == [_propagation_points(m) for m in (8, 16, 32)] == [36, 72, 135]
+        assert grids == [_propagation_points(m, 0.485) for m in (8, 16, 32)]
+        assert grids == [50, 72, 100]
         for free, row in zip(self.FREES, amps):
             one = _run(20, 0.485, [free], half_width=M, auto_grow=False)[0]
             assert np.max(np.abs(row - one)) < 1e-12
@@ -463,8 +491,20 @@ class TestBatchedCore:
         # kick, on a ladder sized for its doubled reach, gives the same F
         M = default_half_width(2 * kicks, 0.485)
         amps = _run(kicks, 0.485, self.FREES, half_width=M, auto_grow=False)
-        reversed_kick = _kick_phases(_propagation_points(M), -kicks * 0.485)
+        reversed_kick = _kick_phases(_propagation_points(M, kicks * 0.485),
+                                     -kicks * 0.485)
         echoed = _kick(amps, reversed_kick)
         for free, row in zip(self.FREES, echoed):
             f = fidelity_protocol(kicks, 0.485, free.epsilon)
             assert abs(abs(complex(row[M])) ** 2 - f) <= 1e-13
+
+
+class TestParity:
+    """Every state is even, psi_m = psi_{-m}: the delta_0 start, the even
+    kick and the m**2 free phase each keep it."""
+
+    @pytest.mark.parametrize("kicks", [12, 300, 2000])
+    def test_propagated_state_is_even(self, kicks):
+        for eps in (0.0, 0.3 / kicks**2, -1.0 / kicks**2):
+            amps = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, eps)).amps
+            assert np.max(np.abs(amps - amps[::-1])) <= 1e-12

@@ -256,6 +256,17 @@ class TestSharedRows:
         assert scanner._SHARED_ROWS.get() is None
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
 
+    def test_every_stored_row_is_even(self):
+        # psi_m = psi_{-m}: the delta_0 start, the even kick and the m**2
+        # free phase keep every row even, near resonance and far from it
+        store = scanner._RowStore(12, 0.485, 1)
+        eps = sorted({*_symmetric_grid(0.4 / 12**2, 33).tolist(),
+                      *_symmetric_grid(4.0 / 12**2, 33).tolist()})
+        store.fill(eps)
+        assert sorted(store.rows) == eps
+        for row in store.rows.values():
+            assert np.max(np.abs(row - row[::-1])) <= 1e-12
+
     @pytest.mark.parametrize("kicks", [5, 12])
     @pytest.mark.parametrize("first", scanner.MODES)
     def test_observation_ignores_which_mode_propagated(self, kicks, first,

@@ -2,6 +2,8 @@
 
 A module-level import that no name in its module uses is dead weight and
 usually the residue of code folded elsewhere; this test fails on one.
+The spectral core's FFT length is chosen by one rule in one place: every
+kick factor is built on a _propagation_points length.
 """
 import ast
 from pathlib import Path
@@ -50,3 +52,42 @@ def test_unused_import_is_caught():
     tree = ast.parse("import math\nimport numpy as np\nfrom . import a, b\n"
                      "__all__ = ['b']\nx = np.zeros(3)\n")
     assert unused_imports(tree) == ["math (line 1)", "a (line 3)"]
+
+
+def kick_calls(tree: ast.Module) -> list[ast.Call]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_kick_phases"]
+
+
+def stray_kick_grids(tree: ast.Module) -> list[str]:
+    """_kick_phases calls whose first argument, the length, is not a
+    _propagation_points call."""
+    stray = []
+    for call in kick_calls(tree):
+        length = call.args[0] if call.args else None
+        if not (isinstance(length, ast.Call)
+                and isinstance(length.func, ast.Name)
+                and length.func.id == "_propagation_points"):
+            stray.append(f"{ast.unparse(call)} (line {call.lineno})")
+    return stray
+
+
+def test_every_kick_runs_on_a_propagation_length():
+    calls = 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        assert stray_kick_grids(tree) == [], path.name
+        calls += len(kick_calls(tree))
+    # the driven kick of _run and the echo pulse of _echo_fidelities
+    assert calls == 2
+
+
+def test_stray_kick_grid_is_caught():
+    tree = ast.parse("_kick_phases(_propagation_points(M, p), p)\n"
+                     "_kick_phases(4 * (M + 1), p)\n"
+                     "_kick_phases(n=_propagation_points(M, p), phi=p)\n")
+    assert stray_kick_grids(tree) == [
+        "_kick_phases(4 * (M + 1), p) (line 2)",
+        "_kick_phases(n=_propagation_points(M, p), phi=p) (line 3)",
+    ]

@@ -74,11 +74,26 @@ class TestSizing:
             default_half_width(1, bad)
 
     def test_propagation_points_smallest_5_smooth(self):
-        for M in range(1, 4097):
-            n = _propagation_points(M)
-            assert n == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH, 4 * (M + 1))]
-            assert 4 * (M + 1) <= n <= default_n_points(M)
-            _check_grid(n, M)
+        # the ladder plus the reach of one kick, whatever its sign: the
+        # one-kick ladder default_half_width(1, |phi|) up to |phi| = 28.5,
+        # two Airy widths (|phi|/2)**(1/3) more than its margin beyond
+        for phi in (0.485, -2.3, 28.0, 50.0, 970.0):
+            a = abs(phi)
+            reach = math.ceil(a) + max(32, math.ceil(13.2 * (a / 2) ** (1 / 3)))
+            assert (reach == default_half_width(1, a)) == (a <= 28.5)
+            for M in range(1, 4097):
+                target = 2 * M + 1 + reach
+                n = _propagation_points(M, phi)
+                assert n == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH, target)]
+                assert target <= n <= 1.11 * target
+                assert n == _propagation_points(M, -phi)
+
+    def test_propagation_points_of_the_benchmark_orbits(self):
+        # N = 300, 1000, 2000 at phi_d = 0.485 kick on about half the
+        # density's Nyquist length 4(M+1) (800, 2250, 4320)
+        ladders = [default_half_width(N, 0.485) for N in (300, 1000, 2000)]
+        assert ladders == [193, 555, 1058]
+        assert [_propagation_points(M, 0.485) for M in ladders] == [432, 1152, 2160]
 
     def test_n_points_power_of_two_and_fits(self):
         for M in (1, 5, 37, 64, 100):
