@@ -15,6 +15,13 @@ at once, and a single state is the one-row case) and a dense-matrix route
 whose kick matrix is built from Bessel coefficients. They share no
 transform code and cross-validate each other to 1e-9. The echo's reversed
 pulse is not a pass of its own but an overlap (see fidelity_protocol).
+
+The spectral core keeps its stack on one (P, n) buffer in FFT order
+(wavepacket._fft_slots) from the first period to the last. A period,
+_kick, is an in-place ifft, the kick multiply, an in-place fft, the edge
+check and one multiply by the free-flight factors, which are zero off the
+ladder and so also truncate; the transform pair's scales cancel, so none
+is applied. The stack returns to ladder order once, at the end.
 """
 from __future__ import annotations
 
@@ -30,11 +37,10 @@ from .wavepacket import (
     TWO_PI,
     MomentumWavefunction,
     SimConfig,
-    _analyze,
     _as_finite,
     _as_int,
+    _fft_slots,
     _propagation_points,
-    _synthesize,
     default_half_width,
 )
 
@@ -120,20 +126,47 @@ def _kick_phases(n: int, phi: float) -> np.ndarray:
     return np.exp(-1j * phi * np.cos(X))
 
 
-def _kick(amps: np.ndarray, kick: np.ndarray, period: int | None = None) -> np.ndarray:
-    """One kick, applied on the grid between the exact transform pair.
+def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
+          half_width: int, period: int | None = None) -> None:
+    """One Floquet period, in place on a (P, n) stack held in FFT order.
 
-    amps is one ladder state or a (P, 2M+1) stack of them. Raises
-    LeakageError, with the worst occupancy, when the outermost ladder sites
+    buf holds ladder rows of half width M placed by _fft_slots on the
+    n-point grid of kick, zero off the ladder. The rows go to the grid and
+    back through the exact transform pair ifft, fft, with the kick
+    multiplied in between; the pair's 1/n and n cancel, so no scale is
+    applied. factors, the free-flight factors in FFT order with exact
+    zeros off the ladder, then truncates every row back to [-M, M] and
+    applies the free flight in one multiply. Before that multiply, raises
+    LeakageError, with the worst occupancy, when the edge sites m = +-M
     of any row hold more than EDGE_LEAK_BOUND, or a NaN.
     """
-    M = (amps.shape[-1] - 1) // 2
-    values = _synthesize(amps, len(kick))
-    amps = _analyze(np.multiply(values, kick, out=values), M)
-    occ = np.abs(amps[..., 0]) ** 2 + np.abs(amps[..., -1]) ** 2
+    np.fft.ifft(buf, out=buf)
+    buf *= kick
+    np.fft.fft(buf, out=buf)
+    occ = np.abs(buf[:, half_width]) ** 2 + np.abs(buf[:, -half_width]) ** 2
     if not (occ <= EDGE_LEAK_BOUND).all():
         raise LeakageError(float(np.max(occ)), period)
-    return amps
+    buf *= factors
+
+
+def _periods(kicks: int, kick: np.ndarray, frees: list[FreePhaseSpec],
+             half_width: int) -> np.ndarray:
+    """delta_{m,0} through kicks periods on the grid of kick, once per
+    FreePhaseSpec in frees: a (P, 2M+1) stack in ladder order.
+
+    The stack stays on one (P, n) buffer in FFT order for every period
+    and is read back to ladder order once, at the end.
+    """
+    M = half_width
+    slots = _fft_slots(M, len(kick))
+    m = np.arange(-M, M + 1)
+    factors = np.zeros((len(frees), len(kick)), dtype=complex)
+    factors[:, slots] = [free.factors(m) for free in frees]
+    buf = np.zeros_like(factors)
+    buf[:, 0] = 1.0  # m = 0 sits at index 0
+    for period in range(1, kicks + 1):
+        _kick(buf, kick, factors, M, period)
+    return buf[:, slots]
 
 
 def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
@@ -143,8 +176,10 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
 
     All rows share one ladder, sized from kicks alone, and one kick
     factor; row p gets the free-flight factors of frees[p] and comes out
-    bit-identical to a one-row run on the same ladder. A leak in any row
-    restarts the whole stack with a doubled ladder when auto_grow is set.
+    bit-identical to a one-row run on the same ladder. Each period is one
+    _kick on the stack, kept in FFT order between periods. A leak in any
+    row restarts the whole stack with a doubled ladder when auto_grow is
+    set.
 
     Every ladder, first or grown, is kicked on _propagation_points(M,
     phi_d) points, on which the kick is exact; no caller picks the grid.
@@ -158,15 +193,8 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
         M = _as_int("half_width", half_width, 1)
     while True:
         kick = _kick_phases(_propagation_points(M, phi_d), phi_d)
-        m = np.arange(-M, M + 1)
-        factors = np.array([free.factors(m) for free in frees])
-        amps = np.zeros(factors.shape, dtype=complex)
-        amps[:, M] = 1.0
         try:
-            for period in range(1, kicks + 1):
-                amps = _kick(amps, kick, period)
-                amps *= factors
-            return amps
+            return _periods(kicks, kick, frees, M)
         except LeakageError:
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
@@ -179,18 +207,19 @@ def _echo_fidelities(kicks: int, phi_d: float):
     Returns a function from a (P, 2M+1) stack of driven rows to their P
     fidelities. The target K(N phi_d) delta_0 is built on first read of
     each ladder M, on the grid that kicks by N phi_d exactly, and kept
-    for every later read by the same function.
+    for every later read by the same function. It is one period of the
+    core with the free flight at zero detuning, whose factors are exactly
+    1: the pulse and the truncation, no free flight.
     """
     pulse = _as_int("kicks", kicks, 1) * phi_d
+    identity = [FreePhaseSpec.revival_relative(1, 0.0)]
     targets: dict[int, np.ndarray] = {}
 
     def fidelities(amps: np.ndarray) -> list[float]:
         M = (amps.shape[1] - 1) // 2
         if M not in targets:
-            target = np.zeros(2 * M + 1, dtype=complex)
-            target[M] = 1.0
-            targets[M] = _kick(target, _kick_phases(
-                _propagation_points(M, pulse), pulse))
+            targets[M] = _periods(1, _kick_phases(
+                _propagation_points(M, pulse), pulse), identity, M)[0]
         # one vdot per row: a stacked matmul would break row bit-identity
         return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
 

@@ -14,7 +14,8 @@ n >= 2M+1. Two grids are used. The observation grid samples the density
 n >= 2*(2M+1) (default_n_points, _check_grid). The propagation grid only
 carries the kick exp(-i phi cos X) back to the ladder, which is exact once
 n - 2M exceeds the kick's own Bessel reach (_propagation_points). FFTs
-are used internally; the contract is the sum.
+are used internally; the contract is the sum. Both grids hold the ladder
+in FFT order, m >= 0 at index m and m < 0 at n + m (_fft_slots).
 
 The package's argument rules live here, one owner each: _as_int
 (integers, optionally with a least value), _as_finite (finite, or finite
@@ -303,6 +304,17 @@ def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
     return MomentumWavefunction(M, amps)
 
 
+def _fft_slots(half_width: int, n: int) -> np.ndarray:
+    """Where the ladder m = -M..M sits in an n-point array in FFT order.
+
+    m >= 0 sits at index m and m < 0 at index n + m, so the entries come
+    out in ladder order: array[..., _fft_slots(M, n)] reads the ladder
+    back, and assigning to it places one. The one owner of that layout,
+    for the observation grid and the spectral core alike.
+    """
+    return np.arange(-half_width, half_width + 1) % n
+
+
 def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
     """Ladder amplitudes to the n grid samples Psi(X_j).
 
@@ -311,13 +323,11 @@ def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
     bit-identical to its own 1-d transform.
     """
     M = (amps.shape[-1] - 1) // 2
-    spectrum = np.zeros(amps.shape[:-1] + (n,), dtype=complex)
-    # m >= 0 sits at index m, m < 0 at index n + m
-    spectrum[..., :M + 1] = amps[..., M:]
-    spectrum[..., n - M:] = amps[..., :M]
-    # the same operations as n * ifft(spectrum) / ROOT_TWO_PI, scaled in
-    # place instead of with a fresh grid-sized temporary for each step
-    values = np.fft.ifft(spectrum)
+    values = np.zeros(amps.shape[:-1] + (n,), dtype=complex)
+    values[..., _fft_slots(M, n)] = amps
+    # n * ifft(values) / ROOT_TWO_PI, transformed and scaled in place so
+    # that no step allocates a grid-sized temporary
+    np.fft.ifft(values, out=values)
     np.multiply(n, values, out=values)
     return np.divide(values, ROOT_TWO_PI, out=values)
 
@@ -328,12 +338,12 @@ def _analyze(values: np.ndarray, half_width: int) -> np.ndarray:
     No grid check; works along the last axis, like _synthesize.
     """
     n = values.shape[-1]
-    # values is never written: it may be a frozen PositionWavefunction array
-    spectrum = np.fft.fft(values)
-    np.multiply(spectrum, ROOT_TWO_PI, out=spectrum)
-    np.divide(spectrum, n, out=spectrum)
-    M = half_width
-    return np.concatenate([spectrum[..., n - M:], spectrum[..., :M + 1]], axis=-1)
+    # values is never written: it may be a frozen PositionWavefunction
+    # array. The ladder is read out first and scaled in place, the same
+    # operations per entry as scaling the whole spectrum.
+    amps = np.fft.fft(values)[..., _fft_slots(half_width, n)]
+    np.multiply(amps, ROOT_TWO_PI, out=amps)
+    return np.divide(amps, n, out=amps)
 
 
 def to_position(

@@ -34,6 +34,25 @@ def cosine_density(n: int = 512) -> Density:
     return Density("position", X, (1.0 + np.cos(X)) / TWO_PI)
 
 
+@st.composite
+def nearly_even_densities(draw) -> Density:
+    """A position density with p(X_j) = p(X_{n-j}) whose maximum is tied
+    exactly between mirror bins, or between several mirror pairs; a lone
+    mirror pair may have its tie broken by a few ulps of noise."""
+    n = draw(st.integers(8, 96))
+    half = n // 2 + 1
+    w = 0.05 + np.array(draw(st.lists(st.floats(0.0, 1.0),
+                                      min_size=half, max_size=half)))
+    tied = draw(st.lists(st.integers(0, half - 1), min_size=1, max_size=3))
+    w[tied] = 1.5
+    j = np.arange(n)
+    vals = w[np.minimum(j, n - j)]
+    if len(set(tied)) == 1:
+        ulps = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        vals = vals * (1.0 + np.array(ulps) * 2.0**-52)
+    return Density("position", TWO_PI * j / n, vals / (vals.sum() * TWO_PI / n))
+
+
 class TestDensity:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
@@ -107,6 +126,31 @@ class TestSigmaX:
     def test_needs_position_kind(self):
         with pytest.raises(ValueError):
             sigma_x(momentum_density(init_momentum_eigenstate(3)))
+
+    @given(nearly_even_densities())
+    def test_reflection_invariance(self, d):
+        # X -> -X maps bin j to bin (n - j) % n; the package's densities are
+        # even up to rounding, so a rounding-level asymmetry between mirror
+        # samples must not move the rotation, and with it sigma
+        n = len(d.values)
+        reflected = Density("position", d.support, d.values[-np.arange(n) % n])
+        assert sigma_x(reflected) == pytest.approx(sigma_x(d), rel=1e-12)
+
+    def test_mirror_tie_is_not_broken_by_rounding(self):
+        # two peaks at X and -X on a floor: raising either peak by one ulp
+        # used to pick the rotation, and the two rotations differ by 1 %
+        n = 64
+        half = np.arange(n // 2 + 1)
+        w = 0.2 + np.exp(4.0 * np.cos(TWO_PI * (half - 10) / n))
+        even = w[np.minimum(np.arange(n), n - np.arange(n))]
+        sigmas = []
+        for peak in (None, 10, n - 10):
+            vals = even.copy()
+            if peak is not None:
+                vals[peak] *= 1.0 + 2.0**-52
+            vals /= vals.sum() * TWO_PI / n
+            sigmas.append(sigma_x(Density("position", TWO_PI * np.arange(n) / n, vals)))
+        assert sigmas == pytest.approx([sigmas[0]] * 3, rel=1e-12)
 
 
 class TestMeanEnergy:

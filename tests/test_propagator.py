@@ -26,7 +26,7 @@ from kickedrotor import (
 from kickedrotor import propagator
 from kickedrotor.analytics import MINUS_I_POW, bessel_j_ladder, bessel_j_row
 from kickedrotor.propagator import _kick, _kick_phases, _run, _unitarity_error
-from kickedrotor.wavepacket import _propagation_points
+from kickedrotor.wavepacket import _fft_slots, _propagation_points
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -45,10 +45,25 @@ def random_state(seed: int, M: int = 8, margin: int = 10) -> MomentumWavefunctio
     return MomentumWavefunction(M, vec / np.linalg.norm(vec))
 
 
+def kicked(amps: np.ndarray, kick: np.ndarray) -> np.ndarray:
+    # the spectral core's in-place period on one ladder state or a (P, 2M+1)
+    # stack, with no free flight: placed in FFT order on the grid of kick,
+    # kicked and truncated by factors that are 1 on the ladder, read back
+    rows = np.atleast_2d(amps)
+    M = (rows.shape[1] - 1) // 2
+    slots = _fft_slots(M, len(kick))
+    buf = np.zeros((len(rows), len(kick)), dtype=complex)
+    buf[:, slots] = rows
+    ladder = np.zeros(len(kick))
+    ladder[slots] = 1.0
+    _kick(buf, kick, ladder, M)
+    return buf[:, slots].reshape(amps.shape)
+
+
 def kick(wf: MomentumWavefunction, phi: float, n: int | None = None):
     # the spectral core's kick step applied to an arbitrary state
     n = default_n_points(wf.half_width) if n is None else n
-    return MomentumWavefunction(wf.half_width, _kick(wf.amps, _kick_phases(n, phi)))
+    return MomentumWavefunction(wf.half_width, kicked(wf.amps, _kick_phases(n, phi)))
 
 
 class TestKick:
@@ -97,23 +112,28 @@ class TestKick:
     def test_stack_is_kicked_row_by_row(self):
         rows = np.array([random_state(s, M=40).amps for s in range(6, 10)])
         kick = _kick_phases(default_n_points(40), 0.485)
-        stacked = _kick(rows, kick)
+        stacked = kicked(rows, kick)
         assert stacked.shape == rows.shape
         for row, out in zip(rows, stacked):
-            assert np.array_equal(out, _kick(row, kick))
+            assert np.array_equal(out, kicked(row, kick))
 
     def test_leakage_checked_on_every_row(self):
         rows = np.array([random_state(s, M=8, margin=4).amps for s in range(3)])
         rows[2] = 0.0
         rows[2, -1] = 1.0  # only the last row sits on the edge
         with pytest.raises(LeakageError) as err:
-            _kick(rows, _kick_phases(default_n_points(8), 0.485))
+            kicked(rows, _kick_phases(default_n_points(8), 0.485))
         assert err.value.occupancy > 0.5
 
     def test_leakage_guard_fails_closed_on_nan(self):
         amps = np.full(2 * 8 + 1, np.nan, dtype=complex)
         with pytest.raises(LeakageError):
-            _kick(amps, _kick_phases(default_n_points(8), 0.485))
+            kicked(amps, _kick_phases(default_n_points(8), 0.485))
+        # a NaN away from the edges reaches them through the transforms
+        amps = init_momentum_eigenstate(8).amps.copy()
+        amps[8] = np.nan
+        with pytest.raises(LeakageError):
+            kicked(amps, _kick_phases(default_n_points(8), 0.485))
 
 
 class TestKickGrid:
@@ -131,10 +151,10 @@ class TestKickGrid:
         n = _propagation_points(M, phi)
         # a filled ladder sits on its edges; only the grid is under test
         with mock.patch.object(propagator, "EDGE_LEAK_BOUND", math.inf):
-            short = _kick(rows, _kick_phases(n, phi))
-            long = _kick(rows, _kick_phases(8 * n, phi))
+            short = kicked(rows, _kick_phases(n, phi))
+            long = kicked(rows, _kick_phases(8 * n, phi))
             # the check has teeth: the bare ladder length aliases
-            bare = _kick(rows, _kick_phases(2 * M + 1, phi))
+            bare = kicked(rows, _kick_phases(2 * M + 1, phi))
         assert np.max(np.abs(short - long)) <= 1e-14
         assert np.max(np.abs(bare - long)) > 1e-6
 
@@ -468,6 +488,21 @@ class TestBatchedCore:
         for free, row in zip(self.FREES, amps):
             assert np.array_equal(row, _run(9, 0.485, [free], half_width=M)[0])
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    @pytest.mark.parametrize("kicks", [0, 1, 7])
+    def test_every_period_is_one_kick_call(self, kicks, rows):
+        # tests/test_fail_closed.py counts _kick calls to show a refusal
+        # came before the first period, so every period must run through it
+        with mock.patch.object(propagator, "_kick", wraps=_kick) as step:
+            amps = _run(kicks, 0.485, self.FREES[:rows])
+        assert amps.shape[0] == rows
+        assert [call.args[4] for call in step.call_args_list] == list(range(1, kicks + 1))
+
+    def test_echo_pulse_is_one_more_kick_call(self):
+        with mock.patch.object(propagator, "_kick", wraps=_kick) as step:
+            fidelity_protocol(5, 0.485, 1e-3)
+        assert step.call_count == 5 + 1
+
     def test_leaking_stack_grows_as_a_whole(self):
         with pytest.raises(LeakageError):
             _run(20, 0.485, self.FREES, half_width=8, auto_grow=False)
@@ -493,7 +528,7 @@ class TestBatchedCore:
         amps = _run(kicks, 0.485, self.FREES, half_width=M, auto_grow=False)
         reversed_kick = _kick_phases(_propagation_points(M, kicks * 0.485),
                                      -kicks * 0.485)
-        echoed = _kick(amps, reversed_kick)
+        echoed = kicked(amps, reversed_kick)
         for free, row in zip(self.FREES, echoed):
             f = fidelity_protocol(kicks, 0.485, free.epsilon)
             assert abs(abs(complex(row[M])) ** 2 - f) <= 1e-13

@@ -3,7 +3,11 @@
 A module-level import that no name in its module uses is dead weight and
 usually the residue of code folded elsewhere; this test fails on one.
 The spectral core's FFT length is chosen by one rule in one place: every
-kick factor is built on a _propagation_points length.
+kick factor is built on a _propagation_points length. The transforms have
+owners too: numpy's fft and ifft are called only in the core's period
+(propagator._kick), the observation grid's pair (wavepacket._synthesize
+and _analyze) and the first-order field (analytics.correction_term), which
+stays apart from the propagation code it is checked against.
 """
 import ast
 from pathlib import Path
@@ -91,3 +95,43 @@ def test_stray_kick_grid_is_caught():
         "_kick_phases(4 * (M + 1), p) (line 2)",
         "_kick_phases(n=_propagation_points(M, p), phi=p) (line 3)",
     ]
+
+
+def transform_owners(tree: ast.Module) -> list[str]:
+    """The innermost function around each fft or ifft call, whatever it is
+    called through (np.fft.fft, numpy.fft.ifft, fft.fft); "<module>" for a
+    call outside any function."""
+    owners = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("fft", "ifft")):
+            owners.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return owners
+
+
+def test_transforms_run_only_in_their_owners():
+    owners = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owners += [f"{path.stem}.{name}" for name in transform_owners(tree)]
+    # the first-order field's one fft, the core's ifft and fft, and the
+    # observation grid's pair
+    assert sorted(owners) == ["analytics.correction_term",
+                              "propagator._kick", "propagator._kick",
+                              "wavepacket._analyze", "wavepacket._synthesize"]
+
+
+def test_stray_transform_is_caught():
+    tree = ast.parse("np.fft.fft(a)\n"
+                     "def f(a):\n"
+                     "    def g():\n"
+                     "        return numpy.fft.ifft(a)\n"
+                     "    return fft.fft(a) + np.fft.rfft(a)\n")
+    assert transform_owners(tree) == ["<module>", "g", "f"]
