@@ -10,32 +10,35 @@ the narrower one.
 A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
 detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
 one FFT pair for the whole block instead of one per point, and each row is
-bit-identical to its own single-point propagation. Rows go into a row
-store keyed by detuning and are observed in batches: a block of position
+bit-identical to its own single-point propagation. A block of position
 rows is synthesized as one stack on the observation grid and each row then
 goes through the same density and sigma_x checks as a lone state; an echo
 row is one vdot against a target built once per ladder. Results are
-bitwise identical from run to run. auto_scan (behind width_scaling and qkr
-scan --eps-max auto) remembers each detuning it has evaluated for a kick
-number: the auto_range probe grids and the final scan grid are all
-multiples of r/2^k, so every repeated detuning is the identical float and
-is computed once. width_scaling and compare_modes keep one row store per
-kick number, which compare_modes shares between its two modes, so a
-detuning both modes need is propagated once; the store is dropped when the
-kick number is done. Any other sweep drops each block's rows once they are
-observed, so its memory stays bounded by the block whatever the point
-count. The threads arguments are accepted and ignored (timings
-in the README). Detunings beyond the config validity window are legitimate
-here: the propagation is exact unitary evolution at any detuning (the 1e-2
-window bounds only the first-order analytics), and at small kick numbers
-the profile tails extend past it.
+bitwise identical from run to run.
+
+One object, _Sweep, holds a sweep's driven rows and each mode's values,
+keyed by detuning, so a detuning is propagated once per sweep and
+observed once per mode. A row is dropped once every mode of the sweep has
+read it: a one-mode sweep never holds more than one block of rows,
+whatever its point count, and a two-mode sweep holds only the rows a mode
+has yet to read. auto_range, auto_scan and _widths keep one sweep open
+while they run; every other call sweeps on its own. auto_scan is
+scan_epsilon over the auto_range range in one open sweep: the probe grids
+and the final grid are all multiples of r/2^k, so every repeated detuning
+is the identical float and is computed once. _widths keeps one sweep per
+kick number, read by every mode it measures. The threads arguments are
+accepted and ignored (timings in the README). Detunings beyond the config
+validity window are legitimate here: the propagation is exact unitary
+evolution at any detuning (the 1e-2 window bounds only the first-order
+analytics), and at small kick numbers the profile tails extend past it.
 """
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,36 +88,44 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
     return grid
 
 
-class _RowStore:
-    """Driven rows of one sweep (kicks, phi_d, l), keyed by detuning.
+class _Sweep:
+    """One sweep (kicks, phi_d, l): its driven rows and each mode's values,
+    keyed by detuning.
 
-    Each row keeps the ladder its core call ran on, so a row of a stack
-    that auto-grew is observed on the grown ladder, as it is on its own.
-    The echo reader is kept here too, so its target is built once per
-    ladder.
+    A mode's missing values are computed SWEEP_BLOCK detunings at a time:
+    the block's rows that no mode has propagated yet are one core call,
+    and a row is dropped once every mode of the sweep has read it. Each
+    row keeps the ladder its core call ran on, so a row of a stack that
+    auto-grew is observed on the grown ladder, as it is on its own; the
+    echo target is built once per ladder.
     """
 
-    def __init__(self, kicks: int, phi_d: float, l: int):
-        self.sweep = (kicks, phi_d, l)
+    def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
+        self.key = (kicks, phi_d, l)
         self.rows: dict[float, np.ndarray] = {}
+        self.values: dict[str, dict[float, float]] = {m: {} for m in modes}
         self.echo = _echo_fidelities(kicks, phi_d)
 
-    def fill(self, epsilons: list[float]) -> None:
-        """Propagate, as one stack, the detunings not stored yet."""
-        missing = [e for e in dict.fromkeys(epsilons) if e not in self.rows]
-        if missing:
-            kicks, phi_d, l = self.sweep
-            frees = [FreePhaseSpec.revival_relative(l, e) for e in missing]
-            self.rows.update(zip(missing, _run(kicks, phi_d, frees)))
-
-    def observe(self, mode: str, epsilons: list[float]) -> list[float]:
-        """The observable of each stored row, one stack per ladder."""
-        values: list[float] = []
-        for _, same in itertools.groupby((self.rows[e] for e in epsilons), len):
-            amps = np.array(list(same))
-            values.extend(self.echo(amps) if mode == "fidelity"
-                          else _spreads(amps))
-        return values
+    def read(self, mode: str, epsilons: list[float]) -> list[float]:
+        memo = self.values[mode]
+        missing = [e for e in dict.fromkeys(epsilons) if e not in memo]
+        for start in range(0, len(missing), SWEEP_BLOCK):
+            block = missing[start:start + SWEEP_BLOCK]
+            new = [e for e in block if e not in self.rows]
+            if new:
+                kicks, phi_d, l = self.key
+                frees = [FreePhaseSpec.revival_relative(l, e) for e in new]
+                self.rows.update(zip(new, _run(kicks, phi_d, frees)))
+            values: list[float] = []
+            for _, same in itertools.groupby((self.rows[e] for e in block), len):
+                amps = np.array(list(same))
+                values.extend(self.echo(amps) if mode == "fidelity"
+                              else _spreads(amps))
+            memo.update(zip(block, values))
+            for e in block:
+                if all(e in read for read in self.values.values()):
+                    del self.rows[e]
+        return [memo[e] for e in epsilons]
 
 
 def _spreads(amps: np.ndarray) -> list[float]:
@@ -124,10 +135,24 @@ def _spreads(amps: np.ndarray) -> list[float]:
             for values in _synthesize(amps, grid.n_points)]
 
 
-#: the row store of the kick number _widths is measuring, read by every
-#: mode it measures; unset outside _widths
-_SHARED_ROWS: contextvars.ContextVar[_RowStore | None] = contextvars.ContextVar(
-    "_SHARED_ROWS", default=None)
+#: the sweep auto_range, auto_scan and _widths keep open; unset outside them
+_OPEN_SWEEP: contextvars.ContextVar[_Sweep | None] = contextvars.ContextVar(
+    "_OPEN_SWEEP", default=None)
+
+
+@contextlib.contextmanager
+def _open(kicks: int, phi_d: float, l: int, modes: tuple):
+    """Keep a sweep open for the block: the open one when it is of the same
+    (kicks, phi_d, l) and serves every mode in modes, else a new one."""
+    sweep = _OPEN_SWEEP.get()
+    if (sweep is None or sweep.key != (kicks, phi_d, l)
+            or not set(modes) <= sweep.values.keys()):
+        sweep = _Sweep(kicks, phi_d, l, modes)
+    token = _OPEN_SWEEP.set(sweep)
+    try:
+        yield sweep
+    finally:
+        _OPEN_SWEEP.reset(token)
 
 
 def _sweep_values(
@@ -138,40 +163,10 @@ def _sweep_values(
     epsilons: np.ndarray,
     threads: int = 1,
 ) -> np.ndarray:
-    """The observable at each detuning, one core call per SWEEP_BLOCK rows.
-
-    Rows are read from the shared store of this sweep when _widths set one.
-    Otherwise each block gets a store of its own, dropped once observed.
-    """
-    shared = _SHARED_ROWS.get()
-    if shared is not None and shared.sweep != (kicks, phi_d, l):
-        shared = None
-    eps = epsilons.tolist()
-    values: list[float] = []
-    for start in range(0, len(eps), SWEEP_BLOCK):
-        block = eps[start:start + SWEEP_BLOCK]
-        store = shared if shared is not None else _RowStore(kicks, phi_d, l)
-        store.fill(block)
-        values.extend(store.observe(mode, block))
-    return np.array(values)
-
-
-def _remembering(mode: str, kicks: int, phi_d: float, l: int):
-    """Sweep evaluator that computes each detuning once, on first request.
-
-    Keys are the grid floats themselves; the probe and scan grids repeat
-    detunings bit for bit (see _symmetric_grid), never approximately.
-    """
-    memo: dict[float, float] = {}
-
-    def values(epsilons: np.ndarray) -> np.ndarray:
-        missing = [e for e in epsilons.tolist() if e not in memo]
-        if missing:
-            new = _sweep_values(mode, kicks, phi_d, l, np.array(missing))
-            memo.update(zip(missing, new.tolist()))
-        return np.array([memo[e] for e in epsilons.tolist()])
-
-    return values
+    """The observable at each detuning, read from the open sweep, or from a
+    sweep of this call alone when none of (kicks, phi_d, l) is open."""
+    with _open(kicks, phi_d, l, (mode,)) as sweep:
+        return np.array(sweep.read(mode, epsilons.tolist()))
 
 
 def _check_points(points: int) -> int:
@@ -194,27 +189,21 @@ class EpsilonScan:
     mode: str
     epsilons: np.ndarray
     values: np.ndarray
+    _profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
-        eps = np.asarray(self.epsilons, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if eps.shape != vals.shape or eps.ndim != 1:
-            raise ValueError("epsilons and values must be 1-d and same length")
-        _check_points(len(eps))
-        if not np.all(np.diff(eps) > 0):
-            raise ValueError("epsilons must be strictly increasing")
-        if eps[len(eps) // 2] != 0.0:
+        # Profile checks the shape and order and keeps frozen copies
+        profile = Profile(self.epsilons, self.values)
+        _check_points(len(profile.abscissa))
+        if profile.abscissa[len(profile.abscissa) // 2] != 0.0:
             raise ValueError("scan grid must contain epsilon = 0")
-        eps = eps.copy()
-        vals = vals.copy()
-        eps.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "epsilons", eps)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "epsilons", profile.abscissa)
+        object.__setattr__(self, "values", profile.ordinate)
+        object.__setattr__(self, "_profile", profile)
 
     def profile(self) -> Profile:
-        return Profile(self.epsilons, self.values)
+        return self._profile
 
 
 def scan_epsilon(
@@ -274,24 +263,22 @@ def auto_range(
     those the earlier steps did not evaluate are propagated. Raises
     RangeCapError when the cap is reached first.
     """
-    return _probe_ladder(kicks, mode, cap, _remembering(mode, kicks, phi_d, l))
-
-
-def _probe_ladder(kicks: int, mode: str, cap: float, values) -> float:
     kicks = _as_int("kicks", kicks, 1)
     _check_mode(mode)
     # a NaN cap would never stop the doubling ladder
     _as_finite("cap", cap, positive=True)
     r = min(0.1 / (kicks * kicks), cap)
-    while True:
-        if _adequate(mode, values(_symmetric_grid(r, PROBE_POINTS))):
-            return r
-        if r >= cap:
-            raise RangeCapError(
-                f"profile not bracketed within |epsilon| <= {cap} "
-                f"(kicks={kicks}, mode={mode})"
-            )
-        r = min(2.0 * r, cap)
+    with _open(kicks, phi_d, l, (mode,)):
+        while True:
+            grid = _symmetric_grid(r, PROBE_POINTS)
+            if _adequate(mode, _sweep_values(mode, kicks, phi_d, l, grid, threads)):
+                return r
+            if r >= cap:
+                raise RangeCapError(
+                    f"profile not bracketed within |epsilon| <= {cap} "
+                    f"(kicks={kicks}, mode={mode})"
+                )
+            r = min(2.0 * r, cap)
 
 
 def auto_scan(
@@ -302,16 +289,16 @@ def auto_scan(
     points: int = 65,
     cap: float = RANGE_CAP,
 ) -> EpsilonScan:
-    """Sweep over the auto_range range, reusing the probes' detunings.
+    """The scan_epsilon sweep over [-r, r] for the range r that auto_range
+    returns, reusing the probes' detunings.
 
-    The probe ladder and the final grid share one memo, so each distinct
-    detuning is propagated once; the result is the scan_epsilon sweep over
-    [-r, r] for the range r that auto_range returns.
+    The probe ladder and the final grid read one open sweep, so each
+    distinct detuning is propagated once.
     """
     points = _check_points(points)
-    values = _remembering(mode, kicks, phi_d, l)
-    eps = _symmetric_grid(_probe_ladder(kicks, mode, cap, values), points)
-    return EpsilonScan(kicks, mode, eps, values(eps))
+    with _open(kicks, phi_d, l, (mode,)):
+        r = auto_range(kicks, phi_d, l, mode, cap)
+        return scan_epsilon(kicks, phi_d, l, mode, r, points)
 
 
 def scan_width(scan: EpsilonScan) -> float:
@@ -361,8 +348,9 @@ def _kick_numbers(n_values, least: int = 1) -> np.ndarray:
     # _as_int refuses 4.5, which a dtype=int cast would truncate to 4; the
     # range keeps log N finite and the cast from overflowing
     ns = [_as_int("kick number", n) for n in n_values]
-    if len(ns) < 4:
-        raise ValueError("need at least 4 kick numbers")
+    # repeated kick numbers leave the log-log design rank-deficient
+    if len(set(ns)) < 4:
+        raise ValueError("need at least 4 distinct kick numbers")
     if not all(least <= n < 2**63 for n in ns):
         raise ValueError(f"kick numbers must lie in [{least}, 2**63), got {ns}")
     return np.array(ns, dtype=int)
@@ -373,7 +361,7 @@ def fit_widths(n_values, widths) -> WidthScaling:
 
     Raises FitRefusalError for a non-finite width or r^2 below 0.9, and
     ValueError for a kick number that is not an integer in [1, 2**63), a
-    non-positive width or fewer than 4 kick numbers.
+    non-positive width or fewer than 4 distinct kick numbers.
     """
     n_arr = _kick_numbers(n_values)
     w_arr = np.asarray(widths, dtype=float)
@@ -401,8 +389,8 @@ def width_scaling(
 ) -> WidthScaling:
     """Measure profile widths over the given kick numbers and fit the law.
 
-    Per kick number, one auto_scan: the probes and the final scan share
-    one memo, so each distinct detuning is propagated once.
+    Per kick number, one auto_scan: the probes and the final scan read
+    one sweep, so each distinct detuning is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
     return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points, cap)[0])
@@ -412,19 +400,16 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
             points: int, cap: float) -> list[list[float]]:
     """Per mode, the auto_scan width at each kick number.
 
-    The modes of one kick number read one row store, so a detuning that
-    several modes need is propagated once; the store is dropped when that
+    The modes of one kick number read one sweep, so a detuning that
+    several modes need is propagated once; the sweep is closed when that
     kick number is done, and on any error.
     """
     widths: list[list[float]] = [[] for _ in modes]
     for N in n_arr.tolist():
-        token = _SHARED_ROWS.set(_RowStore(N, phi_d, l))
-        try:
+        with _open(N, phi_d, l, modes):
             # auto_scan validates mode, points and cap before it propagates
             for mode, column in zip(modes, widths):
                 column.append(scan_width(auto_scan(N, phi_d, l, mode, points, cap)))
-        finally:
-            _SHARED_ROWS.reset(token)
     return widths
 
 

@@ -159,19 +159,29 @@ class TestScanCommand:
         assert man["config"]["epsilon_max"] == pytest.approx(0.032, rel=1e-12)
 
     def test_auto_range_probes_are_reused(self, tmp_path, monkeypatch):
-        rows = []
-        original = scanner._sweep_values
+        rows, reads = [], []
+        run, echo = scanner._run, scanner._echo_fidelities
 
-        def counting(mode, kicks, phi_d, l, eps, threads=1):
-            rows.append(len(eps))
-            return original(mode, kicks, phi_d, l, eps, threads)
+        def counting_run(kicks, phi_d, frees, *args, **kwargs):
+            rows.extend(free.epsilon for free in frees)
+            return run(kicks, phi_d, frees, *args, **kwargs)
 
-        monkeypatch.setattr(scanner, "_sweep_values", counting)
+        def counting_echo(kicks, phi_d):
+            fidelities = echo(kicks, phi_d)
+
+            def counting(amps):
+                reads.append(len(amps))
+                return fidelities(amps)
+
+            return counting
+
+        monkeypatch.setattr(scanner, "_run", counting_run)
+        monkeypatch.setattr(scanner, "_echo_fidelities", counting_echo)
         code = main(["scan", "--kicks", "40", "--mode", "fidelity",
                      "--out", str(tmp_path / "a")])
         assert code == 0
-        # every detuning of the 65-point grid, each propagated once
-        assert sum(rows) == 65
+        # every detuning of the 65-point grid, each propagated and read once
+        assert len(rows) == len(set(rows)) == sum(reads) == 65
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_crossing_exits_3(self, tmp_path, fmt):
@@ -325,6 +335,20 @@ class TestScalingCommand:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (out / "scaling.csv").exists()
+
+    @pytest.mark.parametrize("ns", [[4, 4, 4, 4], [4, 4, 8, 16]])
+    def test_repeated_kick_numbers_exit_2(self, tmp_path, capsys, ns):
+        # a rank-deficient design has a least-squares slope, but no law
+        fixture = tmp_path / "widths.csv"
+        fixture.write_text("N,width\n" + "".join(f"{n},{0.5 / n}\n" for n in ns))
+        out = tmp_path / "x"
+        code = main([
+            "scaling", "--mode", "position", "--fixture", str(fixture),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "need at least 4 distinct kick numbers" in capsys.readouterr().err
         assert not (out / "scaling.csv").exists()
 
     def test_missing_fixture_exits_2(self, tmp_path):

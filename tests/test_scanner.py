@@ -68,6 +68,29 @@ class TestEpsilonScan:
         with pytest.raises(ValueError):
             scan_epsilon(5, 0.485, 1, "fidelity", -0.01)
 
+    def test_shape_and_order_are_the_profile_rules(self):
+        good = _symmetric_grid(0.01, 33)
+        with pytest.raises(ValueError, match="profile needs >= 5 paired samples"):
+            EpsilonScan(5, "position", good, np.ones(35))
+        with pytest.raises(ValueError, match="profile needs >= 5 paired samples"):
+            EpsilonScan(5, "position", good[None, :], np.ones((1, 33)))
+        swapped = good.copy()
+        swapped[[3, 4]] = swapped[[4, 3]]
+        with pytest.raises(ValueError, match="abscissa must be strictly increasing"):
+            EpsilonScan(5, "position", swapped, np.ones(33))
+
+    def test_profile_is_built_once_from_frozen_copies(self):
+        eps, vals = _symmetric_grid(0.01, 33), np.linspace(0.0, 1.0, 33)
+        scan = EpsilonScan(5, "fidelity", eps, vals)
+        eps[0] = vals[0] = 7.0
+        assert scan.profile() is scan.profile()
+        assert scan.profile().abscissa is scan.epsilons
+        assert scan.profile().ordinate is scan.values
+        assert scan.epsilons[0] == -0.01 and scan.values[0] == 0.0
+        for arr in (scan.epsilons, scan.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
     def test_center_of_position_scan_is_uniform_spread(self):
         scan = scan_epsilon(5, 0.485, 1, "position", 5e-3, 33)
         assert scan.values[16] == pytest.approx(UNIFORM_SIGMA_X, abs=1e-6)
@@ -136,41 +159,31 @@ class TestBatchedSweep:
         assert calls[3:] == [len(eps)]
 
     @pytest.mark.parametrize("mode", ["position", "fidelity"])
-    def test_width_scaling_evaluates_each_detuning_once(self, mode, monkeypatch):
-        evaluated = {}
-        original = scanner._sweep_values
-
-        def counting(mode_, kicks, phi_d, l, eps, threads=1):
-            evaluated.setdefault(kicks, []).extend(eps.tolist())
-            return original(mode_, kicks, phi_d, l, eps, threads)
-
-        monkeypatch.setattr(scanner, "_sweep_values", counting)
+    def test_width_scaling_evaluates_each_detuning_once(self, mode, counted_rows,
+                                                        reads):
         n_list = [5, 6, 7, 8]
         ws = width_scaling(n_list, 0.485, 1, mode)
-        monkeypatch.undo()
+        rows, observed = list(counted_rows), list(reads)
+        expected = {N: _probe_and_scan_grid(N, mode) for N in n_list}
         for N in n_list:
-            assert len(evaluated[N]) == len(set(evaluated[N]))
-            assert set(evaluated[N]) == _probe_and_scan_grid(N, mode)
-        # and the memo changes no width
+            propagated = [e for kicks, e in rows if kicks == N]
+            assert len(propagated) == len(set(propagated))
+            assert set(propagated) == expected[N]
+        # each row is observed once, in this mode only
+        assert {m for m, _, _ in observed} == {mode}
+        assert sum(n for _, n, _ in observed) == len(rows)
+        # and the sweep changes no width
         for N, w in zip(n_list, ws.widths):
             scan = scan_epsilon(N, 0.485, 1, mode, auto_range(N, 0.485, 1, mode))
             assert w == scan_width(scan)
 
-
     @pytest.mark.parametrize("mode,kicks", [("position", 7), ("fidelity", 40)])
-    def test_auto_scan_reuses_probes(self, mode, kicks, monkeypatch):
-        evaluated = []
-        original = scanner._sweep_values
-
-        def counting(mode_, kicks_, phi_d, l, eps, threads=1):
-            evaluated.extend(eps.tolist())
-            return original(mode_, kicks_, phi_d, l, eps, threads)
-
-        monkeypatch.setattr(scanner, "_sweep_values", counting)
+    def test_auto_scan_reuses_probes(self, mode, kicks, counted_rows, reads):
         scan = auto_scan(kicks, 0.485, 1, mode)
-        monkeypatch.undo()
-        assert len(evaluated) == len(set(evaluated))
-        assert set(scan.epsilons.tolist()) <= set(evaluated)
+        propagated = [e for _, e in counted_rows]
+        assert len(propagated) == len(set(propagated))
+        assert set(scan.epsilons.tolist()) <= set(propagated)
+        assert sum(n for _, n, _ in reads) == len(propagated)
         # bit-identical to the sweep over the range auto_range returns
         ref = scan_epsilon(kicks, 0.485, 1, mode, auto_range(kicks, 0.485, 1, mode))
         assert np.array_equal(scan.epsilons, ref.epsilons)
@@ -192,40 +205,101 @@ def counted_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def reads(monkeypatch):
+    """(mode, rows observed, rows the open sweep holds) of each observation."""
+    log = []
+    spreads, echo = scanner._spreads, scanner._echo_fidelities
+
+    def held():
+        return len(scanner._OPEN_SWEEP.get().rows)
+
+    def counting_spreads(amps):
+        log.append(("position", len(amps), held()))
+        return spreads(amps)
+
+    def counting_echo(kicks, phi_d):
+        fidelities = echo(kicks, phi_d)
+
+        def counting(amps):
+            log.append(("fidelity", len(amps), held()))
+            return fidelities(amps)
+
+        return counting
+
+    monkeypatch.setattr(scanner, "_spreads", counting_spreads)
+    monkeypatch.setattr(scanner, "_echo_fidelities", counting_echo)
+    return log
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The open sweep at each core call, in call order."""
+    seen = []
+    original = scanner._run
+
+    def spying(kicks, phi_d, frees, *args, **kwargs):
+        seen.append(scanner._OPEN_SWEEP.get())
+        return original(kicks, phi_d, frees, *args, **kwargs)
+
+    monkeypatch.setattr(scanner, "_run", spying)
+    return seen
+
+
 def _law_bits(ws):
     return (ws.kick_numbers.tolist(), ws.widths.tobytes(), ws.gamma,
             ws.intercept, ws.r_squared)
 
 
 class TestSharedRows:
-    def test_compare_modes_propagates_each_pair_once(self, counted_rows):
+    def test_compare_modes_propagates_each_pair_once(self, counted_rows, reads):
         n_list = list(range(5, 19))
         compare_modes(n_list, 0.485, 1, points=65)
         rows = list(counted_rows)
         assert len(rows) == len(set(rows)) == 1510
+        observed = {mode: 0 for mode in scanner.MODES}
+        for mode, n, _ in reads:
+            observed[mode] += n
         for N in n_list:
             propagated = {e for kicks, e in rows if kicks == N}
             assert propagated == (_probe_and_scan_grid(N, "position")
                                   | _probe_and_scan_grid(N, "fidelity"))
+        # each mode observes each of its detunings once
+        for mode in scanner.MODES:
+            assert observed[mode] == sum(len(_probe_and_scan_grid(N, mode))
+                                         for N in n_list)
 
-    def test_one_store_per_kick_number_shared_by_both_modes(self, monkeypatch):
-        seen = []
-        original = scanner._sweep_values
-
-        def spying(mode, kicks, phi_d, l, eps, threads=1):
-            seen.append((kicks, mode, scanner._SHARED_ROWS.get()))
-            return original(mode, kicks, phi_d, l, eps, threads)
-
-        monkeypatch.setattr(scanner, "_sweep_values", spying)
+    def test_one_store_per_kick_number_shared_by_both_modes(self, sweeps):
         compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
-        stores = {}
-        for kicks, mode, store in seen:
-            assert store is not None and store.sweep == (kicks, 0.485, 1)
-            stores.setdefault(kicks, set()).add(id(store))
-        assert all(len(ids) == 1 for ids in stores.values())
-        assert len(set().union(*stores.values())) == 4
-        assert {mode for _, mode, _ in seen} == set(scanner.MODES)
-        assert scanner._SHARED_ROWS.get() is None
+        by_kicks = {}
+        for sweep in sweeps:
+            assert sweep.values.keys() == set(scanner.MODES)
+            by_kicks.setdefault(sweep.key, set()).add(id(sweep))
+        assert sorted(by_kicks) == [(N, 0.485, 1) for N in (5, 6, 7, 8)]
+        assert all(len(ids) == 1 for ids in by_kicks.values())
+
+    def test_rows_both_modes_read_are_dropped(self, sweeps):
+        compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
+        for sweep in {id(s): s for s in sweeps}.values():
+            position, fidelity = (set(sweep.values[m]) for m in scanner.MODES)
+            # the rows left are those one mode never needed
+            assert set(sweep.rows) == position ^ fidelity
+
+    @pytest.mark.parametrize("mode", scanner.MODES)
+    def test_one_mode_scan_holds_one_block(self, mode, reads):
+        points = 2 * scanner.SWEEP_BLOCK + 33
+        scan_epsilon(5, 0.485, 1, mode, 0.4 / 5**2, points)
+        assert [n for _, n, _ in reads] == [scanner.SWEEP_BLOCK,
+                                            scanner.SWEEP_BLOCK, 33]
+        assert max(held for _, _, held in reads) <= scanner.SWEEP_BLOCK
+
+    @pytest.mark.parametrize("mode", scanner.MODES)
+    def test_one_mode_auto_scan_holds_one_block(self, mode, reads, counted_rows):
+        scan = auto_scan(7, 0.485, 1, mode, points=2 * scanner.SWEEP_BLOCK + 33)
+        assert set(scan.epsilons.tolist()) <= {e for _, e in counted_rows}
+        # more rows than a block pass through the sweep, one block at a time
+        assert sum(n for _, n, _ in reads) == len(counted_rows) > scanner.SWEEP_BLOCK
+        assert max(held for _, _, held in reads) <= scanner.SWEEP_BLOCK
 
     def test_compare_modes_is_two_width_scalings(self):
         n_list = list(range(5, 13))
@@ -245,26 +319,44 @@ class TestSharedRows:
     def test_no_store_outlives_the_call(self, counted_rows):
         n_list = [8, 7, 6, 5]
         before = _law_bits(width_scaling(n_list, 0.485, 1, "position"))
+        assert scanner._OPEN_SWEEP.get() is None
         compare_modes(n_list, 0.485, 1, points=33)
-        assert scanner._SHARED_ROWS.get() is None
+        assert scanner._OPEN_SWEEP.get() is None
+        auto_range(5, 0.485, 1, "fidelity")
+        auto_scan(5, 0.485, 1, "fidelity")
+        assert scanner._OPEN_SWEEP.get() is None
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
         # N = 8, 7 and 6 are bracketed within 0.025 in both modes, N = 5 is not
         counted_rows.clear()
         with pytest.raises(RangeCapError, match="kicks=5, mode=position"):
             compare_modes(n_list, 0.485, 1, cap=0.025)
         assert {kicks for kicks, _ in counted_rows} == {8, 7, 6, 5}
-        assert scanner._SHARED_ROWS.get() is None
+        assert scanner._OPEN_SWEEP.get() is None
+        for call in (lambda: width_scaling(n_list, 0.485, 1, "position", cap=0.025),
+                     lambda: auto_range(5, 0.485, 1, "position", cap=0.025),
+                     lambda: auto_scan(5, 0.485, 1, "position", cap=0.025)):
+            with pytest.raises(RangeCapError, match="kicks=5, mode=position"):
+                call()
+            assert scanner._OPEN_SWEEP.get() is None
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
 
-    def test_every_stored_row_is_even(self):
+    def test_every_stored_row_is_even(self, monkeypatch):
         # psi_m = psi_{-m}: the delta_0 start, the even kick and the m**2
         # free phase keep every row even, near resonance and far from it
-        store = scanner._RowStore(12, 0.485, 1)
+        rows = {}
+        original = scanner._run
+
+        def keeping(kicks, phi_d, frees, *args, **kwargs):
+            amps = original(kicks, phi_d, frees, *args, **kwargs)
+            rows.update(zip((free.epsilon for free in frees), amps))
+            return amps
+
+        monkeypatch.setattr(scanner, "_run", keeping)
         eps = sorted({*_symmetric_grid(0.4 / 12**2, 33).tolist(),
                       *_symmetric_grid(4.0 / 12**2, 33).tolist()})
-        store.fill(eps)
-        assert sorted(store.rows) == eps
-        for row in store.rows.values():
+        _sweep_values("position", 12, 0.485, 1, np.array(eps))
+        assert sorted(rows) == eps
+        for row in rows.values():
             assert np.max(np.abs(row - row[::-1])) <= 1e-12
 
     @pytest.mark.parametrize("kicks", [5, 12])
@@ -274,15 +366,12 @@ class TestSharedRows:
         eps = _symmetric_grid(0.4 / kicks**2, 33)
         second = next(mode for mode in scanner.MODES if mode != first)
         values = {}
-        token = scanner._SHARED_ROWS.set(scanner._RowStore(kicks, 0.485, 1))
-        try:
+        with scanner._open(kicks, 0.485, 1, scanner.MODES):
             # the first mode propagates every other row, the second reads
             # those and propagates the rest, and the first then reads those
             head = _sweep_values(first, kicks, 0.485, 1, eps[::2])
             values[second] = _sweep_values(second, kicks, 0.485, 1, eps)
             tail = _sweep_values(first, kicks, 0.485, 1, eps[1::2])
-        finally:
-            scanner._SHARED_ROWS.reset(token)
         values[first] = np.empty(len(eps))
         values[first][::2], values[first][1::2] = head, tail
         assert sorted(counted_rows) == sorted((kicks, e) for e in eps.tolist())
@@ -422,6 +511,19 @@ class TestPowerLawFit:
             width_scaling([1, 2, 3, 4], 0.485, 1, "position")
         with pytest.raises(ValueError):
             width_scaling([5, 6, 7], 0.485, 1, "position")
+
+    @pytest.mark.parametrize("ns", [[4, 4, 4, 4], [4, 4, 8, 16], [6, 6, 7, 8, 8]])
+    def test_repeated_kick_numbers_refused(self, ns, no_propagation):
+        # four equal kick numbers make a rank-1 design: lstsq would return
+        # its minimum-norm slope, gamma = -0.3289 for these widths, at r^2 = 1
+        with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
+            fit_widths(ns, [0.5] * len(ns))
+        with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
+            width_scaling([n + 2 for n in ns], 0.485, 1, "position")
+        with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
+            compare_modes([n + 2 for n in ns], 0.485, 1)
+        assert fit_widths([4, 4, 8, 16, 32], [0.5, 0.5, 0.25, 0.125, 0.0625]).gamma \
+            == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestCompareModes:

@@ -7,7 +7,9 @@ kick factor is built on a _propagation_points length. The transforms have
 owners too: numpy's fft and ifft are called only in the core's period
 (propagator._kick), the observation grid's pair (wavepacket._synthesize
 and _analyze) and the first-order field (analytics.correction_term), which
-stays apart from the propagation code it is checked against.
+stays apart from the propagation code it is checked against. State that
+outlives a call has one owner as well: the only context variable is the
+sweep scanner keeps open (scanner._OPEN_SWEEP).
 """
 import ast
 from pathlib import Path
@@ -135,3 +137,44 @@ def test_stray_transform_is_caught():
                      "        return numpy.fft.ifft(a)\n"
                      "    return fft.fft(a) + np.fft.rfft(a)\n")
     assert transform_owners(tree) == ["<module>", "g", "f"]
+
+
+def context_variables(tree: ast.Module) -> list[str]:
+    """Every ContextVar(...) call, however it is imported: the names it is
+    bound to, or the call itself when it is bound to no plain name."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if names:
+                bound[id(node.value)] = names
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if called == "ContextVar":
+            found += bound.get(id(node), [ast.unparse(node)])
+    return sorted(found)
+
+
+def test_the_open_sweep_is_the_only_context_variable():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in context_variables(tree)]
+    assert found == ["scanner._OPEN_SWEEP"]
+
+
+def test_stray_context_variable_is_caught():
+    tree = ast.parse("a = contextvars.ContextVar('a')\n"
+                     "b: ContextVar[int] = ContextVar('b', default=0)\n"
+                     "def f():\n"
+                     "    c = d = cv.ContextVar('c')\n"
+                     "    registry.append(ContextVar('e'))\n"
+                     "ContextVar('g')\n"
+                     "h = ContextVarFactory('h')\n")
+    assert context_variables(tree) == ["ContextVar('e')", "ContextVar('g')",
+                                       "a", "b", "c", "d"]
