@@ -6,6 +6,14 @@ that piecewise-constant density after rotating its maximum bin to X = pi,
 the lower of two mirror bins that tie. That is why the within-bin
 variance dX^2/12 appears: with it, the uniform density gives exactly
 pi/sqrt(3) at any grid size.
+
+The density value rules (_check_values) and the sigma_x arithmetic
+(_sigma_rows) work along the last axis, like wavepacket._synthesize: a
+(P, n) stack of density samples is checked and observed in one array
+pass, and each row comes out bit-identical to its own 1-d result, so
+sigma_x of one Density is the one-row case. A stack that breaks a rule
+raises what a loop over its rows raises: the first failing row's first
+failing rule.
 """
 from __future__ import annotations
 
@@ -47,15 +55,7 @@ class Density:
         values = np.asarray(self.values, dtype=float)
         if support.shape != values.shape or support.ndim != 1:
             raise ValueError("support and values must be 1-d and same length")
-        total = self._total(support, values, self.kind)
-        # written to fail closed: a NaN or infinity never passes a check, and
-        # only a non-finite total pays for the elementwise scan
-        if not math.isfinite(total) and not np.isfinite(values).all():
-            raise ValueError("density values must be finite")
-        if not float(values.min(initial=0.0)) >= -1e-12:
-            raise ValueError("density values must not be negative")
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"density sums to {total!r}, not 1")
+        _check_values(self.kind, values)
         support = support.copy()
         values = values.copy()
         support.setflags(write=False)
@@ -63,11 +63,38 @@ class Density:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "values", values)
 
-    @staticmethod
-    def _total(support, values, kind) -> float:
-        if kind == "momentum":
-            return float(np.sum(values))
-        return float(np.sum(values)) * TWO_PI / len(values)
+
+def _check_values(kind: str, values: np.ndarray) -> None:
+    """The value rules of a density, along the last axis of (n,) or (P, n)
+    samples: each row is finite, no value is below -1e-12, and the total
+    (the sum of a momentum row, (2*pi/n) times the sum of a position row)
+    is within 1e-10 of 1.
+
+    Raises ValueError for the first row that breaks a rule, naming the
+    first rule it breaks, as a loop of Density over the rows would.
+    """
+    n = values.shape[-1]
+    if n == 0:
+        raise ValueError("density needs at least one value")
+    rows = values.reshape(-1, n)
+    total = np.sum(rows, axis=-1)
+    if kind == "position":
+        total = total * TWO_PI / n
+    # written to fail closed: a NaN or infinity never passes a check, and
+    # only a row with a non-finite total pays for the elementwise scan
+    non_finite = ~np.isfinite(total)
+    if non_finite.any():
+        non_finite[non_finite] = ~np.isfinite(rows[non_finite]).all(axis=-1)
+    negative = ~(rows.min(axis=-1, initial=0.0) >= -1e-12)
+    off_mass = ~(np.abs(total - 1.0) <= 1e-10)
+    failed = non_finite | negative | off_mass
+    if failed.any():
+        k = int(np.argmax(failed))
+        if non_finite[k]:
+            raise ValueError("density values must be finite")
+        if negative[k]:
+            raise ValueError("density values must not be negative")
+        raise ValueError(f"density sums to {float(total[k])!r}, not 1")
 
 
 def position_density(pwf: PositionWavefunction) -> Density:
@@ -93,21 +120,47 @@ def sigma_x(d: Density) -> float:
     """
     if d.kind != "position":
         raise ValueError("sigma_x needs a position density")
-    n = len(d.values)
+    return float(_sigma_rows(d.values[np.newaxis])[0])
+
+
+def _position_sigmas(p: np.ndarray) -> np.ndarray:
+    """sigma_x of each row of a (P, n) stack of position density samples.
+
+    Bit for bit [sigma_x(Density("position", X, row)) for row in p], and
+    the same error as that loop for the first row it would refuse: a row
+    that keeps the total rule has a mass within rounding of 1, so the
+    value rules of every row can run before the mass floor of any.
+    """
+    _check_values("position", p)
+    return _sigma_rows(p)
+
+
+def _sigma_rows(p: np.ndarray) -> np.ndarray:
+    """The sigma_x arithmetic along the last axis of (P, n) samples that
+    keep the density value rules; raises DegenerateDensityError for the
+    first row whose mass is below 1 - 1e-6."""
+    n = p.shape[-1]
     dx = TWO_PI / n
-    mass = float(np.sum(d.values)) * dx
-    if not mass >= 1.0 - 1e-6:
-        raise DegenerateDensityError(f"total mass {mass!r} below 1 - 1e-6")
-    peak = int(np.argmax(d.values))
+    mass = np.sum(p, axis=-1) * dx
+    light = ~(mass >= 1.0 - 1e-6)
+    if light.any():
+        first = float(mass[np.argmax(light)])
+        raise DegenerateDensityError(f"total mass {first!r} below 1 - 1e-6")
+    rows = np.arange(len(p))
+    peak = np.argmax(p, axis=-1)
     # p(-X_j) is the sample at (n - j) % n
     mirror = (n - peak) % n
-    if d.values[peak] - d.values[mirror] <= MIRROR_TIE * d.values[peak]:
-        peak = min(peak, mirror)
-    shifted = np.roll(d.values, n // 2 - peak)
+    top = p[rows, peak]
+    tie = top - p[rows, mirror] <= MIRROR_TIE * top
+    peak = np.where(tie, np.minimum(peak, mirror), peak)
+    # np.roll(row, n // 2 - peak) of each row, as one gather
+    shifted = np.take_along_axis(
+        p, (np.arange(n) + (peak - n // 2)[:, np.newaxis]) % n, axis=-1)
     X = dx * np.arange(n)
-    mu = float(np.sum(X * shifted)) * dx
-    var = float(np.sum((X - mu) ** 2 * shifted)) * dx + dx * dx / 12.0
-    return math.sqrt(var)
+    mu = np.sum(X * shifted, axis=-1) * dx
+    var = (np.sum((X - mu[:, np.newaxis]) ** 2 * shifted, axis=-1) * dx
+           + dx * dx / 12.0)
+    return np.sqrt(var)
 
 
 def mean_energy(wf: MomentumWavefunction, hbar_s: float) -> float:

@@ -11,10 +11,11 @@ A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
 detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
 one FFT pair for the whole block instead of one per point, and each row is
 bit-identical to its own single-point propagation. A block of position
-rows is synthesized as one stack on the observation grid and each row then
-goes through the same density and sigma_x checks as a lone state; an echo
-row is one vdot against a target built once per ladder. Results are
-bitwise identical from run to run.
+rows is synthesized as one stack on the observation grid, and its
+densities |Psi|^2 are checked and observed as one stack
+(observables._position_sigmas), each row bit-identical to sigma_x of its
+own Density; an echo row is one vdot against a target built once per
+ladder. Results are bitwise identical from run to run.
 
 One object, _Sweep, holds a sweep's driven rows and each mode's values,
 keyed by detuning, so a detuning is propagated once per sweep and
@@ -42,16 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .observables import Profile, fwhm, position_density, sigma_x
+from .observables import Profile, _position_sigmas, fwhm
 from .propagator import FreePhaseSpec, _echo_fidelities, _run
-from .wavepacket import (
-    PositionWavefunction,
-    SpatialGrid,
-    _as_finite,
-    _as_int,
-    _synthesize,
-    default_n_points,
-)
+from .wavepacket import _as_finite, _as_int, _synthesize, default_n_points
 
 MODES = ("position", "fidelity")
 
@@ -129,10 +123,14 @@ class _Sweep:
 
 
 def _spreads(amps: np.ndarray) -> list[float]:
-    """sigma_x of each row, synthesized as one stack on the observation grid."""
-    grid = SpatialGrid(default_n_points((amps.shape[1] - 1) // 2))
-    return [sigma_x(position_density(PositionWavefunction(grid, values)))
-            for values in _synthesize(amps, grid.n_points)]
+    """sigma_x of each row of a (P, 2M+1) block.
+
+    The block is synthesized once on the observation grid, and the (P, n)
+    densities |Psi|^2 go through the density value rules and the sigma_x
+    arithmetic as one stack; no state or Density is built per row.
+    """
+    n = default_n_points((amps.shape[1] - 1) // 2)
+    return _position_sigmas(np.abs(_synthesize(amps, n)) ** 2).tolist()
 
 
 #: the sweep auto_range, auto_scan and _widths keep open; unset outside them

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kickedrotor import (
+    DegenerateDensityError,
     Density,
     MomentumWavefunction,
     NoCrossingError,
@@ -20,6 +22,7 @@ from kickedrotor import (
     sigma_x,
     to_position,
 )
+from kickedrotor.observables import MIRROR_TIE, _position_sigmas, _sigma_rows
 
 TWO_PI = 2 * math.pi
 
@@ -151,6 +154,133 @@ class TestSigmaX:
             vals /= vals.sum() * TWO_PI / n
             sigmas.append(sigma_x(Density("position", TWO_PI * np.arange(n) / n, vals)))
         assert sigmas == pytest.approx([sigmas[0]] * 3, rel=1e-12)
+
+
+@st.composite
+def density_stacks(draw) -> np.ndarray:
+    """A (P, n) stack of position densities: each row has its maximum at
+    a drawn bin, or is even with its maximum tied between a drawn mirror
+    pair, exactly or with the upper bin one ulp higher."""
+    n = draw(st.sampled_from([8, 64, 256]))
+    P = draw(st.integers(1, 9))
+    rows = 0.05 + draw(arrays(np.float64, (P, n), elements=st.floats(0.0, 1.0)))
+    j = np.arange(n)
+    for row in rows:
+        peak = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            row[:] = row[np.minimum(j, n - j)]
+            row[[peak, -peak % n]] = 1.5
+            if draw(st.booleans()):
+                row[max(peak, -peak % n)] *= 1.0 + 2.0**-52
+        else:
+            row[peak] = 1.5
+    return rows / (rows.sum(axis=1, keepdims=True) * TWO_PI / n)
+
+
+def row_loop(stack: np.ndarray):
+    """sigma_x of each row through its own Density, or the error raised."""
+    X = TWO_PI * np.arange(stack.shape[1]) / stack.shape[1]
+    try:
+        return [sigma_x(Density("position", X, row)) for row in stack]
+    except (ValueError, DegenerateDensityError) as err:
+        return type(err), str(err)
+
+
+def rolled_sigma(values: np.ndarray) -> float:
+    """Reference sigma_x of one row, written as a loop body: np.roll and
+    four sums."""
+    n = len(values)
+    dx = TWO_PI / n
+    peak = int(np.argmax(values))
+    mirror = (n - peak) % n
+    if values[peak] - values[mirror] <= MIRROR_TIE * values[peak]:
+        peak = min(peak, mirror)
+    shifted = np.roll(values, n // 2 - peak)
+    X = dx * np.arange(n)
+    mu = float(np.sum(X * shifted)) * dx
+    return math.sqrt(float(np.sum((X - mu) ** 2 * shifted)) * dx + dx * dx / 12.0)
+
+
+def one_stack(stack: np.ndarray):
+    try:
+        return _position_sigmas(stack).tolist()
+    except (ValueError, DegenerateDensityError) as err:
+        return type(err), str(err)
+
+
+def poked(row: np.ndarray, value: float) -> np.ndarray:
+    row = row.copy()
+    row[3] = value
+    return row
+
+
+def unchecked_density(values: np.ndarray) -> Density:
+    """A position Density that skips the value rules, to reach sigma_x's
+    own mass floor."""
+    d = object.__new__(Density)
+    n = len(values)
+    object.__setattr__(d, "kind", "position")
+    object.__setattr__(d, "support", TWO_PI * np.arange(n) / n)
+    object.__setattr__(d, "values", values)
+    return d
+
+
+class TestSigmaStack:
+    @given(density_stacks())
+    def test_stack_is_the_row_loop_bit_for_bit(self, stack):
+        expected = [rolled_sigma(row) for row in stack]
+        assert one_stack(stack) == row_loop(stack) == expected
+
+    @given(nearly_even_densities())
+    def test_one_row_is_the_reference(self, d):
+        assert sigma_x(d) == rolled_sigma(d.values)
+
+    # each breaks one value rule; "degenerate" keeps a tenth of the mass
+    BAD_ROWS = {
+        "nan": lambda row: poked(row, math.nan),
+        "inf": lambda row: poked(row, math.inf),
+        "negative": lambda row: poked(row, -1e-6),
+        "off_mass": lambda row: row * (1.0 + 1e-8),
+        "degenerate": lambda row: row * 0.1,
+    }
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_bad_row_raises_what_the_loop_raises(self, bad, k):
+        stack = np.tile(cosine_density(64).values, (5, 1))
+        stack[k] = self.BAD_ROWS[bad](stack[k])
+        expected = row_loop(stack)
+        assert isinstance(expected, tuple)
+        assert one_stack(stack) == expected
+
+    @pytest.mark.parametrize("first,later", [("negative", "nan"),
+                                             ("off_mass", "negative"),
+                                             ("nan", "degenerate"),
+                                             ("degenerate", "inf")])
+    def test_earlier_row_wins(self, first, later):
+        stack = np.tile(cosine_density(64).values, (5, 1))
+        stack[1] = self.BAD_ROWS[first](stack[1])
+        stack[3] = self.BAD_ROWS[later](stack[3])
+        loop = row_loop(stack)
+        assert one_stack(stack) == loop
+        assert loop == row_loop(stack[1:2])
+
+    def test_mass_floor_names_the_first_light_row(self):
+        stack = np.tile(cosine_density(64).values, (4, 1))
+        stack[1] *= 0.5
+        stack[3] *= 0.25
+        with pytest.raises(DegenerateDensityError) as loop:
+            for row in stack:
+                sigma_x(unchecked_density(row))
+        with pytest.raises(DegenerateDensityError) as stacked:
+            _sigma_rows(stack)
+        with pytest.raises(DegenerateDensityError) as alone:
+            sigma_x(unchecked_density(stack[1]))
+        assert str(stacked.value) == str(loop.value) == str(alone.value)
+
+    def test_empty_density_refused(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            Density("position", np.zeros(0), np.zeros(0))
 
 
 class TestMeanEnergy:

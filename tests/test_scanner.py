@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from kickedrotor import (
+    Density,
     EpsilonScan,
     FitRefusalError,
     FreePhaseSpec,
+    PositionWavefunction,
     RangeCapError,
     SpatialGrid,
     UNIFORM_SIGMA_X,
@@ -132,6 +134,23 @@ class TestBatchedSweep:
             grid = SpatialGrid(default_n_points(state.half_width))
             single.append(sigma_x(position_density(to_position(state, grid))))
         assert np.array_equal(batch, np.array(single))
+
+    def test_position_rows_build_no_state_or_density(self, monkeypatch):
+        # a block is observed as one stack of densities, not row by row
+        built = []
+        for cls in (Density, PositionWavefunction):
+            def counting(self, original=cls.__post_init__):
+                built.append(type(self).__name__)
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        _sweep_values("position", 12, 0.485, 1, _symmetric_grid(0.4 / 12**2, 33))
+        assert built == []
+        # the patch does see the per-point route
+        state = propagate(12, 0.485, FreePhaseSpec.revival_relative(1, 0.0))
+        grid = SpatialGrid(default_n_points(state.half_width))
+        position_density(to_position(state, grid))
+        assert built == ["PositionWavefunction", "Density"]
 
     @pytest.mark.parametrize("kicks", [5, 12])
     def test_fidelity_rows_equal_protocol(self, kicks):

@@ -7,7 +7,10 @@ kick factor is built on a _propagation_points length. The transforms have
 owners too: numpy's fft and ifft are called only in the core's period
 (propagator._kick), the observation grid's pair (wavepacket._synthesize
 and _analyze) and the first-order field (analytics.correction_term), which
-stays apart from the propagation code it is checked against. State that
+stays apart from the propagation code it is checked against. The
+sigma_x arithmetic has one owner, observables._sigma_rows, which
+sigma_x and the sweeps' stacked observation share: it alone holds the
+within-bin term dx * dx / 12 and the MIRROR_TIE comparison. State that
 outlives a call has one owner as well: the only context variable is the
 sweep scanner keeps open (scanner._OPEN_SWEEP).
 """
@@ -99,23 +102,32 @@ def test_stray_kick_grid_is_caught():
     ]
 
 
-def transform_owners(tree: ast.Module) -> list[str]:
-    """The innermost function around each fft or ifft call, whatever it is
-    called through (np.fft.fft, numpy.fft.ifft, fft.fft); "<module>" for a
-    call outside any function."""
-    owners = []
+def owners(tree: ast.Module, hit) -> list[str]:
+    """The innermost function around each node for which hit(node) holds;
+    "<module>" for a node outside any function."""
+    found = []
 
     def visit(node: ast.AST, owner: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("fft", "ifft")):
-            owners.append(owner)
+        if hit(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, "<module>")
-    return owners
+    return found
+
+
+def is_transform(node: ast.AST) -> bool:
+    """An fft or ifft call, whatever it is called through (np.fft.fft,
+    numpy.fft.ifft, fft.fft)."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("fft", "ifft"))
+
+
+def transform_owners(tree: ast.Module) -> list[str]:
+    return owners(tree, is_transform)
 
 
 def test_transforms_run_only_in_their_owners():
@@ -137,6 +149,42 @@ def test_stray_transform_is_caught():
                      "        return numpy.fft.ifft(a)\n"
                      "    return fft.fft(a) + np.fft.rfft(a)\n")
     assert transform_owners(tree) == ["<module>", "g", "f"]
+
+
+def is_within_bin_term(node: ast.AST) -> bool:
+    """A division by the literal 12, as in the within-bin variance dx * dx / 12."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.Constant) and node.right.value == 12)
+
+
+def is_mirror_tie_test(node: ast.AST) -> bool:
+    """A comparison that reads MIRROR_TIE, by name or as an attribute."""
+    return isinstance(node, ast.Compare) and any(
+        getattr(sub, "id", None) == "MIRROR_TIE"
+        or getattr(sub, "attr", None) == "MIRROR_TIE"
+        for sub in ast.walk(node))
+
+
+@pytest.mark.parametrize("hit", [is_within_bin_term, is_mirror_tie_test],
+                         ids=lambda hit: hit.__name__)
+def test_sigma_arithmetic_has_one_owner(hit):
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in owners(tree, hit)]
+    assert found == ["observables._sigma_rows"]
+
+
+def test_second_sigma_arithmetic_is_caught():
+    tree = ast.parse("var = s * dx + dx * dx / 12.0\n"
+                     "def f(p, top):\n"
+                     "    if top - p <= MIRROR_TIE * top:\n"
+                     "        return dx**2 / 12\n"
+                     "def g(p, top):\n"
+                     "    tie = observables.MIRROR_TIE * top >= top - p\n"
+                     "    return dx * dx / 6.0, MIRROR_TIE\n")
+    assert owners(tree, is_within_bin_term) == ["<module>", "f"]
+    assert owners(tree, is_mirror_tie_test) == ["f", "g"]
 
 
 def context_variables(tree: ast.Module) -> list[str]:
