@@ -12,9 +12,19 @@ Two independent evolution routes are kept deliberately separate: the
 spectral route (one core, _run, kicking on its own FFT length and
 holding the only auto-grow loop; it propagates a whole stack of detunings
 at once, and a single state is the one-row case) and a dense-matrix route
-whose kick matrix is built from Bessel coefficients. They share no
-transform code and cross-validate each other to 1e-9. The echo's reversed
-pulse is not a pass of its own but an overlap (see fidelity_protocol).
+whose kick is built from Bessel coefficients. They share no transform
+code and cross-validate each other to 1e-9. The echo's reversed pulse is
+not a pass of its own but an overlap (see fidelity_protocol).
+
+The dense route, evolve_dense, propagates only the even half of the
+ladder, a_m for m = 0..M, with the (M+1) x (M+1) matrix E[n, 0] = c_n,
+E[n, m] = c_{(n-m) mod L} + c_{(n+m) mod L} (L = 2M+1) gathered from the
+wrapped kick column c. This is exact because the delta_0 start is even,
+c_{-d} = c_d, and both free-phase modes depend on m^2 only. It holds at
+quasi-momentum beta = 0 only: a row with beta != 0 is not even and would
+need the full ladder (kick_matrix). The spectral route propagates the
+full ladder, odd part included, and its parity test (TestParity in the
+propagator tests) stays the guard on that odd part.
 
 The spectral core keeps its stack on one (P, n) buffer in FFT order
 (wavepacket._fft_slots) from the first period to the last. A period,
@@ -263,49 +273,62 @@ def evolve(
     return propagate(config.kicks, config.phi_d, spec, config.half_width, grow)
 
 
-def _unitarity_error(U: np.ndarray) -> float:
-    """max |U^H U - I| of a circulant U, from the first Gram column U^H U[:, 0]."""
-    gram = U.conj().T @ U[:, 0]
+def _unitarity_error(c: np.ndarray) -> float:
+    """max |U^H U - I| of the circulant U generated by the column c.
+
+    U^H U is circulant too, so its first column, sum_n conj(c_n) c_{n+k}
+    (indices mod L), holds every distinct entry of the Gram matrix: a
+    circular autocorrelation of c, with no L x L matrix built.
+    """
+    gram = np.correlate(np.concatenate([c, c[:-1]]), c, "valid")
     gram[0] -= 1.0
     return float(np.max(np.abs(gram)))
 
 
-def kick_matrix(phi: float, half_width: int) -> np.ndarray:
-    """Dense kick operator on the ladder, entries (-i)^(n-m) J_{n-m}(phi).
+def _kick_column(phi: float, half_width: int) -> np.ndarray:
+    """The generating column c of the wrapped kick on the ladder, c_d =
+    (-i)^d J_d(phi) for d = -M..M stored at d mod L, L = 2M+1.
 
-    Independent of the spectral route: the matrix is assembled from Bessel
-    coefficients. Order differences are wrapped onto [-M, M]; a plain
-    truncation would leave every edge column short of its coefficient tail
-    by (1 - J_0^2)/2 regardless of M, while the wrapped form is the kick
-    phase expanded on the finite ladder and stays unitary. Wrap and
-    truncation agree to better than 1e-12 once half_width >= phi + 32;
-    a warning is emitted when unitarity still degrades past 1e-8.
-
-    With wrapped differences the matrix is circulant, U[n, m] =
-    c[(n - m) mod L], L = 2M+1, so it is gathered from its generating
-    column c. U^H U is circulant too, and the unitarity check reads its
-    first column U^H c, which holds every distinct entry of the Gram
-    matrix.
+    Order differences are wrapped onto [-M, M]; a plain truncation would
+    leave every edge column short of its coefficient tail by (1 - J_0^2)/2
+    regardless of M, while the wrapped form is the kick phase expanded on
+    the finite ladder and stays unitary. Wrap and truncation agree to
+    better than 1e-12 once half_width >= phi + 32; a warning is emitted
+    when unitarity still degrades past 1e-8. c is exactly even, c_{-d} =
+    c_d: J_{-d} = (-1)^d J_d and (-i)^{-d} = (-1)^d (-i)^d, each applied as
+    an exact sign.
     """
     M = _as_int("half_width", half_width, 1)
     L = 2 * M + 1
     J = bessel_j_ladder(abs(phi), M)
-    k = np.arange(L)
     # signed representative of each order difference modulo L
-    diff = (k + M) % L - M
+    diff = (np.arange(L) + M) % L - M
     # J_d(-x) = J_{-d}(x): a negative kick reads the ladder reversed
     c = MINUS_I_POW[np.mod(diff, 4)] * (J[M - diff] if phi < 0 else J[M + diff])
-    U = c[np.subtract.outer(k, k) % L]
-    gram_err = _unitarity_error(U)
+    gram_err = _unitarity_error(c)
     # fails closed: a NaN Gram error warns
     if not gram_err <= 1e-8:
         warnings.warn(
             f"kick matrix unitarity error {gram_err:.2e} at half_width {M}; "
             "truncation too tight",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return U
+    return c
+
+
+def kick_matrix(phi: float, half_width: int) -> np.ndarray:
+    """Dense kick operator on the ladder, entries (-i)^(n-m) J_{n-m}(phi).
+
+    Independent of the spectral route: the matrix is assembled from Bessel
+    coefficients, with order differences wrapped onto [-M, M]
+    (_kick_column, which also checks unitarity and warns past 1e-8). With
+    wrapped differences the matrix is circulant, U[n, m] = c[(n - m) mod
+    L], L = 2M+1, so it is gathered from its generating column c.
+    """
+    c = _kick_column(phi, half_width)
+    k = np.arange(len(c))
+    return c[np.subtract.outer(k, k) % len(c)]
 
 
 def evolve_dense(
@@ -314,11 +337,24 @@ def evolve_dense(
     """Brute-force twin of evolve using matrix-vector products.
 
     Same contract as evolve; exists purely as an independent check of the
-    spectral route. Capped at half_width 512 because the dense cost grows
-    quadratically: the kick matrix is gathered from its generating column
-    and checked from one Gram column, and each period is one matrix-vector
-    product. Free-flight factors that overflow raise ValueError before the
-    kick matrix is built (FreePhaseSpec.factors).
+    spectral route, and shares no transform code with it. It propagates
+    the even half of the ladder, a_m for m = 0..M, and mirrors it back at
+    the end. That is exact here: the start delta_{m,0} is even, the kick
+    column is even (c_{-d} = c_d, see _kick_column) and both free-phase
+    modes depend on m^2 only, so every period maps an even state to an
+    even one. On even states the circulant kick U[n, m] = c_{(n-m) mod L}
+    acts on the half as the (M+1) x (M+1) matrix
+
+        E[n, 0] = c_n,    E[n, m] = c_{(n-m) mod L} + c_{(n+m) mod L},
+
+    gathered straight from c, and one period is a = f * (E @ a), with f the
+    free-flight factors for m >= 0. A state that is not even, such as a
+    quasi-momentum row with beta != 0, would need the full ladder.
+
+    Capped at half_width 512 because the dense cost grows quadratically.
+    Free-flight factors that overflow raise ValueError before the kick
+    column is built (FreePhaseSpec.factors); a kick column whose unitarity
+    error passes 1e-8 warns.
     """
     M = config.half_width
     if M > DENSE_HALF_WIDTH_CAP:
@@ -326,14 +362,17 @@ def evolve_dense(
             f"dense route capped at half_width {DENSE_HALF_WIDTH_CAP}, got {M}"
         )
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
-    factors = spec.factors(np.arange(-M, M + 1))
-    U = kick_matrix(config.phi_d, M)
-    amps = np.zeros(2 * M + 1, dtype=complex)
-    amps[M] = 1.0
+    m = np.arange(M + 1)
+    factors = spec.factors(m)
+    c = _kick_column(config.phi_d, M)
+    L = len(c)
+    E = c[np.subtract.outer(m, m) % L]
+    E[:, 1:] += c[np.add.outer(m, m[1:]) % L]
+    half = np.zeros(M + 1, dtype=complex)
+    half[0] = 1.0
     for _ in range(config.kicks):
-        amps = U @ amps
-        amps = factors * amps
-    return MomentumWavefunction(M, amps)
+        half = factors * (E @ half)
+    return MomentumWavefunction(M, np.concatenate([half[:0:-1], half]))
 
 
 def fidelity_protocol(

@@ -89,10 +89,12 @@ def test_propagate_refuses_before_any_kick(a):
 
 @given(st.integers(0, 40), OVERFLOWING, st.integers(33, 64))
 def test_evolve_dense_refuses_overflowing_phases(kicks, epsilon, half_width):
-    # the dense twin refuses before it builds its matrix, so before any product
+    # the dense twin refuses before it builds its kick column, so before its
+    # matrix and any product
     config = SimConfig(kicks=kicks, half_width=half_width)
     free = FreePhaseSpec.revival_relative(1, epsilon)
-    with mock.patch.object(propagator, "kick_matrix", wraps=propagator.kick_matrix) as build:
+    with mock.patch.object(propagator, "_kick_column",
+                           wraps=propagator._kick_column) as build:
         with pytest.raises(ValueError, match="overflow"):
             evolve_dense(config, free)
     assert build.call_count == 0

@@ -25,7 +25,13 @@ from kickedrotor import (
 )
 from kickedrotor import propagator
 from kickedrotor.analytics import MINUS_I_POW, bessel_j_ladder, bessel_j_row
-from kickedrotor.propagator import _kick, _kick_phases, _run, _unitarity_error
+from kickedrotor.propagator import (
+    _kick,
+    _kick_column,
+    _kick_phases,
+    _run,
+    _unitarity_error,
+)
 from kickedrotor.wavepacket import _fft_slots, _propagation_points
 
 J0_0485 = 0.942052665520175
@@ -305,6 +311,23 @@ def full_gram_error(U: np.ndarray) -> float:
     return float(np.max(np.abs(U.conj().T @ U - np.eye(len(U)))))
 
 
+def dense_loop_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
+    """The full-ladder dense route: delta_0 through config.kicks products
+    with the elementwise kick matrix, each followed by the free flight."""
+    M = config.half_width
+    U = kick_matrix_reference(config.phi_d, M)
+    factors = free.factors(np.arange(-M, M + 1))
+    amps = np.zeros(2 * M + 1, dtype=complex)
+    amps[M] = 1.0
+    for _ in range(config.kicks):
+        amps = factors * (U @ amps)
+    return amps
+
+
+#: (phi, widest half width that warns, narrowest that does not)
+WARNING_BOUNDARIES = [(40.0, 60, 61), (0.485, 5, 6), (-1.7, 9, 10)]
+
+
 class TestDenseRoute:
     def test_zero_strength_matrix_is_identity(self):
         U = kick_matrix(0.0, 5)
@@ -346,8 +369,7 @@ class TestDenseRoute:
     def test_gathered_matrix_is_the_elementwise_one(self, phi, M):
         assert np.array_equal(kick_matrix(phi, M), kick_matrix_reference(phi, M))
 
-    @pytest.mark.parametrize("phi, tight, enough", [(40.0, 60, 61), (0.485, 5, 6),
-                                                    (-1.7, 9, 10)])
+    @pytest.mark.parametrize("phi, tight, enough", WARNING_BOUNDARIES)
     def test_warning_boundary(self, phi, tight, enough):
         with pytest.warns(RuntimeWarning, match="unitarity error"):
             kick_matrix(phi, tight)
@@ -360,7 +382,7 @@ class TestDenseRoute:
                                         (485.0, 512)])
     def test_one_gram_column_is_the_full_product(self, phi, M):
         U = kick_matrix_reference(phi, M)
-        assert abs(_unitarity_error(U) - full_gram_error(U)) <= 1e-14
+        assert abs(_unitarity_error(U[:, 0]) - full_gram_error(U)) <= 1e-14
 
     def test_nan_gram_error_warns(self, monkeypatch):
         ladder = bessel_j_ladder(0.485, 5)
@@ -368,17 +390,52 @@ class TestDenseRoute:
         monkeypatch.setattr(propagator, "bessel_j_ladder", lambda x, M: ladder)
         with pytest.warns(RuntimeWarning, match="unitarity error nan"):
             kick_matrix(0.485, 5)
+        # the dense route warns too; the NaN then reaches its state, which
+        # refuses it
+        with pytest.warns(RuntimeWarning, match="unitarity error nan"):
+            with pytest.raises(ValueError, match="finite"):
+                evolve_dense(SimConfig(kicks=1, half_width=5))
+
+    @pytest.mark.parametrize("phi, tight, enough", WARNING_BOUNDARIES)
+    def test_dense_evolution_warns_at_the_same_boundary(self, phi, tight, enough):
+        # evolve_dense takes positive strengths only; the kick of -phi is the
+        # adjoint of the kick of phi, and a circulant U has U^H U = U U^H, so
+        # both strengths share one boundary
+        def dense(M):
+            evolve_dense(SimConfig(kicks=1, phi_d=abs(phi), half_width=M))
+
+        with pytest.warns(RuntimeWarning, match="unitarity error"):
+            dense(tight)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dense(enough)
+
+    @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
+    @pytest.mark.parametrize("M", [1, 2, 5, 41, 452, 512])
+    @pytest.mark.parametrize("phi", [0.485, -0.485, 1.7, -1.7, 40.0, 485.0])
+    def test_kick_column_is_exactly_even(self, phi, M):
+        # the premise of the even dense route: c_{-d} = c_d bit for bit
+        c = _kick_column(phi, M)
+        assert np.array_equal(c[1:], c[:0:-1])
+        assert np.array_equal(c, kick_matrix_reference(phi, M)[:, 0])
 
     def test_dense_evolution_is_the_elementwise_loop(self):
+        # the even route sums in its own order, so it matches the full-ladder
+        # loop to rounding, not bit for bit
         M, eps = 452, 1.1e-6
-        out = evolve_dense(SimConfig(kicks=400, epsilon=eps, half_width=M))
-        U = kick_matrix_reference(0.485, M)
-        factors = FreePhaseSpec.revival_relative(1, eps).factors(np.arange(-M, M + 1))
-        amps = np.zeros(2 * M + 1, dtype=complex)
-        amps[M] = 1.0
-        for _ in range(400):
-            amps = factors * (U @ amps)
-        assert np.array_equal(out.amps, amps)
+        cfg = SimConfig(kicks=400, epsilon=eps, half_width=M)
+        out = evolve_dense(cfg)
+        ref = dense_loop_reference(cfg, FreePhaseSpec.revival_relative(1, eps))
+        assert np.max(np.abs(out.amps - ref)) <= 1e-13
+        assert np.array_equal(out.amps, out.amps[::-1])
+
+    @pytest.mark.parametrize("hbar_s", [2.0, 4 * math.pi * (1 + 3e-3), 0.3])
+    def test_general_mode_dense_evolution_is_the_elementwise_loop(self, hbar_s):
+        cfg = SimConfig(kicks=50, phi_d=1.7, half_width=60)
+        free = FreePhaseSpec.general(hbar_s)
+        out = evolve_dense(cfg, free)
+        assert np.max(np.abs(out.amps - dense_loop_reference(cfg, free))) <= 1e-13
+        assert np.array_equal(out.amps, out.amps[::-1])
 
 
 class TestFidelityProtocol:

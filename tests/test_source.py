@@ -12,7 +12,10 @@ sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. State that
 outlives a call has one owner as well: the only context variable is the
-sweep scanner keeps open (scanner._OPEN_SWEEP).
+sweep scanner keeps open (scanner._OPEN_SWEEP). The dense oracle,
+propagator.evolve_dense, is checked against the spectral core and so
+reaches none of the core's pieces, directly or through the module's
+helpers it calls.
 """
 import ast
 from pathlib import Path
@@ -226,3 +229,52 @@ def test_stray_context_variable_is_caught():
                      "h = ContextVarFactory('h')\n")
     assert context_variables(tree) == ["ContextVar('e')", "ContextVar('g')",
                                        "a", "b", "c", "d"]
+
+
+#: the spectral core's pieces, which the dense oracle must not reach
+SPECTRAL_CORE = {"_run", "_periods", "_kick", "_kick_phases", "_fft_slots",
+                 "_propagation_points"}
+
+
+def reachable_calls(tree: ast.Module, root: str) -> set[str]:
+    """Names called in the module-level function root and, transitively,
+    in the module-level functions it calls, whether by name or as an
+    attribute (wavepacket._fft_slots)."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    called: set[str] = set()
+    todo, seen = [root], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if callee is not None:
+                    called.add(callee)
+                    todo.append(callee)
+    return called
+
+
+def test_dense_oracle_reaches_no_spectral_code():
+    path = PACKAGE / "propagator.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reached = reachable_calls(tree, "evolve_dense")
+    # the check follows the oracle into its own helpers
+    assert {"_kick_column", "_unitarity_error", "bessel_j_ladder"} <= reached
+    assert reached & SPECTRAL_CORE == set()
+
+
+def test_dense_oracle_reaching_the_core_is_caught():
+    tree = ast.parse("def evolve_dense(c):\n"
+                     "    return helper(c) + wavepacket._fft_slots(3, 8)\n"
+                     "def helper(c):\n"
+                     "    _kick(c, k, f, 3)\n"
+                     "    return c\n"
+                     "def _run():\n"
+                     "    return _propagation_points(3, 1.0)\n")
+    reached = reachable_calls(tree, "evolve_dense")
+    assert reached & SPECTRAL_CORE == {"_fft_slots", "_kick"}
