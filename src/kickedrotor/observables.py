@@ -237,20 +237,17 @@ def fwhm(p: Profile, half_level: float | None = None) -> float:
     if peak < half:
         raise NoCrossingError("peak sits below the requested level")
 
-    right = None
-    for j in range(i_pk, len(y) - 1):
-        if y[j] >= half > y[j + 1]:
-            t = (y[j] - half) / (y[j] - y[j + 1])
-            right = x[j] + t * (x[j + 1] - x[j])
-            break
-    left = None
-    for j in range(i_pk, 0, -1):
-        if y[j] >= half > y[j - 1]:
-            t = (y[j] - half) / (y[j] - y[j - 1])
-            left = x[j] + t * (x[j - 1] - x[j])
-            break
-    if left is None or right is None:
+    crossings = []
+    for step, edge in ((1, len(y) - 1), (-1, 0)):
+        for j in range(i_pk, edge, step):
+            k = j + step
+            if y[j] >= half > y[k]:
+                t = (y[j] - half) / (y[j] - y[k])
+                crossings.append(x[j] + t * (x[k] - x[j]))
+                break
+    if len(crossings) < 2:
         raise NoCrossingError(
             "profile edges do not fall below the half level; widen the range"
         )
+    right, left = crossings
     return float(right - left)

@@ -6,7 +6,10 @@ free-flight factor exp(-i hbar_s m^2 / 2). At the primary revivals
 so everything interesting near a revival is carried by the detuning phase
 theta_m = 2 pi l m^2 epsilon. That phase is always computed directly from
 epsilon: forming it as a difference of two large phases loses about ten
-significant digits at epsilon = 1e-8, m = 40.
+significant digits at epsilon = 1e-8, m = 40. One function owns the rule
+and its overflow refusal, _revival_phases, which forms the phase table of
+a whole block of detunings at once; FreePhaseSpec's revival phases are
+its one-row case.
 
 Two independent evolution routes are kept deliberately separate: the
 spectral route (one core, _run, kicking on its own FFT length and
@@ -26,6 +29,13 @@ need the full ladder (kick_matrix). The spectral route propagates the
 full ladder, odd part included, and its parity test (TestParity in the
 propagator tests) stays the guard on that odd part.
 
+The spectral core takes its free flight as one phase function,
+phases(m), which returns the block's theta table on the ladder m: the
+sweeps pass their block of detunings to _revival_phases, propagate and
+fidelity_protocol pass FreePhaseSpec.phases, and the echo target zero
+phases. It is read once per ladder, first or grown, and exp(-i theta) is
+formed for the whole block in one pass.
+
 The spectral core keeps its stack on one (P, n) buffer in FFT order
 (wavepacket._fft_slots) from the first period to the last. A period,
 _kick, is an in-place ifft, the kick multiply, an in-place fft, the edge
@@ -37,6 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +90,17 @@ class FreePhaseSpec:
 
     revival_relative mode keeps only the detuning part of the phase,
     theta_m = 2 pi l m^2 epsilon; the exactly periodic part is the identity
-    and is dropped. general mode applies theta_m = (hbar_s/2) m^2 reduced
-    mod 2 pi through the integer-exact split u = hbar_s/(4 pi),
-    theta_m = 2 pi frac(u m^2), so that rational u (the recurrence points)
-    produces bit-exact phases. factors refuses phases that overflow, the
-    one check both evolution routes make on their input; it compares the
-    largest phase argument with the float range before forming any phase,
-    so the refusal comes without a numpy overflow warning.
+    and is dropped. Its phases are the one-row case of _revival_phases,
+    the rule the sweeps apply to a whole block of detunings. general mode
+    applies theta_m = (hbar_s/2) m^2 reduced mod 2 pi through the
+    integer-exact split u = hbar_s/(4 pi), theta_m = 2 pi frac(u m^2), so
+    that rational u (the recurrence points) produces bit-exact phases.
+    phases refuses phases that overflow, in both modes, the one check both
+    evolution routes make on their input; it compares the largest phase
+    argument with the float range before forming any phase, so the
+    refusal comes without a numpy overflow warning. propagate passes
+    phases to the spectral core; factors, exp(-i theta_m), serves the
+    dense route.
     """
 
     mode: str
@@ -110,24 +125,37 @@ class FreePhaseSpec:
         return cls(mode="general", hbar_s=float(hbar_s))
 
     def phases(self, m: np.ndarray) -> np.ndarray:
-        m2 = m.astype(float) ** 2
         if self.mode == "revival_relative":
-            return TWO_PI * self.l * self.epsilon * m2
+            return _revival_phases(self.l, self.epsilon, m)
         u = self.hbar_s / (2.0 * TWO_PI)
-        return TWO_PI * np.mod(u * m2, 1.0)
+        _refuse_overflow(abs(u), m)
+        return TWO_PI * np.mod(u * m.astype(float) ** 2, 1.0)
 
     def factors(self, m: np.ndarray) -> np.ndarray:
-        # the largest phase argument, 2 pi l |eps| M^2 or u M^2, in the
-        # order phases multiplies it out; Python floats overflow to inf
-        # without a warning
-        reach = float(np.abs(m).max()) ** 2
-        if self.mode == "revival_relative":
-            largest = TWO_PI * self.l * abs(self.epsilon) * reach
-        else:
-            largest = abs(self.hbar_s / (2.0 * TWO_PI)) * reach
-        if not math.isfinite(largest):
-            raise ValueError("free-flight phases overflow at this detuning")
         return np.exp(-1j * self.phases(m))
+
+
+def _refuse_overflow(scale: float, m: np.ndarray) -> None:
+    """Raise ValueError when the largest phase argument, scale * M^2 in the
+    order the phases multiply it out, leaves the float range; Python floats
+    overflow to inf without a warning."""
+    if not math.isfinite(scale * float(np.abs(m).max()) ** 2):
+        raise ValueError("free-flight phases overflow at this detuning")
+
+
+def _revival_phases(l: int, epsilons, m: np.ndarray) -> np.ndarray:
+    """The free-flight phase table theta = 2 pi l epsilon m^2 near the
+    revival hbar_s = 4 pi l, along a leading axis of detunings.
+
+    A (P,) array of detunings gives a (P, 2M+1) table, one detuning gives
+    a (2M+1,) row; each row is bit-identical to that detuning's own
+    phases. l must be an integer >= 1. A block whose largest |epsilon|
+    overflows is refused as a whole, before any phase is formed.
+    """
+    l = _as_int("l", l, 1)
+    eps = np.asarray(epsilons, dtype=float)
+    _refuse_overflow(TWO_PI * l * float(np.abs(eps).max()), m)
+    return np.multiply.outer(TWO_PI * l * eps, m.astype(float) ** 2)
 
 
 def _kick_phases(n: int, phi: float) -> np.ndarray:
@@ -159,19 +187,21 @@ def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
     buf *= factors
 
 
-def _periods(kicks: int, kick: np.ndarray, frees: list[FreePhaseSpec],
+def _periods(kicks: int, kick: np.ndarray, phases: Callable[..., np.ndarray],
              half_width: int) -> np.ndarray:
-    """delta_{m,0} through kicks periods on the grid of kick, once per
-    FreePhaseSpec in frees: a (P, 2M+1) stack in ladder order.
+    """delta_{m,0} through kicks periods on the grid of kick, once per row
+    of the phase table phases(m): a (P, 2M+1) stack in ladder order.
 
-    The stack stays on one (P, n) buffer in FFT order for every period
-    and is read back to ladder order once, at the end.
+    phases is read once, on this ladder, and its free-flight factors
+    exp(-i theta) are formed for the whole block in one pass. The stack
+    stays on one (P, n) buffer in FFT order for every period and is read
+    back to ladder order once, at the end.
     """
     M = half_width
     slots = _fft_slots(M, len(kick))
-    m = np.arange(-M, M + 1)
-    factors = np.zeros((len(frees), len(kick)), dtype=complex)
-    factors[:, slots] = [free.factors(m) for free in frees]
+    free = np.atleast_2d(np.exp(-1j * phases(np.arange(-M, M + 1))))
+    factors = np.zeros((len(free), len(kick)), dtype=complex)
+    factors[:, slots] = free
     buf = np.zeros_like(factors)
     buf[:, 0] = 1.0  # m = 0 sits at index 0
     for period in range(1, kicks + 1):
@@ -179,17 +209,19 @@ def _periods(kicks: int, kick: np.ndarray, frees: list[FreePhaseSpec],
     return buf[:, slots]
 
 
-def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
+def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
          half_width: int | None = None, auto_grow: bool = True) -> np.ndarray:
     """The spectral core: delta_{m,0} through N periods (kick, free flight),
-    once per FreePhaseSpec in frees, as one (P, 2M+1) stack.
+    once per row of the free-flight phase table, as one (P, 2M+1) stack.
 
-    All rows share one ladder, sized from kicks alone, and one kick
-    factor; row p gets the free-flight factors of frees[p] and comes out
-    bit-identical to a one-row run on the same ladder. Each period is one
-    _kick on the stack, kept in FFT order between periods. A leak in any
-    row restarts the whole stack with a doubled ladder when auto_grow is
-    set.
+    phases maps the ladder m = -M..M to the block's phase table, (P, 2M+1),
+    or (2M+1,) for one state; it is called once per ladder, first or
+    grown, and may refuse the block with ValueError before any kick. All
+    rows share one ladder, sized from kicks alone, and one kick factor;
+    row p gets the free flight of table row p and comes out bit-identical
+    to a one-row run on the same ladder. Each period is one _kick on the
+    stack, kept in FFT order between periods. A leak in any row restarts
+    the whole stack with a doubled ladder when auto_grow is set.
 
     Every ladder, first or grown, is kicked on _propagation_points(M,
     phi_d) points, on which the kick is exact; no caller picks the grid.
@@ -204,7 +236,7 @@ def _run(kicks: int, phi_d: float, frees: list[FreePhaseSpec],
     while True:
         kick = _kick_phases(_propagation_points(M, phi_d), phi_d)
         try:
-            return _periods(kicks, kick, frees, M)
+            return _periods(kicks, kick, phases, M)
         except LeakageError:
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
@@ -218,18 +250,17 @@ def _echo_fidelities(kicks: int, phi_d: float):
     fidelities. The target K(N phi_d) delta_0 is built on first read of
     each ladder M, on the grid that kicks by N phi_d exactly, and kept
     for every later read by the same function. It is one period of the
-    core with the free flight at zero detuning, whose factors are exactly
-    1: the pulse and the truncation, no free flight.
+    core with zero free-flight phases, whose factors are exactly 1: the
+    pulse and the truncation, no free flight.
     """
     pulse = _as_int("kicks", kicks, 1) * phi_d
-    identity = [FreePhaseSpec.revival_relative(1, 0.0)]
     targets: dict[int, np.ndarray] = {}
 
     def fidelities(amps: np.ndarray) -> list[float]:
         M = (amps.shape[1] - 1) // 2
         if M not in targets:
-            targets[M] = _periods(1, _kick_phases(
-                _propagation_points(M, pulse), pulse), identity, M)[0]
+            kick = _kick_phases(_propagation_points(M, pulse), pulse)
+            targets[M] = _periods(1, kick, lambda m: np.zeros(len(m)), M)[0]
         # one vdot per row: a stacked matmul would break row bit-identity
         return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
 
@@ -251,7 +282,7 @@ def propagate(
     Nor is the kick number limited, unlike the closed form resonant_state,
     which refuses N*phi_d > 1000. The FFT length is the core's own.
     """
-    amps = _run(kicks, phi_d, [free], half_width, auto_grow)
+    amps = _run(kicks, phi_d, free.phases, half_width, auto_grow)
     return MomentumWavefunction((amps.shape[1] - 1) // 2, amps[0])
 
 
@@ -392,4 +423,4 @@ def fidelity_protocol(
     """
     free = FreePhaseSpec.revival_relative(l, epsilon)
     echo = _echo_fidelities(kicks, phi_d)
-    return echo(_run(kicks, phi_d, [free]))[0]
+    return echo(_run(kicks, phi_d, free.phases))[0]

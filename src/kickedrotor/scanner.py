@@ -10,9 +10,11 @@ the narrower one.
 A sweep is one call of the spectral core per block of up to SWEEP_BLOCK
 detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
 one FFT pair for the whole block instead of one per point, and each row is
-bit-identical to its own single-point propagation. A block of position
-rows is synthesized as one stack on the observation grid, and its
-densities |Psi|^2 are checked and observed as one stack
+bit-identical to its own single-point propagation. The block's
+detunings reach the core as they are, through one free-flight phase
+table, propagator._revival_phases, which the core forms once per ladder.
+A block of position rows is synthesized as one stack on the observation
+grid, and its densities |Psi|^2 are checked and observed as one stack
 (observables._position_sigmas), each row bit-identical to sigma_x of its
 own Density; an echo row is one vdot against a target built once per
 ladder. Results are bitwise identical from run to run.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .observables import Profile, _position_sigmas, fwhm
-from .propagator import FreePhaseSpec, _echo_fidelities, _run
+from .propagator import _echo_fidelities, _revival_phases, _run
 from .wavepacket import _as_finite, _as_int, _synthesize, default_n_points
 
 MODES = ("position", "fidelity")
@@ -87,11 +90,11 @@ class _Sweep:
     keyed by detuning.
 
     A mode's missing values are computed SWEEP_BLOCK detunings at a time:
-    the block's rows that no mode has propagated yet are one core call,
-    and a row is dropped once every mode of the sweep has read it. Each
-    row keeps the ladder its core call ran on, so a row of a stack that
-    auto-grew is observed on the grown ladder, as it is on its own; the
-    echo target is built once per ladder.
+    the block's rows that no mode has propagated yet are one core call on
+    their phase table, and a row is dropped once every mode of the sweep
+    has read it. Each row keeps the ladder its core call ran on, so a row
+    of a stack that auto-grew is observed on the grown ladder, as it is on
+    its own; the echo target is built once per ladder.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
@@ -108,8 +111,8 @@ class _Sweep:
             new = [e for e in block if e not in self.rows]
             if new:
                 kicks, phi_d, l = self.key
-                frees = [FreePhaseSpec.revival_relative(l, e) for e in new]
-                self.rows.update(zip(new, _run(kicks, phi_d, frees)))
+                phases = functools.partial(_revival_phases, l, new)
+                self.rows.update(zip(new, _run(kicks, phi_d, phases)))
             values: list[float] = []
             for _, same in itertools.groupby((self.rows[e] for e in block), len):
                 amps = np.array(list(same))

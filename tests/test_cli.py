@@ -162,9 +162,10 @@ class TestScanCommand:
         rows, reads = [], []
         run, echo = scanner._run, scanner._echo_fidelities
 
-        def counting_run(kicks, phi_d, frees, *args, **kwargs):
-            rows.extend(free.epsilon for free in frees)
-            return run(kicks, phi_d, frees, *args, **kwargs)
+        def counting_run(kicks, phi_d, phases, *args, **kwargs):
+            # a sweep binds its block's detunings to the phase table
+            rows.extend(phases.args[1])
+            return run(kicks, phi_d, phases, *args, **kwargs)
 
         def counting_echo(kicks, phi_d):
             fidelities = echo(kicks, phi_d)

@@ -32,7 +32,7 @@ from kickedrotor import (
     scan_epsilon,
 )
 from kickedrotor import propagator
-from kickedrotor.scanner import MODES, RANGE_CAP
+from kickedrotor.scanner import MODES, RANGE_CAP, _sweep_values
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FRACTIONS = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
@@ -111,6 +111,16 @@ def test_overflow_refused_before_numpy_warns(spec):
     # the suite turns every RuntimeWarning into an error, so a warning from
     # forming the phases would fail here before the refusal
     err = assert_refused(lambda: propagate(3, 0.485, spec, half_width=35))
+    assert "overflow" in str(err)
+    with pytest.raises(ValueError, match="overflow"):
+        spec.phases(np.arange(-35, 36))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_block_with_one_overflowing_detuning_is_refused(mode):
+    # the block's phase table is refused as a whole, on its largest |epsilon|
+    epsilons = np.array([0.0, 5e-324, -RANGE_CAP, RANGE_CAP, 1e306])
+    err = assert_refused(lambda: _sweep_values(mode, 5, 0.485, 1, epsilons))
     assert "overflow" in str(err)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 from unittest import mock
@@ -29,9 +30,11 @@ from kickedrotor.propagator import (
     _kick,
     _kick_column,
     _kick_phases,
+    _revival_phases,
     _run,
     _unitarity_error,
 )
+from kickedrotor.scanner import RANGE_CAP
 from kickedrotor.wavepacket import _fft_slots, _propagation_points
 
 J0_0485 = 0.942052665520175
@@ -529,21 +532,33 @@ class TestNonFiniteInputs:
 
 
 class TestBatchedCore:
-    FREES = [FreePhaseSpec.revival_relative(1, e)
-             for e in (0.0, 1e-4, -3e-3, 2e-2)]
+    EPS = (0.0, 1e-4, -3e-3, 2e-2)
+    FREES = [FreePhaseSpec.revival_relative(1, e) for e in EPS]
+    #: the block's phase table, as a sweep hands it to the core
+    BLOCK = functools.partial(_revival_phases, 1, EPS)
 
     def test_one_row_is_propagate(self):
         for free in self.FREES:
-            amps = _run(7, 0.485, [free])
+            amps = _run(7, 0.485, free.phases)
             state = propagate(7, 0.485, free)
             assert amps.shape == (1, 2 * state.half_width + 1)
             assert np.array_equal(amps[0], state.amps)
 
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_block_table_is_its_rows_factors(self, l):
+        # signed zeros, the smallest subnormal and the sweep range cap
+        eps = [0.0, -0.0, 5e-324, -5e-324, RANGE_CAP, -RANGE_CAP, 1e-4, -3e-3]
+        m = np.arange(-40, 41)
+        table = _revival_phases(l, eps, m)
+        rows = [FreePhaseSpec.revival_relative(l, e).factors(m) for e in eps]
+        assert table.shape == (len(eps), len(m))
+        assert np.array_equal(np.exp(-1j * table), np.array(rows))
+
     def test_rows_match_their_own_runs(self):
-        amps = _run(9, 0.485, self.FREES)
+        amps = _run(9, 0.485, self.BLOCK)
         M = (amps.shape[1] - 1) // 2
         for free, row in zip(self.FREES, amps):
-            assert np.array_equal(row, _run(9, 0.485, [free], half_width=M)[0])
+            assert np.array_equal(row, _run(9, 0.485, free.phases, half_width=M)[0])
 
     @pytest.mark.parametrize("rows", [1, 4])
     @pytest.mark.parametrize("kicks", [0, 1, 7])
@@ -551,7 +566,8 @@ class TestBatchedCore:
         # tests/test_fail_closed.py counts _kick calls to show a refusal
         # came before the first period, so every period must run through it
         with mock.patch.object(propagator, "_kick", wraps=_kick) as step:
-            amps = _run(kicks, 0.485, self.FREES[:rows])
+            amps = _run(kicks, 0.485, functools.partial(_revival_phases, 1,
+                                                         self.EPS[:rows]))
         assert amps.shape[0] == rows
         assert [call.args[4] for call in step.call_args_list] == list(range(1, kicks + 1))
 
@@ -562,9 +578,9 @@ class TestBatchedCore:
 
     def test_leaking_stack_grows_as_a_whole(self):
         with pytest.raises(LeakageError):
-            _run(20, 0.485, self.FREES, half_width=8, auto_grow=False)
+            _run(20, 0.485, self.BLOCK, half_width=8, auto_grow=False)
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
-            amps = _run(20, 0.485, self.FREES, half_width=8)
+            amps = _run(20, 0.485, self.BLOCK, half_width=8)
         M = (amps.shape[1] - 1) // 2
         assert amps.shape == (len(self.FREES), 2 * M + 1)
         assert M == 32
@@ -573,7 +589,7 @@ class TestBatchedCore:
         assert grids == [_propagation_points(m, 0.485) for m in (8, 16, 32)]
         assert grids == [50, 72, 100]
         for free, row in zip(self.FREES, amps):
-            one = _run(20, 0.485, [free], half_width=M, auto_grow=False)[0]
+            one = _run(20, 0.485, free.phases, half_width=M, auto_grow=False)[0]
             assert np.max(np.abs(row - one)) < 1e-12
             assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
 
@@ -582,7 +598,7 @@ class TestBatchedCore:
         # <delta_0 | K(-a) psi> = <K(a) delta_0 | psi>: the explicit reversed
         # kick, on a ladder sized for its doubled reach, gives the same F
         M = default_half_width(2 * kicks, 0.485)
-        amps = _run(kicks, 0.485, self.FREES, half_width=M, auto_grow=False)
+        amps = _run(kicks, 0.485, self.BLOCK, half_width=M, auto_grow=False)
         reversed_kick = _kick_phases(_propagation_points(M, kicks * 0.485),
                                      -kicks * 0.485)
         echoed = kicked(amps, reversed_kick)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -34,6 +35,16 @@ from kickedrotor.scanner import _symmetric_grid, _sweep_values
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 BAD_BOUNDS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+
+def block_detunings(phases) -> list[float]:
+    """The detunings of the rows whose phase table the spectral core is
+    handed: a sweep binds its block's to propagator._revival_phases, and
+    propagate and fidelity_protocol pass the phases of one FreePhaseSpec."""
+    if isinstance(phases, functools.partial):
+        assert phases.func is propagator._revival_phases
+        return list(phases.args[1])
+    return [phases.__self__.epsilon]
 
 
 @pytest.fixture
@@ -165,9 +176,9 @@ class TestBatchedSweep:
         calls = []
         original = scanner._run
 
-        def counting(kicks, phi_d, frees, *args, **kwargs):
-            calls.append(len(frees))
-            return original(kicks, phi_d, frees, *args, **kwargs)
+        def counting(kicks, phi_d, phases, *args, **kwargs):
+            calls.append(len(block_detunings(phases)))
+            return original(kicks, phi_d, phases, *args, **kwargs)
 
         monkeypatch.setattr(scanner, "_run", counting)
         monkeypatch.setattr(propagator, "_run", counting)
@@ -215,9 +226,9 @@ def counted_rows(monkeypatch):
     rows = []
     original = scanner._run
 
-    def counting(kicks, phi_d, frees, *args, **kwargs):
-        rows.extend((kicks, free.epsilon) for free in frees)
-        return original(kicks, phi_d, frees, *args, **kwargs)
+    def counting(kicks, phi_d, phases, *args, **kwargs):
+        rows.extend((kicks, e) for e in block_detunings(phases))
+        return original(kicks, phi_d, phases, *args, **kwargs)
 
     monkeypatch.setattr(scanner, "_run", counting)
     monkeypatch.setattr(propagator, "_run", counting)
@@ -257,9 +268,9 @@ def sweeps(monkeypatch):
     seen = []
     original = scanner._run
 
-    def spying(kicks, phi_d, frees, *args, **kwargs):
+    def spying(kicks, phi_d, phases, *args, **kwargs):
         seen.append(scanner._OPEN_SWEEP.get())
-        return original(kicks, phi_d, frees, *args, **kwargs)
+        return original(kicks, phi_d, phases, *args, **kwargs)
 
     monkeypatch.setattr(scanner, "_run", spying)
     return seen
@@ -365,9 +376,9 @@ class TestSharedRows:
         rows = {}
         original = scanner._run
 
-        def keeping(kicks, phi_d, frees, *args, **kwargs):
-            amps = original(kicks, phi_d, frees, *args, **kwargs)
-            rows.update(zip((free.epsilon for free in frees), amps))
+        def keeping(kicks, phi_d, phases, *args, **kwargs):
+            amps = original(kicks, phi_d, phases, *args, **kwargs)
+            rows.update(zip(block_detunings(phases), amps))
             return amps
 
         monkeypatch.setattr(scanner, "_run", keeping)

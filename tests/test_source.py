@@ -15,7 +15,8 @@ outlives a call has one owner as well: the only context variable is the
 sweep scanner keeps open (scanner._OPEN_SWEEP). The dense oracle,
 propagator.evolve_dense, is checked against the spectral core and so
 reaches none of the core's pieces, directly or through the module's
-helpers it calls.
+helpers it calls. The core takes its free flight as one phase table, so
+neither the core nor the sweeps in scanner handle a FreePhaseSpec.
 """
 import ast
 from pathlib import Path
@@ -278,3 +279,59 @@ def test_dense_oracle_reaching_the_core_is_caught():
                      "    return _propagation_points(3, 1.0)\n")
     reached = reachable_calls(tree, "evolve_dense")
     assert reached & SPECTRAL_CORE == {"_fft_slots", "_kick"}
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every name a subtree reads or imports: plain names, attributes and
+    imported names, annotations included."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def reached_names(tree: ast.Module, roots) -> set[str]:
+    """names_in the module-level functions roots and every module-level
+    function they reach (reachable_calls)."""
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reached = set(roots).union(*(reachable_calls(tree, root) for root in roots))
+    return set().union(*(names_in(functions[name])
+                         for name in reached & functions.keys()))
+
+
+#: the spectral core's entry, its periods and the echo read-out
+PHASE_TABLE_CORE = ("_run", "_periods", "_kick", "_echo_fidelities")
+
+
+def test_core_and_sweeps_handle_no_free_phase_spec():
+    trees = {}
+    for name in ("propagator", "scanner"):
+        path = PACKAGE / f"{name}.py"
+        trees[name] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "FreePhaseSpec" in names_in(trees["propagator"])
+    assert "FreePhaseSpec" not in reached_names(trees["propagator"], PHASE_TABLE_CORE)
+    assert "FreePhaseSpec" not in names_in(trees["scanner"])
+
+
+def test_free_phase_spec_in_core_or_sweeps_is_caught():
+    tree = ast.parse("def _run(kicks, frees: list[FreePhaseSpec]):\n"
+                     "    return kicks\n"
+                     "def _echo_fidelities(kicks):\n"
+                     "    return helper(kicks)\n"
+                     "def helper(kicks):\n"
+                     "    return propagator.FreePhaseSpec.general(kicks)\n"
+                     "def _periods(kicks):\n"
+                     "    return kicks\n"
+                     "def propagate(free):\n"
+                     "    return FreePhaseSpec(free)\n")
+    assert "FreePhaseSpec" in reached_names(tree, ["_run"])
+    assert "FreePhaseSpec" in reached_names(tree, ["_echo_fidelities"])
+    assert "FreePhaseSpec" not in reached_names(tree, ["_periods", "_kick"])
+    imported = ast.parse("from .propagator import FreePhaseSpec as Spec\n")
+    assert "FreePhaseSpec" in names_in(imported)
