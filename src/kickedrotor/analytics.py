@@ -8,7 +8,9 @@ is a short Fourier series whose coefficients are bilinear in Bessel values.
 
 Bessel values come from a downward three-term recurrence normalized with
 the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
-where the upward recurrence is not.
+where the upward recurrence is not. One argument runs it as a Python loop
+(bessel_j_row); the N arguments of perturbative_density step through it
+together as arrays (_bessel_j_rows), each row bit for bit its loop.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ class TruncationError(RuntimeError):
 def bessel_j_row(x: float, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) by downward recurrence, absolute error <= 1e-12.
 
-    Valid for 0 <= x <= 1000 and n_max <= 10000.
+    Valid for 0 <= x <= 1000 and n_max <= 10000. The one-row reference of
+    _bessel_j_rows, which steps many arguments through the same arithmetic.
     """
     n_max = _as_int("n_max", n_max)
     if n_max < 0 or n_max > _DOMAIN_ORDER:
@@ -90,6 +93,67 @@ def bessel_j(n: int, x: float) -> float:
     return float(bessel_j_ladder(x, abs(n))[abs(n) + n])
 
 
+def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
+    """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
+    table whose row i is bit for bit bessel_j_row(xs[i], n_max).
+
+    The rows take bessel_j_row's two branches with the same arithmetic,
+    stepped together: the ascending series below x = 1e-4 and the downward
+    recurrence above it, where each row starts at its own top order, is
+    rescaled when its own value passes _RESCALE and is normalized by its
+    own even-order sum. Same domain and refusals as bessel_j_row.
+    """
+    n_max = _as_int("n_max", n_max)
+    if n_max < 0 or n_max > _DOMAIN_ORDER:
+        raise ValueError(f"order out of range: {n_max}")
+    x = np.asarray(xs, dtype=float)
+    outside = x[~((0.0 <= x) & (x <= _DOMAIN_ARG))]
+    if len(outside):
+        raise ValueError(f"argument out of range: {outside[0]}")
+    table = np.zeros((len(x), n_max + 1))
+    series = x < 1e-4
+    if series.any():
+        small = x[series]
+        y = 0.25 * small * small
+        term = np.ones_like(small)
+        rows = np.zeros((len(small), n_max + 1))
+        for d in range(n_max + 1):
+            rows[:, d] = term * (1.0 - y / (d + 1))
+            term *= 0.5 * small / (d + 1)
+            if not term.any():
+                break
+        table[series] = rows
+    if series.all():
+        return table
+    x = x[~series]
+    start = np.maximum(n_max, np.ceil(x).astype(int))
+    top = start + np.maximum(40, (2.5 * np.sqrt(start + 1.0)).astype(int))
+    # orders down the first axis, one column per row
+    down = np.zeros((top.max() + 1, len(x)))
+    above, here, below = np.zeros(len(x)), np.zeros(len(x)), np.empty(len(x))
+    tops = set(top.tolist())
+    for k in range(top.max(), 0, -1):
+        if k in tops:
+            here[top == k] = 1e-30
+        down[k] = here
+        np.divide(2.0 * k, x, out=below)
+        below *= here
+        below -= above
+        above, here, below = here, below, above
+        big = np.abs(here) > _RESCALE
+        if big.any():
+            scale = 1.0 / _RESCALE
+            here[big] *= scale
+            above[big] *= scale
+            down[k:, big] *= scale
+    down[0] = here
+    # each row's own sum, over its own orders, as bessel_j_row forms it
+    norm = [col[0] + 2.0 * np.sum(col[2:t + 1:2]) for col, t in zip(down.T, top)]
+    down /= norm
+    table[~series] = down[: n_max + 1].T
+    return table
+
+
 def bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
     """J_m(x) for m = -M..M as one array (index m + M), x >= 0.
 
@@ -98,7 +162,12 @@ def bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
     means a negative argument reads this ladder reversed.
     """
     M = _as_int("half_width", half_width)
-    row = bessel_j_row(x, M)
+    return _two_sided(bessel_j_row(x, M))
+
+
+def _two_sided(row: np.ndarray) -> np.ndarray:
+    """The ladder J_{-M}..J_M from the row J_0..J_M: J_{-d} = (-1)^d J_d."""
+    M = len(row) - 1
     out = np.empty(2 * M + 1)
     out[M:] = row
     signs = np.where(np.arange(1, M + 1) % 2 == 1, -1.0, 1.0)
@@ -178,10 +247,17 @@ def correction_term(
     _as_finite("epsilon", epsilon)
     M = _as_int("half_width", half_width)
     _check_grid(grid.n_points, M)
-    n = grid.n_points
-    L = 2 * M + 1
     a = k * phi_d
-    J = bessel_j_ladder(a, M)
+    return _correction_field(a, bessel_j_ladder(a, M), epsilon, grid)
+
+
+def _correction_field(a: float, J: np.ndarray, epsilon: float,
+                      grid: SpatialGrid) -> CorrectionField:
+    """correction_term's arithmetic on the signed Bessel ladder J = J_m(a),
+    m = -M..M, of a checked argument set."""
+    n = grid.n_points
+    L = len(J)
+    M = (L - 1) // 2
     m = np.arange(-M, M + 1).astype(float)
     d = np.arange(1, L, dtype=float)
     A = np.correlate(J, J, "full")[L:]
@@ -221,12 +297,18 @@ def perturbative_density(
 
     The kick leaves the position density invariant, so only the N free
     flights contribute; segment k acts on the revival state of strength
-    k*phi_d. The result is 1/2pi plus the sum of the per-segment fields.
-    Raises ValueError for a non-finite epsilon.
+    k*phi_d. The result is 1/2pi plus the sum of the per-segment fields,
+    each correction_term(k, ...) to the bit: the N Bessel ladders come
+    from one stepped recurrence (_bessel_j_rows), and each field keeps
+    its own arithmetic. Raises ValueError for a non-finite epsilon.
     """
     N = _as_int("kicks", kicks, 0)
     _as_finite("epsilon", epsilon)
+    _as_finite("phi_d", phi_d, positive=True)
+    M = _as_int("half_width", half_width)
+    _check_grid(grid.n_points, M)
+    strengths = [k * phi_d for k in range(1, N + 1)]
     values = np.full(grid.n_points, 1.0 / TWO_PI)
-    for k in range(1, N + 1):
-        values = values + correction_term(k, phi_d, epsilon, grid, half_width).values
+    for a, row in zip(strengths, _bessel_j_rows(strengths, M)):
+        values = values + _correction_field(a, _two_sided(row), epsilon, grid).values
     return PerturbativeDensity(grid, values, N, float(epsilon))

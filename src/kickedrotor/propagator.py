@@ -33,18 +33,30 @@ The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
 sweeps pass their block of detunings to _revival_phases, propagate and
 fidelity_protocol pass FreePhaseSpec.phases, and the echo target zero
-phases. It is read once per ladder, first or grown, and exp(-i theta) is
-formed for the whole block in one pass.
+phases. It is read once per ladder, first or grown, always on the final
+ladder M, and exp(-i theta) is formed for the whole block in one pass.
+
+At resonance the cloud's momentum grows ballistically, so after k kicks
+the state reaches about k phi_d sites. A long run therefore kicks its
+early periods on the ladder their reach needs (_stages): period k needs
+M_k = M - floor(phi_d (N - k)), never less than min(M,
+default_half_width(k, phi_d)), and a new stage starts wherever the FFT
+length of M_k halves. N = 2000 at phi_d = 0.485 runs on 270, 540, 1080
+and 2160 points; every N <= 96 is one stage. Each stage kicks on its own
+exact length and takes the central slice of the one table of free-flight
+factors, so a table the final ladder refuses is refused before period 1.
 
 The spectral core keeps its stack on one (P, n) buffer in FFT order
-(wavepacket._fft_slots) from the first period to the last. A period,
-_kick, is an in-place ifft, the kick multiply, an in-place fft, the edge
-check and one multiply by the free-flight factors, which are zero off the
+(wavepacket._fft_slots) through each stage. A period, _kick, is an
+in-place ifft, the kick multiply, an in-place fft, the edge check and
+one multiply by the free-flight factors, which are zero off the stage's
 ladder and so also truncate; the transform pair's scales cancel, so none
-is applied. The stack returns to ladder order once, at the end.
+is applied. The stack returns to ladder order at the end of each stage,
+where the next stage takes it over; a short run is one stage.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from collections.abc import Callable
@@ -69,6 +81,8 @@ from .wavepacket import (
 DENSE_HALF_WIDTH_CAP = 512
 #: auto-grow gives up past this ladder size
 _GROW_CAP = 1 << 14
+#: a new stage of a long run starts where the FFT length shrinks this much
+_STAGE_RATIO = 2
 
 
 class LeakageError(RuntimeError):
@@ -182,31 +196,73 @@ def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
     buf *= kick
     np.fft.fft(buf, out=buf)
     occ = np.abs(buf[:, half_width]) ** 2 + np.abs(buf[:, -half_width]) ** 2
-    if not (occ <= EDGE_LEAK_BOUND).all():
-        raise LeakageError(float(np.max(occ)), period)
+    worst = occ.max()  # NaN if any row holds one
+    if not worst <= EDGE_LEAK_BOUND:
+        raise LeakageError(float(worst), period)
     buf *= factors
 
 
-def _periods(kicks: int, kick: np.ndarray, phases: Callable[..., np.ndarray],
-             half_width: int) -> np.ndarray:
-    """delta_{m,0} through kicks periods on the grid of kick, once per row
-    of the phase table phases(m): a (P, 2M+1) stack in ladder order.
+def _stages(kicks: int, phi_d: float, half_width: int) -> list[tuple[int, int]]:
+    """The ladder schedule of an N-period run on the final ladder M: one
+    (last period, half width) pair per stage, in order, the last (N, M).
 
-    phases is read once, on this ladder, and its free-flight factors
-    exp(-i theta) are formed for the whole block in one pass. The stack
-    stays on one (P, n) buffer in FFT order for every period and is read
-    back to ladder order once, at the end.
+    Period k needs the final ladder less the reach of the kicks still to
+    come, M_k = M - floor(phi_d (N - k)), and never less than
+    min(M, default_half_width(k, phi_d)); M_k never decreases with k.
+    Walking back from the last stage, the stage before a stage ends at the
+    last period whose grid _propagation_points(M_k) is at most
+    1/_STAGE_RATIO of that stage's grid. Each stage runs on the ladder of
+    its own last period, which holds every period in it. At phi_d = 0.485
+    every N <= 96 is one stage.
+    """
+    def ladder(k: int) -> int:
+        return max(half_width - math.floor(phi_d * (kicks - k)),
+                   min(half_width, default_half_width(k, phi_d)))
+
+    def halved(k: int, n: int) -> bool:
+        return _STAGE_RATIO * _propagation_points(ladder(k), phi_d) <= n
+
+    stages = [(kicks, half_width)]
+    n = _propagation_points(half_width, phi_d)
+    while stages[0][0] > 1 and halved(1, n):
+        # halved holds up to some period and fails after it: find that one
+        last = bisect.bisect_left(range(1, stages[0][0]), True,
+                                  key=lambda k: not halved(k, n))
+        stages.insert(0, (last, ladder(last)))
+        n = _propagation_points(stages[0][1], phi_d)
+    return stages
+
+
+def _periods(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
+             half_width: int) -> np.ndarray:
+    """delta_{m,0} through kicks periods of kick phi_d, once per row of the
+    phase table phases(m): a (P, 2M+1) stack in ladder order.
+
+    phases is read once, on the final ladder M, and its free-flight
+    factors exp(-i theta) are formed for the whole block in one pass; each
+    stage of _stages takes the central slice of them for its own ladder
+    and kicks on its own _propagation_points length. The stack stays in
+    FFT order on one (P, n) buffer through each stage. At its end the
+    stage's 2M_s+1 ladder entries are read back to ladder order through
+    _fft_slots, and the next stage places them at the centre of its own
+    ladder; the last stage's read is the result.
     """
     M = half_width
-    slots = _fft_slots(M, len(kick))
     free = np.atleast_2d(np.exp(-1j * phases(np.arange(-M, M + 1))))
-    factors = np.zeros((len(free), len(kick)), dtype=complex)
-    factors[:, slots] = free
-    buf = np.zeros_like(factors)
-    buf[:, 0] = 1.0  # m = 0 sits at index 0
-    for period in range(1, kicks + 1):
-        _kick(buf, kick, factors, M, period)
-    return buf[:, slots]
+    # delta_{m,0}, in ladder order on a ladder of half width 0
+    rows, start = np.ones((len(free), 1), dtype=complex), 1
+    for last, M_s in _stages(kicks, phi_d, M):
+        kick = _kick_phases(_propagation_points(M_s, phi_d), phi_d)
+        slots = _fft_slots(M_s, len(kick))
+        was = (rows.shape[1] - 1) // 2
+        buf = np.zeros((len(free), len(kick)), dtype=complex)
+        buf[:, slots[M_s - was:M_s + was + 1]] = rows
+        factors = np.zeros_like(buf)
+        factors[:, slots] = free[:, M - M_s:M + M_s + 1]
+        for period in range(start, last + 1):
+            _kick(buf, kick, factors, M_s, period)
+        rows, start = buf[:, slots], last + 1
+    return rows
 
 
 def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
@@ -215,17 +271,19 @@ def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
     once per row of the free-flight phase table, as one (P, 2M+1) stack.
 
     phases maps the ladder m = -M..M to the block's phase table, (P, 2M+1),
-    or (2M+1,) for one state; it is called once per ladder, first or
-    grown, and may refuse the block with ValueError before any kick. All
-    rows share one ladder, sized from kicks alone, and one kick factor;
-    row p gets the free flight of table row p and comes out bit-identical
-    to a one-row run on the same ladder. Each period is one _kick on the
-    stack, kept in FFT order between periods. A leak in any row restarts
-    the whole stack with a doubled ladder when auto_grow is set.
+    or (2M+1,) for one state; it is called once per final ladder, first
+    or grown, and may refuse the block with ValueError before any kick.
+    All rows share one final ladder, sized from kicks alone, and one stage
+    schedule (_stages), which follows from (kicks, phi_d, M) alone; row p
+    gets the free flight of table row p and comes out bit-identical to a
+    one-row run on the same ladder. Each period, numbered 1..N across the
+    stages, is one _kick on the stack, kept in FFT order between periods.
+    A leak in any row of any stage restarts the whole stack with a doubled
+    final ladder, which widens every stage, when auto_grow is set.
 
-    Every ladder, first or grown, is kicked on _propagation_points(M,
-    phi_d) points, on which the kick is exact; no caller picks the grid.
-    Bad arguments raise ValueError before the first kick.
+    Every stage is kicked on _propagation_points(M_s, phi_d) points for
+    its own ladder M_s, on which the kick is exact; no caller picks the
+    grid. Bad arguments raise ValueError before the first kick.
     """
     _as_finite("phi_d", phi_d, positive=True)
     kicks = _as_int("kicks", kicks, 0)
@@ -234,9 +292,8 @@ def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
     else:
         M = _as_int("half_width", half_width, 1)
     while True:
-        kick = _kick_phases(_propagation_points(M, phi_d), phi_d)
         try:
-            return _periods(kicks, kick, phases, M)
+            return _periods(kicks, phi_d, phases, M)
         except LeakageError:
             if not auto_grow or 2 * M > _GROW_CAP:
                 raise
@@ -259,8 +316,7 @@ def _echo_fidelities(kicks: int, phi_d: float):
     def fidelities(amps: np.ndarray) -> list[float]:
         M = (amps.shape[1] - 1) // 2
         if M not in targets:
-            kick = _kick_phases(_propagation_points(M, pulse), pulse)
-            targets[M] = _periods(1, kick, lambda m: np.zeros(len(m)), M)[0]
+            targets[M] = _periods(1, pulse, lambda m: np.zeros(len(m)), M)[0]
         # one vdot per row: a stacked matmul would break row bit-identity
         return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
 

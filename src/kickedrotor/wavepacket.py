@@ -24,6 +24,7 @@ and positive), _all_finite and _grid_samples (arrays) and _check_grid
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -132,6 +133,8 @@ def default_n_points(half_width: int) -> int:
     return 1 << max(3, int(math.ceil(math.log2(4 * (half_width + 1)))))
 
 
+# a pure function that every run evaluates for each stage it plans
+@functools.lru_cache(maxsize=1024)
 def _propagation_points(half_width: int, phi: float) -> int:
     """Smallest 5-smooth length 2**a 3**b 5**c that kicks by phi exactly.
 

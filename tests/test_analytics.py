@@ -104,6 +104,43 @@ class TestBessel:
             bessel_j_row(x, n_max)
 
 
+#: arguments across both branches of bessel_j_row: the ascending series
+#: below 1e-4 (zero and subnormals included), rescale-heavy small x, the
+#: default strength and its multiples, and x past every n_max below, where
+#: the recurrence starts at ceil(x) instead of n_max
+STEPPED_X = [0.0, 5e-324, 1e-300, 3e-9, 3e-5, 9.99e-5, 1e-4, 1.3e-4, 1e-3,
+             0.01, 0.1, 0.485, 0.97, 2.0, 13.7, 97.0, 250.5, 999.0, 1000.0]
+
+
+class TestSteppedRows:
+    """_bessel_j_rows steps many rows through bessel_j_row's arithmetic at
+    once; every row is bit for bit its one-row case."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 40, 138, 300, 1200])
+    def test_rows_are_their_one_row_case(self, n_max):
+        table = analytics._bessel_j_rows(STEPPED_X, n_max)
+        assert table.shape == (len(STEPPED_X), n_max + 1)
+        for x, row in zip(STEPPED_X, table):
+            assert np.array_equal(row, bessel_j_row(x, n_max)), x
+
+    def test_perturbative_strengths(self):
+        # the rows of qkr perturbative --kicks 200
+        xs = [k * 0.485 for k in range(1, 201)]
+        table = analytics._bessel_j_rows(xs, 138)
+        assert np.array_equal(table, np.array([bessel_j_row(x, 138) for x in xs]))
+
+    def test_empty_block(self):
+        assert analytics._bessel_j_rows([], 7).shape == (0, 8)
+
+    @pytest.mark.parametrize(
+        "xs,n_max", [([0.3, -0.1], 5), ([1000.5], 5), ([1.0, math.nan], 5),
+                     ([1.0], -1), ([1.0], 10_001)]
+    )
+    def test_domain_guard(self, xs, n_max):
+        with pytest.raises(ValueError, match="out of range"):
+            analytics._bessel_j_rows(xs, n_max)
+
+
 class TestResonantState:
     def test_norm_and_phases(self):
         st_ = resonant_state(10, 0.485, 40)
@@ -260,7 +297,8 @@ class TestPerturbativeDensity:
         expect = np.full(grid.n_points, 1.0 / TWO_PI)
         for k in range(1, 201):
             expect = expect + correction_term(k, 0.485, 1.1e-6, grid, M).values
-        assert np.max(np.abs(dens - expect)) <= 1e-15
+        # bit for bit: the stepped Bessel rows are each correction_term's own
+        assert np.array_equal(dens, expect)
 
     @pytest.mark.parametrize("eps", NON_FINITE)
     def test_refuses_non_finite_epsilon(self, eps, no_bessel):

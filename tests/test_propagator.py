@@ -32,6 +32,7 @@ from kickedrotor.propagator import (
     _kick_phases,
     _revival_phases,
     _run,
+    _stages,
     _unitarity_error,
 )
 from kickedrotor.scanner import RANGE_CAP
@@ -273,11 +274,15 @@ class TestEvolve:
         expect = propagate(cfg.kicks, cfg.phi_d, spec, cfg.half_width,
                            auto_grow=cfg.auto_sized if grow is None else grow)
         assert np.array_equal(state.amps, expect.amps)
-        # the core kicks on its own lengths only, never on cfg.n_points
-        ladders = [cfg.half_width << k for k in range(len(phases.call_args_list))]
+        # the core kicks on its own lengths only, never on cfg.n_points:
+        # one per stage of each ladder, first or grown
+        ladders = [cfg.half_width]
+        while ladders[-1] < state.half_width:
+            ladders.append(2 * ladders[-1])
         assert ladders[-1] == state.half_width
         grids = [call.args[0] for call in phases.call_args_list]
-        assert grids == [_propagation_points(M, cfg.phi_d) for M in ladders]
+        assert grids == [_propagation_points(M_s, cfg.phi_d) for M in ladders
+                         for _, M_s in _stages(cfg.kicks, cfg.phi_d, M)]
         if grow:
             assert state.half_width > cfg.half_width
 
@@ -473,16 +478,18 @@ class TestFidelityProtocol:
     def test_echo_runs_on_the_driven_ladder(self):
         # the reversed pulse is read as an overlap, so the ladder is sized
         # for N*phi_d (M = 555), not for the doubled reach (M = 1058); the
-        # driven kick runs on 1152 points and the one pulse of N*phi_d =
-        # 485 on 1728, each the length that kicks by its own phi exactly
+        # driven kicks run in three stages on 288, 576 and 1152 points and
+        # the one pulse of N*phi_d = 485 on 1728, each the length that
+        # kicks by its own phi exactly
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
             f = fidelity_protocol(1000, 0.485, 0.0)
         assert abs(f - 1.0) <= 1e-12
         assert default_half_width(1000, 0.485) == 555
-        grids = {call.args for call in phases.call_args_list}
-        assert grids == {(1152, 0.485), (1728, 1000 * 0.485)}
-        assert grids == {(_propagation_points(555, phi), phi)
-                         for phi in (0.485, 1000 * 0.485)}
+        grids = [call.args for call in phases.call_args_list]
+        assert grids == [(288, 0.485), (576, 0.485), (1152, 0.485),
+                         (1728, 1000 * 0.485)]
+        assert grids[-2:] == [(_propagation_points(555, phi), phi)
+                              for phi in (0.485, 1000 * 0.485)]
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]
@@ -616,3 +623,134 @@ class TestParity:
         for eps in (0.0, 0.3 / kicks**2, -1.0 / kicks**2):
             amps = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, eps)).amps
             assert np.max(np.abs(amps - amps[::-1])) <= 1e-12
+
+
+def single_ladder(kicks: int, phi: float, phases, M: int) -> np.ndarray:
+    """Every period on the final ladder M and its one grid: the spectral
+    core before it ran in stages, kept as the reference for the stages."""
+    kick = _kick_phases(_propagation_points(M, phi), phi)
+    slots = _fft_slots(M, len(kick))
+    free = np.atleast_2d(np.exp(-1j * phases(np.arange(-M, M + 1))))
+    factors = np.zeros((len(free), len(kick)), dtype=complex)
+    factors[:, slots] = free
+    buf = np.zeros_like(factors)
+    buf[:, 0] = 1.0
+    for period in range(1, kicks + 1):
+        _kick(buf, kick, factors, M, period)
+    return buf[:, slots]
+
+
+def kick_ladders(run) -> tuple[object, list[tuple[int, int]]]:
+    """run()'s result and the (period, half width) of each _kick it made."""
+    with mock.patch.object(propagator, "_kick", wraps=_kick) as step:
+        out = run()
+    return out, [(call.args[4], call.args[3]) for call in step.call_args_list]
+
+
+#: revival detunings of the long-orbit checks, one block
+LONG_EPS = (0.0, 1e-8, -1e-8, 3e-7)
+
+
+class TestStages:
+    """A long run kicks its early periods on the ladder their reach needs:
+    period k on M - floor(phi_d (N - k)), in stages whose grids halve."""
+
+    @pytest.mark.parametrize("kicks, phi, M", [
+        (300, 0.485, None), (1000, 0.485, None), (2000, 0.485, None),
+        (2000, 0.485, 2116), (400, 0.485, 452), (300, 0.485, 120),
+        (500, 2.3, None), (60, 40.0, None), (20, 0.485, 8), (7, 0.485, None),
+        (1, 0.485, None), (0, 0.485, None),
+    ])
+    def test_ladders_grow_to_the_final_one(self, kicks, phi, M):
+        M = default_half_width(kicks, phi) if M is None else M
+        stages = _stages(kicks, phi, M)
+        assert stages[-1] == (kicks, M)
+        lasts = [last for last, _ in stages]
+        ladders = [ladder for _, ladder in stages]
+        assert lasts == sorted(set(lasts)) and lasts[0] >= min(kicks, 1)
+        assert ladders == sorted(ladders)
+        grids = [_propagation_points(ladder, phi) for ladder in ladders]
+        # each stage holds every period it runs, and its grid is at most
+        # half the next one's
+        for last, ladder in stages:
+            assert ladder >= min(M, default_half_width(last, phi))
+            assert ladder >= M - math.floor(phi * (kicks - last))
+        assert all(2 * a <= b for a, b in zip(grids, grids[1:]))
+
+    def test_run_follows_the_schedule(self):
+        amps, steps = kick_ladders(lambda: _run(2000, 0.485, np.zeros_like))
+        assert [period for period, _ in steps] == list(range(1, 2001))
+        expect, first = [], 1
+        for last, ladder in _stages(2000, 0.485, 1058):
+            expect += [ladder] * (last - first + 1)
+            first = last + 1
+        assert [ladder for _, ladder in steps] == expect
+        assert sorted(set(expect)) == [118, 253, 523, 1058]
+        assert amps.shape == (1, 2 * 1058 + 1)
+
+    @pytest.mark.parametrize("kicks, grids", [
+        (300, [216, 432]), (1000, [288, 576, 1152]), (2000, [270, 540, 1080, 2160]),
+    ])
+    def test_long_orbit_grids(self, kicks, grids):
+        stages = _stages(kicks, 0.485, default_half_width(kicks, 0.485))
+        assert [_propagation_points(ladder, 0.485) for _, ladder in stages] == grids
+
+    def test_short_runs_are_one_stage(self):
+        # the sweeps (N = 5..18), qkr scan --kicks 40 and the dense pair
+        # (M = 452, N = 400) run on one ladder, as before the stages
+        for kicks in range(0, 97):
+            M = default_half_width(kicks, 0.485)
+            assert _stages(kicks, 0.485, M) == [(kicks, M)]
+        assert _stages(400, 0.485, 452) == [(400, 452)]
+        assert len(_stages(400, 0.485, default_half_width(400, 0.485))) == 2
+
+    @pytest.mark.parametrize("kicks", [5, 18, 40, 96])
+    def test_one_stage_rows_are_the_single_ladder_rows(self, kicks):
+        block = functools.partial(_revival_phases, 1, (0.0, 1e-4, -3e-3))
+        M = default_half_width(kicks, 0.485)
+        assert np.array_equal(_run(kicks, 0.485, block),
+                              single_ladder(kicks, 0.485, block, M))
+
+    @pytest.mark.parametrize("kicks", [300, 1000, 2000])
+    def test_staged_rows_match_the_single_ladder(self, kicks):
+        M = default_half_width(kicks, 0.485)
+        block = functools.partial(_revival_phases, 1, LONG_EPS)
+        general = FreePhaseSpec.general(4 * math.pi * (1 + 1e-4)).phases
+        for phases in (block, general):
+            staged = _run(kicks, 0.485, phases, auto_grow=False)
+            assert staged.shape[1] == 2 * M + 1
+            ref = single_ladder(kicks, 0.485, phases, M)
+            assert np.max(np.abs(staged - ref)) <= 1e-13
+            norms = np.sum(np.abs(staged) ** 2, axis=1)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12
+            if phases is block:
+                # row 0 is at epsilon = 0, where the closed form holds
+                closed = resonant_state(kicks, 0.485, M).amps
+                assert np.max(np.abs(staged[0] - closed)) <= 1e-12
+
+    def test_early_stage_leak_restarts_with_every_stage_doubled(self):
+        # narrow every stage but the last by 40 sites: the first stage of
+        # N = 300 (M = 91 at period 89) then leaks, and the run restarts on
+        # the doubled final ladder, whose own stages are all wider
+        def narrowed(kicks, phi, M):
+            stages = _stages(kicks, phi, M)
+            return [(last, ladder - 40) for last, ladder in stages[:-1]] + stages[-1:]
+
+        block = functools.partial(_revival_phases, 1, LONG_EPS)
+        with mock.patch.object(propagator, "_stages", side_effect=narrowed) as plan:
+            amps, steps = kick_ladders(lambda: _run(300, 0.485, block))
+        assert [call.args for call in plan.call_args_list] == [(300, 0.485, 193),
+                                                               (300, 0.485, 386)]
+        # the restart is where period 1 comes round again
+        first_pass = steps[:[period for period, _ in steps].index(1, 1)]
+        assert {ladder for _, ladder in first_pass} == {51}
+        assert first_pass[-1][0] <= 89
+        restart = steps[len(first_pass):]
+        assert [period for period, _ in restart] == list(range(1, 301))
+        assert min(ladder for _, ladder in restart) > 91
+        clean = _run(300, 0.485, block)
+        M = (clean.shape[1] - 1) // 2
+        assert amps.shape[1] == 2 * 386 + 1
+        assert np.max(np.abs(amps[:, 386 - M:386 + M + 1] - clean)) <= 1e-12
+        assert np.max(np.abs(amps[:, :386 - M])) <= 1e-12
+        assert np.max(np.abs(amps[:, 386 + M + 1:])) <= 1e-12

@@ -6,8 +6,10 @@ The spectral core's FFT length is chosen by one rule in one place: every
 kick factor is built on a _propagation_points length. The transforms have
 owners too: numpy's fft and ifft are called only in the core's period
 (propagator._kick), the observation grid's pair (wavepacket._synthesize
-and _analyze) and the first-order field (analytics.correction_term), which
-stays apart from the propagation code it is checked against. The
+and _analyze) and the first-order field (analytics._correction_field,
+the arithmetic of correction_term), which stays apart from the
+propagation code it is checked against. Every period is one _kick, and
+only the core's period loop, propagator._periods, calls it. The
 sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. State that
@@ -92,8 +94,9 @@ def test_every_kick_runs_on_a_propagation_length():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         assert stray_kick_grids(tree) == [], path.name
         calls += len(kick_calls(tree))
-    # the driven kick of _run and the echo pulse of _echo_fidelities
-    assert calls == 2
+    # the one kick factor per stage of _periods, driven kick and echo
+    # pulse alike
+    assert calls == 1
 
 
 def test_stray_kick_grid_is_caught():
@@ -141,7 +144,7 @@ def test_transforms_run_only_in_their_owners():
         owners += [f"{path.stem}.{name}" for name in transform_owners(tree)]
     # the first-order field's one fft, the core's ifft and fft, and the
     # observation grid's pair
-    assert sorted(owners) == ["analytics.correction_term",
+    assert sorted(owners) == ["analytics._correction_field",
                               "propagator._kick", "propagator._kick",
                               "wavepacket._analyze", "wavepacket._synthesize"]
 
@@ -153,6 +156,35 @@ def test_stray_transform_is_caught():
                      "        return numpy.fft.ifft(a)\n"
                      "    return fft.fft(a) + np.fft.rfft(a)\n")
     assert transform_owners(tree) == ["<module>", "g", "f"]
+
+
+def is_period_call(node: ast.AST) -> bool:
+    """A call of _kick, by name or as an attribute (propagator._kick)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_kick"
+        or getattr(node.func, "attr", None) == "_kick")
+
+
+def test_only_the_period_loop_calls_the_period():
+    # tests/test_fail_closed.py counts _kick calls to show a refusal came
+    # before the first period; a second caller could kick uncounted
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in owners(tree, is_period_call)]
+    assert found == ["propagator._periods"]
+
+
+def test_stray_period_call_is_caught():
+    tree = ast.parse("def _periods(buf):\n"
+                     "    _kick(buf, k, f, 3, 1)\n"
+                     "def _echo(buf):\n"
+                     "    propagator._kick(buf, k, f, 3)\n"
+                     "_kick(buf, k, f, 3)\n"
+                     "_kick_phases(8, 0.5)\n"
+                     "def _run():\n"
+                     "    return _kick\n")
+    assert owners(tree, is_period_call) == ["_periods", "_echo", "<module>"]
 
 
 def is_within_bin_term(node: ast.AST) -> bool:
