@@ -8,19 +8,20 @@ is a short Fourier series whose coefficients are bilinear in Bessel values.
 
 Bessel values come from a downward three-term recurrence normalized with
 the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
-where the upward recurrence is not. One argument runs it as a Python loop
-(bessel_j_row); the N arguments of perturbative_density step through it
-together as arrays (_bessel_j_rows), each row bit for bit its loop.
+where the upward recurrence is not. It has one implementation,
+_bessel_j_rows, which steps any number of arguments through it together
+as arrays: the N arguments of perturbative_density in one block, and
+bessel_j_row (and with it every ladder, closed form and kick column) as
+its one-row case.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .wavepacket import (TWO_PI, MomentumWavefunction, SpatialGrid, _as_finite,
-                         _as_int, _check_grid, _grid_samples)
+                         _as_int, _bessel_reach, _check_grid, _grid_samples)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -37,53 +38,10 @@ class TruncationError(RuntimeError):
 def bessel_j_row(x: float, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) by downward recurrence, absolute error <= 1e-12.
 
-    Valid for 0 <= x <= 1000 and n_max <= 10000. The one-row reference of
-    _bessel_j_rows, which steps many arguments through the same arithmetic.
+    Valid for 0 <= x <= 1000 and n_max <= 10000: the one-row case of
+    _bessel_j_rows, which holds the arithmetic and the domain checks.
     """
-    n_max = _as_int("n_max", n_max)
-    if n_max < 0 or n_max > _DOMAIN_ORDER:
-        raise ValueError(f"order out of range: {n_max}")
-    x = float(x)
-    if not (0.0 <= x <= _DOMAIN_ARG) or math.isnan(x):
-        raise ValueError(f"argument out of range: {x}")
-    if x == 0.0:
-        row = np.zeros(n_max + 1)
-        row[0] = 1.0
-        return row
-    if x < 1e-4:
-        # ascending series: below this the recurrence's per-step growth 2k/x
-        # can cross the whole float range in one step, so no rescale
-        # threshold saves it; two series terms are exact to ~y^2 ~ 6e-18
-        row = np.zeros(n_max + 1)
-        y = 0.25 * x * x
-        term = 1.0
-        for d in range(n_max + 1):
-            row[d] = term * (1.0 - y / (d + 1))
-            term *= 0.5 * x / (d + 1)
-            if term == 0.0:
-                break
-        return row
-    # start the recurrence above both the requested order and the turning
-    # point |m| ~ x, where J_m(x) is already decaying
-    start = max(n_max, int(math.ceil(x)))
-    top = start + max(40, int(2.5 * math.sqrt(start + 1.0)))
-    row = np.zeros(top + 1)
-    above = 0.0
-    here = 1e-30
-    for k in range(top, 0, -1):
-        row[k] = here
-        below = (2.0 * k / x) * here - above
-        above = here
-        here = below
-        if abs(here) > _RESCALE:
-            scale = 1.0 / _RESCALE
-            here *= scale
-            above *= scale
-            row[k:] *= scale
-    row[0] = here
-    norm = row[0] + 2.0 * np.sum(row[2::2])
-    row /= norm
-    return row[: n_max + 1]
+    return _bessel_j_rows([float(x)], n_max)[0]
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -95,13 +53,14 @@ def bessel_j(n: int, x: float) -> float:
 
 def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
-    table whose row i is bit for bit bessel_j_row(xs[i], n_max).
+    table; bessel_j_row is its one-row case.
 
-    The rows take bessel_j_row's two branches with the same arithmetic,
-    stepped together: the ascending series below x = 1e-4 and the downward
-    recurrence above it, where each row starts at its own top order, is
-    rescaled when its own value passes _RESCALE and is normalized by its
-    own even-order sum. Same domain and refusals as bessel_j_row.
+    Two branches, stepped together over the rows that take them: the
+    ascending series below x = 1e-4, and above it the downward recurrence,
+    where each row starts at its own top order, is rescaled when its own
+    value passes _RESCALE and is normalized by its own even-order sum. So
+    no row depends on the others in its block. Refuses (ValueError) an
+    order outside 0..10000 and an argument outside [0, 1000], NaN included.
     """
     n_max = _as_int("n_max", n_max)
     if n_max < 0 or n_max > _DOMAIN_ORDER:
@@ -126,28 +85,31 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     if series.all():
         return table
     x = x[~series]
+    # start the recurrence above both the requested order and the turning
+    # point |m| ~ x, where J_m(x) is already decaying, and at least 13.2
+    # Airy widths past x (|J_m(x)| < 7e-16 there): the even-order sum
+    # misses every order above top, 1e-8 of it at x = 250 if top is x + 40
     start = np.maximum(n_max, np.ceil(x).astype(int))
     top = start + np.maximum(40, (2.5 * np.sqrt(start + 1.0)).astype(int))
-    # orders down the first axis, one column per row
-    down = np.zeros((top.max() + 1, len(x)))
-    above, here, below = np.zeros(len(x)), np.zeros(len(x)), np.empty(len(x))
+    top = np.maximum(top, [_bessel_reach(v, 13.2) for v in x])
+    K = int(top.max())
+    # orders down the first axis, one column per row; order K + 1 is the
+    # zero above every row's start
+    down = np.zeros((K + 2, len(x)))
+    ratio = np.empty(len(x))
     tops = set(top.tolist())
-    for k in range(top.max(), 0, -1):
-        if k in tops:
-            here[top == k] = 1e-30
-        down[k] = here
-        np.divide(2.0 * k, x, out=below)
-        below *= here
-        below -= above
-        above, here, below = here, below, above
+    down[K, top == K] = 1e-30
+    for k in range(K, 0, -1):
+        here = down[k - 1]
+        np.divide(2.0 * k, x, out=ratio)
+        np.multiply(ratio, down[k], out=here)
+        here -= down[k + 1]
+        if k - 1 in tops:
+            here[top == k - 1] = 1e-30
         big = np.abs(here) > _RESCALE
         if big.any():
-            scale = 1.0 / _RESCALE
-            here[big] *= scale
-            above[big] *= scale
-            down[k:, big] *= scale
-    down[0] = here
-    # each row's own sum, over its own orders, as bessel_j_row forms it
+            down[k - 1:, big] *= 1.0 / _RESCALE
+    # each row's own sum, over its own orders
     norm = [col[0] + 2.0 * np.sum(col[2:t + 1:2]) for col, t in zip(down.T, top)]
     down /= norm
     table[~series] = down[: n_max + 1].T

@@ -185,7 +185,8 @@ def l1_distance(a: Density, b: Density) -> float:
 
 @dataclass(frozen=True)
 class Profile:
-    """Sampled curve with strictly increasing abscissa (at least 5 points)."""
+    """Sampled curve with strictly increasing abscissa (at least 5 points),
+    every sample finite: a NaN or an infinity never reaches a width."""
 
     abscissa: np.ndarray
     ordinate: np.ndarray
@@ -195,6 +196,8 @@ class Profile:
         y = np.asarray(self.ordinate, dtype=float)
         if x.shape != y.shape or x.ndim != 1 or len(x) < 5:
             raise ValueError("profile needs >= 5 paired samples")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("profile samples must be finite")
         if not np.all(np.diff(x) > 0):
             raise ValueError("abscissa must be strictly increasing")
         x = x.copy()

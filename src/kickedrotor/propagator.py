@@ -70,6 +70,7 @@ from .wavepacket import (
     TWO_PI,
     MomentumWavefunction,
     SimConfig,
+    SpatialGrid,
     _as_finite,
     _as_int,
     _fft_slots,
@@ -174,8 +175,7 @@ def _revival_phases(l: int, epsilons, m: np.ndarray) -> np.ndarray:
 
 def _kick_phases(n: int, phi: float) -> np.ndarray:
     """exp(-i phi cos X_j) on the n-point grid; phi < 0 gives the adjoint kick."""
-    X = TWO_PI * np.arange(n) / n
-    return np.exp(-1j * phi * np.cos(X))
+    return np.exp(-1j * phi * np.cos(SpatialGrid(n).nodes))
 
 
 def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,

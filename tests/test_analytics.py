@@ -104,7 +104,7 @@ class TestBessel:
             bessel_j_row(x, n_max)
 
 
-#: arguments across both branches of bessel_j_row: the ascending series
+#: arguments across both branches of _bessel_j_rows: the ascending series
 #: below 1e-4 (zero and subnormals included), rescale-heavy small x, the
 #: default strength and its multiples, and x past every n_max below, where
 #: the recurrence starts at ceil(x) instead of n_max
@@ -113,8 +113,9 @@ STEPPED_X = [0.0, 5e-324, 1e-300, 3e-9, 3e-5, 9.99e-5, 1e-4, 1.3e-4, 1e-3,
 
 
 class TestSteppedRows:
-    """_bessel_j_rows steps many rows through bessel_j_row's arithmetic at
-    once; every row is bit for bit its one-row case."""
+    """_bessel_j_rows is the one downward recurrence: checked against scipy,
+    and each row of a block bit for bit its one-row case (bessel_j_row),
+    so rows stepped together do not couple."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 40, 138, 300, 1200])
     def test_rows_are_their_one_row_case(self, n_max):
@@ -122,6 +123,13 @@ class TestSteppedRows:
         assert table.shape == (len(STEPPED_X), n_max + 1)
         for x, row in zip(STEPPED_X, table):
             assert np.array_equal(row, bessel_j_row(x, n_max)), x
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 40, 138, 300, 1200])
+    def test_rows_match_scipy(self, n_max):
+        # the reference independent of the recurrence
+        table = analytics._bessel_j_rows(STEPPED_X, n_max)
+        ref = special.jv(np.arange(n_max + 1), np.array(STEPPED_X)[:, None])
+        assert np.max(np.abs(table - ref)) <= 1e-12
 
     def test_perturbative_strengths(self):
         # the rows of qkr perturbative --kicks 200

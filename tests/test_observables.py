@@ -330,6 +330,19 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["abscissa", "ordinate"])
+    def test_non_finite_sample_refused(self, axis, bad):
+        # a NaN once passed through to a width: fwhm read 3.333 here
+        x = np.linspace(-3.0, 3.0, 7)
+        y = np.array([0.0, 0.6, 0.9, 1.0, 0.6, 0.0, 0.0])
+        if axis == "abscissa":
+            x[6] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Profile(x, y)
+
 
 class TestFwhm:
     def triangle(self, n=201):

@@ -92,6 +92,13 @@ class TestEpsilonScan:
         with pytest.raises(ValueError, match="abscissa must be strictly increasing"):
             EpsilonScan(5, "position", swapped, np.ones(33))
 
+    def test_non_finite_values_are_the_profile_rule(self):
+        good = _symmetric_grid(0.01, 33)
+        vals = np.ones(33)
+        vals[5] = np.nan
+        with pytest.raises(ValueError, match="profile samples must be finite"):
+            EpsilonScan(5, "position", good, vals)
+
     def test_profile_is_built_once_from_frozen_copies(self):
         eps, vals = _symmetric_grid(0.01, 33), np.linspace(0.0, 1.0, 33)
         scan = EpsilonScan(5, "fidelity", eps, vals)

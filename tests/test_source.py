@@ -12,12 +12,14 @@ propagation code it is checked against. Every period is one _kick, and
 only the core's period loop, propagator._periods, calls it. The
 sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
-within-bin term dx * dx / 12 and the MIRROR_TIE comparison. State that
-outlives a call has one owner as well: the only context variable is the
-sweep scanner keeps open (scanner._OPEN_SWEEP). The dense oracle,
-propagator.evolve_dense, is checked against the spectral core and so
-reaches none of the core's pieces, directly or through the module's
-helpers it calls. The core takes its free flight as one phase table, so
+within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
+Bessel recurrence has one owner, analytics._bessel_j_rows, the only
+reader of its rescale threshold _RESCALE; bessel_j_row is its one-row
+case. State that outlives a call has one owner as well: the only context
+variable is the sweep scanner keeps open (scanner._OPEN_SWEEP). The
+dense oracle, propagator.evolve_dense, is checked against the spectral
+core and so reaches none of the core's pieces, directly or through the
+module's helpers it calls. The core takes its free flight as one phase table, so
 neither the core nor the sweeps in scanner handle a FreePhaseSpec.
 """
 import ast
@@ -221,6 +223,35 @@ def test_second_sigma_arithmetic_is_caught():
                      "    return dx * dx / 6.0, MIRROR_TIE\n")
     assert owners(tree, is_within_bin_term) == ["<module>", "f"]
     assert owners(tree, is_mirror_tie_test) == ["f", "g"]
+
+
+def reads_rescale(node: ast.AST) -> bool:
+    """A read of _RESCALE, the downward recurrence's rescale threshold, by
+    name or as an attribute (analytics._RESCALE)."""
+    return isinstance(getattr(node, "ctx", None), ast.Load) and (
+        getattr(node, "id", None) == "_RESCALE"
+        or getattr(node, "attr", None) == "_RESCALE")
+
+
+def test_bessel_recurrence_has_one_owner():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in owners(tree, reads_rescale)]
+    # the rescale test and its factor
+    assert found == ["analytics._bessel_j_rows"] * 2
+
+
+def test_stray_bessel_recurrence_is_caught():
+    tree = ast.parse("_RESCALE = 1e250\n"
+                     "def bessel_j_row(x, n):\n"
+                     "    if abs(here) > _RESCALE:\n"
+                     "        here /= analytics._RESCALE\n"
+                     "def _bessel_j_rows(xs, n):\n"
+                     "    return xs\n"
+                     "LIMIT = 2 * _RESCALE\n")
+    assert owners(tree, reads_rescale) == ["bessel_j_row", "bessel_j_row",
+                                           "<module>"]
 
 
 def context_variables(tree: ast.Module) -> list[str]:
