@@ -29,6 +29,8 @@ MINUS_I_POW = np.array([1, -1j, -1, 1j])
 _DOMAIN_ORDER = 10_000
 _DOMAIN_ARG = 1_000.0
 _RESCALE = 1e250
+#: covers the rounding of the recurrence step and of its bound
+_SLACK = 1.0 + 1e-12
 
 
 class TruncationError(RuntimeError):
@@ -99,6 +101,12 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     ratio = np.empty(len(x))
     tops = set(top.tolist())
     down[K, top == K] = 1e-30
+    # upper bounds on max|down[k]| and max|down[k + 1]|, carried as Python
+    # floats: |J_{k-1}| <= (2k/x)|J_k| + |J_{k+1}|, with slack for the
+    # rounding of both sides; the exact rescale test runs only once the
+    # bound passes _RESCALE, so every rescale falls on the same order
+    x_min = float(x.min())
+    bound, above = 1e-30, 0.0
     for k in range(K, 0, -1):
         here = down[k - 1]
         np.divide(2.0 * k, x, out=ratio)
@@ -106,9 +114,14 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
         here -= down[k + 1]
         if k - 1 in tops:
             here[top == k - 1] = 1e-30
-        big = np.abs(here) > _RESCALE
-        if big.any():
-            down[k - 1:, big] *= 1.0 / _RESCALE
+        grown = (2.0 * k / x_min * bound + above) * _SLACK
+        bound, above = max(grown, 1e-30), bound
+        if bound > _RESCALE:
+            big = np.abs(here) > _RESCALE
+            if big.any():
+                down[k - 1:, big] *= 1.0 / _RESCALE
+                above = float(np.abs(down[k]).max())
+            bound = float(np.abs(here).max())
     # each row's own sum, over its own orders
     norm = [col[0] + 2.0 * np.sum(col[2:t + 1:2]) for col, t in zip(down.T, top)]
     down /= norm

@@ -19,15 +19,24 @@ grid, and its densities |Psi|^2 are checked and observed as one stack
 own Density; an echo row is one vdot against a target built once per
 ladder. Results are bitwise identical from run to run.
 
+At beta = 0 both profiles are exactly even in epsilon: the period map
+obeys conj(U_eps) = S U_{-eps} S with S = diag((-1)^m), so psi_m(-eps) =
+(-1)^m conj psi_m(eps), F(-eps) = F(eps), and the density at -eps is the
+one at eps shifted by pi. A sweep therefore reads every detuning as
+-|epsilon|, and both signs return the identical float. The key is -|eps|,
+not +|eps|, because sigma_x is not invariant under that shift (see
+observables.sigma_x): keyed by -|eps|, every auto_scan width stays within
+rounding of the one that propagated both signs.
+
 One object, _Sweep, holds a sweep's driven rows and each mode's values,
-keyed by detuning, so a detuning is propagated once per sweep and
+keyed by -|epsilon|, so a +- pair is propagated once per sweep and
 observed once per mode. A row is dropped once every mode of the sweep has
 read it: a one-mode sweep never holds more than one block of rows,
 whatever its point count, and a two-mode sweep holds only the rows a mode
 has yet to read. auto_range, auto_scan and _widths keep one sweep open
 while they run; every other call sweeps on its own. auto_scan is
 scan_epsilon over the auto_range range in one open sweep: the probe grids
-and the final grid are all multiples of r/2^k, so every repeated detuning
+and the final grid are all multiples of r/2^k, so every repeated |detuning|
 is the identical float and is computed once. _widths keeps one sweep per
 kick number, read by every mode it measures. The threads arguments are
 accepted and ignored (timings in the README). Detunings beyond the config
@@ -87,14 +96,18 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
 
 class _Sweep:
     """One sweep (kicks, phi_d, l): its driven rows and each mode's values,
-    keyed by detuning.
+    keyed by -|epsilon|.
 
-    A mode's missing values are computed SWEEP_BLOCK detunings at a time:
-    the block's rows that no mode has propagated yet are one core call on
-    their phase table, and a row is dropped once every mode of the sweep
-    has read it. Each row keeps the ladder its core call ran on, so a row
-    of a stack that auto-grew is observed on the grown ladder, as it is on
-    its own; the echo target is built once per ladder.
+    read maps every requested detuning to -|epsilon| before the memo, so
+    a +- pair is propagated, observed and stored once, and both signs
+    read the identical float (module docstring); 0.0 stays 0.0. It is the
+    only caller of the core in this module, so no sweep bypasses the
+    keying. A mode's missing values are computed SWEEP_BLOCK keys at a
+    time: the block's rows that no mode has propagated yet are one core
+    call on their phase table, and a row is dropped once every mode of the
+    sweep has read it. Each row keeps the ladder its core call ran on, so
+    a row of a stack that auto-grew is observed on the grown ladder, as it
+    is on its own; the echo target is built once per ladder.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
@@ -105,6 +118,8 @@ class _Sweep:
 
     def read(self, mode: str, epsilons: list[float]) -> list[float]:
         memo = self.values[mode]
+        # -|e|: e > 0 reads its mirror, and 0.0 stays 0.0
+        epsilons = [-e if e > 0 else e for e in epsilons]
         missing = [e for e in dict.fromkeys(epsilons) if e not in memo]
         for start in range(0, len(missing), SWEEP_BLOCK):
             block = missing[start:start + SWEEP_BLOCK]
@@ -294,7 +309,7 @@ def auto_scan(
     returns, reusing the probes' detunings.
 
     The probe ladder and the final grid read one open sweep, so each
-    distinct detuning is propagated once.
+    distinct |detuning| is propagated once.
     """
     points = _check_points(points)
     with _open(kicks, phi_d, l, (mode,)):
@@ -391,7 +406,7 @@ def width_scaling(
     """Measure profile widths over the given kick numbers and fit the law.
 
     Per kick number, one auto_scan: the probes and the final scan read
-    one sweep, so each distinct detuning is propagated once.
+    one sweep, so each distinct |detuning| is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
     return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points, cap)[0])
@@ -401,7 +416,7 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
             points: int, cap: float) -> list[list[float]]:
     """Per mode, the auto_scan width at each kick number.
 
-    The modes of one kick number read one sweep, so a detuning that
+    The modes of one kick number read one sweep, so a |detuning| that
     several modes need is propagated once; the sweep is closed when that
     kick number is done, and on any error.
     """

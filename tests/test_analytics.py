@@ -131,6 +131,20 @@ class TestSteppedRows:
         ref = special.jv(np.arange(n_max + 1), np.array(STEPPED_X)[:, None])
         assert np.max(np.abs(table - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("n_max", [0, 40, 138, 452, 1200])
+    def test_bound_skips_no_rescale(self, n_max, monkeypatch):
+        # an infinite slack runs the exact rescale test on every order, as
+        # the recurrence did before it carried a bound on the row: the same
+        # rows, bit for bit, in a block and one by one
+        xs = [*STEPPED_X, *(k * 0.485 for k in range(1, 201, 9)),
+              *np.random.default_rng(5).uniform(0.0, 1000.0, 20).tolist()]
+        block = analytics._bessel_j_rows(xs, n_max)
+        rows = [bessel_j_row(x, n_max) for x in xs]
+        monkeypatch.setattr(analytics, "_SLACK", math.inf)
+        assert np.array_equal(block, analytics._bessel_j_rows(xs, n_max))
+        for x, row in zip(xs, rows):
+            assert np.array_equal(row, bessel_j_row(x, n_max)), x
+
     def test_perturbative_strengths(self):
         # the rows of qkr perturbative --kicks 200
         xs = [k * 0.485 for k in range(1, 201)]

@@ -181,8 +181,8 @@ class TestScanCommand:
         code = main(["scan", "--kicks", "40", "--mode", "fidelity",
                      "--out", str(tmp_path / "a")])
         assert code == 0
-        # every detuning of the 65-point grid, each propagated and read once
-        assert len(rows) == len(set(rows)) == sum(reads) == 65
+        # every |epsilon| of the 65-point grid, each propagated and read once
+        assert len(rows) == len(set(rows)) == sum(reads) == 33
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_crossing_exits_3(self, tmp_path, fmt):

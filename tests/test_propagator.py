@@ -492,6 +492,38 @@ class TestFidelityProtocol:
                               for phi in (0.485, 1000 * 0.485)]
 
 
+class TestDetuningMirror:
+    """At beta = 0 the period map obeys conj(U_eps) = S U_{-eps} S with
+    S = diag((-1)^m): the conjugate kick is the kick shifted by pi, the free
+    phase 2 pi l eps m^2 flips sign and commutes with S, and delta_0 is
+    S-even. So psi_m(-eps) = (-1)^m conj psi_m(eps) and the echo is even in
+    eps, which lets a sweep read each +- pair once (scanner._Sweep)."""
+
+    KICKS = [1, 5, 12, 40]
+
+    @staticmethod
+    def detunings(kicks: int) -> np.ndarray:
+        # past the profile tails: auto_range brackets N = 5, 12 and 40 at
+        # 0.032, 0.011 and 0.001, and N = 1 not within the cap
+        return np.linspace(0.0, min(RANGE_CAP, 4.0 / kicks**2), 17)[1:]
+
+    @pytest.mark.parametrize("kicks", KICKS)
+    def test_mirror_state_is_the_conjugate_shifted_by_pi(self, kicks):
+        for eps in self.detunings(kicks):
+            plus, minus = (propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e))
+                           for e in (eps, -eps))
+            assert minus.half_width == plus.half_width
+            m = np.arange(-plus.half_width, plus.half_width + 1)
+            shifted = np.where(m % 2, -1.0, 1.0) * np.conj(plus.amps)
+            assert np.max(np.abs(minus.amps - shifted)) <= 1e-14, eps
+
+    @pytest.mark.parametrize("kicks", KICKS)
+    def test_echo_is_even(self, kicks):
+        for eps in self.detunings(kicks):
+            assert abs(fidelity_protocol(kicks, 0.485, -eps)
+                       - fidelity_protocol(kicks, 0.485, eps)) <= 1e-13, eps
+
+
 NON_FINITE = [math.nan, math.inf, -math.inf]
 
 

@@ -47,6 +47,12 @@ def block_detunings(phases) -> list[float]:
     return [phases.__self__.epsilon]
 
 
+def swept(epsilon: float) -> float:
+    """The detuning a sweep propagates and observes for epsilon: -|epsilon|,
+    so a +- pair is one row, and 0.0 stays 0.0."""
+    return -epsilon if epsilon > 0 else epsilon
+
+
 @pytest.fixture
 def no_propagation(monkeypatch):
     """Fail the test if any sweep point is evaluated."""
@@ -119,8 +125,12 @@ class TestEpsilonScan:
         scan = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33)
         assert scan.values[16] == pytest.approx(1.0, abs=1e-12)
         assert np.all(scan.values <= 1.0 + 1e-12)
-        # even profile: mirrored points agree
-        assert np.max(np.abs(scan.values - scan.values[::-1])) < 1e-9
+        # even profile: mirrored points are one row, read once
+        assert np.array_equal(scan.values, scan.values[::-1])
+
+    def test_position_scan_is_mirror_exact(self):
+        scan = scan_epsilon(12, 0.485, 1, "position", 4.0 / 12**2, 33)
+        assert np.array_equal(scan.values, scan.values[::-1])
 
     def test_thread_count_does_not_change_bits(self):
         a = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33, threads=1)
@@ -130,15 +140,15 @@ class TestEpsilonScan:
 
 
 def _probe_and_scan_grid(N, mode):
-    """Every detuning auto_scan evaluates: the probe ladder up to the chosen
-    range and the final grid."""
+    """Every detuning auto_scan evaluates, each +- pair as its -|epsilon|:
+    the probe ladder up to the chosen range and the final grid."""
     r_final = auto_range(N, 0.485, 1, mode)
     expected = set(_symmetric_grid(r_final, 65).tolist())
     r = 0.1 / N**2
     while r <= r_final:
         expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
         r *= 2.0
-    return expected
+    return {swept(e) for e in expected}
 
 
 class TestBatchedSweep:
@@ -148,7 +158,8 @@ class TestBatchedSweep:
         batch = _sweep_values("position", kicks, 0.485, 1, eps)
         single = []
         for e in eps:
-            state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e))
+            state = propagate(kicks, 0.485,
+                              FreePhaseSpec.revival_relative(1, swept(e)))
             grid = SpatialGrid(default_n_points(state.half_width))
             single.append(sigma_x(position_density(to_position(state, grid))))
         assert np.array_equal(batch, np.array(single))
@@ -174,12 +185,13 @@ class TestBatchedSweep:
     def test_fidelity_rows_equal_protocol(self, kicks):
         eps = _symmetric_grid(0.4 / kicks**2, 33)
         batch = _sweep_values("fidelity", kicks, 0.485, 1, eps)
-        single = [fidelity_protocol(kicks, 0.485, e) for e in eps]
+        single = [fidelity_protocol(kicks, 0.485, swept(e)) for e in eps]
         assert np.array_equal(batch, np.array(single))
 
     @pytest.mark.parametrize("mode", ["position", "fidelity"])
     def test_blocks_equal_one_block(self, mode, monkeypatch):
-        eps = _symmetric_grid(0.4 / 5**2, 2 * scanner.SWEEP_BLOCK + 33)
+        # 289 distinct |epsilon|
+        eps = _symmetric_grid(0.4 / 5**2, 4 * scanner.SWEEP_BLOCK + 65)
         calls = []
         original = scanner._run
 
@@ -193,7 +205,7 @@ class TestBatchedSweep:
         assert calls == [scanner.SWEEP_BLOCK, scanner.SWEEP_BLOCK, 33]
         monkeypatch.setattr(scanner, "SWEEP_BLOCK", len(eps))
         assert np.array_equal(blocked, _sweep_values(mode, 5, 0.485, 1, eps))
-        assert calls[3:] == [len(eps)]
+        assert calls[3:] == [len(eps) // 2 + 1]
 
     @pytest.mark.parametrize("mode", ["position", "fidelity"])
     def test_width_scaling_evaluates_each_detuning_once(self, mode, counted_rows,
@@ -219,7 +231,7 @@ class TestBatchedSweep:
         scan = auto_scan(kicks, 0.485, 1, mode)
         propagated = [e for _, e in counted_rows]
         assert len(propagated) == len(set(propagated))
-        assert set(scan.epsilons.tolist()) <= set(propagated)
+        assert {swept(e) for e in scan.epsilons.tolist()} <= set(propagated)
         assert sum(n for _, n, _ in reads) == len(propagated)
         # bit-identical to the sweep over the range auto_range returns
         ref = scan_epsilon(kicks, 0.485, 1, mode, auto_range(kicks, 0.485, 1, mode))
@@ -293,7 +305,7 @@ class TestSharedRows:
         n_list = list(range(5, 19))
         compare_modes(n_list, 0.485, 1, points=65)
         rows = list(counted_rows)
-        assert len(rows) == len(set(rows)) == 1510
+        assert len(rows) == len(set(rows)) == 762
         observed = {mode: 0 for mode in scanner.MODES}
         for mode, n, _ in reads:
             observed[mode] += n
@@ -324,7 +336,8 @@ class TestSharedRows:
 
     @pytest.mark.parametrize("mode", scanner.MODES)
     def test_one_mode_scan_holds_one_block(self, mode, reads):
-        points = 2 * scanner.SWEEP_BLOCK + 33
+        # 289 distinct |epsilon|
+        points = 4 * scanner.SWEEP_BLOCK + 65
         scan_epsilon(5, 0.485, 1, mode, 0.4 / 5**2, points)
         assert [n for _, n, _ in reads] == [scanner.SWEEP_BLOCK,
                                             scanner.SWEEP_BLOCK, 33]
@@ -333,7 +346,7 @@ class TestSharedRows:
     @pytest.mark.parametrize("mode", scanner.MODES)
     def test_one_mode_auto_scan_holds_one_block(self, mode, reads, counted_rows):
         scan = auto_scan(7, 0.485, 1, mode, points=2 * scanner.SWEEP_BLOCK + 33)
-        assert set(scan.epsilons.tolist()) <= {e for _, e in counted_rows}
+        assert {swept(e) for e in scan.epsilons.tolist()} <= {e for _, e in counted_rows}
         # more rows than a block pass through the sweep, one block at a time
         assert sum(n for _, n, _ in reads) == len(counted_rows) > scanner.SWEEP_BLOCK
         assert max(held for _, _, held in reads) <= scanner.SWEEP_BLOCK
@@ -392,7 +405,7 @@ class TestSharedRows:
         eps = sorted({*_symmetric_grid(0.4 / 12**2, 33).tolist(),
                       *_symmetric_grid(4.0 / 12**2, 33).tolist()})
         _sweep_values("position", 12, 0.485, 1, np.array(eps))
-        assert sorted(rows) == eps
+        assert sorted(rows) == sorted({swept(e) for e in eps})
         for row in rows.values():
             assert np.max(np.abs(row - row[::-1])) <= 1e-12
 
@@ -411,9 +424,9 @@ class TestSharedRows:
             tail = _sweep_values(first, kicks, 0.485, 1, eps[1::2])
         values[first] = np.empty(len(eps))
         values[first][::2], values[first][1::2] = head, tail
-        assert sorted(counted_rows) == sorted((kicks, e) for e in eps.tolist())
+        assert sorted(counted_rows) == sorted({(kicks, swept(e)) for e in eps.tolist()})
         sigma, fidelity = [], []
-        for e in eps:
+        for e in map(swept, eps):
             state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e))
             grid = SpatialGrid(default_n_points(state.half_width))
             sigma.append(sigma_x(position_density(to_position(state, grid))))

@@ -9,7 +9,9 @@ owners too: numpy's fft and ifft are called only in the core's period
 and _analyze) and the first-order field (analytics._correction_field,
 the arithmetic of correction_term), which stays apart from the
 propagation code it is checked against. Every period is one _kick, and
-only the core's period loop, propagator._periods, calls it. The
+only the core's period loop, propagator._periods, calls it. Every
+sweep reaches the core through scanner._Sweep.read, the only caller of
+_run in scanner, which keys each detuning by -|epsilon|. The
 sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
@@ -189,6 +191,37 @@ def test_stray_period_call_is_caught():
     assert owners(tree, is_period_call) == ["_periods", "_echo", "<module>"]
 
 
+def is_core_call(node: ast.AST) -> bool:
+    """A call of the spectral core _run, by name or as an attribute
+    (propagator._run)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_run"
+        or getattr(node.func, "attr", None) == "_run")
+
+
+def test_only_the_sweep_reader_calls_the_core():
+    # _Sweep.read keys every detuning by -|epsilon| before it propagates;
+    # a second caller in scanner could propagate +epsilon beside it
+    path = PACKAGE / "scanner.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert owners(tree, is_core_call) == ["read"]
+    sweep = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Sweep")
+    assert owners(sweep, is_core_call) == ["read"]
+
+
+def test_stray_core_call_is_caught():
+    tree = ast.parse("class _Sweep:\n"
+                     "    def read(self, e):\n"
+                     "        return _run(k, p, f)\n"
+                     "def _sweep_values(e):\n"
+                     "    return propagator._run(k, p, f)\n"
+                     "_run(k, p, f)\n"
+                     "def _core():\n"
+                     "    return _run\n")
+    assert owners(tree, is_core_call) == ["read", "_sweep_values", "<module>"]
+
+
 def is_within_bin_term(node: ast.AST) -> bool:
     """A division by the literal 12, as in the within-bin variance dx * dx / 12."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
@@ -238,8 +271,8 @@ def test_bessel_recurrence_has_one_owner():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.stem}.{name}" for name in owners(tree, reads_rescale)]
-    # the rescale test and its factor
-    assert found == ["analytics._bessel_j_rows"] * 2
+    # the bound's test, the exact rescale test and its factor
+    assert found == ["analytics._bessel_j_rows"] * 3
 
 
 def test_stray_bessel_recurrence_is_caught():
