@@ -10,7 +10,6 @@ from .analytics import (
     CorrectionField,
     PerturbativeDensity,
     TruncationError,
-    bessel_j,
     bessel_j_ladder,
     bessel_j_row,
     correction_term,
@@ -18,7 +17,6 @@ from .analytics import (
     resonant_state,
 )
 from .observables import (
-    UNIFORM_SIGMA_X,
     DegenerateDensityError,
     Density,
     NoCrossingError,
@@ -49,7 +47,6 @@ from .scanner import (
     auto_scan,
     compare_modes,
     fit_widths,
-    power_law_fit,
     scan_epsilon,
     scan_width,
     width_scaling,
@@ -62,8 +59,6 @@ from .wavepacket import (
     SpatialGrid,
     default_half_width,
     default_n_points,
-    init_momentum_eigenstate,
-    to_momentum,
     to_position,
 )
 
@@ -88,11 +83,9 @@ __all__ = [
     "SimConfig",
     "SpatialGrid",
     "TruncationError",
-    "UNIFORM_SIGMA_X",
     "WidthScaling",
     "auto_range",
     "auto_scan",
-    "bessel_j",
     "bessel_j_ladder",
     "bessel_j_row",
     "compare_modes",
@@ -104,20 +97,17 @@ __all__ = [
     "fidelity_protocol",
     "fit_widths",
     "fwhm",
-    "init_momentum_eigenstate",
     "kick_matrix",
     "l1_distance",
     "mean_energy",
     "momentum_density",
     "perturbative_density",
     "position_density",
-    "power_law_fit",
     "propagate",
     "resonant_state",
     "scan_epsilon",
     "scan_width",
     "sigma_x",
-    "to_momentum",
     "to_position",
     "width_scaling",
 ]

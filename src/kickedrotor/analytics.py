@@ -46,13 +46,6 @@ def bessel_j_row(x: float, n_max: int) -> np.ndarray:
     return _bessel_j_rows([float(x)], n_max)[0]
 
 
-def bessel_j(n: int, x: float) -> float:
-    """J_n(x), read from the ladder of half width |n|, sign rules included."""
-    n = _as_int("n", n)
-    # bessel_j_row refuses |n| past its domain
-    return float(bessel_j_ladder(x, abs(n))[abs(n) + n])
-
-
 def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
     table; bessel_j_row is its one-row case.

@@ -210,15 +210,21 @@ def _cmd_scan(args) -> tuple[Path, dict]:
     return out, manifest
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_fixture(path: str) -> tuple[list[int], list[float]]:
-    """N,width rows; a first row whose N is not a number is the header."""
+    """N,width rows; a first row none of whose cells is a number is the
+    header, so a first data row with a bad N is refused, not skipped."""
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
-    if rows:
-        try:
-            float(rows[0][1][0])
-        except ValueError:
-            del rows[0]  # header row
+    if rows and not any(_is_number(cell) for cell in rows[0][1]):
+        del rows[0]  # header row
     ns, widths = [], []
     for line, row in rows:
         try:

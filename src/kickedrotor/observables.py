@@ -17,15 +17,12 @@ failing rule.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .wavepacket import TWO_PI, MomentumWavefunction, PositionWavefunction
 
-#: spread of the uniform density on [0, 2*pi)
-UNIFORM_SIGMA_X = math.pi / math.sqrt(3.0)
 #: relative gap below which a density maximum and its mirror sample tie;
 #: the package's densities are even, and their maxima differ from their
 #: mirror samples by at most 3.2e-14 relative (auto_scan, N = 5..40)

@@ -334,21 +334,6 @@ def scan_width(scan: EpsilonScan) -> float:
     return fwhm(scan.profile(), half)
 
 
-def power_law_fit(
-    n_values: np.ndarray, widths: np.ndarray
-) -> tuple[float, float, float]:
-    """Least-squares slope/intercept/r^2 of log(width) against log(N)."""
-    logn = np.log(np.asarray(n_values, dtype=float))
-    logw = np.log(np.asarray(widths, dtype=float))
-    design = np.vstack([logn, np.ones_like(logn)]).T
-    (gamma, intercept), *_ = np.linalg.lstsq(design, logw, rcond=None)
-    residual = logw - design @ [gamma, intercept]
-    ss_tot = float(np.sum((logw - logw.mean()) ** 2))
-    ss_res = float(np.sum(residual**2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(gamma), float(intercept), r2
-
-
 @dataclass(frozen=True)
 class WidthScaling:
     """Widths per kick number and their fitted power law."""
@@ -373,7 +358,8 @@ def _kick_numbers(n_values, least: int = 1) -> np.ndarray:
 
 
 def fit_widths(n_values, widths) -> WidthScaling:
-    """Fit a power law to given widths.
+    """Fit a power law to given widths: the least-squares slope gamma,
+    intercept and r^2 of log(width) against log(N).
 
     Raises FitRefusalError for a non-finite width or r^2 below 0.9, and
     ValueError for a kick number that is not an integer in [1, 2**63), a
@@ -386,12 +372,19 @@ def fit_widths(n_values, widths) -> WidthScaling:
         raise FitRefusalError(f"non-finite width in {w_arr.tolist()}")
     if not np.all(w_arr > 0):
         raise ValueError("widths must be positive")
-    gamma, intercept, r2 = power_law_fit(n_arr, w_arr)
+    logn = np.log(n_arr.astype(float))
+    logw = np.log(w_arr)
+    design = np.vstack([logn, np.ones_like(logn)]).T
+    (gamma, intercept), *_ = np.linalg.lstsq(design, logw, rcond=None)
+    residual = logw - design @ [gamma, intercept]
+    ss_tot = float(np.sum((logw - logw.mean()) ** 2))
+    ss_res = float(np.sum(residual**2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     if not r2 >= 0.9:
         raise FitRefusalError(
             f"r_squared = {r2:.4f} below 0.9; widths do not follow a power law"
         )
-    return WidthScaling(n_arr, w_arr, gamma, intercept, r2)
+    return WidthScaling(n_arr, w_arr, float(gamma), float(intercept), r2)
 
 
 def width_scaling(

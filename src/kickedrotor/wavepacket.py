@@ -3,19 +3,19 @@
 A zero-quasi-momentum initial state confines the dynamics to the integer
 momentum ladder m in [-M, M]; the state is a vector of complex amplitudes
 psi(m). Position space is a uniform grid X_j = 2*pi*j/n on [0, 2*pi).
-The two pictures are linked by the discrete Fourier pair
+The two pictures are linked by the discrete Fourier synthesis
 
     Psi(X_j) = (2*pi)**-0.5 * sum_m psi(m) exp(i m X_j)
-    psi(m)   = (2*pi)**-0.5 * (2*pi/n) * sum_j Psi(X_j) exp(-i m X_j)
 
-which is exact (not approximate) on any grid that holds the ladder,
-n >= 2M+1. Two grids are used. The observation grid samples the density
-|Psi|**2, whose band is 4M+1, so it keeps the Nyquist margin
-n >= 2*(2M+1) (default_n_points, _check_grid). The propagation grid only
-carries the kick exp(-i phi cos X) back to the ladder, which is exact once
-n - 2M exceeds the kick's own Bessel reach (_propagation_points). FFTs
-are used internally; the contract is the sum. Both grids hold the ladder
-in FFT order, m >= 0 at index m and m < 0 at n + m (_fft_slots).
+which is exact (not approximate) and loses nothing on any grid that
+holds the ladder, n >= 2M+1. Two grids are used. The observation grid
+samples the density |Psi|**2, whose band is 4M+1, so it keeps the
+Nyquist margin n >= 2*(2M+1) (default_n_points, _check_grid). The
+propagation grid only carries the kick exp(-i phi cos X) back to the
+ladder, which is exact once n - 2M exceeds the kick's own Bessel reach
+(_propagation_points). FFTs are used internally; the contract is the
+sum. Both grids hold the ladder in FFT order, m >= 0 at index m and
+m < 0 at n + m (_fft_slots).
 
 The package's argument rules live here, one owner each: _as_int
 (integers, optionally with a least value), _as_finite (finite, or finite
@@ -33,8 +33,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 ROOT_TWO_PI = math.sqrt(TWO_PI)
 
-#: one unitary application may not change the norm by more than this
-NORM_TOL = 1e-12
 #: combined occupancy allowed in the two outermost ladder sites
 EDGE_LEAK_BOUND = 1e-14
 #: upper bound of the small-detuning regime the first-order formulas target
@@ -220,11 +218,6 @@ class MomentumWavefunction:
     def edge_occupancy(self) -> float:
         return float(abs(self.amps[0]) ** 2 + abs(self.amps[-1]) ** 2)
 
-    def overlap(self, other: "MomentumWavefunction") -> complex:
-        if other.half_width != self.half_width:
-            raise ValueError("ladder size mismatch")
-        return complex(np.vdot(self.amps, other.amps))
-
 
 @dataclass(frozen=True)
 class PositionWavefunction:
@@ -290,21 +283,8 @@ class SimConfig:
     def auto_sized(self) -> bool:
         return self._auto_sized
 
-    @property
-    def hbar_s(self) -> float:
-        """Effective Planck constant at the detuned period, 4*pi*l*(1+eps)."""
-        return 2 * TWO_PI * self.l * (1.0 + self.epsilon)
-
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.n_points)
-
-
-def init_momentum_eigenstate(half_width: int) -> MomentumWavefunction:
-    """The m = 0 ladder eigenstate, psi(m) = delta_{m,0}."""
-    M = _as_int("half_width", half_width, 1)
-    amps = np.zeros(2 * M + 1, dtype=complex)
-    amps[M] = 1.0
-    return MomentumWavefunction(M, amps)
 
 
 def _fft_slots(half_width: int, n: int) -> np.ndarray:
@@ -335,20 +315,6 @@ def _synthesize(amps: np.ndarray, n: int) -> np.ndarray:
     return np.divide(values, ROOT_TWO_PI, out=values)
 
 
-def _analyze(values: np.ndarray, half_width: int) -> np.ndarray:
-    """Grid samples back to the ladder amplitudes m in [-M, M].
-
-    No grid check; works along the last axis, like _synthesize.
-    """
-    n = values.shape[-1]
-    # values is never written: it may be a frozen PositionWavefunction
-    # array. The ladder is read out first and scaled in place, the same
-    # operations per entry as scaling the whole spectrum.
-    amps = np.fft.fft(values)[..., _fft_slots(half_width, n)]
-    np.multiply(amps, ROOT_TWO_PI, out=amps)
-    return np.divide(amps, n, out=amps)
-
-
 def to_position(
     wf: MomentumWavefunction, grid: SpatialGrid
 ) -> PositionWavefunction:
@@ -356,11 +322,3 @@ def to_position(
     _check_grid(grid.n_points, wf.half_width)
     return PositionWavefunction(grid, _synthesize(wf.amps, grid.n_points))
 
-
-def to_momentum(
-    pwf: PositionWavefunction, half_width: int
-) -> MomentumWavefunction:
-    """Exact analysis psi(m) = (2*pi)**-0.5 (2*pi/n) sum_j Psi(X_j) e^{-imX_j}."""
-    M = _as_int("half_width", half_width, 1)
-    _check_grid(pwf.grid.n_points, M)
-    return MomentumWavefunction(M, _analyze(pwf.values, M))

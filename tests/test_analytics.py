@@ -13,7 +13,6 @@ from kickedrotor import (
     SimConfig,
     SpatialGrid,
     TruncationError,
-    bessel_j,
     bessel_j_ladder,
     bessel_j_row,
     correction_term,
@@ -84,8 +83,11 @@ class TestBessel:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_order_parity(self):
-        assert bessel_j(-3, 0.485) == -bessel_j(3, 0.485)
-        assert bessel_j(-4, 0.485) == bessel_j(4, 0.485)
+        # J_{-d} = (-1)^d J_d: index M + d of the ladder holds order d
+        M = 6
+        lad = bessel_j_ladder(0.485, M)
+        assert lad[M - 3] == -lad[M + 3]
+        assert lad[M - 4] == lad[M + 4]
 
     def test_ladder_is_signed_two_sided(self):
         M = 6
@@ -185,7 +187,6 @@ class TestIntegerArguments:
 
     CALLS = {
         "bessel_j_row.n_max": lambda v: bessel_j_row(0.485, v),
-        "bessel_j.n": lambda v: bessel_j(v, 0.485),
         "bessel_j_ladder.half_width": lambda v: bessel_j_ladder(0.485, v),
         "resonant_state.t": lambda v: resonant_state(v, 0.485, 40),
         "resonant_state.half_width": lambda v: resonant_state(3, 0.485, v),
@@ -204,7 +205,7 @@ class TestIntegerArguments:
 
     def test_integral_floats_accepted(self):
         assert resonant_state(3.0, 0.485, 40.0).half_width == 40
-        assert bessel_j(2.0, 0.485) == bessel_j(2, 0.485)
+        assert np.array_equal(bessel_j_row(0.485, 2.0), bessel_j_row(0.485, 2))
 
     def test_correction_grid_rule_is_the_nyquist_rule(self):
         # 2(2M+1) = 142 points fit M = 35; one fewer does not

@@ -338,6 +338,23 @@ class TestScalingCommand:
         assert message in capsys.readouterr().err
         assert not (out / "scaling.csv").exists()
 
+    @pytest.mark.parametrize("first_row", [",0.0625", "N4,0.0625"],
+                             ids=["empty-N", "letters-in-N"])
+    def test_headerless_bad_first_row_exits_2(self, tmp_path, capsys, first_row):
+        # a first row with a number in it is data, not a header to skip
+        fixture = tmp_path / "widths.csv"
+        fixture.write_text(
+            f"{first_row}\n4,0.0625\n8,0.015625\n16,0.00390625\n32,0.0009765625\n"
+        )
+        out = tmp_path / "x"
+        code = main([
+            "scaling", "--mode", "position", "--fixture", str(fixture),
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not (out / "scaling.csv").exists()
+
     @pytest.mark.parametrize("ns", [[4, 4, 4, 4], [4, 4, 8, 16]])
     def test_repeated_kick_numbers_exit_2(self, tmp_path, capsys, ns):
         # a rank-deficient design has a least-squares slope, but no law

@@ -12,9 +12,7 @@ from kickedrotor import (
     NoCrossingError,
     Profile,
     SpatialGrid,
-    UNIFORM_SIGMA_X,
     fwhm,
-    init_momentum_eigenstate,
     l1_distance,
     mean_energy,
     momentum_density,
@@ -25,6 +23,13 @@ from kickedrotor import (
 from kickedrotor.observables import MIRROR_TIE, _position_sigmas, _sigma_rows
 
 TWO_PI = 2 * math.pi
+
+
+def delta0(half_width: int) -> MomentumWavefunction:
+    """The m = 0 ladder state, psi(m) = delta_{m,0}."""
+    amps = np.zeros(2 * half_width + 1, dtype=complex)
+    amps[half_width] = 1.0
+    return MomentumWavefunction(half_width, amps)
 
 
 def uniform_density(n: int = 512) -> Density:
@@ -96,7 +101,7 @@ class TestDensity:
             momentum_density(MomentumWavefunction(4, amps))
 
     def test_from_states(self):
-        wf = init_momentum_eigenstate(4)
+        wf = delta0(4)
         assert momentum_density(wf).values[4] == 1.0
         pwf = to_position(wf, SpatialGrid(32))
         d = position_density(pwf)
@@ -108,7 +113,7 @@ class TestSigmaX:
         # pi/sqrt(3), independent of the grid resolution
         for n in (64, 256, 512, 1024):
             assert sigma_x(uniform_density(n)) == pytest.approx(
-                UNIFORM_SIGMA_X, abs=1e-9
+                math.pi / math.sqrt(3), abs=1e-9
             )
 
     def test_cosine_bump_matches_analytic_variance(self):
@@ -128,7 +133,7 @@ class TestSigmaX:
 
     def test_needs_position_kind(self):
         with pytest.raises(ValueError):
-            sigma_x(momentum_density(init_momentum_eigenstate(3)))
+            sigma_x(momentum_density(delta0(3)))
 
     @given(nearly_even_densities())
     def test_reflection_invariance(self, d):
@@ -285,7 +290,7 @@ class TestSigmaStack:
 
 class TestMeanEnergy:
     def test_ground_state_is_zero(self):
-        assert mean_energy(init_momentum_eigenstate(5), 4 * math.pi) == 0.0
+        assert mean_energy(delta0(5), 4 * math.pi) == 0.0
 
     def test_single_rung(self):
         M = 5
@@ -314,7 +319,7 @@ class TestL1Distance:
 
     def test_kind_and_support_guards(self):
         d = uniform_density(64)
-        m = momentum_density(init_momentum_eigenstate(3))
+        m = momentum_density(delta0(3))
         with pytest.raises(ValueError):
             l1_distance(d, m)
         with pytest.raises(ValueError):

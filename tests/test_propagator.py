@@ -18,7 +18,6 @@ from kickedrotor import (
     evolve,
     evolve_dense,
     fidelity_protocol,
-    init_momentum_eigenstate,
     kick_matrix,
     propagate,
     resonant_state,
@@ -70,6 +69,13 @@ def kicked(amps: np.ndarray, kick: np.ndarray) -> np.ndarray:
     return buf[:, slots].reshape(amps.shape)
 
 
+def delta0(half_width: int) -> MomentumWavefunction:
+    """The m = 0 ladder state, psi(m) = delta_{m,0}."""
+    amps = np.zeros(2 * half_width + 1, dtype=complex)
+    amps[half_width] = 1.0
+    return MomentumWavefunction(half_width, amps)
+
+
 def kick(wf: MomentumWavefunction, phi: float, n: int | None = None):
     # the spectral core's kick step applied to an arbitrary state
     n = default_n_points(wf.half_width) if n is None else n
@@ -79,7 +85,7 @@ def kick(wf: MomentumWavefunction, phi: float, n: int | None = None):
 class TestKick:
     def test_delta_becomes_bessel_ladder(self):
         M = 33
-        kicked = kick(init_momentum_eigenstate(M), 0.485)
+        kicked = kick(delta0(M), 0.485)
         minus_i = np.array([1, -1j, -1, 1j])
         m = np.arange(-M, M + 1)
         expect = minus_i[np.mod(m, 4)] * bessel_j_ladder(0.485, M)
@@ -140,7 +146,7 @@ class TestKick:
         with pytest.raises(LeakageError):
             kicked(amps, _kick_phases(default_n_points(8), 0.485))
         # a NaN away from the edges reaches them through the transforms
-        amps = init_momentum_eigenstate(8).amps.copy()
+        amps = delta0(8).amps.copy()
         amps[8] = np.nan
         with pytest.raises(LeakageError):
             kicked(amps, _kick_phases(default_n_points(8), 0.485))
@@ -354,7 +360,7 @@ class TestDenseRoute:
     def test_center_column_matches_spectral_kick(self):
         M = 35
         U = kick_matrix(0.485, M)
-        kicked = kick(init_momentum_eigenstate(M), 0.485)
+        kicked = kick(delta0(M), 0.485)
         assert np.max(np.abs(U[:, M] - kicked.amps)) < 1e-12
 
     def test_warns_when_ladder_cannot_hold_strength(self):

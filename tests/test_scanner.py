@@ -14,7 +14,6 @@ from kickedrotor import (
     PositionWavefunction,
     RangeCapError,
     SpatialGrid,
-    UNIFORM_SIGMA_X,
     auto_range,
     auto_scan,
     compare_modes,
@@ -22,7 +21,6 @@ from kickedrotor import (
     fidelity_protocol,
     fit_widths,
     position_density,
-    power_law_fit,
     propagate,
     scan_epsilon,
     scan_width,
@@ -119,7 +117,7 @@ class TestEpsilonScan:
 
     def test_center_of_position_scan_is_uniform_spread(self):
         scan = scan_epsilon(5, 0.485, 1, "position", 5e-3, 33)
-        assert scan.values[16] == pytest.approx(UNIFORM_SIGMA_X, abs=1e-6)
+        assert scan.values[16] == pytest.approx(math.pi / math.sqrt(3), abs=1e-6)
 
     def test_fidelity_scan_moments(self):
         scan = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33)
@@ -515,11 +513,10 @@ class TestScanWidth:
 class TestPowerLawFit:
     def test_exact_law_recovered(self):
         n = np.array([4, 8, 16, 32])
-        widths = 2.5 * n.astype(float) ** -2.0
-        gamma, intercept, r2 = power_law_fit(n, widths)
-        assert gamma == pytest.approx(-2.0, abs=1e-12)
-        assert intercept == pytest.approx(math.log(2.5), abs=1e-12)
-        assert r2 == pytest.approx(1.0, abs=1e-12)
+        ws = fit_widths(n, 2.5 * n.astype(float) ** -2.0)
+        assert ws.gamma == pytest.approx(-2.0, abs=1e-12)
+        assert ws.intercept == pytest.approx(math.log(2.5), abs=1e-12)
+        assert ws.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_fit_widths_carries_data(self):
         ws = fit_widths([4, 8, 16, 32], [0.0625, 0.015625, 0.00390625,

@@ -5,8 +5,8 @@ usually the residue of code folded elsewhere; this test fails on one.
 The spectral core's FFT length is chosen by one rule in one place: every
 kick factor is built on a _propagation_points length. The transforms have
 owners too: numpy's fft and ifft are called only in the core's period
-(propagator._kick), the observation grid's pair (wavepacket._synthesize
-and _analyze) and the first-order field (analytics._correction_field,
+(propagator._kick), the observation grid's synthesis
+(wavepacket._synthesize) and the first-order field (analytics._correction_field,
 the arithmetic of correction_term), which stays apart from the
 propagation code it is checked against. Every period is one _kick, and
 only the core's period loop, propagator._periods, calls it. Every
@@ -23,13 +23,18 @@ dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
 neither the core nor the sweeps in scanner handle a FreePhaseSpec.
+The public surface is what the CLI, the demos, the benchmark harness
+and the contract tests read: every function and constant in __all__ is
+named outside the module that defines it.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kickedrotor"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kickedrotor"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -147,10 +152,10 @@ def test_transforms_run_only_in_their_owners():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owners += [f"{path.stem}.{name}" for name in transform_owners(tree)]
     # the first-order field's one fft, the core's ifft and fft, and the
-    # observation grid's pair
+    # observation grid's synthesis
     assert sorted(owners) == ["analytics._correction_field",
                               "propagator._kick", "propagator._kick",
-                              "wavepacket._analyze", "wavepacket._synthesize"]
+                              "wavepacket._synthesize"]
 
 
 def test_stray_transform_is_caught():
@@ -431,3 +436,57 @@ def test_free_phase_spec_in_core_or_sweeps_is_caught():
     assert "FreePhaseSpec" not in reached_names(tree, ["_periods", "_kick"])
     imported = ast.parse("from .propagator import FreePhaseSpec as Spec\n")
     assert "FreePhaseSpec" in names_in(imported)
+
+
+#: the files outside the package that read its public surface: the
+#: demos, the benchmark harness and the contract tests
+SURFACE_READERS = [*sorted((ROOT / "demos").glob("*.py")),
+                   *sorted((ROOT / "bench").glob("*.py")),
+                   ROOT / "tests" / "test_acceptance.py"]
+
+
+def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Functions and constants in __all__ that no text names, as a whole
+    word, outside the module that defines them. package maps each module
+    name, "__init__" included, to its source; readers are further
+    sources. Classes are exempt: they are return and error types."""
+    init = ast.parse(package["__init__"])
+    exported = next(ast.literal_eval(node.value) for node in init.body
+                    if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets))
+    home = {alias.asname or alias.name: node.module for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names}
+    unread = []
+    for name in sorted(exported):
+        module = home[name]
+        if any(isinstance(node, ast.ClassDef) and node.name == name
+               for node in ast.parse(package[module]).body):
+            continue
+        texts = [text for other, text in package.items()
+                 if other not in ("__init__", module)] + readers
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
+            unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_name_has_a_reader():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    readers = [path.read_text(encoding="utf-8") for path in SURFACE_READERS]
+    assert len(readers) > 5
+    assert unread_public_names(package, readers) == []
+
+
+def test_unread_public_name_is_caught():
+    package = {
+        "__init__": "from .a import Result, used, unused, ALSO_UNUSED\n"
+                    "from .b import helper as shown\n"
+                    "__all__ = ['ALSO_UNUSED', 'Result', 'shown', 'unused', 'used']\n",
+        "a": "class Result:\n    pass\nALSO_UNUSED = 1\n"
+             "def used():\n    return unused()\ndef unused():\n    return 1\n",
+        "b": "def helper():\n    return 2\n",
+    }
+    # read in its own module, or only inside a longer word, is not read
+    readers = ["from kickedrotor import used, shown\n"
+               "unused_count = ALSO_UNUSED_TOO = 3\n"]
+    assert unread_public_names(package, readers) == ["a.ALSO_UNUSED", "a.unused"]

@@ -15,8 +15,6 @@ from kickedrotor import (
     SpatialGrid,
     default_half_width,
     default_n_points,
-    init_momentum_eigenstate,
-    to_momentum,
     to_position,
 )
 from kickedrotor.analytics import correction_term
@@ -29,6 +27,13 @@ FIVE_SMOOTH = sorted(
     for a in range(16) for b in range(10) for c in range(7)
     if 2**a * 3**b * 5**c <= 1 << 15
 )
+
+
+def delta0(half_width: int) -> MomentumWavefunction:
+    """The m = 0 ladder state, psi(m) = delta_{m,0}."""
+    amps = np.zeros(2 * half_width + 1, dtype=complex)
+    amps[half_width] = 1.0
+    return MomentumWavefunction(half_width, amps)
 
 
 @st.composite
@@ -133,11 +138,6 @@ class TestSimConfig:
         assert (cfg.half_width, cfg.n_points) == (64, 512)
         assert not cfg.auto_sized
 
-    def test_hbar_s_tracks_detuning(self):
-        assert SimConfig().hbar_s == pytest.approx(4 * math.pi, abs=0)
-        cfg = SimConfig(epsilon=1e-3, l=2)
-        assert cfg.hbar_s == pytest.approx(8 * math.pi * (1 + 1e-3), rel=1e-15)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -169,15 +169,12 @@ class TestSimConfig:
         )
         assert SimConfig(kicks=0, half_width=32, n_points=130).n_points == 130
 
-    @pytest.mark.parametrize("site", ["SimConfig", "to_position", "to_momentum",
-                                      "correction_term"])
+    @pytest.mark.parametrize("site", ["SimConfig", "to_position", "correction_term"])
     def test_every_site_refuses_with_the_one_message(self, site):
         grid = SpatialGrid(129)
         calls = {
             "SimConfig": lambda: SimConfig(kicks=0, half_width=32, n_points=129),
-            "to_position": lambda: to_position(init_momentum_eigenstate(32), grid),
-            "to_momentum": lambda: to_momentum(
-                PositionWavefunction(grid, np.zeros(129)), 32),
+            "to_position": lambda: to_position(delta0(32), grid),
             "correction_term": lambda: correction_term(1, 0.485, 1e-6, grid, 32),
         }
         with pytest.raises(GridTooSmallError) as err:
@@ -189,24 +186,14 @@ class TestSimConfig:
 
 
 class TestStates:
-    def test_initial_state_is_delta(self):
-        wf = init_momentum_eigenstate(6)
-        assert wf.amps[6] == 1.0
-        assert wf.norm_sq() == 1.0
-        assert wf.edge_occupancy() == 0.0
-
     def test_amps_are_frozen(self):
-        wf = init_momentum_eigenstate(3)
+        wf = delta0(3)
         with pytest.raises(ValueError):
             wf.amps[0] = 1.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             MomentumWavefunction(3, np.zeros(5, dtype=complex))
-
-    def test_overlap_requires_same_ladder(self):
-        with pytest.raises(ValueError):
-            init_momentum_eigenstate(3).overlap(init_momentum_eigenstate(4))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                      complex(0.0, math.nan)])
@@ -226,24 +213,25 @@ class TestStates:
 
 class TestTransforms:
     def test_delta_maps_to_flat_wave(self):
-        wf = init_momentum_eigenstate(4)
+        wf = delta0(4)
         pwf = to_position(wf, SpatialGrid(32))
         assert np.allclose(pwf.values, 1 / math.sqrt(TWO_PI), atol=1e-14)
         assert pwf.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
     def test_nyquist_guard_both_directions(self):
-        wf = init_momentum_eigenstate(8)
+        # refused one point below the margin 2(2M+1) = 34, taken at it
+        wf = delta0(8)
         with pytest.raises(GridTooSmallError):
-            to_position(wf, SpatialGrid(16))
-        pwf = to_position(init_momentum_eigenstate(2), SpatialGrid(16))
-        with pytest.raises(GridTooSmallError):
-            to_momentum(pwf, 8)
+            to_position(wf, SpatialGrid(33))
+        assert to_position(wf, SpatialGrid(34)).grid.n_points == 34
 
     @given(momentum_states())
-    def test_round_trip_recovers_amplitudes(self, wf):
+    def test_synthesis_is_the_defining_sum(self, wf):
+        # Psi(X_j) = (2 pi)**-0.5 sum_m psi(m) exp(i m X_j), summed as an
+        # explicit (n, 2M+1) matrix rather than a transform
         grid = SpatialGrid(default_n_points(wf.half_width))
-        back = to_momentum(to_position(wf, grid), wf.half_width)
-        assert np.max(np.abs(back.amps - wf.amps)) < 1e-12
+        synthesis = np.exp(1j * np.outer(grid.nodes, wf.m_values)) / math.sqrt(TWO_PI)
+        assert np.max(np.abs(to_position(wf, grid).values - synthesis @ wf.amps)) < 1e-12
 
     @given(momentum_states())
     def test_norm_preserved(self, wf):
