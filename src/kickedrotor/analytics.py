@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import (TWO_PI, MomentumWavefunction, SpatialGrid, _as_finite,
-                         _as_int, _bessel_reach, _check_grid, _grid_samples)
+from .wavepacket import (TWO_PI, MomentumWavefunction, NumericalError,
+                         SpatialGrid, _as_finite, _as_int, _bessel_reach,
+                         _check_grid, _grid_samples)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -33,7 +34,7 @@ _RESCALE = 1e250
 _SLACK = 1.0 + 1e-12
 
 
-class TruncationError(RuntimeError):
+class TruncationError(NumericalError):
     """A truncated Bessel sum lost more probability than allowed."""
 
 

@@ -11,11 +11,13 @@ omits them, keeping outputs byte-stable across re-runs. --threads is
 accepted and has no effect: a sweep propagates its whole detuning grid as
 one batch in one thread. scan refuses a profile it cannot take the width
 of (exit 3) in CSV as well as in JSON, although only the JSON file
-carries the width.
+carries the width. scaling --fixture fits one width column, so it refuses
+--mode both (exit 2).
 
-Exit codes: 0 success, 2 bad usage or invalid parameters, 3 a numerical
-invariant failed (the message names it), including a NaN or an infinity
-that a JSON file would have to carry.
+Exit codes: 0 success, 2 bad usage or invalid parameters (a ValueError or
+an OSError), 3 a numerical invariant failed (a NumericalError, whose
+message names it), including a NaN or an infinity that a JSON file would
+have to carry (NonFiniteOutputError).
 """
 from __future__ import annotations
 
@@ -30,17 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import TruncationError, perturbative_density
-from .observables import (
-    DegenerateDensityError,
-    NoCrossingError,
-    momentum_density,
-    position_density,
-)
-from .propagator import LeakageError, evolve
+from .analytics import perturbative_density
+from .observables import momentum_density, position_density
+from .propagator import evolve
 from .scanner import (
-    FitRefusalError,
-    RangeCapError,
+    MODES,
     auto_scan,
     compare_modes,
     fit_widths,
@@ -48,23 +44,12 @@ from .scanner import (
     scan_width,
     width_scaling,
 )
-from .wavepacket import (SimConfig, SpatialGrid, _as_int, default_n_points,
-                         to_position)
+from .wavepacket import (NumericalError, SimConfig, SpatialGrid, _as_int,
+                         default_n_points, to_position)
 
 
-class NonFiniteOutputError(ArithmeticError):
+class NonFiniteOutputError(NumericalError):
     """A JSON file would carry a NaN or an infinity, which JSON cannot hold."""
-
-
-_NUMERICAL_ERRORS = (
-    LeakageError,
-    TruncationError,
-    NoCrossingError,
-    RangeCapError,
-    FitRefusalError,
-    DegenerateDensityError,
-    NonFiniteOutputError,
-)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -246,6 +231,9 @@ def _fit_block(ws) -> dict:
 
 
 def _cmd_scaling(args) -> tuple[Path, dict]:
+    if args.fixture and args.mode == "both":
+        raise ValueError("--fixture holds one width column; "
+                         "--mode both needs two")
     out = _out_dir(args.out)
     if args.fixture:
         config = {"fixture": args.fixture, "mode": args.mode}
@@ -259,7 +247,7 @@ def _cmd_scaling(args) -> tuple[Path, dict]:
             "mode": args.mode,
             "points": args.points,
         }
-    if args.mode == "both" and not args.fixture:
+    if args.mode == "both":
         cmp = compare_modes(n_list, args.phi_d, args.l, args.points)
         columns = dict(zip(("N", "position", "fidelity", "ratio"),
                            map(list, zip(*cmp.table))))
@@ -322,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="observable swept over detuning")
     common(p)
-    p.add_argument("--mode", choices=("position", "fidelity"), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--eps-max", default="auto",
                    help="sweep half range, or 'auto' (default)")
     p.add_argument("--points", type=int, default=65,
@@ -335,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, kicks=False)
     p.add_argument("--n-from", type=int, default=5)
     p.add_argument("--n-to", type=int, default=12)
-    p.add_argument("--mode", choices=("position", "fidelity", "both"),
-                   required=True)
+    p.add_argument("--mode", choices=(*MODES, "both"), required=True)
     p.add_argument("--points", type=int, default=65)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; a sweep runs as one batch")
@@ -356,7 +343,7 @@ def main(argv=None) -> int:
         wall = {"wall_time_s": time.monotonic() - started}
         _write_json(out / "manifest.json", {**manifest, **wall})
         return 0
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavepacket import TWO_PI, MomentumWavefunction, PositionWavefunction
+from .wavepacket import (TWO_PI, MomentumWavefunction, NumericalError,
+                         PositionWavefunction)
 
 #: relative gap below which a density maximum and its mirror sample tie;
 #: the package's densities are even, and their maxima differ from their
@@ -29,11 +30,11 @@ from .wavepacket import TWO_PI, MomentumWavefunction, PositionWavefunction
 MIRROR_TIE = 1e-10
 
 
-class DegenerateDensityError(RuntimeError):
+class DegenerateDensityError(NumericalError):
     """Input carries too little probability mass to summarize."""
 
 
-class NoCrossingError(RuntimeError):
+class NoCrossingError(NumericalError):
     """Profile never falls below its half level inside the scanned range."""
 
 

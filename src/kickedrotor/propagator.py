@@ -69,6 +69,7 @@ from .wavepacket import (
     EDGE_LEAK_BOUND,
     TWO_PI,
     MomentumWavefunction,
+    NumericalError,
     SimConfig,
     SpatialGrid,
     _as_finite,
@@ -86,7 +87,7 @@ _GROW_CAP = 1 << 14
 _STAGE_RATIO = 2
 
 
-class LeakageError(RuntimeError):
+class LeakageError(NumericalError):
     """Probability reached the ladder edge; the truncation is too tight."""
 
     def __init__(self, occupancy: float, period: int | None = None):
@@ -245,7 +246,8 @@ def _periods(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
     FFT order on one (P, n) buffer through each stage. At its end the
     stage's 2M_s+1 ladder entries are read back to ladder order through
     _fft_slots, and the next stage places them at the centre of its own
-    ladder; the last stage's read is the result.
+    ladder; the last stage's read is the result, C-ordered, so that a
+    row is summed (np.vdot) as its one-row run is.
     """
     M = half_width
     free = np.atleast_2d(np.exp(-1j * phases(np.arange(-M, M + 1))))
@@ -261,7 +263,7 @@ def _periods(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
         factors[:, slots] = free[:, M - M_s:M + M_s + 1]
         for period in range(start, last + 1):
             _kick(buf, kick, factors, M_s, period)
-        rows, start = buf[:, slots], last + 1
+        rows, start = buf.take(slots, axis=1), last + 1
     return rows
 
 

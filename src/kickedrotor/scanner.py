@@ -57,7 +57,8 @@ import numpy as np
 
 from .observables import Profile, _position_sigmas, fwhm
 from .propagator import _echo_fidelities, _revival_phases, _run
-from .wavepacket import _as_finite, _as_int, _synthesize, default_n_points
+from .wavepacket import (NumericalError, _as_finite, _as_int, _synthesize,
+                         default_n_points)
 
 MODES = ("position", "fidelity")
 
@@ -71,11 +72,11 @@ PROBE_POINTS = 17
 SWEEP_BLOCK = 128
 
 
-class RangeCapError(RuntimeError):
+class RangeCapError(NumericalError):
     """Adaptive ranging hit the hard cap before the profile was bracketed."""
 
 
-class FitRefusalError(RuntimeError):
+class FitRefusalError(NumericalError):
     """Log-log fit quality too poor to quote a power-law exponent."""
 
 

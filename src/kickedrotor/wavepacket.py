@@ -43,6 +43,11 @@ class GridTooSmallError(ValueError):
     """Spatial grid cannot resolve the momentum ladder (Nyquist margin)."""
 
 
+class NumericalError(RuntimeError):
+    """A numerical invariant failed on valid arguments; every refusal of
+    the package that is not a ValueError derives from this class."""
+
+
 def _as_int(name: str, value, least: int | None = None) -> int:
     """value as an int; refuses 2.5, NaN, +-inf, integers past the float
     range (10**400: float() would raise OverflowError) and, if given,

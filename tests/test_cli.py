@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kickedrotor
 from kickedrotor import (
+    LeakageError,
+    NumericalError,
     SimConfig,
     SpatialGrid,
     default_n_points,
@@ -17,8 +20,15 @@ from kickedrotor import (
     position_density,
     to_position,
 )
-from kickedrotor import scanner
+from kickedrotor import cli, scanner
 from kickedrotor.cli import NonFiniteOutputError, _write_table, main
+
+#: every refusal the package exports for exit 3, and the CLI's own
+NUMERICAL_ERRORS = [
+    *(kind for kind in map(vars(kickedrotor).get, kickedrotor.__all__)
+      if isinstance(kind, type) and issubclass(kind, NumericalError)),
+    NonFiniteOutputError,
+]
 
 
 def read_csv(path):
@@ -369,6 +379,21 @@ class TestScalingCommand:
         assert "need at least 4 distinct kick numbers" in capsys.readouterr().err
         assert not (out / "scaling.csv").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fixture_with_both_modes_exits_2(self, tmp_path, capsys, fmt):
+        # a fixture holds one width column; both modes need two
+        fixture = tmp_path / "widths.csv"
+        fixture.write_text("N,width\n4,0.5\n8,0.25\n16,0.125\n32,0.0625\n")
+        out = tmp_path / "x"
+        code = main([
+            "scaling", "--mode", "both", "--fixture", str(fixture),
+            "--format", fmt, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--fixture" in err and "--mode both" in err
+        assert not list(out.glob("scaling.*"))
+
     def test_missing_fixture_exits_2(self, tmp_path):
         code = main([
             "scaling", "--mode", "position",
@@ -412,6 +437,40 @@ def test_json_refuses_non_finite_and_writes_nothing(tmp_path):
     with pytest.raises(NonFiniteOutputError):
         _write_table(tmp_path, "t", "json", {}, {"x": [1.0, math.nan]})
     assert not (tmp_path / "t.json").exists()
+
+
+class TestExitCodes:
+    def test_every_refusal_type_is_listed(self):
+        names = {kind.__name__ for kind in NUMERICAL_ERRORS}
+        assert names >= {"NumericalError", "LeakageError", "TruncationError",
+                         "DegenerateDensityError", "NoCrossingError",
+                         "RangeCapError", "FitRefusalError",
+                         "NonFiniteOutputError"}
+
+    @staticmethod
+    def run_raising(monkeypatch, tmp_path, exc) -> int:
+        """qkr evolve with a subcommand that raises exc."""
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_evolve", command)
+        return main(["evolve", "--kicks", "1", "--out", str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("kind", NUMERICAL_ERRORS, ids=lambda k: k.__name__)
+    def test_numerical_refusal_exits_3(self, tmp_path, capsys, monkeypatch, kind):
+        exc = kind(0.25, 7) if kind is LeakageError else kind(f"{kind.__name__} here")
+        assert self.run_raising(monkeypatch, tmp_path, exc) == 3
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        exc = ValueError("kicks must be >= 0, got -1")
+        assert self.run_raising(monkeypatch, tmp_path, exc) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
+
+    def test_other_runtime_error_is_not_a_refusal(self, tmp_path, monkeypatch):
+        # only a NumericalError is a numerical refusal; anything else is a bug
+        with pytest.raises(RuntimeError, match="a bug"):
+            self.run_raising(monkeypatch, tmp_path, RuntimeError("a bug"))
 
 
 class TestEntryPoint:

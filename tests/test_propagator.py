@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickedrotor import (
     FreePhaseSpec,
@@ -35,7 +36,8 @@ from kickedrotor.propagator import (
     _unitarity_error,
 )
 from kickedrotor.scanner import RANGE_CAP
-from kickedrotor.wavepacket import _fft_slots, _propagation_points
+from kickedrotor.wavepacket import (EPSILON_VALIDITY, _fft_slots,
+                                    _propagation_points)
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -341,6 +343,27 @@ def dense_loop_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
 #: (phi, widest half width that warns, narrowest that does not)
 WARNING_BOUNDARIES = [(40.0, 60, 61), (0.485, 5, 6), (-1.7, 9, 10)]
 
+#: the agreement of evolve and evolve_dense, a package contract
+ROUTE_TOL = 1e-9
+
+
+@st.composite
+def route_cases(draw):
+    """A run for both evolution routes: phi_d in [0.05, 6], l in {1, 2},
+    N < 400 with a default ladder of at most 256 sites a side (the dense
+    route's cost grows with its square), |epsilon| <= 1.5/N**2 and below
+    1e-2, and in about one case in five a general-mode spec at the same
+    detuning, hbar_s = 4 pi l (1 + epsilon)."""
+    phi_d = draw(st.floats(0.05, 6.0))
+    most = max(n for n in range(1, 400) if default_half_width(n, phi_d) <= 256)
+    kicks = draw(st.integers(1, most))
+    l = draw(st.sampled_from([1, 2]))
+    reach = min(1.5 / kicks**2, 0.99 * EPSILON_VALIDITY)
+    eps = draw(st.floats(-1.0, 1.0)) * reach
+    general = draw(st.integers(0, 4)) == 0
+    free = FreePhaseSpec.general(4 * math.pi * l * (1 + eps)) if general else None
+    return SimConfig(phi_d=phi_d, epsilon=eps, l=l, kicks=kicks), free
+
 
 class TestDenseRoute:
     def test_zero_strength_matrix_is_identity(self):
@@ -376,6 +399,17 @@ class TestDenseRoute:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             evolve_dense(SimConfig(kicks=1, half_width=513))
+
+    @settings(max_examples=40, derandomize=True)
+    @given(route_cases())
+    def test_drawn_runs_agree_with_spectral_evolution(self, case):
+        cfg, free = case
+        state = evolve(cfg, free)
+        # on the ladder evolve ended on, grown from cfg.half_width or not
+        dense = evolve_dense(SimConfig(phi_d=cfg.phi_d, epsilon=cfg.epsilon,
+                                       l=cfg.l, kicks=cfg.kicks,
+                                       half_width=state.half_width), free)
+        assert np.max(np.abs(state.amps - dense.amps)) <= ROUTE_TOL
 
     @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
     @pytest.mark.parametrize("M", [1, 2, 5, 41, 452, 512])
@@ -637,6 +671,17 @@ class TestBatchedCore:
             one = _run(20, 0.485, free.phases, half_width=M, auto_grow=False)[0]
             assert np.max(np.abs(row - one)) < 1e-12
             assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("kicks", [5, 12, 40])
+    def test_echo_of_a_raw_stack_is_fidelity_protocol(self, kicks):
+        # each row of the core's stack is contiguous, so np.vdot sums it in
+        # the order it sums the one-row run of fidelity_protocol
+        eps = np.linspace(-2.0, 2.0, 40) / kicks**2
+        amps = _run(kicks, 0.485, functools.partial(_revival_phases, 1, eps))
+        assert amps.flags.c_contiguous
+        echoed = propagator._echo_fidelities(kicks, 0.485)(amps)
+        for e, f in zip(eps, echoed):
+            assert f == fidelity_protocol(kicks, 0.485, e), e
 
     @pytest.mark.parametrize("kicks", [1, 6, 40])
     def test_echo_overlap_equals_reversed_pulse(self, kicks):

@@ -25,9 +25,12 @@ module's helpers it calls. The core takes its free flight as one phase table, so
 neither the core nor the sweeps in scanner handle a FreePhaseSpec.
 The public surface is what the CLI, the demos, the benchmark harness
 and the contract tests read: every function and constant in __all__ is
-named outside the module that defines it.
+named outside the module that defines it. Every exception class the
+package defines is a NumericalError (the CLI's exit 3) or a ValueError
+(exit 2).
 """
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -490,3 +493,73 @@ def test_unread_public_name_is_caught():
     readers = ["from kickedrotor import used, shown\n"
                "unused_count = ALSO_UNUSED_TOO = 3\n"]
     assert unread_public_names(package, readers) == ["a.ALSO_UNUSED", "a.unused"]
+
+
+def exception_classes(sources: dict[str, str]) -> dict[str, bool]:
+    """Every exception class the sources define, as "module.Class", mapped
+    to whether it derives from NumericalError or ValueError. sources maps
+    each module name to its text. A class is an exception when its bases,
+    followed through the classes the sources define, reach a builtin
+    exception type; a base is read by name or as an attribute
+    (wavepacket.NumericalError)."""
+    bases = {}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (module, [getattr(b, "id", None)
+                                             or getattr(b, "attr", None)
+                                             for b in node.bases])
+
+    def ancestors(name: str) -> set[str]:
+        found, todo = set(), [name]
+        while todo:
+            here = todo.pop()
+            if here in found:
+                continue
+            found.add(here)
+            todo += bases.get(here, (None, []))[1]
+        return found
+
+    def builtin_exception(name: str) -> type | None:
+        kind = getattr(builtins, name or "", None)
+        return kind if isinstance(kind, type) and issubclass(kind, BaseException) else None
+
+    taxonomy = {}
+    for name, (module, _) in bases.items():
+        family = ancestors(name)
+        kinds = [kind for kind in map(builtin_exception, family) if kind]
+        if kinds:
+            taxonomy[f"{module}.{name}"] = ("NumericalError" in family
+                                            or any(issubclass(k, ValueError) for k in kinds))
+    return taxonomy
+
+
+def test_every_refusal_is_numerical_or_a_value_error():
+    # the CLI maps NumericalError to exit 3 and ValueError to exit 2; a
+    # refusal of any other type would escape as a traceback with exit 1
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    taxonomy = exception_classes(sources)
+    assert {"wavepacket.NumericalError", "wavepacket.GridTooSmallError",
+            "propagator.LeakageError", "cli.NonFiniteOutputError"} <= taxonomy.keys()
+    assert [name for name, caught in taxonomy.items() if not caught] == []
+
+
+def test_uncaught_refusal_is_caught():
+    sources = {
+        "a": "class NumericalError(RuntimeError):\n    pass\n"
+             "class Leak(NumericalError):\n    pass\n"
+             "class Deep(Leak):\n    pass\n"
+             "class Bad(RuntimeError):\n    pass\n"
+             "class Arith(ArithmeticError):\n    pass\n"
+             "class Config:\n    pass\n",
+        "b": "class Grid(ValueError):\n    pass\n"
+             "class Text(UnicodeError):\n    pass\n"
+             "class Via(a.NumericalError):\n    pass\n"
+             "class Spec(Config):\n    pass\n"
+             "class Worse(Bad):\n    pass\n",
+    }
+    taxonomy = exception_classes(sources)
+    assert "a.Config" not in taxonomy and "b.Spec" not in taxonomy
+    assert sorted(name for name, caught in taxonomy.items() if not caught) == [
+        "a.Arith", "a.Bad", "b.Worse"]
+    assert len(taxonomy) == 9
