@@ -10,8 +10,6 @@ from .analytics import (
     CorrectionField,
     PerturbativeDensity,
     TruncationError,
-    bessel_j_ladder,
-    bessel_j_row,
     correction_term,
     perturbative_density,
     resonant_state,
@@ -88,8 +86,6 @@ __all__ = [
     "WidthScaling",
     "auto_range",
     "auto_scan",
-    "bessel_j_ladder",
-    "bessel_j_row",
     "compare_modes",
     "correction_term",
     "default_half_width",

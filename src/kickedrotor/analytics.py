@@ -11,8 +11,8 @@ the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
 where the upward recurrence is not. It has one implementation,
 _bessel_j_rows, which steps any number of arguments through it together
 as arrays: the N arguments of perturbative_density in one block, and
-bessel_j_row (and with it every ladder, closed form and kick column) as
-its one-row case.
+_bessel_j_ladder (and with it every closed form and kick column) as its
+one-row case.
 """
 from __future__ import annotations
 
@@ -38,18 +38,9 @@ class TruncationError(NumericalError):
     """A truncated Bessel sum lost more probability than allowed."""
 
 
-def bessel_j_row(x: float, n_max: int) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) by downward recurrence, absolute error <= 1e-12.
-
-    Valid for 0 <= x <= 1000 and n_max <= 10000: the one-row case of
-    _bessel_j_rows, which holds the arithmetic and the domain checks.
-    """
-    return _bessel_j_rows([float(x)], n_max)[0]
-
-
 def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
-    table; bessel_j_row is its one-row case.
+    table, absolute error <= 1e-12 for 0 <= x <= 1000 and n_max <= 10000.
 
     Two branches, stepped together over the rows that take them: the
     ascending series below x = 1e-4, and above it the downward recurrence,
@@ -123,15 +114,15 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     return table
 
 
-def bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
-    """J_m(x) for m = -M..M as one array (index m + M), x >= 0.
+def _bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
+    """J_m(x) for m = -M..M as one array (index m + M), x >= 0: the
+    one-row case of _bessel_j_rows, made two-sided.
 
     The one place the Bessel sign rules are applied: J_{-d}(x) =
     (-1)^d J_d(x) fills the negative orders, and J_d(-x) = J_{-d}(x)
     means a negative argument reads this ladder reversed.
     """
-    M = _as_int("half_width", half_width)
-    return _two_sided(bessel_j_row(x, M))
+    return _two_sided(_bessel_j_rows([x], half_width)[0])
 
 
 def _two_sided(row: np.ndarray) -> np.ndarray:
@@ -151,14 +142,14 @@ def resonant_state(
 
     Raises TruncationError when the ladder is too short to hold the state
     (norm deficit above 1e-10), and ValueError outside the domain of
-    bessel_j_row: t*phi_d > 1000 (t > 2061 at phi_d = 0.485) or a half
+    _bessel_j_rows: t*phi_d > 1000 (t > 2061 at phi_d = 0.485) or a half
     width above 10000. propagate has no such limit, so past it the
     numerics have no closed form to be checked against.
     """
     t = _as_int("t", t, 0)
     _as_finite("phi_d", phi_d, positive=True)
     M = _as_int("half_width", half_width)
-    ladder = bessel_j_ladder(t * phi_d, M)
+    ladder = _bessel_j_ladder(t * phi_d, M)
     m = np.arange(-M, M + 1)
     amps = MINUS_I_POW[np.mod(m, 4)] * ladder
     deficit = abs(1.0 - float(np.sum(np.abs(amps) ** 2)))
@@ -179,8 +170,6 @@ class CorrectionField:
 
     grid: SpatialGrid
     values: np.ndarray
-    epsilon: float
-    bessel_argument: float
 
     def __post_init__(self):
         vals = _grid_samples(self.grid, self.values, float)
@@ -216,11 +205,10 @@ def correction_term(
     _as_finite("epsilon", epsilon)
     M = _as_int("half_width", half_width)
     _check_grid(grid.n_points, M)
-    a = k * phi_d
-    return _correction_field(a, bessel_j_ladder(a, M), epsilon, grid)
+    return _correction_field(_bessel_j_ladder(k * phi_d, M), epsilon, grid)
 
 
-def _correction_field(a: float, J: np.ndarray, epsilon: float,
+def _correction_field(J: np.ndarray, epsilon: float,
                       grid: SpatialGrid) -> CorrectionField:
     """correction_term's arithmetic on the signed Bessel ladder J = J_m(a),
     m = -M..M, of a checked argument set."""
@@ -235,7 +223,7 @@ def _correction_field(a: float, J: np.ndarray, epsilon: float,
     coeff = np.zeros(n, dtype=complex)
     coeff[1:L] = 2.0 * epsilon * 1j ** np.mod(np.arange(2, L + 1), 4) * s
     values = np.fft.fft(coeff).real
-    return CorrectionField(grid, values, float(epsilon), a)
+    return CorrectionField(grid, values)
 
 
 @dataclass(frozen=True)
@@ -244,8 +232,6 @@ class PerturbativeDensity:
 
     grid: SpatialGrid
     values: np.ndarray
-    kicks: int
-    epsilon: float
 
     def __post_init__(self):
         vals = _grid_samples(self.grid, self.values, float)
@@ -278,6 +264,6 @@ def perturbative_density(
     _check_grid(grid.n_points, M)
     strengths = [k * phi_d for k in range(1, N + 1)]
     values = np.full(grid.n_points, 1.0 / TWO_PI)
-    for a, row in zip(strengths, _bessel_j_rows(strengths, M)):
-        values = values + _correction_field(a, _two_sided(row), epsilon, grid).values
-    return PerturbativeDensity(grid, values, N, float(epsilon))
+    for row in _bessel_j_rows(strengths, M):
+        values = values + _correction_field(_two_sided(row), epsilon, grid).values
+    return PerturbativeDensity(grid, values)

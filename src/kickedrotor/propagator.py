@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import MINUS_I_POW, bessel_j_ladder
+from .analytics import MINUS_I_POW, _bessel_j_ladder
 from .wavepacket import (
     EDGE_LEAK_BOUND,
     TWO_PI,
@@ -90,13 +90,12 @@ _STAGE_RATIO = 2
 class LeakageError(NumericalError):
     """Probability reached the ladder edge; the truncation is too tight."""
 
-    def __init__(self, occupancy: float, period: int | None = None):
+    def __init__(self, occupancy: float, period: int):
         self.occupancy = occupancy
         self.period = period
-        where = f" during period {period}" if period is not None else ""
         super().__init__(
             f"edge occupancy {occupancy:.3e} exceeds {EDGE_LEAK_BOUND:.0e}"
-            f"{where}; enlarge half_width"
+            f" during period {period}; enlarge half_width"
         )
 
 
@@ -180,7 +179,7 @@ def _kick_phases(n: int, phi: float) -> np.ndarray:
 
 
 def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
-          half_width: int, period: int | None = None) -> None:
+          half_width: int, period: int) -> None:
     """One Floquet period, in place on a (P, n) stack held in FFT order.
 
     buf holds ladder rows of half width M placed by _fft_slots on the
@@ -190,8 +189,8 @@ def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
     applied. factors, the free-flight factors in FFT order with exact
     zeros off the ladder, then truncates every row back to [-M, M] and
     applies the free flight in one multiply. Before that multiply, raises
-    LeakageError, with the worst occupancy, when the edge sites m = +-M
-    of any row hold more than EDGE_LEAK_BOUND, or a NaN.
+    LeakageError, with the worst occupancy and the period, when the edge
+    sites m = +-M of any row hold more than EDGE_LEAK_BOUND, or a NaN.
     """
     np.fft.ifft(buf, out=buf)
     buf *= kick
@@ -389,7 +388,7 @@ def _kick_column(phi: float, half_width: int) -> np.ndarray:
     """
     M = _as_int("half_width", half_width, 1)
     L = 2 * M + 1
-    J = bessel_j_ladder(abs(phi), M)
+    J = _bessel_j_ladder(abs(phi), M)
     # signed representative of each order difference modulo L
     diff = (np.arange(L) + M) % L - M
     # J_d(-x) = J_{-d}(x): a negative kick reads the ladder reversed

@@ -38,8 +38,10 @@ while they run; every other call sweeps on its own. auto_scan is
 scan_epsilon over the auto_range range in one open sweep: the probe grids
 and the final grid are all multiples of r/2^k, so every repeated |detuning|
 is the identical float and is computed once. _widths keeps one sweep per
-kick number, read by every mode it measures. The threads arguments are
-accepted and ignored (timings in the README). Detunings beyond the config
+kick number, read by every mode it measures. width_scaling and
+compare_modes accept a threads argument and ignore it, because the
+contract tests and the benchmark's sweep workload pass one (timings in
+the README); no other sweep takes one. Detunings beyond the config
 validity window are legitimate here: the propagation is exact unitary
 evolution at any detuning (the 1e-2 window bounds only the first-order
 analytics), and at small kick numbers the profile tails extend past it.
@@ -178,6 +180,7 @@ def _sweep_values(
     phi_d: float,
     l: int,
     epsilons: np.ndarray,
+    # unused: the benchmark's probe-step test wraps this signature
     threads: int = 1,
 ) -> np.ndarray:
     """The observable at each detuning, read from the open sweep, or from a
@@ -230,7 +233,6 @@ def scan_epsilon(
     mode: str,
     epsilon_max: float,
     points: int = 65,
-    threads: int = 1,
 ) -> EpsilonScan:
     """Sweep the chosen observable over [-epsilon_max, epsilon_max]."""
     # the sweep rule: a profile needs at least one kick, in either mode
@@ -239,7 +241,7 @@ def scan_epsilon(
     epsilon_max = _as_finite("epsilon_max", epsilon_max, positive=True)
     _check_mode(mode)
     eps = _symmetric_grid(epsilon_max, points)
-    vals = _sweep_values(mode, kicks, phi_d, l, eps, threads)
+    vals = _sweep_values(mode, kicks, phi_d, l, eps)
     return EpsilonScan(kicks, mode, eps, vals)
 
 
@@ -271,7 +273,6 @@ def auto_range(
     l: int,
     mode: str,
     cap: float = RANGE_CAP,
-    threads: int = 1,
 ) -> float:
     """Smallest range from the doubling ladder 0.1/N^2, 0.2/N^2, ... that
     brackets the profile, so that a width extraction succeeds.
@@ -288,7 +289,7 @@ def auto_range(
     with _open(kicks, phi_d, l, (mode,)):
         while True:
             grid = _symmetric_grid(r, PROBE_POINTS)
-            if _adequate(mode, _sweep_values(mode, kicks, phi_d, l, grid, threads)):
+            if _adequate(mode, _sweep_values(mode, kicks, phi_d, l, grid)):
                 return r
             if r >= cap:
                 raise RangeCapError(
@@ -304,17 +305,16 @@ def auto_scan(
     l: int,
     mode: str,
     points: int = 65,
-    cap: float = RANGE_CAP,
 ) -> EpsilonScan:
     """The scan_epsilon sweep over [-r, r] for the range r that auto_range
-    returns, reusing the probes' detunings.
+    returns under RANGE_CAP, reusing the probes' detunings.
 
     The probe ladder and the final grid read one open sweep, so each
     distinct |detuning| is propagated once.
     """
     points = _check_points(points)
     with _open(kicks, phi_d, l, (mode,)):
-        r = auto_range(kicks, phi_d, l, mode, cap)
+        r = auto_range(kicks, phi_d, l, mode)
         return scan_epsilon(kicks, phi_d, l, mode, r, points)
 
 
@@ -322,8 +322,10 @@ def scan_width(scan: EpsilonScan) -> float:
     """Full width at half depth of a sweep, with the mode's level rule.
 
     Echo profiles use the absolute level 1/2 once the edges reach below
-    it (the peak is exactly 1 and the floor is 0); otherwise, and for all
-    position profiles, the level is midway between peak and lowest sample.
+    it (the peak is exactly 1 and the floor is 0); otherwise the level is
+    midway between the peak and the lower of the two edge samples, however
+    low the profile dips inside them. Position profiles use the level
+    midway between peak and lowest sample.
     """
     half = None
     if scan.mode == "fidelity":
@@ -364,10 +366,14 @@ def fit_widths(n_values, widths) -> WidthScaling:
 
     Raises FitRefusalError for a non-finite width or r^2 below 0.9, and
     ValueError for a kick number that is not an integer in [1, 2**63), a
-    non-positive width or fewer than 4 distinct kick numbers.
+    width list that is not one width per kick number, a non-positive
+    width or fewer than 4 distinct kick numbers.
     """
     n_arr = _kick_numbers(n_values)
     w_arr = np.asarray(widths, dtype=float)
+    if w_arr.shape != n_arr.shape:
+        raise ValueError(f"need one width per kick number: {len(n_arr)} kick "
+                         f"numbers, widths of shape {w_arr.shape}")
     # written to fail closed: a NaN width or r^2 never passes a check
     if not np.all(np.isfinite(w_arr)):
         raise FitRefusalError(f"non-finite width in {w_arr.tolist()}")
@@ -395,7 +401,6 @@ def width_scaling(
     mode: str,
     points: int = 65,
     threads: int = 1,
-    cap: float = RANGE_CAP,
 ) -> WidthScaling:
     """Measure profile widths over the given kick numbers and fit the law.
 
@@ -403,11 +408,11 @@ def width_scaling(
     one sweep, so each distinct |detuning| is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
-    return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points, cap)[0])
+    return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
 
 
 def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
-            points: int, cap: float) -> list[list[float]]:
+            points: int) -> list[list[float]]:
     """Per mode, the auto_scan width at each kick number.
 
     The modes of one kick number read one sweep, so a |detuning| that
@@ -417,9 +422,9 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
     widths: list[list[float]] = [[] for _ in modes]
     for N in n_arr.tolist():
         with _open(N, phi_d, l, modes):
-            # auto_scan validates mode, points and cap before it propagates
+            # auto_scan validates mode and points before it propagates
             for mode, column in zip(modes, widths):
-                column.append(scan_width(auto_scan(N, phi_d, l, mode, points, cap)))
+                column.append(scan_width(auto_scan(N, phi_d, l, mode, points)))
     return widths
 
 
@@ -444,7 +449,6 @@ def compare_modes(
     l: int,
     points: int = 65,
     threads: int = 1,
-    cap: float = RANGE_CAP,
 ) -> ModeComparison:
     """Run both width scalings on one kick-number list and compare them.
 
@@ -454,7 +458,7 @@ def compare_modes(
     """
     n_arr = _kick_numbers(n_list, least=2)
     pos, fid = (fit_widths(n_arr, w)
-                for w in _widths(n_arr, phi_d, l, MODES, points, cap))
+                for w in _widths(n_arr, phi_d, l, MODES, points))
     rows = []
     first_exceed = None
     for N, wp, wf in zip(pos.kick_numbers, pos.widths, fid.widths):

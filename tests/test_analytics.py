@@ -13,8 +13,6 @@ from kickedrotor import (
     SimConfig,
     SpatialGrid,
     TruncationError,
-    bessel_j_ladder,
-    bessel_j_row,
     correction_term,
     evolve,
     perturbative_density,
@@ -28,6 +26,14 @@ TWO_PI = 2 * math.pi
 # independently frozen reference values at the default kick strength
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
+
+#: J_m(x) for m = -M..M, the two-sided one-row case of _bessel_j_rows
+bessel_j_ladder = analytics._bessel_j_ladder
+
+
+def bessel_j_row(x: float, n_max: int) -> np.ndarray:
+    """J_0(x) .. J_{n_max}(x): the one-row case of _bessel_j_rows."""
+    return analytics._bessel_j_rows([x], n_max)[0]
 
 
 def jn_series(n: int, x: float, terms: int = 30) -> float:
@@ -234,11 +240,11 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.fixture
 def no_bessel(monkeypatch):
-    """Fail the test if any Bessel ladder is computed."""
+    """Fail the test if any Bessel row is computed."""
     def refuse(*args):
         raise AssertionError("Bessel work before the epsilon check")
 
-    monkeypatch.setattr(analytics, "bessel_j_ladder", refuse)
+    monkeypatch.setattr(analytics, "_bessel_j_rows", refuse)
 
 
 class TestCorrectionField:
@@ -259,7 +265,7 @@ class TestCorrectionField:
     def test_guard_fails_closed(self, bad):
         grid = SpatialGrid(256)
         with pytest.raises(ValueError, match="integrates"):
-            CorrectionField(grid, np.full(256, bad), 1e-6, 0.485)
+            CorrectionField(grid, np.full(256, bad))
 
     # doubling is exact only while the field is a normal float; near
     # |eps| ~ 1e-304 its values turn subnormal, where doubling rounds
@@ -333,7 +339,7 @@ class TestPerturbativeDensity:
     def test_guard_fails_closed(self, bad):
         grid = SpatialGrid(256)
         with pytest.raises(ValueError, match="integrates"):
-            PerturbativeDensity(grid, np.full(256, bad), 3, 1e-6)
+            PerturbativeDensity(grid, np.full(256, bad))
 
     def test_no_kicks_is_uniform(self):
         cfg = SimConfig(kicks=0)

@@ -231,11 +231,7 @@ def test_scan_epsilon_refuses_before_any_kick(a):
 @st.composite
 def refused_auto_scan(draw):
     a = sweep_args(draw, st.integers(1, 8))
-    a["cap"] = draw(NEAR_CAP)
-    bad = draw(st.sampled_from(["kicks", "phi_d", "l", "mode", "points", "cap"]))
-    if bad == "cap":
-        a["cap"] = draw(NOT_FINITE_POSITIVE | SUBNORMAL)
-        return a
+    bad = draw(st.sampled_from(["kicks", "phi_d", "l", "mode", "points"]))
     if bad == "kicks":
         # 0 is a valid scan_epsilon kick number, but no probe ladder
         a["kicks"] = draw(NOT_AN_INTEGER | st.integers(-10**18, 0))
@@ -246,7 +242,7 @@ def refused_auto_scan(draw):
 @given(refused_auto_scan())
 def test_auto_scan_refuses_before_any_kick(a):
     assert_refused(lambda: auto_scan(a["kicks"], a["phi_d"], a["l"], a["mode"],
-                                     a["points"], a["cap"]))
+                                     a["points"]))
 
 
 @given(st.integers(1, 6), st.sampled_from(MODES), NEAR_CAP)
@@ -259,13 +255,13 @@ def test_scan_at_the_range_cap_is_finite(kicks, mode, epsilon_max):
         assert np.all((scan.values >= 0) & (scan.values <= 1 + 1e-12))
 
 
-@given(st.integers(1, 6), st.sampled_from(MODES), NEAR_CAP)
-def test_auto_scan_at_the_range_cap_stays_inside_it(kicks, mode, cap):
+@given(st.integers(1, 6), st.sampled_from(MODES))
+def test_auto_scan_at_the_range_cap_stays_inside_it(kicks, mode):
     try:
-        scan = auto_scan(kicks, 0.485, 1, mode, 33, cap)
+        scan = auto_scan(kicks, 0.485, 1, mode, 33)
     except RangeCapError:
         return
-    assert 0 < scan.epsilons[-1] <= cap
+    assert 0 < scan.epsilons[-1] <= RANGE_CAP
     assert np.all(np.isfinite(scan.values))
 
 
@@ -315,9 +311,9 @@ def sweep_entries(mode):
          {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
           "l": integer_rule("l", 1), "cap": positive_rule("cap")}),
         (f"auto_scan[{mode}]",
-         lambda kicks=5, phi_d=0.485, l=1, cap=0.1: auto_scan(kicks, phi_d, l, mode, 33, cap),
+         lambda kicks=5, phi_d=0.485, l=1: auto_scan(kicks, phi_d, l, mode, 33),
          {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
-          "l": integer_rule("l", 1), "cap": positive_rule("cap")}),
+          "l": integer_rule("l", 1)}),
     ]
 
 

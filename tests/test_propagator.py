@@ -13,7 +13,6 @@ from kickedrotor import (
     MomentumWavefunction,
     SimConfig,
     SpatialGrid,
-    bessel_j_ladder,
     default_half_width,
     default_n_points,
     evolve,
@@ -25,7 +24,7 @@ from kickedrotor import (
     to_position,
 )
 from kickedrotor import propagator
-from kickedrotor.analytics import MINUS_I_POW, bessel_j_ladder, bessel_j_row
+from kickedrotor.analytics import MINUS_I_POW, _bessel_j_ladder, _bessel_j_rows
 from kickedrotor.propagator import (
     _kick,
     _kick_column,
@@ -67,7 +66,7 @@ def kicked(amps: np.ndarray, kick: np.ndarray) -> np.ndarray:
     buf[:, slots] = rows
     ladder = np.zeros(len(kick))
     ladder[slots] = 1.0
-    _kick(buf, kick, ladder, M)
+    _kick(buf, kick, ladder, M, 1)
     return buf[:, slots].reshape(amps.shape)
 
 
@@ -90,7 +89,7 @@ class TestKick:
         kicked = kick(delta0(M), 0.485)
         minus_i = np.array([1, -1j, -1, 1j])
         m = np.arange(-M, M + 1)
-        expect = minus_i[np.mod(m, 4)] * bessel_j_ladder(0.485, M)
+        expect = minus_i[np.mod(m, 4)] * _bessel_j_ladder(0.485, M)
         assert np.max(np.abs(kicked.amps - expect)) < 1e-13
         assert kicked.amps[M] == pytest.approx(J0_0485, abs=1e-13)
         assert kicked.amps[M + 1] == pytest.approx(-1j * J1_0485, abs=1e-13)
@@ -311,7 +310,7 @@ class TestEvolve:
 
 def kick_matrix_reference(phi: float, M: int) -> np.ndarray:
     """The elementwise kick matrix: every entry from its own wrapped order."""
-    row = bessel_j_row(abs(phi), M)
+    row = _bessel_j_rows([abs(phi)], M)[0]
     m = np.arange(-M, M + 1)
     diff = np.subtract.outer(m, m)
     diff = (diff + M) % (2 * M + 1) - M
@@ -433,9 +432,9 @@ class TestDenseRoute:
         assert abs(_unitarity_error(U[:, 0]) - full_gram_error(U)) <= 1e-14
 
     def test_nan_gram_error_warns(self, monkeypatch):
-        ladder = bessel_j_ladder(0.485, 5)
+        ladder = _bessel_j_ladder(0.485, 5)
         ladder[5 + 3] = math.nan  # J_3
-        monkeypatch.setattr(propagator, "bessel_j_ladder", lambda x, M: ladder)
+        monkeypatch.setattr(propagator, "_bessel_j_ladder", lambda x, M: ladder)
         with pytest.warns(RuntimeWarning, match="unitarity error nan"):
             kick_matrix(0.485, 5)
         # the dense route warns too; the NaN then reaches its state, which
@@ -532,6 +531,15 @@ class TestFidelityProtocol:
                               for phi in (0.485, 1000 * 0.485)]
 
 
+@st.composite
+def mirror_cases(draw):
+    """(N, phi_d, l, epsilon >= 0) within a sweep's reach, |epsilon| <=
+    min(RANGE_CAP, 4/N^2)."""
+    kicks = draw(st.integers(1, 120))
+    eps = draw(st.floats(0.0, min(RANGE_CAP, 4.0 / kicks**2)))
+    return kicks, draw(st.floats(0.05, 3.0)), draw(st.sampled_from([1, 2])), eps
+
+
 class TestDetuningMirror:
     """At beta = 0 the period map obeys conj(U_eps) = S U_{-eps} S with
     S = diag((-1)^m): the conjugate kick is the kick shifted by pi, the free
@@ -562,6 +570,19 @@ class TestDetuningMirror:
         for eps in self.detunings(kicks):
             assert abs(fidelity_protocol(kicks, 0.485, -eps)
                        - fidelity_protocol(kicks, 0.485, eps)) <= 1e-13, eps
+
+    @settings(max_examples=40, derandomize=True)
+    @given(mirror_cases())
+    def test_drawn_detunings_mirror(self, case):
+        kicks, phi_d, l, eps = case
+        plus, minus = (propagate(kicks, phi_d, FreePhaseSpec.revival_relative(l, e))
+                       for e in (eps, -eps))
+        assert minus.half_width == plus.half_width
+        m = np.arange(-plus.half_width, plus.half_width + 1)
+        shifted = np.where(m % 2, -1.0, 1.0) * np.conj(plus.amps)
+        assert np.max(np.abs(minus.amps - shifted)) <= 1e-12, eps
+        assert abs(fidelity_protocol(kicks, phi_d, -eps, l)
+                   - fidelity_protocol(kicks, phi_d, eps, l)) <= 1e-12, eps
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf]

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -131,10 +132,10 @@ class TestEpsilonScan:
         assert np.array_equal(scan.values, scan.values[::-1])
 
     def test_thread_count_does_not_change_bits(self):
-        a = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33, threads=1)
-        b = scan_epsilon(5, 0.485, 1, "fidelity", 0.02, 33, threads=4)
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.epsilons, b.epsilons)
+        # the scans of the laws that keep a threads argument
+        a = width_scaling([5, 6, 7, 8], 0.485, 1, "fidelity", 33, threads=1)
+        b = width_scaling([5, 6, 7, 8], 0.485, 1, "fidelity", 33, threads=4)
+        assert _law_bits(a) == _law_bits(b)
 
 
 def _probe_and_scan_grid(N, mode):
@@ -374,16 +375,18 @@ class TestSharedRows:
         auto_scan(5, 0.485, 1, "fidelity")
         assert scanner._OPEN_SWEEP.get() is None
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
-        # N = 8, 7 and 6 are bracketed within 0.025 in both modes, N = 5 is not
+        # N = 6, 5 and 4 are bracketed within RANGE_CAP in both modes, N = 3
+        # is not in position mode
+        capped = [6, 5, 4, 3]
         counted_rows.clear()
-        with pytest.raises(RangeCapError, match="kicks=5, mode=position"):
-            compare_modes(n_list, 0.485, 1, cap=0.025)
-        assert {kicks for kicks, _ in counted_rows} == {8, 7, 6, 5}
+        with pytest.raises(RangeCapError, match="kicks=3, mode=position"):
+            compare_modes(capped, 0.485, 1)
+        assert {kicks for kicks, _ in counted_rows} == {6, 5, 4, 3}
         assert scanner._OPEN_SWEEP.get() is None
-        for call in (lambda: width_scaling(n_list, 0.485, 1, "position", cap=0.025),
-                     lambda: auto_range(5, 0.485, 1, "position", cap=0.025),
-                     lambda: auto_scan(5, 0.485, 1, "position", cap=0.025)):
-            with pytest.raises(RangeCapError, match="kicks=5, mode=position"):
+        for call in (lambda: width_scaling(capped, 0.485, 1, "position"),
+                     lambda: auto_range(3, 0.485, 1, "position"),
+                     lambda: auto_scan(3, 0.485, 1, "position")):
+            with pytest.raises(RangeCapError, match="kicks=3, mode=position"):
                 call()
             assert scanner._OPEN_SWEEP.get() is None
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
@@ -445,24 +448,9 @@ class TestBadBounds:
         with pytest.raises(ValueError, match="cap"):
             auto_range(5, 0.485, 1, "position", cap=bad)
 
-    @pytest.mark.parametrize("bad", BAD_BOUNDS)
-    def test_auto_scan_refuses_cap(self, bad, no_propagation):
-        with pytest.raises(ValueError, match="cap"):
-            auto_scan(5, 0.485, 1, "position", cap=bad)
-
     def test_auto_scan_refuses_points(self, no_propagation):
         with pytest.raises(ValueError, match="points"):
             auto_scan(5, 0.485, 1, "position", points=64)
-
-    @pytest.mark.parametrize("bad", BAD_BOUNDS)
-    def test_width_scaling_refuses_cap(self, bad, no_propagation):
-        with pytest.raises(ValueError, match="cap"):
-            width_scaling([5, 6, 7, 8], 0.485, 1, "fidelity", cap=bad)
-
-    @pytest.mark.parametrize("bad", BAD_BOUNDS)
-    def test_compare_modes_refuses_cap(self, bad, no_propagation):
-        with pytest.raises(ValueError, match="cap"):
-            compare_modes([5, 6, 7, 8], 0.485, 1, cap=bad)
 
 
 class TestAutoRange:
@@ -502,6 +490,14 @@ class TestScanWidth:
         # level (1.0 + 0.8)/2 = 0.9 crossed at half the edge distance
         assert scan_width(scan) == pytest.approx(0.05, abs=1e-12)
 
+    def test_fidelity_generic_level_reads_the_lower_edge(self):
+        # a dip to 0.6 inside edges of 0.8: the level is (1.0 + 0.8)/2 =
+        # 0.9, crossed at +-0.0075, not (1.0 + 0.6)/2 = 0.8 at +-0.015
+        eps = _symmetric_grid(0.05, 65)
+        vals = np.interp(np.abs(eps), [0.0, 0.03, 0.05], [1.0, 0.6, 0.8])
+        scan = EpsilonScan(5, "fidelity", eps, vals)
+        assert scan_width(scan) == pytest.approx(0.015, abs=1e-12)
+
     def test_position_level_uses_profile_floor(self):
         eps = _symmetric_grid(0.05, 65)
         floor, peak = 1.0, 1.5
@@ -524,6 +520,17 @@ class TestPowerLawFit:
         assert ws.gamma == pytest.approx(-2.0, abs=1e-12)
         assert ws.r_squared == pytest.approx(1.0, abs=1e-12)
         assert list(ws.kick_numbers) == [4, 8, 16, 32]
+
+    @pytest.mark.parametrize("widths, shape", [
+        ([1.0, 0.5, 0.3], (3,)),
+        ([[1.0, 0.5, 0.3, 0.25]], (1, 4)),
+        ([[1.0], [0.5], [0.3], [0.25]], (4, 1)),
+    ])
+    def test_one_width_per_kick_number(self, widths, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need one width per kick number: 4 kick numbers, "
+                f"widths of shape {shape}")):
+            fit_widths([1, 2, 3, 4], widths)
 
     def test_refusal_on_scatter(self):
         with pytest.raises(FitRefusalError):

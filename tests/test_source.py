@@ -16,18 +16,18 @@ sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
 Bessel recurrence has one owner, analytics._bessel_j_rows, the only
-reader of its rescale threshold _RESCALE; bessel_j_row is its one-row
-case. State that outlives a call has one owner as well: the only context
-variable is the sweep scanner keeps open (scanner._OPEN_SWEEP). The
+reader of its rescale threshold _RESCALE; _bessel_j_ladder is its
+one-row case. State that outlives a call has one owner as well: the only
+context variable is the sweep scanner keeps open (scanner._OPEN_SWEEP). The
 dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
 neither the core nor the sweeps in scanner handle a FreePhaseSpec.
 The public surface is what the CLI, the demos, the benchmark harness
 and the contract tests read: every function and constant in __all__ is
-named outside the module that defines it. Every exception class the
-package defines is a NumericalError (the CLI's exit 3) or a ValueError
-(exit 2).
+named in one of them; a name that only a sibling module of the package
+reads is not public. Every exception class the package defines is a
+NumericalError (the CLI's exit 3) or a ValueError (exit 2).
 """
 import ast
 import builtins
@@ -369,7 +369,7 @@ def test_dense_oracle_reaches_no_spectral_code():
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     reached = reachable_calls(tree, "evolve_dense")
     # the check follows the oracle into its own helpers
-    assert {"_kick_column", "_unitarity_error", "bessel_j_ladder"} <= reached
+    assert {"_kick_column", "_unitarity_error", "_bessel_j_ladder"} <= reached
     assert reached & SPECTRAL_CORE == set()
 
 
@@ -441,18 +441,20 @@ def test_free_phase_spec_in_core_or_sweeps_is_caught():
     assert "FreePhaseSpec" in names_in(imported)
 
 
-#: the files outside the package that read its public surface: the
-#: demos, the benchmark harness and the contract tests
-SURFACE_READERS = [*sorted((ROOT / "demos").glob("*.py")),
+#: the files that read the package's public surface: the CLI, the demos,
+#: the benchmark harness and the contract tests
+SURFACE_READERS = [PACKAGE / "cli.py",
+                   *sorted((ROOT / "demos").glob("*.py")),
                    *sorted((ROOT / "bench").glob("*.py")),
                    ROOT / "tests" / "test_acceptance.py"]
 
 
 def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
-    """Functions and constants in __all__ that no text names, as a whole
-    word, outside the module that defines them. package maps each module
-    name, "__init__" included, to its source; readers are further
-    sources. Classes are exempt: they are return and error types."""
+    """Functions and constants in __all__ that no reader names as a whole
+    word. package maps each module name, "__init__" included, to its
+    source; readers are the sources of the surface's readers. A sibling
+    module of the package is no reader. Classes are exempt: they are
+    return and error types."""
     init = ast.parse(package["__init__"])
     exported = next(ast.literal_eval(node.value) for node in init.body
                     if isinstance(node, ast.Assign)
@@ -466,9 +468,7 @@ def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str
         if any(isinstance(node, ast.ClassDef) and node.name == name
                for node in ast.parse(package[module]).body):
             continue
-        texts = [text for other, text in package.items()
-                 if other not in ("__init__", module)] + readers
-        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts):
+        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in readers):
             unread.append(f"{module}.{name}")
     return unread
 
@@ -484,15 +484,21 @@ def test_unread_public_name_is_caught():
     package = {
         "__init__": "from .a import Result, used, unused, ALSO_UNUSED\n"
                     "from .b import helper as shown\n"
-                    "__all__ = ['ALSO_UNUSED', 'Result', 'shown', 'unused', 'used']\n",
+                    "from .c import sibling_only\n"
+                    "__all__ = ['ALSO_UNUSED', 'Result', 'shown', 'sibling_only',\n"
+                    "           'unused', 'used']\n",
         "a": "class Result:\n    pass\nALSO_UNUSED = 1\n"
              "def used():\n    return unused()\ndef unused():\n    return 1\n",
-        "b": "def helper():\n    return 2\n",
+        "b": "from .c import sibling_only\n"
+             "def helper():\n    return sibling_only()\n",
+        "c": "def sibling_only():\n    return 2\n",
     }
-    # read in its own module, or only inside a longer word, is not read
+    # read in its own module, only by a sibling module, or only inside a
+    # longer word, is not read
     readers = ["from kickedrotor import used, shown\n"
                "unused_count = ALSO_UNUSED_TOO = 3\n"]
-    assert unread_public_names(package, readers) == ["a.ALSO_UNUSED", "a.unused"]
+    assert unread_public_names(package, readers) == [
+        "a.ALSO_UNUSED", "c.sibling_only", "a.unused"]
 
 
 def exception_classes(sources: dict[str, str]) -> dict[str, bool]:
