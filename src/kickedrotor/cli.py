@@ -8,11 +8,11 @@ physics yields identical bytes. Wall-clock times (the total, and for
 perturbative the stage_s of its evolve and first_order stages) live only
 in the standalone manifest file; the manifest block embedded in data files
 omits them, keeping outputs byte-stable across re-runs. --threads is
-accepted and has no effect: a sweep propagates its whole detuning grid as
-one batch in one thread. scan refuses a profile it cannot take the width
-of (exit 3) in CSV as well as in JSON, although only the JSON file
-carries the width. scaling --fixture fits one width column, so it refuses
---mode both (exit 2).
+accepted and has no effect: a sweep runs in one thread, with one core call
+per probe step and per block of up to 128 detunings. scan refuses a
+profile it cannot take the width of (exit 3) in CSV as well as in JSON,
+although only the JSON file carries the width. scaling --fixture fits
+one width column, so it refuses --mode both (exit 2).
 
 Exit codes: 0 success, 2 bad usage or invalid parameters (a ValueError or
 an OSError), 3 a numerical invariant failed (a NumericalError, whose
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65,
                    help="odd sweep point count (default 65)")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; a sweep runs as one batch")
+                   help="accepted and ignored; a sweep runs in one thread, "
+                        "one core call per block of up to 128 detunings")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("scaling", help="width power law over kick numbers")
@@ -326,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=(*MODES, "both"), required=True)
     p.add_argument("--points", type=int, default=65)
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; a sweep runs as one batch")
+                   help="accepted and ignored; a sweep runs in one thread, "
+                        "one core call per block of up to 128 detunings")
     p.add_argument("--fixture", default=None,
                    help="test hook: fit a CSV of N,width rows, no simulation")
     p.set_defaults(func=_cmd_scaling)

@@ -28,12 +28,14 @@ not +|eps|, because sigma_x is not invariant under that shift (see
 observables.sigma_x): keyed by -|eps|, every auto_scan width stays within
 rounding of the one that propagated both signs.
 
-One object, _Sweep, holds a sweep's driven rows and each mode's values,
-keyed by -|epsilon|, so a +- pair is propagated once per sweep and
-observed once per mode. A row is dropped once every mode of the sweep has
-read it: a one-mode sweep never holds more than one block of rows,
-whatever its point count, and a two-mode sweep holds only the rows a mode
-has yet to read. auto_range, auto_scan and _widths keep one sweep open
+One object, _Sweep, holds each mode's values of a sweep, keyed by
+-|epsilon|, so a +- pair is propagated once per sweep. A read propagates
+the detunings it lacks one block at a time and observes each block in
+every mode the sweep serves as soon as the core returns it: the sweep
+keeps values, never rows, and a read keeps one block's stack at a time,
+whatever its point count and however many modes the sweep serves. A
+two-mode sweep thus also observes, in the other mode, the rows only one
+mode asked for. auto_range, auto_scan and _widths keep one sweep open
 while they run; every other call sweeps on its own. auto_scan is
 scan_epsilon over the auto_range range in one open sweep: the probe grids
 and the final grid are all multiples of r/2^k, so every repeated |detuning|
@@ -51,7 +53,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,24 +99,22 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
 
 
 class _Sweep:
-    """One sweep (kicks, phi_d, l): its driven rows and each mode's values,
-    keyed by -|epsilon|.
+    """One sweep (kicks, phi_d, l): each mode's values, keyed by -|epsilon|.
 
     read maps every requested detuning to -|epsilon| before the memo, so
     a +- pair is propagated, observed and stored once, and both signs
     read the identical float (module docstring); 0.0 stays 0.0. It is the
     only caller of the core in this module, so no sweep bypasses the
-    keying. A mode's missing values are computed SWEEP_BLOCK keys at a
-    time: the block's rows that no mode has propagated yet are one core
-    call on their phase table, and a row is dropped once every mode of the
-    sweep has read it. Each row keeps the ladder its core call ran on, so
-    a row of a stack that auto-grew is observed on the grown ladder, as it
-    is on its own; the echo target is built once per ladder.
+    keying. The missing keys are propagated SWEEP_BLOCK at a time, one
+    core call per block on its phase table, and each returned stack is
+    observed at once in every mode of the sweep, so every mode holds the
+    same keys and no stack outlives the read that made it. A stack that
+    auto-grew is observed on its grown ladder, as each of its rows is on
+    its own; the echo target is built once per ladder.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
         self.key = (kicks, phi_d, l)
-        self.rows: dict[float, np.ndarray] = {}
         self.values: dict[str, dict[float, float]] = {m: {} for m in modes}
         self.echo = _echo_fidelities(kicks, phi_d)
 
@@ -124,22 +123,13 @@ class _Sweep:
         # -|e|: e > 0 reads its mirror, and 0.0 stays 0.0
         epsilons = [-e if e > 0 else e for e in epsilons]
         missing = [e for e in dict.fromkeys(epsilons) if e not in memo]
+        kicks, phi_d, l = self.key
         for start in range(0, len(missing), SWEEP_BLOCK):
             block = missing[start:start + SWEEP_BLOCK]
-            new = [e for e in block if e not in self.rows]
-            if new:
-                kicks, phi_d, l = self.key
-                phases = functools.partial(_revival_phases, l, new)
-                self.rows.update(zip(new, _run(kicks, phi_d, phases)))
-            values: list[float] = []
-            for _, same in itertools.groupby((self.rows[e] for e in block), len):
-                amps = np.array(list(same))
-                values.extend(self.echo(amps) if mode == "fidelity"
-                              else _spreads(amps))
-            memo.update(zip(block, values))
-            for e in block:
-                if all(e in read for read in self.values.values()):
-                    del self.rows[e]
+            amps = _run(kicks, phi_d, functools.partial(_revival_phases, l, block))
+            for m, values in self.values.items():
+                values.update(zip(block, self.echo(amps) if m == "fidelity"
+                                  else _spreads(amps)))
         return [memo[e] for e in epsilons]
 
 

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -254,23 +255,41 @@ def counted_rows(monkeypatch):
 
 
 @pytest.fixture
-def reads(monkeypatch):
-    """(mode, rows observed, rows the open sweep holds) of each observation."""
+def driven(monkeypatch):
+    """Weak references to every stack of driven rows the spectral core
+    returns to a sweep; they keep no stack alive."""
+    refs = []
+    original = scanner._run
+
+    def keeping(kicks, phi_d, phases, *args, **kwargs):
+        amps = original(kicks, phi_d, phases, *args, **kwargs)
+        refs.append(weakref.ref(amps))
+        return amps
+
+    monkeypatch.setattr(scanner, "_run", keeping)
+    return refs
+
+
+def alive(refs) -> int:
+    """The driven rows still reachable: those of the stacks not yet freed."""
+    return sum(len(stack) for stack in (ref() for ref in refs) if stack is not None)
+
+
+@pytest.fixture
+def reads(monkeypatch, driven):
+    """(mode, rows observed, driven rows alive) of each observation."""
     log = []
     spreads, echo = scanner._spreads, scanner._echo_fidelities
 
-    def held():
-        return len(scanner._OPEN_SWEEP.get().rows)
-
     def counting_spreads(amps):
-        log.append(("position", len(amps), held()))
+        log.append(("position", len(amps), alive(driven)))
         return spreads(amps)
 
     def counting_echo(kicks, phi_d):
         fidelities = echo(kicks, phi_d)
 
         def counting(amps):
-            log.append(("fidelity", len(amps), held()))
+            log.append(("fidelity", len(amps), alive(driven)))
             return fidelities(amps)
 
         return counting
@@ -312,10 +331,8 @@ class TestSharedRows:
             propagated = {e for kicks, e in rows if kicks == N}
             assert propagated == (_probe_and_scan_grid(N, "position")
                                   | _probe_and_scan_grid(N, "fidelity"))
-        # each mode observes each of its detunings once
-        for mode in scanner.MODES:
-            assert observed[mode] == sum(len(_probe_and_scan_grid(N, mode))
-                                         for N in n_list)
+        # each mode observes each propagated row exactly once
+        assert observed == {mode: len(rows) for mode in scanner.MODES}
 
     def test_one_store_per_kick_number_shared_by_both_modes(self, sweeps):
         compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
@@ -326,12 +343,23 @@ class TestSharedRows:
         assert sorted(by_kicks) == [(N, 0.485, 1) for N in (5, 6, 7, 8)]
         assert all(len(ids) == 1 for ids in by_kicks.values())
 
-    def test_rows_both_modes_read_are_dropped(self, sweeps):
-        compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
-        for sweep in {id(s): s for s in sweeps}.values():
-            position, fidelity = (set(sweep.values[m]) for m in scanner.MODES)
-            # the rows left are those one mode never needed
-            assert set(sweep.rows) == position ^ fidelity
+    def test_no_stack_survives_a_read(self, monkeypatch, driven, reads):
+        # each stack is observed in both modes by the read that made it,
+        # so no driven row is reachable from a sweep once read returns
+        after = []
+        read = scanner._Sweep.read
+
+        def checking(self, mode, epsilons):
+            values = read(self, mode, epsilons)
+            after.append(alive(driven))
+            return values
+
+        monkeypatch.setattr(scanner._Sweep, "read", checking)
+        compare_modes([5, 6, 7, 8], 0.485, 1, points=4 * scanner.SWEEP_BLOCK + 65)
+        assert len(after) > 0 and set(after) == {0}
+        # several blocks passed through, each observed while it alone lived
+        assert max(n for _, n, _ in reads) == scanner.SWEEP_BLOCK
+        assert max(held for _, _, held in reads) <= scanner.SWEEP_BLOCK
 
     @pytest.mark.parametrize("mode", scanner.MODES)
     def test_one_mode_scan_holds_one_block(self, mode, reads):
@@ -350,11 +378,15 @@ class TestSharedRows:
         assert sum(n for _, n, _ in reads) == len(counted_rows) > scanner.SWEEP_BLOCK
         assert max(held for _, _, held in reads) <= scanner.SWEEP_BLOCK
 
-    def test_compare_modes_is_two_width_scalings(self):
-        n_list = list(range(5, 13))
-        cmp = compare_modes(n_list, 0.485, 1)
-        pos = width_scaling(n_list, 0.485, 1, "position")
-        fid = width_scaling(n_list, 0.485, 1, "fidelity")
+    @pytest.mark.parametrize("points,n_list", [
+        (65, list(range(5, 13))),
+        # a multi-block two-mode sweep
+        (4 * scanner.SWEEP_BLOCK + 65, [5, 6, 7, 8]),
+    ], ids=["one-block", "multi-block"])
+    def test_compare_modes_is_two_width_scalings(self, points, n_list):
+        cmp = compare_modes(n_list, 0.485, 1, points)
+        pos = width_scaling(n_list, 0.485, 1, "position", points)
+        fid = width_scaling(n_list, 0.485, 1, "fidelity", points)
         assert _law_bits(cmp.position) == _law_bits(pos)
         assert _law_bits(cmp.fidelity) == _law_bits(fid)
         table = tuple((N, wp, wf, wp / wf) for N, wp, wf in
@@ -434,6 +466,33 @@ class TestSharedRows:
             fidelity.append(fidelity_protocol(kicks, 0.485, e))
         assert np.array_equal(values["position"], np.array(sigma))
         assert np.array_equal(values["fidelity"], np.array(fidelity))
+
+    def test_grown_block_is_observed_on_its_grown_ladder(self, monkeypatch):
+        # the core starts each block on a ladder too small for 12 kicks
+        # and doubles it until no row leaks
+        kicks, start = 12, 4
+        ladders = []
+        original = scanner._run
+
+        def small_start(*args):
+            amps = original(*args, half_width=start)
+            ladders.append((amps.shape[1] - 1) // 2)
+            return amps
+
+        monkeypatch.setattr(scanner, "_run", small_start)
+        eps = _symmetric_grid(0.4 / kicks**2, 33)
+        with scanner._open(kicks, 0.485, 1, scanner.MODES):
+            sigmas = _sweep_values("position", kicks, 0.485, 1, eps)
+            fidelities = _sweep_values("fidelity", kicks, 0.485, 1, eps)
+        (M,) = ladders
+        assert start < M != propagator.default_half_width(kicks, 0.485)
+        echo = propagator._echo_fidelities(kicks, 0.485)
+        for e, sigma, fidelity in zip(map(swept, eps), sigmas, fidelities):
+            state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e),
+                              half_width=M, auto_grow=False)
+            grid = SpatialGrid(default_n_points(M))
+            assert sigma == sigma_x(position_density(to_position(state, grid)))
+            assert fidelity == echo(state.amps[None, :])[0]
 
 
 class TestBadBounds:
