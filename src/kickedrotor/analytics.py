@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wavepacket import (TWO_PI, MomentumWavefunction, NumericalError,
-                         SpatialGrid, _as_finite, _as_int, _bessel_reach,
-                         _check_grid, _grid_samples)
+                         SpatialGrid, _as_finite, _as_int, _check_grid,
+                         _grid_samples, _kick_reach)
 
 #: (-i)^k for k = 0..3; integer-exact phase table
 MINUS_I_POW = np.array([1, -1j, -1, 1j])
@@ -73,12 +73,12 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
         return table
     x = x[~series]
     # start the recurrence above both the requested order and the turning
-    # point |m| ~ x, where J_m(x) is already decaying, and at least 13.2
-    # Airy widths past x (|J_m(x)| < 7e-16 there): the even-order sum
+    # point |m| ~ x, where J_m(x) is already decaying, and at least one
+    # kick's reach past x (|J_m(x)| < 7e-16 there): the even-order sum
     # misses every order above top, 1e-8 of it at x = 250 if top is x + 40
     start = np.maximum(n_max, np.ceil(x).astype(int))
     top = start + np.maximum(40, (2.5 * np.sqrt(start + 1.0)).astype(int))
-    top = np.maximum(top, [_bessel_reach(v, 13.2) for v in x])
+    top = np.maximum(top, [_kick_reach(v) for v in x])
     K = int(top.max())
     # orders down the first axis, one column per row; order K + 1 is the
     # zero above every row's start

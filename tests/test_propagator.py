@@ -26,6 +26,7 @@ from kickedrotor import (
 from kickedrotor import propagator
 from kickedrotor.analytics import MINUS_I_POW, _bessel_j_ladder, _bessel_j_rows
 from kickedrotor.propagator import (
+    DENSE_HALF_WIDTH_CAP,
     _kick,
     _kick_column,
     _kick_phases,
@@ -36,7 +37,7 @@ from kickedrotor.propagator import (
 )
 from kickedrotor.scanner import RANGE_CAP
 from kickedrotor.wavepacket import (EPSILON_VALIDITY, _fft_slots,
-                                    _propagation_points)
+                                    _kick_reach, _propagation_points)
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -339,6 +340,22 @@ def dense_loop_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
     return amps
 
 
+def even_route_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
+    """evolve_dense's even route with E gathered from the whole kick
+    column, no order past one kick's reach dropped."""
+    M = config.half_width
+    m = np.arange(M + 1)
+    c = _kick_column(config.phi_d, M)
+    E = c[np.subtract.outer(m, m) % len(c)]
+    E[:, 1:] += c[np.add.outer(m, m[1:]) % len(c)]
+    factors = free.factors(m)
+    half = np.zeros(M + 1, dtype=complex)
+    half[0] = 1.0
+    for _ in range(config.kicks):
+        half = factors * (E @ half)
+    return np.concatenate([half[:0:-1], half])
+
+
 #: (phi, widest half width that warns, narrowest that does not)
 WARNING_BOUNDARIES = [(40.0, 60, 61), (0.485, 5, 6), (-1.7, 9, 10)]
 
@@ -349,12 +366,13 @@ ROUTE_TOL = 1e-9
 @st.composite
 def route_cases(draw):
     """A run for both evolution routes: phi_d in [0.05, 6], l in {1, 2},
-    N < 400 with a default ladder of at most 256 sites a side (the dense
-    route's cost grows with its square), |epsilon| <= 1.5/N**2 and below
+    N < 400 with a default ladder of at most DENSE_HALF_WIDTH_CAP sites a
+    side (the dense route's cap), |epsilon| <= 1.5/N**2 and below
     1e-2, and in about one case in five a general-mode spec at the same
     detuning, hbar_s = 4 pi l (1 + epsilon)."""
     phi_d = draw(st.floats(0.05, 6.0))
-    most = max(n for n in range(1, 400) if default_half_width(n, phi_d) <= 256)
+    most = max(n for n in range(1, 400)
+               if default_half_width(n, phi_d) <= DENSE_HALF_WIDTH_CAP)
     kicks = draw(st.integers(1, most))
     l = draw(st.sampled_from([1, 2]))
     reach = min(1.5 / kicks**2, 0.99 * EPSILON_VALIDITY)
@@ -483,6 +501,40 @@ class TestDenseRoute:
         out = evolve_dense(cfg, free)
         assert np.max(np.abs(out.amps - dense_loop_reference(cfg, free))) <= 1e-13
         assert np.array_equal(out.amps, out.amps[::-1])
+
+    @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6])
+    def test_band_leaves_the_long_run_bit_identical(self, eps):
+        # the orders past one kick's reach, below 5.7e-58 at phi_d = 0.485,
+        # change no bit of the N = 400, M = 452 run
+        cfg = SimConfig(kicks=400, epsilon=eps, half_width=452)
+        ref = even_route_reference(cfg, FreePhaseSpec.revival_relative(1, eps))
+        assert np.array_equal(evolve_dense(cfg).amps, ref)
+
+    @pytest.mark.parametrize("past, moves", [(0, True), (1, False)])
+    def test_band_ends_at_one_kicks_reach(self, monkeypatch, past, moves):
+        # a 1e-9 plant at order D + past, on both signs so that the column
+        # stays even, and below the 1e-8 unitarity warning
+        M = 60
+        cfg = SimConfig(kicks=20, half_width=M)
+        clean = evolve_dense(cfg).amps
+        d = _kick_reach(cfg.phi_d) + past
+        ladder = _bessel_j_ladder(cfg.phi_d, M)
+        ladder[M + d] += 1e-9
+        ladder[M - d] += (-1) ** d * 1e-9
+        monkeypatch.setattr(propagator, "_bessel_j_ladder", lambda x, M: ladder)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            planted = evolve_dense(cfg).amps
+        assert np.array_equal(planted, clean) is not moves
+
+    def test_band_cut_at_a_strong_kick_is_the_elementwise_loop(self):
+        # at phi_d = 40 the band cuts at |J_77(40)| = 5.1e-16
+        cfg = SimConfig(kicks=3, phi_d=40.0, half_width=150)
+        D = _kick_reach(cfg.phi_d)
+        assert abs(_bessel_j_rows([cfg.phi_d], D + 1)[0][D + 1]) < 7e-16
+        out = evolve_dense(cfg)
+        ref = dense_loop_reference(cfg, FreePhaseSpec.revival_relative(1, 0.0))
+        assert np.max(np.abs(out.amps - ref)) <= 1e-13
 
 
 class TestFidelityProtocol:

@@ -17,8 +17,12 @@ sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
 Bessel recurrence has one owner, analytics._bessel_j_rows, the only
 reader of its rescale threshold _RESCALE; _bessel_j_ladder is its
-one-row case. State that outlives a call has one owner as well: the only
-context variable is the sweep scanner keeps open (scanner._OPEN_SWEEP). The
+one-row case. One kick's reach has one owner too, wavepacket._kick_reach,
+the only place the literal 13.2 (its Airy widths) appears: the
+propagation length, the recurrence's top order and the dense oracle's
+kick band all take it from there. State that outlives a call has one
+owner as well: the only context variable is the sweep scanner keeps open
+(scanner._OPEN_SWEEP). The
 dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
@@ -293,6 +297,31 @@ def test_stray_bessel_recurrence_is_caught():
                      "LIMIT = 2 * _RESCALE\n")
     assert owners(tree, reads_rescale) == ["bessel_j_row", "bessel_j_row",
                                            "<module>"]
+
+
+def is_kick_reach_widths(node: ast.AST) -> bool:
+    """The literal 13.2, the Airy widths of one kick's reach."""
+    return isinstance(node, ast.Constant) and node.value == 13.2
+
+
+def test_kick_reach_has_one_owner():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}"
+                  for name in owners(tree, is_kick_reach_widths)]
+    assert found == ["wavepacket._kick_reach"]
+
+
+def test_stray_kick_reach_is_caught():
+    tree = ast.parse("def _propagation_points(M, phi):\n"
+                     "    return 2 * M + 1 + _bessel_reach(abs(phi), 13.2)\n"
+                     "def _kick_reach(phi):\n"
+                     "    '13.2 Airy widths'\n"
+                     "    return _bessel_reach(abs(phi), 13.2)\n"
+                     "WIDTHS = 13.2\n")
+    assert owners(tree, is_kick_reach_widths) == ["_propagation_points",
+                                                  "_kick_reach", "<module>"]
 
 
 def context_variables(tree: ast.Module) -> list[str]:
