@@ -19,7 +19,6 @@ from .observables import (
     Density,
     NoCrossingError,
     Profile,
-    fwhm,
     l1_distance,
     mean_energy,
     momentum_density,
@@ -94,7 +93,6 @@ __all__ = [
     "evolve_dense",
     "fidelity_protocol",
     "fit_widths",
-    "fwhm",
     "kick_matrix",
     "l1_distance",
     "mean_energy",

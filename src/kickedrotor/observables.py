@@ -211,7 +211,7 @@ class Profile:
         object.__setattr__(self, "ordinate", y)
 
 
-def fwhm(p: Profile, half_level: float | None = None) -> float:
+def _fwhm(p: Profile, half_level: float | None = None) -> float:
     """Full width between the innermost half-level crossings of a peak.
 
     The peak must be an interior maximum. By default the half level sits

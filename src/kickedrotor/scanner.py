@@ -28,6 +28,12 @@ not +|eps|, because sigma_x is not invariant under that shift (see
 observables.sigma_x): keyed by -|eps|, every auto_scan width stays within
 rounding of the one that propagated both signs.
 
+Every rule that differs between the modes lives in one table, PROBES,
+one entry per mode: how a sweep observes a propagated block, when an
+auto_range probe sweep brackets the profile, and the level scan_width
+measures at. No other code branches on a mode name, so a new probe is
+one more entry of the table.
+
 One object, _Sweep, holds each mode's values of a sweep, keyed by
 -|epsilon|, so a +- pair is propagated once per sweep. A read propagates
 the detunings it lacks one block at a time and observes each block in
@@ -55,15 +61,14 @@ import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .observables import Profile, _position_sigmas, fwhm
+from .observables import Profile, _fwhm, _position_sigmas
 from .propagator import _echo_fidelities, _revival_phases, _run
 from .wavepacket import (NumericalError, _as_finite, _as_int, _synthesize,
                          default_n_points)
-
-MODES = ("position", "fidelity")
 
 #: half level of an echo profile: F decays from exactly 1 toward 0
 FIDELITY_HALF_LEVEL = 0.5
@@ -110,13 +115,15 @@ class _Sweep:
     observed at once in every mode of the sweep, so every mode holds the
     same keys and no stack outlives the read that made it. A stack that
     auto-grew is observed on its grown ladder, as each of its rows is on
-    its own; the echo target is built once per ladder.
+    its own. Each mode's observer is made once per sweep from its PROBES
+    entry, so the echo target is built once per ladder.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
         self.key = (kicks, phi_d, l)
         self.values: dict[str, dict[float, float]] = {m: {} for m in modes}
-        self.echo = _echo_fidelities(kicks, phi_d)
+        # the lookup refuses an unknown mode before any kick
+        self.observe = {m: _check_mode(m).observer(kicks, phi_d) for m in modes}
 
     def read(self, mode: str, epsilons: list[float]) -> list[float]:
         memo = self.values[mode]
@@ -128,8 +135,7 @@ class _Sweep:
             block = missing[start:start + SWEEP_BLOCK]
             amps = _run(kicks, phi_d, functools.partial(_revival_phases, l, block))
             for m, values in self.values.items():
-                values.update(zip(block, self.echo(amps) if m == "fidelity"
-                                  else _spreads(amps)))
+                values.update(zip(block, self.observe[m](amps)))
         return [memo[e] for e in epsilons]
 
 
@@ -142,6 +148,63 @@ def _spreads(amps: np.ndarray) -> list[float]:
     """
     n = default_n_points((amps.shape[1] - 1) // 2)
     return _position_sigmas(np.abs(_synthesize(amps, n)) ** 2).tolist()
+
+
+def _brackets_dips(values: np.ndarray) -> bool:
+    """Does a position probe sweep bracket the profile?
+
+    Each side must hold a strictly interior minimum, so the dip flanking
+    the central peak is bracketed and the floor estimate has converged;
+    the half-level crossings then lie between peak and floor, inside the
+    sweep by construction. Edge values cannot decide this: past the dip
+    the spread recovers to near its peak value, and a decaying profile
+    puts its edges below any edge-based midpoint immediately.
+    """
+    center = len(values) // 2
+    for side in (values[center:], values[center::-1]):
+        i_min = int(np.argmin(side))
+        if not 0 < i_min < len(side) - 1:
+            return False
+    return True
+
+
+def _brackets_half_level(values: np.ndarray) -> bool:
+    """Does an echo probe sweep bracket the profile? Both edges must sit
+    below the absolute half level 1/2."""
+    return values[0] < FIDELITY_HALF_LEVEL and values[-1] < FIDELITY_HALF_LEVEL
+
+
+def _echo_level(values: np.ndarray) -> float:
+    """The half level of an echo profile: 1/2 once an edge reaches below it
+    (the peak is exactly 1 and the floor is 0); otherwise midway between
+    the peak and the lower of the two edge samples, however low the
+    profile dips inside them."""
+    edge = min(values[0], values[-1])
+    if edge < FIDELITY_HALF_LEVEL:
+        return FIDELITY_HALF_LEVEL
+    return 0.5 * (float(values.max()) + float(edge))
+
+
+class _Probe(NamedTuple):
+    """The rules of one sweep mode."""
+
+    #: (kicks, phi_d) -> the sweep's observer, from a (P, 2M+1) block of
+    #: driven rows to their P values
+    observer: Callable
+    #: auto_range: do a probe sweep's values bracket the profile?
+    adequate: Callable[[np.ndarray], bool]
+    #: scan_width: the half level of a scan's values; None is _fwhm's default,
+    #: midway between the peak and the lowest sample
+    level: Callable[[np.ndarray], float | None]
+
+
+#: every sweep mode and its rules; MODES keeps this order
+PROBES = {
+    "position": _Probe(lambda kicks, phi_d: _spreads, _brackets_dips,
+                       lambda values: None),
+    "fidelity": _Probe(_echo_fidelities, _brackets_half_level, _echo_level),
+}
+MODES = tuple(PROBES)
 
 
 #: the sweep auto_range, auto_scan and _widths keep open; unset outside them
@@ -186,9 +249,11 @@ def _check_points(points: int) -> int:
     return points
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
+def _check_mode(mode: str) -> _Probe:
+    """The PROBES entry of a mode; ValueError for an unknown one."""
+    if mode not in PROBES:
         raise ValueError(f"mode must be one of {MODES}")
+    return PROBES[mode]
 
 
 @dataclass(frozen=True)
@@ -229,32 +294,10 @@ def scan_epsilon(
     kicks = _as_int("kicks", kicks, 1)
     points = _check_points(points)
     epsilon_max = _as_finite("epsilon_max", epsilon_max, positive=True)
-    _check_mode(mode)
     eps = _symmetric_grid(epsilon_max, points)
+    # the sweep refuses an unknown mode before it propagates
     vals = _sweep_values(mode, kicks, phi_d, l, eps)
     return EpsilonScan(kicks, mode, eps, vals)
-
-
-def _adequate(mode: str, values: np.ndarray) -> bool:
-    """Is the sweep range wide enough to support a width measurement?
-
-    Fidelity: both edges must sit below the absolute half level 1/2.
-    Position: each side must hold a strictly interior minimum, so the dip
-    flanking the central peak is bracketed and the floor estimate has
-    converged; the half-level crossings then lie between peak and floor,
-    inside the sweep by construction. Edge values cannot decide this:
-    past the dip the spread recovers to near its peak value, and a
-    decaying profile puts its edges below any edge-based midpoint
-    immediately.
-    """
-    if mode == "fidelity":
-        return values[0] < FIDELITY_HALF_LEVEL and values[-1] < FIDELITY_HALF_LEVEL
-    center = len(values) // 2
-    for side in (values[center:], values[center::-1]):
-        i_min = int(np.argmin(side))
-        if not 0 < i_min < len(side) - 1:
-            return False
-    return True
 
 
 def auto_range(
@@ -264,29 +307,32 @@ def auto_range(
     mode: str,
     cap: float = RANGE_CAP,
 ) -> float:
-    """Smallest range from the doubling ladder 0.1/N^2, 0.2/N^2, ... that
-    brackets the profile, so that a width extraction succeeds.
+    """Smallest range from the doubling ladder 0.1/N^2, 0.2/N^2, ..., cap
+    that brackets the profile by the adequacy rule of the mode's PROBES
+    entry, so that a width extraction succeeds.
 
     Each probe step is one sweep of PROBE_POINTS detunings, of which only
     those the earlier steps did not evaluate are propagated. Raises
-    RangeCapError when the cap is reached first.
+    RangeCapError when no rung up to the cap brackets the profile.
     """
     kicks = _as_int("kicks", kicks, 1)
-    _check_mode(mode)
-    # a NaN cap would never stop the doubling ladder
+    probe = _check_mode(mode)
+    # a NaN cap would never end the doubling ladder
     _as_finite("cap", cap, positive=True)
-    r = min(0.1 / (kicks * kicks), cap)
+    # finitely many rungs: the first is positive (0.1 / N^2 is at least
+    # 5e-310 wherever N^2 converts to a float), and each doubles to the cap
+    rungs = [min(0.1 / (kicks * kicks), cap)]
+    while rungs[-1] < cap:
+        rungs.append(min(2.0 * rungs[-1], cap))
     with _open(kicks, phi_d, l, (mode,)):
-        while True:
+        for r in rungs:
             grid = _symmetric_grid(r, PROBE_POINTS)
-            if _adequate(mode, _sweep_values(mode, kicks, phi_d, l, grid)):
+            if probe.adequate(_sweep_values(mode, kicks, phi_d, l, grid)):
                 return r
-            if r >= cap:
-                raise RangeCapError(
-                    f"profile not bracketed within |epsilon| <= {cap} "
-                    f"(kicks={kicks}, mode={mode})"
-                )
-            r = min(2.0 * r, cap)
+    raise RangeCapError(
+        f"profile not bracketed within |epsilon| <= {cap} "
+        f"(kicks={kicks}, mode={mode})"
+    )
 
 
 def auto_scan(
@@ -309,22 +355,12 @@ def auto_scan(
 
 
 def scan_width(scan: EpsilonScan) -> float:
-    """Full width at half depth of a sweep, with the mode's level rule.
-
-    Echo profiles use the absolute level 1/2 once the edges reach below
-    it (the peak is exactly 1 and the floor is 0); otherwise the level is
-    midway between the peak and the lower of the two edge samples, however
-    low the profile dips inside them. Position profiles use the level
-    midway between peak and lowest sample.
+    """Full width at half depth of a sweep, at the half level that the
+    level rule of the mode's PROBES entry sets: for an echo profile 1/2,
+    or mid-depth to its lower edge; for a position profile midway between
+    peak and lowest sample.
     """
-    half = None
-    if scan.mode == "fidelity":
-        edge = min(scan.values[0], scan.values[-1])
-        if edge < FIDELITY_HALF_LEVEL:
-            half = FIDELITY_HALF_LEVEL
-        else:
-            half = 0.5 * (float(scan.values.max()) + float(edge))
-    return fwhm(scan.profile(), half)
+    return _fwhm(scan.profile(), _check_mode(scan.mode).level(scan.values))
 
 
 @dataclass(frozen=True)
@@ -412,7 +448,8 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
     widths: list[list[float]] = [[] for _ in modes]
     for N in n_arr.tolist():
         with _open(N, phi_d, l, modes):
-            # auto_scan validates mode and points before it propagates
+            # the sweep refuses an unknown mode, and auto_scan bad points,
+            # before either propagates
             for mode, column in zip(modes, widths):
                 column.append(scan_width(auto_scan(N, phi_d, l, mode, points)))
     return widths

@@ -170,7 +170,7 @@ class TestScanCommand:
 
     def test_auto_range_probes_are_reused(self, tmp_path, monkeypatch):
         rows, reads = [], []
-        run, echo = scanner._run, scanner._echo_fidelities
+        run, echo = scanner._run, scanner.PROBES["fidelity"]
 
         def counting_run(kicks, phi_d, phases, *args, **kwargs):
             # a sweep binds its block's detunings to the phase table
@@ -178,7 +178,7 @@ class TestScanCommand:
             return run(kicks, phi_d, phases, *args, **kwargs)
 
         def counting_echo(kicks, phi_d):
-            fidelities = echo(kicks, phi_d)
+            fidelities = echo.observer(kicks, phi_d)
 
             def counting(amps):
                 reads.append(len(amps))
@@ -187,7 +187,8 @@ class TestScanCommand:
             return counting
 
         monkeypatch.setattr(scanner, "_run", counting_run)
-        monkeypatch.setattr(scanner, "_echo_fidelities", counting_echo)
+        monkeypatch.setitem(scanner.PROBES, "fidelity",
+                            echo._replace(observer=counting_echo))
         code = main(["scan", "--kicks", "40", "--mode", "fidelity",
                      "--out", str(tmp_path / "a")])
         assert code == 0

@@ -12,7 +12,6 @@ from kickedrotor import (
     NoCrossingError,
     Profile,
     SpatialGrid,
-    fwhm,
     l1_distance,
     mean_energy,
     momentum_density,
@@ -20,7 +19,8 @@ from kickedrotor import (
     sigma_x,
     to_position,
 )
-from kickedrotor.observables import MIRROR_TIE, _position_sigmas, _sigma_rows
+from kickedrotor.observables import (MIRROR_TIE, _fwhm, _position_sigmas,
+                                      _sigma_rows)
 
 TWO_PI = 2 * math.pi
 
@@ -67,11 +67,24 @@ class TestDensity:
             Density("angle", np.arange(4.0), np.full(4, 0.25))
 
     def test_negative_values_rejected(self):
+        # the poke keeps the mass at 1, so only the sign rule refuses it
         X = TWO_PI * np.arange(8) / 8
-        vals = np.full(8, 1.0 / TWO_PI)
-        vals[3] = -1e-6
-        with pytest.raises(ValueError):
+        vals = (1.0 + np.cos(X)) / TWO_PI
+        assert vals[4] == 0.0
+        vals[4] -= 1e-6
+        vals[0] += 1e-6
+        with pytest.raises(ValueError, match="must not be negative"):
             Density("position", X, vals)
+        with pytest.raises(ValueError, match="must not be negative"):
+            Density("momentum", np.arange(-1.0, 2.0), [-1e-6, 1.0 + 1e-6, 0.0])
+
+    def test_shape_rule(self):
+        # each pair is a valid density apart from its shape
+        X = TWO_PI * np.arange(8) / 8
+        with pytest.raises(ValueError, match="1-d and same length"):
+            Density("position", X[:7], np.full(8, 1.0 / TWO_PI))
+        with pytest.raises(ValueError, match="1-d and same length"):
+            Density("momentum", np.zeros((2, 2)), [[0.5, 0.5], [1.0, 0.0]])
 
     def test_total_mass_enforced(self):
         X = TWO_PI * np.arange(8) / 8
@@ -318,11 +331,16 @@ class TestL1Distance:
         assert l1_distance(da, db) == pytest.approx(2.0, abs=1e-12)
 
     def test_kind_and_support_guards(self):
+        # the kinds differ on one support, then the supports on one kind,
+        # shape and values, so each pair breaks one rule only
         d = uniform_density(64)
-        m = momentum_density(delta0(3))
-        with pytest.raises(ValueError):
+        m = Density("momentum", d.support, np.full(64, 1.0 / 64))
+        with pytest.raises(ValueError, match="kinds differ"):
             l1_distance(d, m)
-        with pytest.raises(ValueError):
+        shifted = Density("position", d.support + 0.1, d.values)
+        with pytest.raises(ValueError, match="supports differ"):
+            l1_distance(d, shifted)
+        with pytest.raises(ValueError, match="supports differ"):
             l1_distance(d, uniform_density(128))
 
 
@@ -356,60 +374,62 @@ class TestFwhm:
 
     def test_triangle_width_is_exact(self):
         # crossings at +-1/2 land exactly on the interpolant
-        assert fwhm(self.triangle()) == pytest.approx(1.0, abs=1e-12)
+        assert _fwhm(self.triangle()) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_width(self):
         x = np.linspace(-1.0, 1.0, 2001)
         p = Profile(x, np.exp(-(x**2) / (2 * 0.1**2)))
         expect = 2 * math.sqrt(2 * math.log(2)) * 0.1
-        assert fwhm(p) == pytest.approx(expect, abs=1e-4)
+        assert _fwhm(p) == pytest.approx(expect, abs=1e-4)
 
     def test_explicit_level_overrides_default(self):
         p = self.triangle()
-        assert fwhm(p, half_level=0.25) == pytest.approx(1.5, abs=1e-12)
+        assert _fwhm(p, half_level=0.25) == pytest.approx(1.5, abs=1e-12)
 
     def test_flat_profile_rejected(self):
         with pytest.raises(NoCrossingError):
-            fwhm(Profile(np.arange(5.0), np.ones(5)))
+            _fwhm(Profile(np.arange(5.0), np.ones(5)))
 
     def test_edge_peak_rejected(self):
+        # without the edge rule the missing left crossing would refuse it
+        # too, under another message
         x = np.arange(5.0)
-        with pytest.raises(NoCrossingError):
-            fwhm(Profile(x, np.array([5.0, 4.0, 3.0, 2.0, 1.0])))
+        with pytest.raises(NoCrossingError, match="peaks at the scan edge"):
+            _fwhm(Profile(x, np.array([5.0, 4.0, 3.0, 2.0, 1.0])))
 
     def test_peak_below_requested_level(self):
-        with pytest.raises(NoCrossingError):
-            fwhm(self.triangle(), half_level=2.0)
+        with pytest.raises(NoCrossingError, match="below the requested level"):
+            _fwhm(self.triangle(), half_level=2.0)
 
     def test_narrow_range_rejected(self):
         # edges never reach the half level computed from the true floor
         x = np.linspace(-0.1, 0.1, 21)
         with pytest.raises(NoCrossingError):
-            fwhm(Profile(x, 1.0 - np.abs(x)), half_level=0.5)
+            _fwhm(Profile(x, 1.0 - np.abs(x)), half_level=0.5)
 
     def test_innermost_crossing_wins(self):
         # a profile that dips, recovers, and dips again: the width must
         # come from the crossings nearest the peak
         x = np.linspace(-3.0, 3.0, 601)
         y = np.exp(-(x**2)) + 0.6 * np.exp(-((np.abs(x) - 2.0) ** 2) / 0.01)
-        w = fwhm(Profile(x, y), half_level=0.5)
+        w = _fwhm(Profile(x, y), half_level=0.5)
         assert w == pytest.approx(2 * math.sqrt(math.log(2)), abs=1e-2)
 
     @given(st.floats(1e-3, 1e3))
     def test_ordinate_scale_invariance(self, scale):
         p = self.triangle()
         scaled = Profile(p.abscissa, scale * p.ordinate)
-        assert fwhm(scaled) == pytest.approx(fwhm(p), rel=1e-9)
+        assert _fwhm(scaled) == pytest.approx(_fwhm(p), rel=1e-9)
 
     @given(st.floats(-5.0, 5.0, allow_nan=False))
     def test_abscissa_shift_invariance(self, shift):
         p = self.triangle()
         moved = Profile(p.abscissa + shift, p.ordinate)
-        assert fwhm(moved) == pytest.approx(fwhm(p), abs=1e-9)
+        assert _fwhm(moved) == pytest.approx(_fwhm(p), abs=1e-9)
 
     def test_reflection_invariance(self):
         x = np.linspace(-1.0, 2.0, 301)
         y = np.exp(-((x - 0.4) ** 2) / 0.05)
         p = Profile(x, y)
         mirrored = Profile(-x[::-1], y[::-1])
-        assert fwhm(mirrored) == pytest.approx(fwhm(p), abs=1e-12)
+        assert _fwhm(mirrored) == pytest.approx(_fwhm(p), abs=1e-12)

@@ -279,23 +279,22 @@ def alive(refs) -> int:
 def reads(monkeypatch, driven):
     """(mode, rows observed, driven rows alive) of each observation."""
     log = []
-    spreads, echo = scanner._spreads, scanner._echo_fidelities
 
-    def counting_spreads(amps):
-        log.append(("position", len(amps), alive(driven)))
-        return spreads(amps)
+    def counting_observer(mode, observer):
+        def per_sweep(kicks, phi_d):
+            observe = observer(kicks, phi_d)
 
-    def counting_echo(kicks, phi_d):
-        fidelities = echo(kicks, phi_d)
+            def counting(amps):
+                log.append((mode, len(amps), alive(driven)))
+                return observe(amps)
 
-        def counting(amps):
-            log.append(("fidelity", len(amps), alive(driven)))
-            return fidelities(amps)
+            return counting
 
-        return counting
+        return per_sweep
 
-    monkeypatch.setattr(scanner, "_spreads", counting_spreads)
-    monkeypatch.setattr(scanner, "_echo_fidelities", counting_echo)
+    for mode, probe in list(scanner.PROBES.items()):
+        monkeypatch.setitem(scanner.PROBES, mode, probe._replace(
+            observer=counting_observer(mode, probe.observer)))
     return log
 
 
@@ -532,6 +531,28 @@ class TestAutoRange:
     def test_mode_validated(self):
         with pytest.raises(ValueError):
             auto_range(5, 0.485, 1, "bogus")
+
+    def test_ladder_is_finite(self, monkeypatch):
+        # a profile that is never bracketed walks the doubling ladder up to
+        # the cap once and is refused: no rung repeats and none is skipped
+        ranges, probes = [], []
+        sweep_values = scanner._sweep_values
+
+        def recording(mode, kicks, phi_d, l, eps, threads=1):
+            ranges.append(float(eps[-1]))
+            return sweep_values(mode, kicks, phi_d, l, eps, threads)
+
+        def never(values):
+            probes.append(len(values))
+            return False
+
+        monkeypatch.setattr(scanner, "_sweep_values", recording)
+        monkeypatch.setitem(scanner.PROBES, "position",
+                            scanner.PROBES["position"]._replace(adequate=never))
+        with pytest.raises(RangeCapError, match="kicks=5"):
+            auto_range(5, 0.485, 1, "position")
+        assert probes == [scanner.PROBE_POINTS] * 6
+        assert ranges == [0.004, 0.008, 0.016, 0.032, 0.064, scanner.RANGE_CAP]
 
 
 class TestScanWidth:

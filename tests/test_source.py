@@ -27,18 +27,26 @@ dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
 neither the core nor the sweeps in scanner handle a FreePhaseSpec.
-The public surface is what the CLI, the demos, the benchmark harness
-and the contract tests read: every function and constant in __all__ is
-named in one of them; a name that only a sibling module of the package
-reads is not public. Every exception class the package defines is a
-NumericalError (the CLI's exit 3) or a ValueError (exit 2).
+The sweep modes' rules live in one table, scanner.PROBES: neither
+scanner nor the CLI compares a value with a mode name. The public
+surface is what the CLI, the demos, the benchmark harness and the
+contract tests read: every function and constant in __all__ is named in
+one of them, as an identifier or as a qualified "module.name" string; a
+name that only a sibling module of the package reads, or that a reader
+writes only as a string key or in a comment, is not public. Every
+exception class the package defines is a NumericalError (the CLI's exit
+3) or a ValueError (exit 2).
 """
 import ast
 import builtins
-import re
+import contextlib
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
+
+from kickedrotor.scanner import MODES
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kickedrotor"
@@ -478,12 +486,30 @@ SURFACE_READERS = [PACKAGE / "cli.py",
                    ROOT / "tests" / "test_acceptance.py"]
 
 
+def reads(texts: list[str]) -> tuple[set[str], set[str]]:
+    """The identifier tokens of the sources and the values of their string
+    literals; comments are neither."""
+    names, strings = set(), set()
+    for text in texts:
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME:
+                names.add(token.string)
+            elif token.type == tokenize.STRING:
+                # an f-string has no literal value, and names nothing here
+                with contextlib.suppress(ValueError):
+                    strings.add(ast.literal_eval(token.string))
+    return names, strings
+
+
 def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
-    """Functions and constants in __all__ that no reader names as a whole
-    word. package maps each module name, "__init__" included, to its
-    source; readers are the sources of the surface's readers. A sibling
-    module of the package is no reader. Classes are exempt: they are
-    return and error types."""
+    """Functions and constants in __all__ that no reader names, either as
+    an identifier token or as a qualified "module.name" string, the way
+    the benchmark names the functions it times. A name inside a longer
+    word, a comment or another string (a JSON key, say) is not read.
+    package maps each module name, "__init__" included, to its source;
+    readers are the sources of the surface's readers. A sibling module of
+    the package is no reader. Classes are exempt: they are return and
+    error types."""
     init = ast.parse(package["__init__"])
     exported = next(ast.literal_eval(node.value) for node in init.body
                     if isinstance(node, ast.Assign)
@@ -491,13 +517,14 @@ def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str
     home = {alias.asname or alias.name: node.module for node in init.body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names}
+    names, strings = reads(readers)
     unread = []
     for name in sorted(exported):
         module = home[name]
         if any(isinstance(node, ast.ClassDef) and node.name == name
                for node in ast.parse(package[module]).body):
             continue
-        if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in readers):
+        if name not in names and f"{module}.{name}" not in strings:
             unread.append(f"{module}.{name}")
     return unread
 
@@ -528,6 +555,68 @@ def test_unread_public_name_is_caught():
                "unused_count = ALSO_UNUSED_TOO = 3\n"]
     assert unread_public_names(package, readers) == [
         "a.ALSO_UNUSED", "c.sibling_only", "a.unused"]
+
+
+def test_public_name_read_only_as_a_string_is_caught():
+    package = {
+        "__init__": "from .a import keyed, noted, timed, misplaced\n"
+                    "__all__ = ['keyed', 'misplaced', 'noted', 'timed']\n",
+        "a": "".join(f"def {name}():\n    return 1\n"
+                     for name in ("keyed", "noted", "timed", "misplaced")),
+    }
+    # a JSON key, a comment, a docstring word and a string qualified by
+    # the wrong module read nothing; the qualified string reads its function
+    readers = ['"""Write keyed rows."""\n'
+               'extra = {"keyed": 1.0}  # noted\n'
+               'TIMED = ("a.timed", "b.misplaced", f"{x}.keyed")\n']
+    assert unread_public_names(package, readers) == [
+        "a.keyed", "a.misplaced", "a.noted"]
+
+
+def compares_mode_name(node: ast.AST) -> bool:
+    """A comparison or match case with a sweep mode name as a string
+    literal among its operands, also inside a tuple or list."""
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+    elif isinstance(node, ast.MatchValue):
+        operands = [node.value]
+    else:
+        return False
+    return any(isinstance(sub, ast.Constant) and sub.value in MODES
+               for operand in operands for sub in ast.walk(operand))
+
+
+def test_modes_are_the_probe_table_in_order():
+    # --help lists them in this order, and compare_modes unpacks its two
+    # laws as position, fidelity
+    assert MODES == ("position", "fidelity")
+
+
+@pytest.mark.parametrize("name", ["scanner", "cli"])
+def test_no_branch_on_a_mode_name(name):
+    # every mode rule is an entry of scanner.PROBES; the table's keys are
+    # the only place a mode name is written
+    path = PACKAGE / f"{name}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert owners(tree, compares_mode_name) == []
+
+
+def test_branch_on_a_mode_name_is_caught():
+    tree = ast.parse("def read(mode):\n"
+                     "    if mode == 'fidelity':\n"
+                     "        return 1\n"
+                     "    return {'position': 2}[mode]\n"
+                     "def level(scan):\n"
+                     "    while scan.mode not in ('position', 'other'):\n"
+                     "        pass\n"
+                     "    match scan.mode:\n"
+                     "        case 'position':\n"
+                     "            return 3\n"
+                     "def fine(d, args):\n"
+                     "    return d.kind == 'momentum' or args.mode == 'both'\n"
+                     "ok = 'fidelity' != MODE\n")
+    assert owners(tree, compares_mode_name) == ["read", "level", "level",
+                                                "<module>"]
 
 
 def exception_classes(sources: dict[str, str]) -> dict[str, bool]:
