@@ -18,7 +18,6 @@ from .observables import (
     DegenerateDensityError,
     Density,
     NoCrossingError,
-    Profile,
     l1_distance,
     mean_energy,
     momentum_density,
@@ -43,7 +42,6 @@ from .scanner import (
     auto_range,
     auto_scan,
     compare_modes,
-    fit_widths,
     scan_epsilon,
     scan_width,
     width_scaling,
@@ -77,7 +75,6 @@ __all__ = [
     "NumericalError",
     "PerturbativeDensity",
     "PositionWavefunction",
-    "Profile",
     "RangeCapError",
     "SimConfig",
     "SpatialGrid",
@@ -92,7 +89,6 @@ __all__ = [
     "evolve",
     "evolve_dense",
     "fidelity_protocol",
-    "fit_widths",
     "kick_matrix",
     "l1_distance",
     "mean_energy",

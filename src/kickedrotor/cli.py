@@ -11,8 +11,9 @@ omits them, keeping outputs byte-stable across re-runs. --threads is
 accepted and has no effect: a sweep runs in one thread, with one core call
 per probe step and per block of up to 128 detunings. scan refuses a
 profile it cannot take the width of (exit 3) in CSV as well as in JSON,
-although only the JSON file carries the width. scaling --fixture fits
-one width column, so it refuses --mode both (exit 2).
+although only the JSON file carries the width. scaling measures its
+widths from the simulation: --mode both writes the two laws side by
+side, one mode writes that mode's widths and fit.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters (a ValueError or
 an OSError), 3 a numerical invariant failed (a NumericalError, whose
@@ -39,12 +40,11 @@ from .scanner import (
     MODES,
     auto_scan,
     compare_modes,
-    fit_widths,
     scan_epsilon,
     scan_width,
     width_scaling,
 )
-from .wavepacket import (NumericalError, SimConfig, SpatialGrid, _as_int,
+from .wavepacket import (NumericalError, SimConfig, SpatialGrid,
                          default_n_points, to_position)
 
 
@@ -195,33 +195,6 @@ def _cmd_scan(args) -> tuple[Path, dict]:
     return out, manifest
 
 
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-    except ValueError:
-        return False
-    return True
-
-
-def _read_fixture(path: str) -> tuple[list[int], list[float]]:
-    """N,width rows; a first row none of whose cells is a number is the
-    header, so a first data row with a bad N is refused, not skipped."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(line, row) for line, row in enumerate(csv.reader(fh), 1) if row]
-    if rows and not any(_is_number(cell) for cell in rows[0][1]):
-        del rows[0]  # header row
-    ns, widths = [], []
-    for line, row in rows:
-        try:
-            if len(row) != 2:
-                raise ValueError(f"expected N,width, got {row!r}")
-            ns.append(_as_int("N", float(row[0])))
-            widths.append(float(row[1]))
-        except ValueError as exc:
-            raise ValueError(f"{path} line {line}: {exc}") from None
-    return ns, widths
-
-
 def _fit_block(ws) -> dict:
     return {
         "gamma": ws.gamma,
@@ -231,22 +204,16 @@ def _fit_block(ws) -> dict:
 
 
 def _cmd_scaling(args) -> tuple[Path, dict]:
-    if args.fixture and args.mode == "both":
-        raise ValueError("--fixture holds one width column; "
-                         "--mode both needs two")
     out = _out_dir(args.out)
-    if args.fixture:
-        config = {"fixture": args.fixture, "mode": args.mode}
-    else:
-        n_list = list(range(args.n_from, args.n_to + 1))
-        config = {
-            "phi_d": args.phi_d,
-            "l": args.l,
-            "n_from": args.n_from,
-            "n_to": args.n_to,
-            "mode": args.mode,
-            "points": args.points,
-        }
+    n_list = list(range(args.n_from, args.n_to + 1))
+    config = {
+        "phi_d": args.phi_d,
+        "l": args.l,
+        "n_from": args.n_from,
+        "n_to": args.n_to,
+        "mode": args.mode,
+        "points": args.points,
+    }
     if args.mode == "both":
         cmp = compare_modes(n_list, args.phi_d, args.l, args.points)
         columns = dict(zip(("N", "position", "fidelity", "ratio"),
@@ -258,11 +225,7 @@ def _cmd_scaling(args) -> tuple[Path, dict]:
             "crossover_fit": cmp.crossover_fit,
         }
     else:
-        if args.fixture:
-            ws = fit_widths(*_read_fixture(args.fixture))
-        else:
-            ws = width_scaling(n_list, args.phi_d, args.l, args.mode,
-                               args.points)
+        ws = width_scaling(n_list, args.phi_d, args.l, args.mode, args.points)
         columns = {"N": [int(n) for n in ws.kick_numbers],
                    "width": _listify(ws.widths)}
         fit = _fit_block(ws)
@@ -329,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; a sweep runs in one thread, "
                         "one core call per block of up to 128 detunings")
-    p.add_argument("--fixture", default=None,
-                   help="test hook: fit a CSV of N,width rows, no simulation")
     p.set_defaults(func=_cmd_scaling)
     return parser
 

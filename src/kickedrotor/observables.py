@@ -35,7 +35,7 @@ class DegenerateDensityError(NumericalError):
 
 
 class NoCrossingError(NumericalError):
-    """Profile never falls below its half level inside the scanned range."""
+    """A profile never falls below its half level inside the scanned range."""
 
 
 @dataclass(frozen=True)
@@ -186,33 +186,11 @@ def l1_distance(a: Density, b: Density) -> float:
     return diff
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Sampled curve with strictly increasing abscissa (at least 5 points),
-    every sample finite: a NaN or an infinity never reaches a width."""
-
-    abscissa: np.ndarray
-    ordinate: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.abscissa, dtype=float)
-        y = np.asarray(self.ordinate, dtype=float)
-        if x.shape != y.shape or x.ndim != 1 or len(x) < 5:
-            raise ValueError("profile needs >= 5 paired samples")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("profile samples must be finite")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("abscissa must be strictly increasing")
-        x = x.copy()
-        y = y.copy()
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "abscissa", x)
-        object.__setattr__(self, "ordinate", y)
-
-
-def _fwhm(p: Profile, half_level: float | None = None) -> float:
-    """Full width between the innermost half-level crossings of a peak.
+def _fwhm(x: np.ndarray, y: np.ndarray,
+          half_level: float | None = None) -> float:
+    """Full width between the innermost half-level crossings of a peak in
+    the samples y over the strictly increasing, finite abscissa x (the
+    rules scanner.EpsilonScan keeps).
 
     The peak must be an interior maximum. By default the half level sits
     midway between the peak and the lowest sampled value, which coincides
@@ -225,7 +203,6 @@ def _fwhm(p: Profile, half_level: float | None = None) -> float:
     (the scan range is too narrow) or the profile is flat to within
     rounding noise.
     """
-    x, y = p.abscissa, p.ordinate
     i_pk = int(np.argmax(y))
     peak = float(y[i_pk])
     if i_pk in (0, len(y) - 1):

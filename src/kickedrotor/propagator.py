@@ -350,19 +350,18 @@ def propagate(
 
 
 def evolve(
-    config: SimConfig,
-    free: FreePhaseSpec | None = None,
-    auto_grow: bool | None = None,
+    config: SimConfig, *, auto_grow: bool | None = None
 ) -> MomentumWavefunction:
     """Propagate delta_{m,0} through config.kicks periods.
 
-    Each period is kick(phi_d) then free flight; the returned state is the
-    one after the final free flight: propagate's on config.half_width, as
-    config.n_points names only the observation grid. When the config was
-    auto-sized, a tripped edge-leakage bound restarts the run with a
-    doubled ladder.
+    Each period is kick(phi_d) then free flight at config's detuning from
+    the revival; the returned state is the one after the final free
+    flight: propagate's on config.half_width, as config.n_points names
+    only the observation grid. A tripped edge-leakage bound restarts the
+    run with a doubled ladder when auto_grow is set, by default when the
+    config was auto-sized.
     """
-    spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
+    spec = FreePhaseSpec.revival_relative(config.l, config.epsilon)
     grow = config.auto_sized if auto_grow is None else auto_grow
     return propagate(config.kicks, config.phi_d, spec, config.half_width, grow)
 

@@ -60,12 +60,12 @@ import contextlib
 import contextvars
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .observables import Profile, _fwhm, _position_sigmas
+from .observables import _fwhm, _position_sigmas
 from .propagator import _echo_fidelities, _revival_phases, _run
 from .wavepacket import (NumericalError, _as_finite, _as_int, _synthesize,
                          default_n_points)
@@ -258,27 +258,36 @@ def _check_mode(mode: str) -> _Probe:
 
 @dataclass(frozen=True)
 class EpsilonScan:
-    """One observable swept over a symmetric detuning grid."""
+    """One observable swept over a symmetric detuning grid.
+
+    The sampled profile a width is taken of: one value per detuning, both
+    1-d, every sample finite (a NaN or an infinity never reaches a width),
+    the detunings strictly increasing, an odd count of at least 33 and
+    epsilon = 0 at the centre. It keeps read-only copies of both arrays.
+    """
 
     kicks: int
     mode: str
     epsilons: np.ndarray
     values: np.ndarray
-    _profile: Profile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_mode(self.mode)
-        # Profile checks the shape and order and keeps frozen copies
-        profile = Profile(self.epsilons, self.values)
-        _check_points(len(profile.abscissa))
-        if profile.abscissa[len(profile.abscissa) // 2] != 0.0:
+        eps = np.array(self.epsilons, dtype=float)
+        vals = np.array(self.values, dtype=float)
+        if eps.shape != vals.shape or eps.ndim != 1:
+            raise ValueError("a scan needs one value per detuning, both 1-d")
+        if not (np.isfinite(eps).all() and np.isfinite(vals).all()):
+            raise ValueError("scan samples must be finite")
+        if not np.all(np.diff(eps) > 0):
+            raise ValueError("detunings must be strictly increasing")
+        _check_points(len(eps))
+        if eps[len(eps) // 2] != 0.0:
             raise ValueError("scan grid must contain epsilon = 0")
-        object.__setattr__(self, "epsilons", profile.abscissa)
-        object.__setattr__(self, "values", profile.ordinate)
-        object.__setattr__(self, "_profile", profile)
-
-    def profile(self) -> Profile:
-        return self._profile
+        eps.setflags(write=False)
+        vals.setflags(write=False)
+        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "values", vals)
 
 
 def scan_epsilon(
@@ -313,15 +322,18 @@ def auto_range(
 
     Each probe step is one sweep of PROBE_POINTS detunings, of which only
     those the earlier steps did not evaluate are propagated. Raises
-    RangeCapError when no rung up to the cap brackets the profile.
+    RangeCapError when no rung up to the cap brackets the profile, and
+    ValueError, before any probe, for a kick number whose square is past
+    the float range.
     """
     kicks = _as_int("kicks", kicks, 1)
     probe = _check_mode(mode)
     # a NaN cap would never end the doubling ladder
     _as_finite("cap", cap, positive=True)
     # finitely many rungs: the first is positive (0.1 / N^2 is at least
-    # 5e-310 wherever N^2 converts to a float), and each doubles to the cap
-    rungs = [min(0.1 / (kicks * kicks), cap)]
+    # 5e-310 wherever N^2 converts to a float, and refused elsewhere), and
+    # each doubles to the cap
+    rungs = [min(0.1 / _as_int("kicks squared", kicks * kicks), cap)]
     while rungs[-1] < cap:
         rungs.append(min(2.0 * rungs[-1], cap))
     with _open(kicks, phi_d, l, (mode,)):
@@ -355,12 +367,13 @@ def auto_scan(
 
 
 def scan_width(scan: EpsilonScan) -> float:
-    """Full width at half depth of a sweep, at the half level that the
-    level rule of the mode's PROBES entry sets: for an echo profile 1/2,
-    or mid-depth to its lower edge; for a position profile midway between
-    peak and lowest sample.
+    """Full width at half depth of a sweep's values over its detunings, at
+    the half level that the level rule of the mode's PROBES entry sets:
+    for an echo profile 1/2, or mid-depth to its lower edge; for a
+    position profile midway between peak and lowest sample.
     """
-    return _fwhm(scan.profile(), _check_mode(scan.mode).level(scan.values))
+    level = _check_mode(scan.mode).level(scan.values)
+    return _fwhm(scan.epsilons, scan.values, level)
 
 
 @dataclass(frozen=True)
@@ -386,7 +399,7 @@ def _kick_numbers(n_values, least: int = 1) -> np.ndarray:
     return np.array(ns, dtype=int)
 
 
-def fit_widths(n_values, widths) -> WidthScaling:
+def _fit_widths(n_values, widths) -> WidthScaling:
     """Fit a power law to given widths: the least-squares slope gamma,
     intercept and r^2 of log(width) against log(N).
 
@@ -434,7 +447,7 @@ def width_scaling(
     one sweep, so each distinct |detuning| is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
-    return fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
+    return _fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
 
 
 def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
@@ -484,7 +497,7 @@ def compare_modes(
     so the first error raised is that of the first kick number that fails.
     """
     n_arr = _kick_numbers(n_list, least=2)
-    pos, fid = (fit_widths(n_arr, w)
+    pos, fid = (_fit_widths(n_arr, w)
                 for w in _widths(n_arr, phi_d, l, MODES, points))
     rows = []
     first_exceed = None

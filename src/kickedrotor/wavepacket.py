@@ -246,9 +246,6 @@ class PositionWavefunction:
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def norm_sq(self) -> float:
-        return float(self.grid.spacing * np.sum(np.abs(self.values) ** 2))
-
 
 @dataclass(frozen=True)
 class SimConfig:

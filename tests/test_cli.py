@@ -19,6 +19,7 @@ from kickedrotor import (
     evolve,
     position_density,
     to_position,
+    width_scaling,
 )
 from kickedrotor import cli, scanner
 from kickedrotor.cli import NonFiniteOutputError, _write_table, main
@@ -237,6 +238,18 @@ class TestScanCommand:
         assert "l must lie within the float range" in capsys.readouterr().err
         assert not list((tmp_path / "x").glob("scan.*"))
 
+    def test_kick_number_whose_square_is_past_the_float_range_exits_2(
+            self, tmp_path, capsys):
+        # the probe ladder starts at 0.1 / N^2, which needs N^2 as a float
+        code = main([
+            "scan", "--kicks", str(10**155), "--mode", "position",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert ("kicks squared must lie within the float range"
+                in capsys.readouterr().err)
+        assert not list((tmp_path / "x").glob("scan.*"))
+
     def test_bad_points_exits_2(self, tmp_path):
         code = main([
             "scan", "--kicks", "5", "--mode", "fidelity", "--points", "34",
@@ -282,127 +295,6 @@ class TestScanCommand:
 
 
 class TestScalingCommand:
-    def test_fixture_fit_json(self, tmp_path):
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text(
-            "N,width\n4,0.0625\n8,0.015625\n16,0.00390625\n32,0.0009765625\n"
-        )
-        out = tmp_path / "run"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--format", "json", "--out", str(out),
-        ])
-        assert code == 0
-        doc = read_json(out / "scaling.json")
-        assert doc["fit"]["gamma"] == pytest.approx(-2.0, abs=1e-12)
-        assert doc["fit"]["r_squared"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["data"]["N"] == [4, 8, 16, 32]
-
-    def test_fixture_fit_csv(self, tmp_path):
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text("N,width\n4,0.5\n8,0.25\n16,0.125\n32,0.0625\n")
-        out = tmp_path / "run"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--out", str(out),
-        ])
-        assert code == 0
-        header, rows = read_csv(out / "scaling.csv")
-        assert header == ["N", "width"]
-        assert [r[0] for r in rows] == ["4", "8", "16", "32"]
-
-    def test_fixture_refusal_exits_3(self, tmp_path):
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text("N,width\n4,1.0\n8,2.0\n16,0.1\n32,5.0\n")
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--out", str(tmp_path / "x"),
-        ])
-        assert code == 3
-
-    def test_fixture_nan_width_exits_3(self, tmp_path):
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text("N,width\n4,0.0625\n8,nan\n16,0.004\n32,0.001\n")
-        out = tmp_path / "x"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--format", "json", "--out", str(out),
-        ])
-        assert code == 3
-        assert not (out / "scaling.json").exists()
-
-    @pytest.mark.parametrize("bad_row, message", [
-        ("4.5,0.015625", "line 3"), ("inf,0.015625", "line 3"), ("8", "line 3"),
-        ("0,0.015625", "kick numbers must lie"), ("1e30,0.015625", "kick numbers must lie"),
-    ], ids=["fractional-N", "infinite-N", "one-field", "zero-N", "huge-N"])
-    def test_malformed_fixture_row_exits_2(self, tmp_path, capsys, bad_row, message):
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text(
-            f"N,width\n4,0.0625\n{bad_row}\n16,0.00390625\n32,0.0009765625\n"
-        )
-        out = tmp_path / "x"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--out", str(out),
-        ])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (out / "scaling.csv").exists()
-
-    @pytest.mark.parametrize("first_row", [",0.0625", "N4,0.0625"],
-                             ids=["empty-N", "letters-in-N"])
-    def test_headerless_bad_first_row_exits_2(self, tmp_path, capsys, first_row):
-        # a first row with a number in it is data, not a header to skip
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text(
-            f"{first_row}\n4,0.0625\n8,0.015625\n16,0.00390625\n32,0.0009765625\n"
-        )
-        out = tmp_path / "x"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--out", str(out),
-        ])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
-        assert not (out / "scaling.csv").exists()
-
-    @pytest.mark.parametrize("ns", [[4, 4, 4, 4], [4, 4, 8, 16]])
-    def test_repeated_kick_numbers_exit_2(self, tmp_path, capsys, ns):
-        # a rank-deficient design has a least-squares slope, but no law
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text("N,width\n" + "".join(f"{n},{0.5 / n}\n" for n in ns))
-        out = tmp_path / "x"
-        code = main([
-            "scaling", "--mode", "position", "--fixture", str(fixture),
-            "--out", str(out),
-        ])
-        assert code == 2
-        assert "need at least 4 distinct kick numbers" in capsys.readouterr().err
-        assert not (out / "scaling.csv").exists()
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_fixture_with_both_modes_exits_2(self, tmp_path, capsys, fmt):
-        # a fixture holds one width column; both modes need two
-        fixture = tmp_path / "widths.csv"
-        fixture.write_text("N,width\n4,0.5\n8,0.25\n16,0.125\n32,0.0625\n")
-        out = tmp_path / "x"
-        code = main([
-            "scaling", "--mode", "both", "--fixture", str(fixture),
-            "--format", fmt, "--out", str(out),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--fixture" in err and "--mode both" in err
-        assert not list(out.glob("scaling.*"))
-
-    def test_missing_fixture_exits_2(self, tmp_path):
-        code = main([
-            "scaling", "--mode", "position",
-            "--fixture", str(tmp_path / "nope.csv"),
-            "--out", str(tmp_path / "x"),
-        ])
-        assert code == 2
-
     def test_live_both_mode(self, tmp_path):
         out = tmp_path / "run"
         code = main([
@@ -430,8 +322,23 @@ class TestScalingCommand:
         assert code == 0
         header, rows = read_csv(out / "scaling.csv")
         assert header == ["N", "width"]
+        assert [r[0] for r in rows] == ["5", "6", "7", "8"]
         widths = [float(r[1]) for r in rows]
         assert widths == sorted(widths, reverse=True)
+
+    def test_live_single_mode_json(self, tmp_path):
+        out = tmp_path / "run"
+        code = main([
+            "scaling", "--mode", "position", "--n-from", "5", "--n-to", "8",
+            "--points", "33", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        doc = read_json(out / "scaling.json")
+        assert set(doc) == {"manifest", "data", "fit"}
+        law = width_scaling([5, 6, 7, 8], 0.485, 1, "position", 33)
+        assert doc["data"] == {"N": [5, 6, 7, 8], "width": law.widths.tolist()}
+        assert doc["fit"] == {"gamma": law.gamma, "intercept": law.intercept,
+                              "r_squared": law.r_squared}
 
 
 def test_json_refuses_non_finite_and_writes_nothing(tmp_path):
@@ -468,6 +375,14 @@ class TestExitCodes:
         assert self.run_raising(monkeypatch, tmp_path, exc) == 2
         assert capsys.readouterr().err == f"error: {exc}\n"
 
+    def test_os_error_exits_2(self, tmp_path, capsys):
+        # --out names a file, so the output directory cannot be made
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["evolve", "--kicks", "1", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert taken.read_text() == ""
+
     def test_other_runtime_error_is_not_a_refusal(self, tmp_path, monkeypatch):
         # only a NumericalError is a numerical refusal; anything else is a bug
         with pytest.raises(RuntimeError, match="a bug"):
@@ -475,16 +390,32 @@ class TestExitCodes:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    @staticmethod
+    def run_module(*args: str) -> subprocess.CompletedProcess:
+        """python -m kickedrotor with args, in a child process."""
         # the child finds the package the way this test process did
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "kickedrotor", "--help"],
+        return subprocess.run(
+            [sys.executable, "-m", "kickedrotor", *args],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_module_invocation(self):
+        proc = self.run_module("--help")
         assert proc.returncode == 0
         assert "evolve" in proc.stdout and "scaling" in proc.stdout
+        proc = self.run_module("scan", "--help")
+        assert proc.returncode == 0
+        assert "--eps-max" in proc.stdout
+
+    def test_module_refusal_exits_2(self, tmp_path):
+        # the exit code main returns reaches the shell through __main__
+        proc = self.run_module("scan", "--kicks", "0", "--mode", "position",
+                               "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: kicks must be >= 1, got 0\n"
+        assert not list((tmp_path / "x").glob("scan.*"))

@@ -2,10 +2,12 @@
 
 Every refusal is a ValueError raised before the first kick: the spectral
 core's kick step is counted, and a refused call must have made none; a
-refused dense run must not have built its kick matrix. No drawn input
-that is accepted is large enough to run for long or to allocate a large
-ladder; extreme kick numbers are drawn only with a ladder of at most 6
-sites a side, which the first kick already overflows.
+refused dense run must not have built its kick matrix. A period past the
+count a test allows fails it at once, so a missed refusal or leak cannot
+run on for the periods it asked for. No drawn input that is accepted is
+large enough to run for long or to allocate a large ladder; extreme kick
+numbers are drawn only with a ladder of at most 6 sites a side, which
+the first kick already overflows.
 """
 import math
 from contextlib import contextmanager
@@ -46,13 +48,28 @@ SUBNORMAL = st.integers(1, 7).map(lambda k: k * 5e-324)
 
 
 @contextmanager
-def counting_kicks():
-    with mock.patch.object(propagator, "_kick", wraps=propagator._kick) as kick:
+def counting_kicks(limit: int):
+    """Count the spectral core's periods. A period past limit fails the
+    test at once: a run whose refusal or leak was missed would otherwise
+    go on for as many periods as it was asked for, up to 10**18. The
+    counter is a plain function, not a Mock, so a failure's traceback has
+    no frames in unittest.mock, which pytest would re-parse for each
+    failing example Hypothesis reports."""
+    period = propagator._kick
+
+    def kick(*args):
+        kick.call_count += 1
+        if kick.call_count > limit:
+            raise AssertionError(f"period {kick.call_count} ran; at most {limit} may")
+        return period(*args)
+
+    kick.call_count = 0
+    with mock.patch.object(propagator, "_kick", kick):
         yield kick
 
 
 def assert_refused(call):
-    with counting_kicks() as kick:
+    with counting_kicks(0) as kick:
         with pytest.raises(ValueError) as err:
             call()
     assert kick.call_count == 0
@@ -163,7 +180,7 @@ def test_largest_finite_phases_accepted(spec):
 def test_extreme_kick_numbers_leak_at_the_first_kick(kicks, phi_d, epsilon, half_width):
     # J_M(phi_d) squared is above EDGE_LEAK_BOUND for M <= 6 on this range
     spec = FreePhaseSpec.revival_relative(1, epsilon)
-    with counting_kicks() as kick:
+    with counting_kicks(1) as kick:
         with pytest.raises(LeakageError) as err:
             propagate(kicks, phi_d, spec, half_width, auto_grow=False)
     assert err.value.period == 1
@@ -267,6 +284,9 @@ def test_auto_scan_at_the_range_cap_stays_inside_it(kicks, mode):
 
 #: an integer that float() cannot convert (it raises OverflowError)
 PAST_FLOAT_RANGE = 10**400
+#: a kick number whose square float() cannot convert: auto_range's probe
+#: ladder starts at 0.1 / N^2, which once escaped as an OverflowError
+SQUARE_PAST_FLOAT_RANGE = 10**155
 
 
 def integer_rule(name, least):
@@ -279,9 +299,10 @@ def integer_rule(name, least):
 
 
 def case_id(value):
-    """repr(value), with the 401-digit integer written as a power."""
-    if isinstance(value, int) and abs(value) == PAST_FLOAT_RANGE:
-        return f"{'-' if value < 0 else ''}10**400"
+    """repr(value), with the 401- and 156-digit integers written as powers."""
+    if isinstance(value, int) and abs(value) in (PAST_FLOAT_RANGE,
+                                                 SQUARE_PAST_FLOAT_RANGE):
+        return f"{'-' if value < 0 else ''}10**{len(str(abs(value))) - 1}"
     return repr(value)
 
 
@@ -300,6 +321,8 @@ SPEC = FreePhaseSpec.revival_relative
 
 
 def sweep_entries(mode):
+    ranged_kicks = integer_rule("kicks", 1) + [
+        (SQUARE_PAST_FLOAT_RANGE, "kicks squared must lie within the float range")]
     return [
         (f"scan_epsilon[{mode}]",
          lambda kicks=5, phi_d=0.485, l=1, epsilon_max=0.02:
@@ -308,11 +331,11 @@ def sweep_entries(mode):
           "l": integer_rule("l", 1), "epsilon_max": positive_rule("epsilon_max")}),
         (f"auto_range[{mode}]",
          lambda kicks=5, phi_d=0.485, l=1, cap=0.1: auto_range(kicks, phi_d, l, mode, cap),
-         {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+         {"kicks": ranged_kicks, "phi_d": positive_rule("phi_d"),
           "l": integer_rule("l", 1), "cap": positive_rule("cap")}),
         (f"auto_scan[{mode}]",
          lambda kicks=5, phi_d=0.485, l=1: auto_scan(kicks, phi_d, l, mode, 33),
-         {"kicks": integer_rule("kicks", 1), "phi_d": positive_rule("phi_d"),
+         {"kicks": ranged_kicks, "phi_d": positive_rule("phi_d"),
           "l": integer_rule("l", 1)}),
     ]
 

@@ -10,7 +10,6 @@ from kickedrotor import (
     Density,
     MomentumWavefunction,
     NoCrossingError,
-    Profile,
     SpatialGrid,
     l1_distance,
     mean_energy,
@@ -344,92 +343,66 @@ class TestL1Distance:
             l1_distance(d, uniform_density(128))
 
 
-class TestProfile:
-    def test_needs_five_points(self):
-        with pytest.raises(ValueError):
-            Profile(np.arange(4.0), np.ones(4))
-
-    def test_needs_increasing_abscissa(self):
-        with pytest.raises(ValueError):
-            Profile(np.array([0.0, 1.0, 1.0, 2.0, 3.0]), np.ones(5))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("axis", ["abscissa", "ordinate"])
-    def test_non_finite_sample_refused(self, axis, bad):
-        # a NaN once passed through to a width: fwhm read 3.333 here
-        x = np.linspace(-3.0, 3.0, 7)
-        y = np.array([0.0, 0.6, 0.9, 1.0, 0.6, 0.0, 0.0])
-        if axis == "abscissa":
-            x[6] = bad
-        else:
-            y[2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            Profile(x, y)
-
-
 class TestFwhm:
     def triangle(self, n=201):
         x = np.linspace(-1.0, 1.0, n)
-        return Profile(x, 1.0 - np.abs(x))
+        return x, 1.0 - np.abs(x)
 
     def test_triangle_width_is_exact(self):
         # crossings at +-1/2 land exactly on the interpolant
-        assert _fwhm(self.triangle()) == pytest.approx(1.0, abs=1e-12)
+        assert _fwhm(*self.triangle()) == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_width(self):
         x = np.linspace(-1.0, 1.0, 2001)
-        p = Profile(x, np.exp(-(x**2) / (2 * 0.1**2)))
+        y = np.exp(-(x**2) / (2 * 0.1**2))
         expect = 2 * math.sqrt(2 * math.log(2)) * 0.1
-        assert _fwhm(p) == pytest.approx(expect, abs=1e-4)
+        assert _fwhm(x, y) == pytest.approx(expect, abs=1e-4)
 
     def test_explicit_level_overrides_default(self):
-        p = self.triangle()
-        assert _fwhm(p, half_level=0.25) == pytest.approx(1.5, abs=1e-12)
+        x, y = self.triangle()
+        assert _fwhm(x, y, half_level=0.25) == pytest.approx(1.5, abs=1e-12)
 
     def test_flat_profile_rejected(self):
         with pytest.raises(NoCrossingError):
-            _fwhm(Profile(np.arange(5.0), np.ones(5)))
+            _fwhm(np.arange(5.0), np.ones(5))
 
     def test_edge_peak_rejected(self):
         # without the edge rule the missing left crossing would refuse it
         # too, under another message
         x = np.arange(5.0)
         with pytest.raises(NoCrossingError, match="peaks at the scan edge"):
-            _fwhm(Profile(x, np.array([5.0, 4.0, 3.0, 2.0, 1.0])))
+            _fwhm(x, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
 
     def test_peak_below_requested_level(self):
         with pytest.raises(NoCrossingError, match="below the requested level"):
-            _fwhm(self.triangle(), half_level=2.0)
+            _fwhm(*self.triangle(), half_level=2.0)
 
     def test_narrow_range_rejected(self):
         # edges never reach the half level computed from the true floor
         x = np.linspace(-0.1, 0.1, 21)
         with pytest.raises(NoCrossingError):
-            _fwhm(Profile(x, 1.0 - np.abs(x)), half_level=0.5)
+            _fwhm(x, 1.0 - np.abs(x), half_level=0.5)
 
     def test_innermost_crossing_wins(self):
         # a profile that dips, recovers, and dips again: the width must
         # come from the crossings nearest the peak
         x = np.linspace(-3.0, 3.0, 601)
         y = np.exp(-(x**2)) + 0.6 * np.exp(-((np.abs(x) - 2.0) ** 2) / 0.01)
-        w = _fwhm(Profile(x, y), half_level=0.5)
+        w = _fwhm(x, y, half_level=0.5)
         assert w == pytest.approx(2 * math.sqrt(math.log(2)), abs=1e-2)
 
     @given(st.floats(1e-3, 1e3))
     def test_ordinate_scale_invariance(self, scale):
-        p = self.triangle()
-        scaled = Profile(p.abscissa, scale * p.ordinate)
-        assert _fwhm(scaled) == pytest.approx(_fwhm(p), rel=1e-9)
+        x, y = self.triangle()
+        assert _fwhm(x, scale * y) == pytest.approx(_fwhm(x, y), rel=1e-9)
 
     @given(st.floats(-5.0, 5.0, allow_nan=False))
     def test_abscissa_shift_invariance(self, shift):
-        p = self.triangle()
-        moved = Profile(p.abscissa + shift, p.ordinate)
-        assert _fwhm(moved) == pytest.approx(_fwhm(p), abs=1e-9)
+        x, y = self.triangle()
+        assert _fwhm(x + shift, y) == pytest.approx(_fwhm(x, y), abs=1e-9)
 
     def test_reflection_invariance(self):
         x = np.linspace(-1.0, 2.0, 301)
         y = np.exp(-((x - 0.4) ** 2) / 0.05)
-        p = Profile(x, y)
-        mirrored = Profile(-x[::-1], y[::-1])
-        assert _fwhm(mirrored) == pytest.approx(_fwhm(p), abs=1e-12)
+        mirrored = _fwhm(-x[::-1], y[::-1])
+        assert mirrored == pytest.approx(_fwhm(x, y), abs=1e-12)

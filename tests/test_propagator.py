@@ -368,8 +368,9 @@ def route_cases(draw):
     """A run for both evolution routes: phi_d in [0.05, 6], l in {1, 2},
     N < 400 with a default ladder of at most DENSE_HALF_WIDTH_CAP sites a
     side (the dense route's cap), |epsilon| <= 1.5/N**2 and below
-    1e-2, and in about one case in five a general-mode spec at the same
-    detuning, hbar_s = 4 pi l (1 + epsilon)."""
+    1e-2, and its free flight: in about one case in five a general-mode
+    spec at the same detuning, hbar_s = 4 pi l (1 + epsilon), else the
+    revival-relative one."""
     phi_d = draw(st.floats(0.05, 6.0))
     most = max(n for n in range(1, 400)
                if default_half_width(n, phi_d) <= DENSE_HALF_WIDTH_CAP)
@@ -378,7 +379,8 @@ def route_cases(draw):
     reach = min(1.5 / kicks**2, 0.99 * EPSILON_VALIDITY)
     eps = draw(st.floats(-1.0, 1.0)) * reach
     general = draw(st.integers(0, 4)) == 0
-    free = FreePhaseSpec.general(4 * math.pi * l * (1 + eps)) if general else None
+    free = (FreePhaseSpec.general(4 * math.pi * l * (1 + eps)) if general
+            else FreePhaseSpec.revival_relative(l, eps))
     return SimConfig(phi_d=phi_d, epsilon=eps, l=l, kicks=kicks), free
 
 
@@ -421,8 +423,8 @@ class TestDenseRoute:
     @given(route_cases())
     def test_drawn_runs_agree_with_spectral_evolution(self, case):
         cfg, free = case
-        state = evolve(cfg, free)
-        # on the ladder evolve ended on, grown from cfg.half_width or not
+        state = propagate(cfg.kicks, cfg.phi_d, free, cfg.half_width)
+        # on the ladder propagate ended on, grown from cfg.half_width or not
         dense = evolve_dense(SimConfig(phi_d=cfg.phi_d, epsilon=cfg.epsilon,
                                        l=cfg.l, kicks=cfg.kicks,
                                        half_width=state.half_width), free)
@@ -659,8 +661,9 @@ class TestNonFiniteInputs:
     def test_evolve_rejects(self, bad):
         with pytest.raises(ValueError):
             evolve(SimConfig(kicks=5, half_width=40, phi_d=bad))
+        cfg = SimConfig(kicks=5)
         with pytest.raises(ValueError):
-            evolve(SimConfig(kicks=5), free=FreePhaseSpec.general(bad))
+            propagate(cfg.kicks, cfg.phi_d, FreePhaseSpec.general(bad), cfg.half_width)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_fidelity_protocol_rejects(self, bad):

@@ -21,7 +21,6 @@ from kickedrotor import (
     compare_modes,
     default_n_points,
     fidelity_protocol,
-    fit_widths,
     position_density,
     propagate,
     scan_epsilon,
@@ -31,7 +30,7 @@ from kickedrotor import (
     width_scaling,
 )
 from kickedrotor import propagator, scanner
-from kickedrotor.scanner import _symmetric_grid, _sweep_values
+from kickedrotor.scanner import _fit_widths, _symmetric_grid, _sweep_values
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 BAD_BOUNDS = [math.nan, math.inf, -math.inf, 0.0, -1.0]
@@ -89,29 +88,38 @@ class TestEpsilonScan:
 
     def test_shape_and_order_are_the_profile_rules(self):
         good = _symmetric_grid(0.01, 33)
-        with pytest.raises(ValueError, match="profile needs >= 5 paired samples"):
+        with pytest.raises(ValueError, match="one value per detuning, both 1-d"):
             EpsilonScan(5, "position", good, np.ones(35))
-        with pytest.raises(ValueError, match="profile needs >= 5 paired samples"):
+        with pytest.raises(ValueError, match="one value per detuning, both 1-d"):
             EpsilonScan(5, "position", good[None, :], np.ones((1, 33)))
         swapped = good.copy()
         swapped[[3, 4]] = swapped[[4, 3]]
-        with pytest.raises(ValueError, match="abscissa must be strictly increasing"):
+        with pytest.raises(ValueError, match="detunings must be strictly increasing"):
             EpsilonScan(5, "position", swapped, np.ones(33))
+        repeated = good.copy()
+        repeated[4] = repeated[3]
+        with pytest.raises(ValueError, match="detunings must be strictly increasing"):
+            EpsilonScan(5, "position", repeated, np.ones(33))
+        short = _symmetric_grid(0.01, 31)
+        with pytest.raises(ValueError, match="points must be odd and >= 33"):
+            EpsilonScan(5, "position", short, np.ones(31))
 
     def test_non_finite_values_are_the_profile_rule(self):
-        good = _symmetric_grid(0.01, 33)
-        vals = np.ones(33)
-        vals[5] = np.nan
-        with pytest.raises(ValueError, match="profile samples must be finite"):
-            EpsilonScan(5, "position", good, vals)
+        # a NaN once passed through to a width, in a detuning or a value
+        for bad in (math.nan, math.inf, -math.inf):
+            eps = _symmetric_grid(0.01, 33)
+            vals = np.clip(1.0 - np.abs(eps) / 0.005, 0.0, None)
+            vals[14] = bad
+            with pytest.raises(ValueError, match="scan samples must be finite"):
+                EpsilonScan(5, "position", eps, vals)
+            eps[-1] = bad
+            with pytest.raises(ValueError, match="scan samples must be finite"):
+                EpsilonScan(5, "position", eps, np.ones(33))
 
-    def test_profile_is_built_once_from_frozen_copies(self):
+    def test_keeps_frozen_copies(self):
         eps, vals = _symmetric_grid(0.01, 33), np.linspace(0.0, 1.0, 33)
         scan = EpsilonScan(5, "fidelity", eps, vals)
         eps[0] = vals[0] = 7.0
-        assert scan.profile() is scan.profile()
-        assert scan.profile().abscissa is scan.epsilons
-        assert scan.profile().ordinate is scan.values
         assert scan.epsilons[0] == -0.01 and scan.values[0] == 0.0
         for arr in (scan.epsilons, scan.values):
             with pytest.raises(ValueError):
@@ -589,14 +597,14 @@ class TestScanWidth:
 class TestPowerLawFit:
     def test_exact_law_recovered(self):
         n = np.array([4, 8, 16, 32])
-        ws = fit_widths(n, 2.5 * n.astype(float) ** -2.0)
+        ws = _fit_widths(n, 2.5 * n.astype(float) ** -2.0)
         assert ws.gamma == pytest.approx(-2.0, abs=1e-12)
         assert ws.intercept == pytest.approx(math.log(2.5), abs=1e-12)
         assert ws.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_fit_widths_carries_data(self):
-        ws = fit_widths([4, 8, 16, 32], [0.0625, 0.015625, 0.00390625,
-                                         0.0009765625])
+        ws = _fit_widths([4, 8, 16, 32], [0.0625, 0.015625, 0.00390625,
+                                          0.0009765625])
         assert ws.gamma == pytest.approx(-2.0, abs=1e-12)
         assert ws.r_squared == pytest.approx(1.0, abs=1e-12)
         assert list(ws.kick_numbers) == [4, 8, 16, 32]
@@ -610,37 +618,37 @@ class TestPowerLawFit:
         with pytest.raises(ValueError, match=re.escape(
                 f"need one width per kick number: 4 kick numbers, "
                 f"widths of shape {shape}")):
-            fit_widths([1, 2, 3, 4], widths)
+            _fit_widths([1, 2, 3, 4], widths)
 
     def test_refusal_on_scatter(self):
         with pytest.raises(FitRefusalError):
-            fit_widths([4, 8, 16, 32], [1.0, 2.0, 0.1, 5.0])
+            _fit_widths([4, 8, 16, 32], [1.0, 2.0, 0.1, 5.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refusal_on_non_finite_width(self, bad):
         with pytest.raises(FitRefusalError):
-            fit_widths([1, 2, 3, 4], [1.0, bad, 1.0, 1.0])
+            _fit_widths([1, 2, 3, 4], [1.0, bad, 1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [4.5, math.nan, math.inf, -math.inf])
     def test_non_integer_kick_number_refused(self, bad):
         widths = [0.0625, 0.015625, 0.00390625, 0.0009765625]
         with pytest.raises(ValueError, match="kick number must be an integer"):
-            fit_widths([bad, 8, 16, 32], widths)
+            _fit_widths([bad, 8, 16, 32], widths)
         with pytest.raises(ValueError, match="kick number must be an integer"):
             width_scaling([5, 6, 7, bad], 0.485, 1, "position")
-        assert list(fit_widths([4.0, 8, 16, 32], widths).kick_numbers) == [4, 8, 16, 32]
+        assert list(_fit_widths([4.0, 8, 16, 32], widths).kick_numbers) == [4, 8, 16, 32]
 
     @pytest.mark.parametrize("bad", [0, -4, 2**63])
     def test_kick_number_out_of_range_refused(self, bad):
         # log N would be -inf or NaN, and 2**63 overflows the int64 cast
         with pytest.raises(ValueError, match="kick numbers must lie"):
-            fit_widths([bad, 8, 16, 32], [0.0625, 0.015625, 0.00390625, 0.0009765625])
+            _fit_widths([bad, 8, 16, 32], [0.0625, 0.015625, 0.00390625, 0.0009765625])
 
     def test_input_guards(self):
         with pytest.raises(ValueError):
-            fit_widths([4, 8, 16], [1.0, 0.5, 0.25])
+            _fit_widths([4, 8, 16], [1.0, 0.5, 0.25])
         with pytest.raises(ValueError):
-            fit_widths([4, 8, 16, 32], [1.0, 0.5, 0.0, 0.25])
+            _fit_widths([4, 8, 16, 32], [1.0, 0.5, 0.0, 0.25])
         with pytest.raises(ValueError):
             width_scaling([1, 2, 3, 4], 0.485, 1, "position")
         with pytest.raises(ValueError):
@@ -651,12 +659,12 @@ class TestPowerLawFit:
         # four equal kick numbers make a rank-1 design: lstsq would return
         # its minimum-norm slope, gamma = -0.3289 for these widths, at r^2 = 1
         with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
-            fit_widths(ns, [0.5] * len(ns))
+            _fit_widths(ns, [0.5] * len(ns))
         with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
             width_scaling([n + 2 for n in ns], 0.485, 1, "position")
         with pytest.raises(ValueError, match="need at least 4 distinct kick numbers"):
             compare_modes([n + 2 for n in ns], 0.485, 1)
-        assert fit_widths([4, 4, 8, 16, 32], [0.5, 0.5, 0.25, 0.125, 0.0625]).gamma \
+        assert _fit_widths([4, 4, 8, 16, 32], [0.5, 0.5, 0.25, 0.125, 0.0625]).gamma \
             == pytest.approx(-1.0, abs=1e-12)
 
 

@@ -30,10 +30,11 @@ neither the core nor the sweeps in scanner handle a FreePhaseSpec.
 The sweep modes' rules live in one table, scanner.PROBES: neither
 scanner nor the CLI compares a value with a mode name. The public
 surface is what the CLI, the demos, the benchmark harness and the
-contract tests read: every function and constant in __all__ is named in
-one of them, as an identifier or as a qualified "module.name" string; a
-name that only a sibling module of the package reads, or that a reader
-writes only as a string key or in a comment, is not public. Every
+contract tests read: every name in __all__ is named in one of them, as
+an identifier or as a qualified "module.name" string, except the
+exception types and the classes an exported function returns; a name
+that only a sibling module of the package reads, or that a reader writes
+only as a string key or in a comment, is not public. Every
 exception class the package defines is a NumericalError (the CLI's exit
 3) or a ValueError (exit 2).
 """
@@ -502,14 +503,15 @@ def reads(texts: list[str]) -> tuple[set[str], set[str]]:
 
 
 def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str]:
-    """Functions and constants in __all__ that no reader names, either as
-    an identifier token or as a qualified "module.name" string, the way
-    the benchmark names the functions it times. A name inside a longer
-    word, a comment or another string (a JSON key, say) is not read.
-    package maps each module name, "__init__" included, to its source;
-    readers are the sources of the surface's readers. A sibling module of
-    the package is no reader. Classes are exempt: they are return and
-    error types."""
+    """Names in __all__ that no reader names, either as an identifier
+    token or as a qualified "module.name" string, the way the benchmark
+    names the functions it times. A name inside a longer word, a comment
+    or another string (a JSON key, say) is not read. package maps each
+    module name, "__init__" included, to its source; readers are the
+    sources of the surface's readers. A sibling module of the package is
+    no reader. Two kinds of class are exempt: exception types, and the
+    classes that a function in __all__ names in its return annotation.
+    Any other class needs a reader, as a function does."""
     init = ast.parse(package["__init__"])
     exported = next(ast.literal_eval(node.value) for node in init.body
                     if isinstance(node, ast.Assign)
@@ -517,15 +519,18 @@ def unread_public_names(package: dict[str, str], readers: list[str]) -> list[str
     home = {alias.asname or alias.name: node.module for node in init.body
             if isinstance(node, ast.ImportFrom) and node.level == 1
             for alias in node.names}
+    exempt = set(exception_classes(package))
+    for name in exported:
+        for node in ast.parse(package[home[name]]).body:
+            if isinstance(node, ast.FunctionDef) and node.name == name and node.returns:
+                exempt.update(f"{home[cls]}.{cls}" for cls in names_in(node.returns)
+                              if cls in home)
     names, strings = reads(readers)
     unread = []
     for name in sorted(exported):
-        module = home[name]
-        if any(isinstance(node, ast.ClassDef) and node.name == name
-               for node in ast.parse(package[module]).body):
-            continue
-        if name not in names and f"{module}.{name}" not in strings:
-            unread.append(f"{module}.{name}")
+        qualified = f"{home[name]}.{name}"
+        if qualified not in exempt and name not in names and qualified not in strings:
+            unread.append(qualified)
     return unread
 
 
@@ -544,7 +549,7 @@ def test_unread_public_name_is_caught():
                     "__all__ = ['ALSO_UNUSED', 'Result', 'shown', 'sibling_only',\n"
                     "           'unused', 'used']\n",
         "a": "class Result:\n    pass\nALSO_UNUSED = 1\n"
-             "def used():\n    return unused()\ndef unused():\n    return 1\n",
+             "def used() -> Result:\n    return unused()\ndef unused():\n    return 1\n",
         "b": "from .c import sibling_only\n"
              "def helper():\n    return sibling_only()\n",
         "c": "def sibling_only():\n    return 2\n",
@@ -571,6 +576,27 @@ def test_public_name_read_only_as_a_string_is_caught():
                'TIMED = ("a.timed", "b.misplaced", f"{x}.keyed")\n']
     assert unread_public_names(package, readers) == [
         "a.keyed", "a.misplaced", "a.noted"]
+
+
+def test_unread_class_is_caught():
+    package = {
+        "__init__": "from .a import Failed, Made, Shown, Spare, Stray, make\n"
+                    "from .a import hidden\n"
+                    "__all__ = ['Failed', 'Made', 'Shown', 'Spare', 'Stray', 'make']\n",
+        "a": "class Base(ValueError):\n    pass\n"
+             "class Failed(Base):\n    pass\n"
+             "class Made:\n    def spare(self) -> Spare:\n        return Spare()\n"
+             "class Shown:\n    pass\n"
+             "class Spare:\n    pass\n"
+             "class Stray:\n    pass\n"
+             "def make(x: Spare) -> Made:\n    return Made()\n"
+             "def hidden() -> Stray:\n    return Stray()\n",
+    }
+    # an exception type and a class an exported function returns need no
+    # reader; a class that is only a parameter type, a method's return type
+    # or the return type of a function outside __all__ does
+    readers = ["from kickedrotor import Shown, make\n"]
+    assert unread_public_names(package, readers) == ["a.Spare", "a.Stray"]
 
 
 def compares_mode_name(node: ast.AST) -> bool:
