@@ -15,7 +15,6 @@ from .analytics import (
     resonant_state,
 )
 from .observables import (
-    DegenerateDensityError,
     Density,
     NoCrossingError,
     l1_distance,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CorrectionField",
-    "DegenerateDensityError",
     "Density",
     "EpsilonScan",
     "FitRefusalError",

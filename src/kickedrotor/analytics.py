@@ -141,14 +141,15 @@ def resonant_state(
     """State after t kicks at exact revival: psi(m) = (-i)^m J_m(t*phi_d).
 
     Raises TruncationError when the ladder is too short to hold the state
-    (norm deficit above 1e-10), and ValueError outside the domain of
-    _bessel_j_rows: t*phi_d > 1000 (t > 2061 at phi_d = 0.485) or a half
-    width above 10000. propagate has no such limit, so past it the
-    numerics have no closed form to be checked against.
+    (norm deficit above 1e-10), and ValueError for a half width below 1
+    or outside the domain of _bessel_j_rows: t*phi_d > 1000 (t > 2061 at
+    phi_d = 0.485) or a half width above 10000. propagate has no such
+    limit, so past it the numerics have no closed form to be checked
+    against.
     """
     t = _as_int("t", t, 0)
     _as_finite("phi_d", phi_d, positive=True)
-    M = _as_int("half_width", half_width)
+    M = _as_int("half_width", half_width, 1)
     ladder = _bessel_j_ladder(t * phi_d, M)
     m = np.arange(-M, M + 1)
     amps = MINUS_I_POW[np.mod(m, 4)] * ladder
@@ -196,14 +197,14 @@ def correction_term(
     every gap at once. Epsilon enters only as the final factor, so the
     field is exactly zero at epsilon = 0 and doubles exactly with it.
     Assembled on the grid through one FFT of the coefficient vector.
-    Raises ValueError for a non-finite epsilon or a phi_d that is not
-    finite and positive, and GridTooSmallError for a grid that cannot
-    resolve the ladder.
+    Raises ValueError for a non-finite epsilon, a phi_d that is not
+    finite and positive or a half width below 1, and GridTooSmallError
+    for a grid that cannot resolve the ladder.
     """
     k = _as_int("k", k, 1)
     _as_finite("phi_d", phi_d, positive=True)
     _as_finite("epsilon", epsilon)
-    M = _as_int("half_width", half_width)
+    M = _as_int("half_width", half_width, 1)
     _check_grid(grid.n_points, M)
     return _correction_field(_bessel_j_ladder(k * phi_d, M), epsilon, grid)
 
@@ -255,12 +256,13 @@ def perturbative_density(
     k*phi_d. The result is 1/2pi plus the sum of the per-segment fields,
     each correction_term(k, ...) to the bit: the N Bessel ladders come
     from one stepped recurrence (_bessel_j_rows), and each field keeps
-    its own arithmetic. Raises ValueError for a non-finite epsilon.
+    its own arithmetic. Raises ValueError for a non-finite epsilon or a
+    half width below 1.
     """
     N = _as_int("kicks", kicks, 0)
     _as_finite("epsilon", epsilon)
     _as_finite("phi_d", phi_d, positive=True)
-    M = _as_int("half_width", half_width)
+    M = _as_int("half_width", half_width, 1)
     _check_grid(grid.n_points, M)
     strengths = [k * phi_d for k in range(1, N + 1)]
     values = np.full(grid.n_points, 1.0 / TWO_PI)

@@ -2,16 +2,20 @@
 
 Four subcommands: evolve (densities after N periods), perturbative
 (first-order density against the full numerics), scan (detuning sweeps),
-scaling (width power laws). Numeric fields are written with the shortest
-representation that parses back to the identical float, so identical
-physics yields identical bytes. Wall-clock times (the total, and for
-perturbative the stage_s of its evolve and first_order stages) live only
-in the standalone manifest file; the manifest block embedded in data files
-omits them, keeping outputs byte-stable across re-runs. --threads is
-accepted and has no effect: a sweep runs in one thread, with one core call
-per probe step and per block of up to 128 detunings. scan refuses a
-profile it cannot take the width of (exit 3) in CSV as well as in JSON,
-although only the JSON file carries the width. scaling measures its
+scaling (width power laws). evolve and perturbative run on the one
+ladder of their SimConfig (evolve's --basis, or sized from --kicks) and
+sample positions on its one observation grid (--grid, or sized from the
+ladder); nothing resizes either after the run. Numeric fields are
+written with the shortest representation that parses back to the
+identical float, so identical physics yields identical bytes. Wall-clock
+times (the total, and for perturbative the stage_s of its evolve and
+first_order stages) live only in the standalone manifest file; the
+manifest block embedded in data files omits them, keeping outputs
+byte-stable across re-runs. --threads is accepted and has no effect: a
+sweep runs in one thread, with one core call per probe step and per
+block of up to 128 detunings. scan refuses a profile it cannot take the
+width of (exit 3) in CSV as well as in JSON, although only the JSON file
+carries the width. scaling measures its
 widths from the simulation: --mode both writes the two laws side by
 side, one mode writes that mode's widths and fit.
 
@@ -44,8 +48,7 @@ from .scanner import (
     scan_width,
     width_scaling,
 )
-from .wavepacket import (NumericalError, SimConfig, SpatialGrid,
-                         default_n_points, to_position)
+from .wavepacket import NumericalError, SimConfig, to_position
 
 
 class NonFiniteOutputError(NumericalError):
@@ -113,9 +116,7 @@ def _cmd_evolve(args) -> tuple[Path, dict]:
         n_points=args.grid,
     )
     state = evolve(cfg)
-    # auto-grow may have widened the ladder; resize the grid to match
-    grid = SpatialGrid(max(cfg.n_points, default_n_points(state.half_width)))
-    pos = position_density(to_position(state, grid))
+    pos = position_density(to_position(state, cfg.grid()))
     mom = momentum_density(state)
     health = {
         "norm_drift": abs(1.0 - state.norm_sq()),
@@ -141,7 +142,7 @@ def _cmd_perturbative(args) -> tuple[Path, dict]:
         n_points=args.grid,
     )
     started = time.monotonic()
-    state = evolve(cfg, auto_grow=False)
+    state = evolve(cfg)
     grid = cfg.grid()
     numeric = position_density(to_position(state, grid)).values
     evolved = time.monotonic()

@@ -22,16 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .wavepacket import (TWO_PI, MomentumWavefunction, NumericalError,
-                         PositionWavefunction)
+                         PositionWavefunction, _as_finite)
 
 #: relative gap below which a density maximum and its mirror sample tie;
 #: the package's densities are even, and their maxima differ from their
 #: mirror samples by at most 3.2e-14 relative (auto_scan, N = 5..40)
 MIRROR_TIE = 1e-10
-
-
-class DegenerateDensityError(NumericalError):
-    """Input carries too little probability mass to summarize."""
 
 
 class NoCrossingError(NumericalError):
@@ -130,9 +126,7 @@ def _position_sigmas(p: np.ndarray) -> np.ndarray:
     """sigma_x of each row of a (P, n) stack of position density samples.
 
     Bit for bit [sigma_x(Density("position", X, row)) for row in p], and
-    the same error as that loop for the first row it would refuse: a row
-    that keeps the total rule has a mass within rounding of 1, so the
-    value rules of every row can run before the mass floor of any.
+    the same error as that loop for the first row it would refuse.
     """
     _check_values("position", p)
     return _sigma_rows(p)
@@ -140,15 +134,9 @@ def _position_sigmas(p: np.ndarray) -> np.ndarray:
 
 def _sigma_rows(p: np.ndarray) -> np.ndarray:
     """The sigma_x arithmetic along the last axis of (P, n) samples that
-    keep the density value rules; raises DegenerateDensityError for the
-    first row whose mass is below 1 - 1e-6."""
+    keep the density value rules (_check_values)."""
     n = p.shape[-1]
     dx = TWO_PI / n
-    mass = np.sum(p, axis=-1) * dx
-    light = ~(mass >= 1.0 - 1e-6)
-    if light.any():
-        first = float(mass[np.argmax(light)])
-        raise DegenerateDensityError(f"total mass {first!r} below 1 - 1e-6")
     rows = np.arange(len(p))
     peak = np.argmax(p, axis=-1)
     # p(-X_j) is the sample at (n - j) % n
@@ -167,7 +155,8 @@ def _sigma_rows(p: np.ndarray) -> np.ndarray:
 
 
 def mean_energy(wf: MomentumWavefunction, hbar_s: float) -> float:
-    """E = (hbar_s^2 / 2) sum_m m^2 |psi(m)|^2."""
+    """E = (hbar_s^2 / 2) sum_m m^2 |psi(m)|^2; hbar_s must be finite."""
+    _as_finite("hbar_s", hbar_s)
     m = wf.m_values.astype(float)
     return float(0.5 * hbar_s * hbar_s * np.sum(m * m * np.abs(wf.amps) ** 2))
 

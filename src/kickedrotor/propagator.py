@@ -12,9 +12,9 @@ a whole block of detunings at once; FreePhaseSpec's revival phases are
 its one-row case.
 
 Two independent evolution routes are kept deliberately separate: the
-spectral route (one core, _run, kicking on its own FFT length and
-holding the only auto-grow loop; it propagates a whole stack of detunings
-at once, and a single state is the one-row case) and a dense-matrix route
+spectral route (one core, _run, kicking on its own FFT length on one
+ladder per run, sized once; it propagates a whole stack of detunings at
+once, and a single state is the one-row case) and a dense-matrix route
 whose kick is built from Bessel coefficients. They share no transform
 code and cross-validate each other to 1e-9. The echo's reversed pulse is
 not a pass of its own but an overlap (see fidelity_protocol).
@@ -38,8 +38,15 @@ The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
 sweeps pass their block of detunings to _revival_phases, propagate and
 fidelity_protocol pass FreePhaseSpec.phases, and the echo target zero
-phases. It is read once per ladder, first or grown, always on the final
-ladder M, and exp(-i theta) is formed for the whole block in one pass.
+phases. It is read once per run, on the final ladder M, and exp(-i theta)
+is formed for the whole block in one pass.
+
+The final ladder is sized once, from the kick number alone
+(default_half_width), unless the caller names one. It carries the
+Bessel tail of the resonant state (-i)^m J_m(N phi_d) to about 1e-12,
+and the detuned and general-mode runs the propagator tests draw reach
+no further. A run that reaches the edge anyway is refused: LeakageError
+names the period, and the run is not retried.
 
 At resonance the cloud's momentum grows ballistically, so after k kicks
 the state reaches about k phi_d sites. A long run therefore kicks its
@@ -87,8 +94,6 @@ from .wavepacket import (
 
 #: dense route is an oracle, not a workhorse; keep the cost bounded
 DENSE_HALF_WIDTH_CAP = 512
-#: auto-grow gives up past this ladder size
-_GROW_CAP = 1 << 14
 #: a new stage of a long run starts where the FFT length shrinks this much
 _STAGE_RATIO = 2
 
@@ -273,20 +278,20 @@ def _periods(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
 
 
 def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
-         half_width: int | None = None, auto_grow: bool = True) -> np.ndarray:
+         half_width: int | None = None) -> np.ndarray:
     """The spectral core: delta_{m,0} through N periods (kick, free flight),
     once per row of the free-flight phase table, as one (P, 2M+1) stack.
 
     phases maps the ladder m = -M..M to the block's phase table, (P, 2M+1),
-    or (2M+1,) for one state; it is called once per final ladder, first
-    or grown, and may refuse the block with ValueError before any kick.
-    All rows share one final ladder, sized from kicks alone, and one stage
-    schedule (_stages), which follows from (kicks, phi_d, M) alone; row p
-    gets the free flight of table row p and comes out bit-identical to a
-    one-row run on the same ladder. Each period, numbered 1..N across the
-    stages, is one _kick on the stack, kept in FFT order between periods.
-    A leak in any row of any stage restarts the whole stack with a doubled
-    final ladder, which widens every stage, when auto_grow is set.
+    or (2M+1,) for one state; it is called once, on the final ladder, and
+    may refuse the block with ValueError before any kick. All rows share
+    one final ladder, half_width or else default_half_width(kicks, phi_d),
+    and one stage schedule (_stages), which follows from (kicks, phi_d, M)
+    alone; row p gets the free flight of table row p and comes out
+    bit-identical to a one-row run on the same ladder. Each period,
+    numbered 1..N across the stages, is one _kick on the stack, kept in
+    FFT order between periods. A leak in any row of any stage raises
+    LeakageError with that period.
 
     Every stage is kicked on _propagation_points(M_s, phi_d) points for
     its own ladder M_s, on which the kick is exact; no caller picks the
@@ -298,13 +303,7 @@ def _run(kicks: int, phi_d: float, phases: Callable[..., np.ndarray],
         M = default_half_width(kicks, phi_d)
     else:
         M = _as_int("half_width", half_width, 1)
-    while True:
-        try:
-            return _periods(kicks, phi_d, phases, M)
-        except LeakageError:
-            if not auto_grow or 2 * M > _GROW_CAP:
-                raise
-            M = 2 * M
+    return _periods(kicks, phi_d, phases, M)
 
 
 def _echo_fidelities(kicks: int, phi_d: float):
@@ -335,35 +334,31 @@ def propagate(
     phi_d: float,
     free: FreePhaseSpec,
     half_width: int | None = None,
-    auto_grow: bool = True,
 ) -> MomentumWavefunction:
     """Parameter-level evolution of delta_{m,0} through N periods.
 
     Exact at any detuning (the unitary propagation has no small-epsilon
-    restriction; only the first-order analytics do). A tripped edge-leakage
-    bound restarts the run with a doubled ladder when auto_grow is set.
-    Nor is the kick number limited, unlike the closed form resonant_state,
-    which refuses N*phi_d > 1000. The FFT length is the core's own.
+    restriction; only the first-order analytics do). Runs on half_width,
+    or else on default_half_width(kicks, phi_d); a tripped edge-leakage
+    bound raises LeakageError. Nor is the kick number limited, unlike the
+    closed form resonant_state, which refuses N*phi_d > 1000. The FFT
+    length is the core's own.
     """
-    amps = _run(kicks, phi_d, free.phases, half_width, auto_grow)
+    amps = _run(kicks, phi_d, free.phases, half_width)
     return MomentumWavefunction((amps.shape[1] - 1) // 2, amps[0])
 
 
-def evolve(
-    config: SimConfig, *, auto_grow: bool | None = None
-) -> MomentumWavefunction:
+def evolve(config: SimConfig) -> MomentumWavefunction:
     """Propagate delta_{m,0} through config.kicks periods.
 
     Each period is kick(phi_d) then free flight at config's detuning from
     the revival; the returned state is the one after the final free
     flight: propagate's on config.half_width, as config.n_points names
-    only the observation grid. A tripped edge-leakage bound restarts the
-    run with a doubled ladder when auto_grow is set, by default when the
-    config was auto-sized.
+    only the observation grid. A tripped edge-leakage bound raises
+    LeakageError.
     """
     spec = FreePhaseSpec.revival_relative(config.l, config.epsilon)
-    grow = config.auto_sized if auto_grow is None else auto_grow
-    return propagate(config.kicks, config.phi_d, spec, config.half_width, grow)
+    return propagate(config.kicks, config.phi_d, spec, config.half_width)
 
 
 def _unitarity_error(c: np.ndarray) -> float:

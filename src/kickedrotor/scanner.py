@@ -12,12 +12,14 @@ detunings: each detuning is a row of one (P, 2M+1) stack, so a kick costs
 one FFT pair for the whole block instead of one per point, and each row is
 bit-identical to its own single-point propagation. The block's
 detunings reach the core as they are, through one free-flight phase
-table, propagator._revival_phases, which the core forms once per ladder.
+table, propagator._revival_phases, which the core forms once per block.
+Every block of a sweep runs on the one ladder the core sizes from the
+kick number, default_half_width(kicks, phi_d).
 A block of position rows is synthesized as one stack on the observation
 grid, and its densities |Psi|^2 are checked and observed as one stack
 (observables._position_sigmas), each row bit-identical to sigma_x of its
 own Density; an echo row is one vdot against a target built once per
-ladder. Results are bitwise identical from run to run.
+sweep. Results are bitwise identical from run to run.
 
 At beta = 0 both profiles are exactly even in epsilon: the period map
 obeys conj(U_eps) = S U_{-eps} S with S = diag((-1)^m), so psi_m(-eps) =
@@ -113,10 +115,9 @@ class _Sweep:
     keying. The missing keys are propagated SWEEP_BLOCK at a time, one
     core call per block on its phase table, and each returned stack is
     observed at once in every mode of the sweep, so every mode holds the
-    same keys and no stack outlives the read that made it. A stack that
-    auto-grew is observed on its grown ladder, as each of its rows is on
-    its own. Each mode's observer is made once per sweep from its PROBES
-    entry, so the echo target is built once per ladder.
+    same keys and no stack outlives the read that made it. Each mode's
+    observer is made once per sweep from its PROBES entry, so the echo
+    target is built once per sweep.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):

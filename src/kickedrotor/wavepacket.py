@@ -278,8 +278,7 @@ class SimConfig:
             )
         l = _as_int("l", self.l, 1)
         kicks = _as_int("kicks", self.kicks, 0)
-        auto_sized = self.half_width is None
-        M = (default_half_width(kicks, self.phi_d) if auto_sized
+        M = (default_half_width(kicks, self.phi_d) if self.half_width is None
              else _as_int("half_width", self.half_width, 1))
         n = (default_n_points(M) if self.n_points is None
              else _as_int("n_points", self.n_points))
@@ -288,11 +287,6 @@ class SimConfig:
         object.__setattr__(self, "kicks", kicks)
         object.__setattr__(self, "half_width", M)
         object.__setattr__(self, "n_points", n)
-        object.__setattr__(self, "_auto_sized", auto_sized)
-
-    @property
-    def auto_sized(self) -> bool:
-        return self._auto_sized
 
     def grid(self) -> SpatialGrid:
         return SpatialGrid(self.n_points)

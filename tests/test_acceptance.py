@@ -103,7 +103,7 @@ def test_03_two_kick_recurrence():
 def test_04_dual_route_agreement():
     t0 = time.perf_counter()
     cfg = SimConfig(kicks=10, epsilon=1e-6, half_width=64)
-    spectral = evolve(cfg, auto_grow=False)
+    spectral = evolve(cfg)
     dense = evolve_dense(cfg)
     gap = float(np.max(np.abs(spectral.amps - dense.amps)))
     elapsed = time.perf_counter() - t0

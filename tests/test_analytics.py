@@ -306,11 +306,11 @@ class TestCorrectionField:
         cfg = SimConfig(kicks=1, epsilon=eps)
         grid = cfg.grid()
         dens_eps = position_density(
-            to_position(evolve(cfg, auto_grow=False), grid)
+            to_position(evolve(cfg), grid)
         ).values
         dens_res = position_density(
-            to_position(evolve(SimConfig(kicks=1, half_width=cfg.half_width),
-                               auto_grow=False), grid)
+            to_position(evolve(SimConfig(kicks=1, half_width=cfg.half_width)),
+                        grid)
         ).values
         diff = dens_eps - dens_res
         field = correction_term(1, 0.485, eps, grid, cfg.half_width).values
@@ -361,8 +361,7 @@ class TestPerturbativeDensity:
         def residual(eps: float) -> float:
             full = position_density(
                 to_position(
-                    evolve(SimConfig(kicks=5, epsilon=eps, half_width=M),
-                           auto_grow=False),
+                    evolve(SimConfig(kicks=5, epsilon=eps, half_width=M)),
                     grid,
                 )
             ).values

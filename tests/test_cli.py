@@ -14,8 +14,6 @@ from kickedrotor import (
     LeakageError,
     NumericalError,
     SimConfig,
-    SpatialGrid,
-    default_n_points,
     evolve,
     position_density,
     to_position,
@@ -54,9 +52,7 @@ class TestEvolveCommand:
         assert len(rows) == cfg.n_points
 
         # values round-trip exactly through the text encoding
-        state = evolve(cfg)
-        grid = SpatialGrid(default_n_points(state.half_width))
-        expect = position_density(to_position(state, grid)).values
+        expect = position_density(to_position(evolve(cfg), cfg.grid())).values
         parsed = np.array([float(r[1]) for r in rows])
         assert np.array_equal(parsed, expect)
 
@@ -92,6 +88,21 @@ class TestEvolveCommand:
         ])
         assert code == 0
         assert read_json(out / "manifest.json")["config"]["n_points"] == 256
+
+    def test_grid_below_the_default_is_the_grid_written(self, tmp_path):
+        # 200 points hold the ladder of 10 kicks (M = 37 needs 150) but
+        # are fewer than the default 256
+        out = tmp_path / "run"
+        code = main(["evolve", "--kicks", "10", "--grid", "200", "--out", str(out)])
+        assert code == 0
+        header, rows = read_csv(out / "position_density.csv")
+        assert len(rows) == 200
+        cfg = SimConfig(kicks=10, n_points=200)
+        expect = position_density(to_position(evolve(cfg), cfg.grid())).values
+        assert np.array_equal([float(r[1]) for r in rows], expect)
+        manifest = read_json(out / "manifest.json")
+        assert manifest["config"]["n_points"] == 200
+        assert manifest["health"]["half_width_used"] == cfg.half_width == 37
 
     def test_validation_failure_exits_2(self, tmp_path):
         code = main([
@@ -351,8 +362,7 @@ class TestExitCodes:
     def test_every_refusal_type_is_listed(self):
         names = {kind.__name__ for kind in NUMERICAL_ERRORS}
         assert names >= {"NumericalError", "LeakageError", "TruncationError",
-                         "DegenerateDensityError", "NoCrossingError",
-                         "RangeCapError", "FitRefusalError",
+                         "NoCrossingError", "RangeCapError", "FitRefusalError",
                          "NonFiniteOutputError"}
 
     @staticmethod

@@ -28,6 +28,7 @@ from kickedrotor import (
     correction_term,
     evolve_dense,
     fidelity_protocol,
+    mean_energy,
     perturbative_density,
     propagate,
     resonant_state,
@@ -182,7 +183,7 @@ def test_extreme_kick_numbers_leak_at_the_first_kick(kicks, phi_d, epsilon, half
     spec = FreePhaseSpec.revival_relative(1, epsilon)
     with counting_kicks(1) as kick:
         with pytest.raises(LeakageError) as err:
-            propagate(kicks, phi_d, spec, half_width, auto_grow=False)
+            propagate(kicks, phi_d, spec, half_width)
     assert err.value.period == 1
     assert kick.call_count == 1
 
@@ -318,6 +319,7 @@ def finite_rule(name):
 
 GRID = SpatialGrid(128)
 SPEC = FreePhaseSpec.revival_relative
+STATE = resonant_state(3, 0.485, 40)
 
 
 def sweep_entries(mode):
@@ -365,17 +367,22 @@ SHARED_RULES = [
      lambda hbar_s=1.0: FreePhaseSpec.general(hbar_s),
      {"hbar_s": finite_rule("hbar_s")}),
     ("resonant_state",
-     lambda t=3, phi_d=0.485: resonant_state(t, phi_d, 40),
-     {"t": integer_rule("t", 0), "phi_d": positive_rule("phi_d")}),
+     lambda t=3, phi_d=0.485, half_width=40: resonant_state(t, phi_d, half_width),
+     {"t": integer_rule("t", 0), "phi_d": positive_rule("phi_d"),
+      "half_width": integer_rule("half_width", 1)}),
     ("correction_term",
-     lambda k=2, phi_d=0.485, epsilon=1e-6: correction_term(k, phi_d, epsilon, GRID, 35),
+     lambda k=2, phi_d=0.485, epsilon=1e-6, half_width=35:
+         correction_term(k, phi_d, epsilon, GRID, half_width),
      {"k": integer_rule("k", 1), "phi_d": positive_rule("phi_d"),
-      "epsilon": finite_rule("epsilon")}),
+      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1)}),
     ("perturbative_density",
-     lambda kicks=3, phi_d=0.485, epsilon=1e-6:
-         perturbative_density(kicks, phi_d, epsilon, GRID, 35),
+     lambda kicks=3, phi_d=0.485, epsilon=1e-6, half_width=35:
+         perturbative_density(kicks, phi_d, epsilon, GRID, half_width),
      {"kicks": integer_rule("kicks", 0), "phi_d": positive_rule("phi_d"),
-      "epsilon": finite_rule("epsilon")}),
+      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1)}),
+    ("mean_energy",
+     lambda hbar_s=4 * math.pi: mean_energy(STATE, hbar_s),
+     {"hbar_s": finite_rule("hbar_s")}),
     *sweep_entries("position"),
     *sweep_entries("fidelity"),
 ]

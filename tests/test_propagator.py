@@ -237,62 +237,38 @@ class TestEvolve:
         assert np.max(np.abs(out.amps - expect.amps)) < 1e-12
 
     def test_leakage_raises_without_growth(self):
-        with pytest.raises(LeakageError) as err:
-            propagate(
-                20,
-                0.485,
-                FreePhaseSpec.revival_relative(1, 0.0),
-                half_width=8,
-                auto_grow=False,
-            )
-        assert err.value.period >= 1
+        with pytest.raises(LeakageError, match="enlarge half_width") as err:
+            propagate(20, 0.485, FreePhaseSpec.revival_relative(1, 0.0),
+                      half_width=8)
+        assert 1 <= err.value.period <= 20
 
     @pytest.mark.parametrize("kicks", [200, 300, 1000, 2000])
     def test_long_orbit_default_ladder_holds_closed_form(self, kicks):
-        # no restart: the default ladder itself carries the Bessel tail
+        # the default ladder itself carries the Bessel tail
         spec = FreePhaseSpec.revival_relative(1, 0.0)
         cfg = SimConfig(kicks=kicks)
-        for state in (propagate(kicks, 0.485, spec, auto_grow=False), evolve(cfg)):
+        for state in (propagate(kicks, 0.485, spec), evolve(cfg)):
             assert state.half_width == cfg.half_width
             expect = resonant_state(kicks, 0.485, state.half_width)
             assert np.max(np.abs(state.amps - expect.amps)) < CLOSED_FORM_TOL
 
-    def test_auto_growth_recovers(self):
-        out = propagate(
-            20,
-            0.485,
-            FreePhaseSpec.revival_relative(1, 0.0),
-            half_width=8,
-            auto_grow=True,
-        )
-        assert out.half_width > 8
-        assert abs(out.norm_sq() - 1.0) < 1e-12
-        assert out.edge_occupancy() < 1e-14
-
-    @pytest.mark.parametrize("cfg, grow", [
-        (SimConfig(kicks=400, epsilon=1.1e-6), None),
-        (SimConfig(kicks=60, epsilon=-2e-4, half_width=70), None),
-        (SimConfig(kicks=50, epsilon=3e-4, n_points=4096), None),
-        (SimConfig(kicks=20, epsilon=1e-3, half_width=8), True),
-    ], ids=["auto-sized", "explicit-half-width", "explicit-n-points", "auto-grows"])
-    def test_evolve_is_propagate_on_the_same_ladder(self, cfg, grow):
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(kicks=400, epsilon=1.1e-6),
+        SimConfig(kicks=60, epsilon=-2e-4, half_width=70),
+        SimConfig(kicks=50, epsilon=3e-4, n_points=4096),
+    ], ids=["auto-sized", "explicit-half-width", "explicit-n-points"])
+    def test_evolve_is_propagate_on_the_same_ladder(self, cfg):
         spec = FreePhaseSpec.revival_relative(cfg.l, cfg.epsilon)
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
-            state = evolve(cfg, auto_grow=grow)
-        expect = propagate(cfg.kicks, cfg.phi_d, spec, cfg.half_width,
-                           auto_grow=cfg.auto_sized if grow is None else grow)
+            state = evolve(cfg)
+        expect = propagate(cfg.kicks, cfg.phi_d, spec, cfg.half_width)
         assert np.array_equal(state.amps, expect.amps)
+        assert state.half_width == cfg.half_width
         # the core kicks on its own lengths only, never on cfg.n_points:
-        # one per stage of each ladder, first or grown
-        ladders = [cfg.half_width]
-        while ladders[-1] < state.half_width:
-            ladders.append(2 * ladders[-1])
-        assert ladders[-1] == state.half_width
+        # one per stage of the config's ladder
         grids = [call.args[0] for call in phases.call_args_list]
-        assert grids == [_propagation_points(M_s, cfg.phi_d) for M in ladders
-                         for _, M_s in _stages(cfg.kicks, cfg.phi_d, M)]
-        if grow:
-            assert state.half_width > cfg.half_width
+        assert grids == [_propagation_points(M_s, cfg.phi_d)
+                         for _, M_s in _stages(cfg.kicks, cfg.phi_d, cfg.half_width)]
 
     def test_explicit_config_does_not_grow_by_default(self):
         with pytest.raises(LeakageError):
@@ -307,6 +283,41 @@ class TestEvolve:
         for k in (1, 3):
             out = propagate(2 * k, 0.485, spec, half_width=40)
             assert abs(out.amps[40]) > 1 - 1e-10
+
+
+#: the edge occupancy every drawn run on its default ladder stays under,
+#: far inside the 1e-14 leakage bound
+DEFAULT_LADDER_EDGE = 1e-20
+
+
+@st.composite
+def default_ladder_runs(draw):
+    """A run on its default ladder: N in 1..300, phi_d in [0.05, 7], and
+    its free flight, a block of up to four revival-relative detunings with
+    |epsilon| <= RANGE_CAP (l in {1, 2}) or, in about one case in three, a
+    general-mode hbar_s in [0, 50]."""
+    kicks = draw(st.integers(1, 300))
+    phi_d = draw(st.floats(0.05, 7.0))
+    if draw(st.integers(0, 2)) == 0:
+        return kicks, phi_d, FreePhaseSpec.general(draw(st.floats(0.0, 50.0))).phases
+    l = draw(st.sampled_from([1, 2]))
+    eps = draw(st.lists(st.floats(-RANGE_CAP, RANGE_CAP), min_size=1, max_size=4))
+    return kicks, phi_d, functools.partial(_revival_phases, l, eps)
+
+
+class TestDefaultLadder:
+    """The default ladder holds every run it sizes: the core never
+    retries on a wider one, so a leak on it would be a refusal."""
+
+    @settings(max_examples=40, derandomize=True)
+    @given(default_ladder_runs())
+    def test_drawn_runs_never_reach_the_edge(self, run):
+        kicks, phi_d, phases = run
+        amps = _run(kicks, phi_d, phases)
+        M = default_half_width(kicks, phi_d)
+        assert amps.shape[1] == 2 * M + 1
+        edge = np.abs(amps[:, 0]) ** 2 + np.abs(amps[:, -1]) ** 2
+        assert edge.max() <= DEFAULT_LADDER_EDGE
 
 
 def kick_matrix_reference(phi: float, M: int) -> np.ndarray:
@@ -411,7 +422,7 @@ class TestDenseRoute:
 
     def test_agrees_with_spectral_evolution(self):
         cfg = SimConfig(kicks=10, epsilon=1e-6, half_width=64)
-        a = evolve(cfg, auto_grow=False)
+        a = evolve(cfg)
         b = evolve_dense(cfg)
         assert np.max(np.abs(a.amps - b.amps)) < 1e-12
 
@@ -424,10 +435,8 @@ class TestDenseRoute:
     def test_drawn_runs_agree_with_spectral_evolution(self, case):
         cfg, free = case
         state = propagate(cfg.kicks, cfg.phi_d, free, cfg.half_width)
-        # on the ladder propagate ended on, grown from cfg.half_width or not
-        dense = evolve_dense(SimConfig(phi_d=cfg.phi_d, epsilon=cfg.epsilon,
-                                       l=cfg.l, kicks=cfg.kicks,
-                                       half_width=state.half_width), free)
+        dense = evolve_dense(cfg, free)
+        assert state.half_width == dense.half_width == cfg.half_width
         assert np.max(np.abs(state.amps - dense.amps)) <= ROUTE_TOL
 
     @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
@@ -731,22 +740,14 @@ class TestBatchedCore:
             fidelity_protocol(5, 0.485, 1e-3)
         assert step.call_count == 5 + 1
 
-    def test_leaking_stack_grows_as_a_whole(self):
-        with pytest.raises(LeakageError):
-            _run(20, 0.485, self.BLOCK, half_width=8, auto_grow=False)
-        with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
-            amps = _run(20, 0.485, self.BLOCK, half_width=8)
-        M = (amps.shape[1] - 1) // 2
-        assert amps.shape == (len(self.FREES), 2 * M + 1)
-        assert M == 32
-        # each grown stack runs on its own ladder's 5-smooth length
-        grids = [call.args[0] for call in phases.call_args_list]
-        assert grids == [_propagation_points(m, 0.485) for m in (8, 16, 32)]
-        assert grids == [50, 72, 100]
-        for free, row in zip(self.FREES, amps):
-            one = _run(20, 0.485, free.phases, half_width=M, auto_grow=False)[0]
-            assert np.max(np.abs(row - one)) < 1e-12
-            assert abs(np.sum(np.abs(row) ** 2) - 1.0) < 1e-12
+    def test_leaking_stack_is_refused_as_a_whole(self):
+        # the stack leaks where its first row does, on the one ladder it
+        # was given: no wider ladder is tried
+        with pytest.raises(LeakageError) as stacked:
+            _run(20, 0.485, self.BLOCK, half_width=8)
+        with pytest.raises(LeakageError) as alone:
+            _run(20, 0.485, self.FREES[0].phases, half_width=8)
+        assert 1 <= stacked.value.period <= alone.value.period
 
     @pytest.mark.parametrize("kicks", [5, 12, 40])
     def test_echo_of_a_raw_stack_is_fidelity_protocol(self, kicks):
@@ -764,7 +765,7 @@ class TestBatchedCore:
         # <delta_0 | K(-a) psi> = <K(a) delta_0 | psi>: the explicit reversed
         # kick, on a ladder sized for its doubled reach, gives the same F
         M = default_half_width(2 * kicks, 0.485)
-        amps = _run(kicks, 0.485, self.BLOCK, half_width=M, auto_grow=False)
+        amps = _run(kicks, 0.485, self.BLOCK, half_width=M)
         reversed_kick = _kick_phases(_propagation_points(M, kicks * 0.485),
                                      -kicks * 0.485)
         echoed = kicked(amps, reversed_kick)
@@ -876,7 +877,7 @@ class TestStages:
         block = functools.partial(_revival_phases, 1, LONG_EPS)
         general = FreePhaseSpec.general(4 * math.pi * (1 + 1e-4)).phases
         for phases in (block, general):
-            staged = _run(kicks, 0.485, phases, auto_grow=False)
+            staged = _run(kicks, 0.485, phases)
             assert staged.shape[1] == 2 * M + 1
             ref = single_ladder(kicks, 0.485, phases, M)
             assert np.max(np.abs(staged - ref)) <= 1e-13
@@ -887,29 +888,20 @@ class TestStages:
                 closed = resonant_state(kicks, 0.485, M).amps
                 assert np.max(np.abs(staged[0] - closed)) <= 1e-12
 
-    def test_early_stage_leak_restarts_with_every_stage_doubled(self):
+    def test_early_stage_leak_is_refused_at_its_period(self):
         # narrow every stage but the last by 40 sites: the first stage of
-        # N = 300 (M = 91 at period 89) then leaks, and the run restarts on
-        # the doubled final ladder, whose own stages are all wider
+        # N = 300 (M = 91 at period 89) then leaks, and the run is refused
+        # there, on the one final ladder it was sized with
         def narrowed(kicks, phi, M):
             stages = _stages(kicks, phi, M)
             return [(last, ladder - 40) for last, ladder in stages[:-1]] + stages[-1:]
 
         block = functools.partial(_revival_phases, 1, LONG_EPS)
         with mock.patch.object(propagator, "_stages", side_effect=narrowed) as plan:
-            amps, steps = kick_ladders(lambda: _run(300, 0.485, block))
-        assert [call.args for call in plan.call_args_list] == [(300, 0.485, 193),
-                                                               (300, 0.485, 386)]
-        # the restart is where period 1 comes round again
-        first_pass = steps[:[period for period, _ in steps].index(1, 1)]
-        assert {ladder for _, ladder in first_pass} == {51}
-        assert first_pass[-1][0] <= 89
-        restart = steps[len(first_pass):]
-        assert [period for period, _ in restart] == list(range(1, 301))
-        assert min(ladder for _, ladder in restart) > 91
-        clean = _run(300, 0.485, block)
-        M = (clean.shape[1] - 1) // 2
-        assert amps.shape[1] == 2 * 386 + 1
-        assert np.max(np.abs(amps[:, 386 - M:386 + M + 1] - clean)) <= 1e-12
-        assert np.max(np.abs(amps[:, :386 - M])) <= 1e-12
-        assert np.max(np.abs(amps[:, 386 + M + 1:])) <= 1e-12
+            with mock.patch.object(propagator, "_kick", wraps=_kick) as step:
+                with pytest.raises(LeakageError) as err:
+                    _run(300, 0.485, block)
+        assert [call.args for call in plan.call_args_list] == [(300, 0.485, 193)]
+        assert err.value.period <= 89
+        steps = [(call.args[4], call.args[3]) for call in step.call_args_list]
+        assert steps == [(period, 51) for period in range(1, err.value.period + 1)]

@@ -474,33 +474,6 @@ class TestSharedRows:
         assert np.array_equal(values["position"], np.array(sigma))
         assert np.array_equal(values["fidelity"], np.array(fidelity))
 
-    def test_grown_block_is_observed_on_its_grown_ladder(self, monkeypatch):
-        # the core starts each block on a ladder too small for 12 kicks
-        # and doubles it until no row leaks
-        kicks, start = 12, 4
-        ladders = []
-        original = scanner._run
-
-        def small_start(*args):
-            amps = original(*args, half_width=start)
-            ladders.append((amps.shape[1] - 1) // 2)
-            return amps
-
-        monkeypatch.setattr(scanner, "_run", small_start)
-        eps = _symmetric_grid(0.4 / kicks**2, 33)
-        with scanner._open(kicks, 0.485, 1, scanner.MODES):
-            sigmas = _sweep_values("position", kicks, 0.485, 1, eps)
-            fidelities = _sweep_values("fidelity", kicks, 0.485, 1, eps)
-        (M,) = ladders
-        assert start < M != propagator.default_half_width(kicks, 0.485)
-        echo = propagator._echo_fidelities(kicks, 0.485)
-        for e, sigma, fidelity in zip(map(swept, eps), sigmas, fidelities):
-            state = propagate(kicks, 0.485, FreePhaseSpec.revival_relative(1, e),
-                              half_width=M, auto_grow=False)
-            grid = SpatialGrid(default_n_points(M))
-            assert sigma == sigma_x(position_density(to_position(state, grid)))
-            assert fidelity == echo(state.amps[None, :])[0]
-
 
 class TestBadBounds:
     @pytest.mark.parametrize("bad", BAD_BOUNDS)

@@ -36,7 +36,8 @@ exception types and the classes an exported function returns; a name
 that only a sibling module of the package reads, or that a reader writes
 only as a string key or in a comment, is not public. Every
 exception class the package defines is a NumericalError (the CLI's exit
-3) or a ValueError (exit 2).
+3) or a ValueError (exit 2), and only the CLI's main catches a
+NumericalError: no code retries or swallows a numerical refusal.
 """
 import ast
 import builtins
@@ -713,3 +714,68 @@ def test_uncaught_refusal_is_caught():
     assert sorted(name for name, caught in taxonomy.items() if not caught) == [
         "a.Arith", "a.Bad", "b.Worse"]
     assert len(taxonomy) == 9
+
+
+def numerical_classes(sources: dict[str, str]) -> set[str]:
+    """NumericalError and the names of every class the sources derive
+    from it, directly or through each other; a base is read by name or as
+    an attribute (wavepacket.NumericalError)."""
+    bases = {node.name: {getattr(b, "id", None) or getattr(b, "attr", None)
+                         for b in node.bases}
+             for text in sources.values() for node in ast.walk(ast.parse(text))
+             if isinstance(node, ast.ClassDef)}
+    found = {"NumericalError"}
+    while more := {name for name, named in bases.items() if named & found} - found:
+        found |= more
+    return found
+
+
+def numerical_catchers(sources: dict[str, str]) -> list[str]:
+    """Every except clause of the sources that would catch a
+    NumericalError, as "module.function" ("module.<module>" outside any
+    function): a bare except, or one that names NumericalError, a class
+    derived from it or a builtin class it derives from (RuntimeError,
+    Exception, BaseException), by name or as an attribute, alone or in a
+    tuple."""
+    catching = numerical_classes(sources) | {"RuntimeError", "Exception",
+                                             "BaseException"}
+
+    def catches(node: ast.AST) -> bool:
+        return isinstance(node, ast.ExceptHandler) and (
+            node.type is None
+            or any(getattr(n, "id", None) in catching or getattr(n, "attr", None) in catching
+                   for n in ast.walk(node.type)))
+
+    return [f"{module}.{owner}" for module, text in sources.items()
+            for owner in owners(ast.parse(text), catches)]
+
+
+def test_only_the_cli_catches_a_numerical_refusal():
+    # a refusal is reported, never retried or swallowed: the one handler
+    # is the CLI's, which maps it to exit 3
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert numerical_catchers(sources) == ["cli.main"]
+
+
+def test_stray_numerical_catch_is_caught():
+    sources = {
+        "a": "class NumericalError(RuntimeError):\n    pass\n"
+             "class Leak(NumericalError):\n    pass\n"
+             "def main():\n"
+             "    try:\n        run()\n"
+             "    except NumericalError:\n        return 3\n"
+             "    except (ValueError, OSError):\n        return 2\n",
+        "b": "class Deep(a.Leak):\n    pass\n"
+             "def _run(M):\n"
+             "    while True:\n"
+             "        try:\n            return go(M)\n"
+             "        except (ValueError, Deep):\n            M *= 2\n"
+             "def quiet():\n"
+             "    try:\n        go()\n    except:\n        pass\n"
+             "def broad():\n"
+             "    try:\n        go()\n    except builtins.RuntimeError:\n        pass\n"
+             "try:\n    go()\nexcept a.Leak:\n    pass\n"
+             "try:\n    go()\nexcept OverflowError:\n    pass\n",
+    }
+    assert numerical_catchers(sources) == ["a.main", "b._run", "b.quiet",
+                                           "b.broad", "b.<module>"]

@@ -131,12 +131,10 @@ class TestSimConfig:
         assert cfg.phi_d == 0.485
         assert cfg.half_width == 37
         assert cfg.n_points == default_n_points(37)
-        assert cfg.auto_sized
 
     def test_explicit_sizes_kept(self):
         cfg = SimConfig(kicks=2, half_width=64, n_points=512)
         assert (cfg.half_width, cfg.n_points) == (64, 512)
-        assert not cfg.auto_sized
 
     @pytest.mark.parametrize(
         "kwargs",
