@@ -12,8 +12,10 @@ times (the total, and for perturbative the stage_s of its evolve and
 first_order stages) live only in the standalone manifest file; the
 manifest block embedded in data files omits them, keeping outputs
 byte-stable across re-runs. --threads is accepted and has no effect: a
-sweep runs in one thread, with one core call per probe step and per
-block of up to 128 detunings. scan refuses a profile it cannot take the
+sweep runs in one thread. scan makes one core call per probe step and
+per block of up to 128 detunings; scaling makes two per kick number, one
+block of every probe step's detunings and one of every final grid's.
+scan refuses a profile it cannot take the
 width of (exit 3) in CSV as well as in JSON, although only the JSON file
 carries the width. scaling measures its
 widths from the simulation: --mode both writes the two laws side by
@@ -292,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; a sweep runs in one thread, "
-                        "one core call per block of up to 128 detunings")
+                        "two core calls per kick number: every probe step, "
+                        "then every final grid")
     p.set_defaults(func=_cmd_scaling)
     return parser
 

@@ -48,7 +48,16 @@ while they run; every other call sweeps on its own. auto_scan is
 scan_epsilon over the auto_range range in one open sweep: the probe grids
 and the final grid are all multiples of r/2^k, so every repeated |detuning|
 is the identical float and is computed once. _widths keeps one sweep per
-kick number, read by every mode it measures. width_scaling and
+kick number, read by every mode it measures, and reads it in two blocks:
+the union of every rung's probe grid up to RANGE_CAP, then the union of
+every mode's final grid. Each mode's ladder walk and final scan then find
+every value in the sweep, so a width law makes two core calls per kick
+number (while a union fits in SWEEP_BLOCK), the rungs past the one a
+mode stops at included: compare_modes over N = 5..18 makes 28 calls on
+994 rows. A sweep of that size is bound by per-call overhead, so those
+rows cost less than the calls of one read per probe step and per mode.
+auto_range and auto_scan called on their own keep one read per rung,
+where for one mode the two roughly cancel. width_scaling and
 compare_modes accept a threads argument and ignore it, because the
 contract tests and the benchmark's sweep workload pass one (timings in
 the README); no other sweep takes one. Detunings beyond the config
@@ -310,6 +319,43 @@ def scan_epsilon(
     return EpsilonScan(kicks, mode, eps, vals)
 
 
+def _rungs(kicks: int, cap: float) -> list[float]:
+    """The doubling ladder of auto_range: 0.1/N^2, 0.2/N^2, ..., cap.
+
+    Finitely many rungs: the first is positive (0.1 / N^2 is at least
+    5e-310 wherever N^2 converts to a float, and refused with ValueError
+    elsewhere), and each doubles to the cap, which must be finite and
+    positive. Doubling is exact, so the probe grids of two rungs below the
+    cap share their common detunings as identical floats.
+    """
+    # a NaN cap would never end the doubling ladder
+    _as_finite("cap", cap, positive=True)
+    rungs = [min(0.1 / _as_int("kicks squared", kicks * kicks), cap)]
+    while rungs[-1] < cap:
+        rungs.append(min(2.0 * rungs[-1], cap))
+    return rungs
+
+
+def _first_bracket(kicks: int, phi_d: float, l: int, mode: str,
+                   rungs: list[float]) -> float | None:
+    """The first of the rungs whose probe sweep the mode's adequacy rule
+    accepts, or None when none does. Each rung is one _sweep_values read
+    of PROBE_POINTS detunings."""
+    probe = PROBES[mode]
+    for r in rungs:
+        grid = _symmetric_grid(r, PROBE_POINTS)
+        if probe.adequate(_sweep_values(mode, kicks, phi_d, l, grid)):
+            return r
+    return None
+
+
+def _range_cap_error(kicks: int, mode: str, cap: float) -> RangeCapError:
+    return RangeCapError(
+        f"profile not bracketed within |epsilon| <= {cap} "
+        f"(kicks={kicks}, mode={mode})"
+    )
+
+
 def auto_range(
     kicks: int,
     phi_d: float,
@@ -322,30 +368,19 @@ def auto_range(
     entry, so that a width extraction succeeds.
 
     Each probe step is one sweep of PROBE_POINTS detunings, of which only
-    those the earlier steps did not evaluate are propagated. Raises
-    RangeCapError when no rung up to the cap brackets the profile, and
-    ValueError, before any probe, for a kick number whose square is past
-    the float range.
+    those the earlier steps (or the open sweep) did not evaluate are
+    propagated. Raises RangeCapError when no rung up to the cap brackets
+    the profile, and ValueError, before any probe, for a kick number whose
+    square is past the float range.
     """
     kicks = _as_int("kicks", kicks, 1)
-    probe = _check_mode(mode)
-    # a NaN cap would never end the doubling ladder
-    _as_finite("cap", cap, positive=True)
-    # finitely many rungs: the first is positive (0.1 / N^2 is at least
-    # 5e-310 wherever N^2 converts to a float, and refused elsewhere), and
-    # each doubles to the cap
-    rungs = [min(0.1 / _as_int("kicks squared", kicks * kicks), cap)]
-    while rungs[-1] < cap:
-        rungs.append(min(2.0 * rungs[-1], cap))
+    _check_mode(mode)
+    rungs = _rungs(kicks, cap)
     with _open(kicks, phi_d, l, (mode,)):
-        for r in rungs:
-            grid = _symmetric_grid(r, PROBE_POINTS)
-            if probe.adequate(_sweep_values(mode, kicks, phi_d, l, grid)):
-                return r
-    raise RangeCapError(
-        f"profile not bracketed within |epsilon| <= {cap} "
-        f"(kicks={kicks}, mode={mode})"
-    )
+        r = _first_bracket(kicks, phi_d, l, mode, rungs)
+    if r is None:
+        raise _range_cap_error(kicks, mode, cap)
+    return r
 
 
 def auto_scan(
@@ -444,8 +479,9 @@ def width_scaling(
 ) -> WidthScaling:
     """Measure profile widths over the given kick numbers and fit the law.
 
-    Per kick number, one auto_scan: the probes and the final scan read
-    one sweep, so each distinct |detuning| is propagated once.
+    Per kick number, the auto_scan width, bit for bit, from two block
+    reads of one sweep (_widths): every rung's probe grid, then the final
+    grid. Each distinct |detuning| is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
     return _fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
@@ -453,19 +489,43 @@ def width_scaling(
 
 def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
             points: int) -> list[list[float]]:
-    """Per mode, the auto_scan width at each kick number.
+    """Per mode, the auto_scan width at each kick number, bit for bit.
 
-    The modes of one kick number read one sweep, so a |detuning| that
-    several modes need is propagated once; the sweep is closed when that
-    kick number is done, and on any error.
+    The modes of one kick number read one sweep, in two blocks: the union
+    of every rung's probe grid, after which each mode's ladder walk (the
+    one auto_range makes) finds every value in the sweep, and then the
+    union of every mode's final grid, after which each scan_epsilon does.
+    So a kick number costs two core calls for as long as a union fits in
+    SWEEP_BLOCK, however many rungs the walks climb, and every mode
+    observes both blocks. An unknown mode and bad points are refused
+    before the first block. A
+    mode whose ladder brackets nothing raises its RangeCapError only after
+    the widths of the modes before it, as a mode-by-mode auto_scan would.
+    The sweep is closed when that kick number is done, and on any error.
     """
     widths: list[list[float]] = [[] for _ in modes]
     for N in n_arr.tolist():
-        with _open(N, phi_d, l, modes):
-            # the sweep refuses an unknown mode, and auto_scan bad points,
-            # before either propagates
-            for mode, column in zip(modes, widths):
-                column.append(scan_width(auto_scan(N, phi_d, l, mode, points)))
+        # the sweep refuses an unknown mode, then points are checked,
+        # before either block propagates
+        with _open(N, phi_d, l, modes) as sweep:
+            points = _check_points(points)
+            rungs = _rungs(N, RANGE_CAP)
+            # each block is observed in every mode; the walks and scans
+            # below read its values
+            sweep.read(modes[0], [e for r in rungs
+                                  for e in _symmetric_grid(r, PROBE_POINTS).tolist()])
+            ranges = []
+            for mode in modes:
+                r = _first_bracket(N, phi_d, l, mode, rungs)
+                if r is None:
+                    break
+                ranges.append(r)
+            sweep.read(modes[0], [e for r in ranges
+                                  for e in _symmetric_grid(r, points).tolist()])
+            for mode, r, column in zip(modes, ranges, widths):
+                column.append(scan_width(scan_epsilon(N, phi_d, l, mode, r, points)))
+            if len(ranges) < len(modes):
+                raise _range_cap_error(N, modes[len(ranges)], RANGE_CAP)
     return widths
 
 
@@ -494,8 +554,10 @@ def compare_modes(
     """Run both width scalings on one kick-number list and compare them.
 
     Bit for bit the two width_scaling calls, but each kick number is
-    measured in both modes before the next, from one set of driven rows;
-    so the first error raised is that of the first kick number that fails.
+    measured in both modes before the next, from one set of driven rows:
+    one block of every rung's probe grid and one of both final grids, each
+    observed in both modes. So the first error raised is that of the first
+    kick number that fails.
     """
     n_arr = _kick_numbers(n_list, least=2)
     pos, fid = (_fit_widths(n_arr, w)

@@ -13,6 +13,7 @@ from kickedrotor import (
     EpsilonScan,
     FitRefusalError,
     FreePhaseSpec,
+    NoCrossingError,
     PositionWavefunction,
     RangeCapError,
     SpatialGrid,
@@ -54,11 +55,14 @@ def swept(epsilon: float) -> float:
 
 @pytest.fixture
 def no_propagation(monkeypatch):
-    """Fail the test if any sweep point is evaluated."""
+    """Fail the test if any sweep point is evaluated: through a sweep read,
+    or through the spectral core, which a width law's block reads reach
+    without _sweep_values."""
     def refuse(*args, **kwargs):
         raise AssertionError("a sweep ran before the input was refused")
 
     monkeypatch.setattr(scanner, "_sweep_values", refuse)
+    monkeypatch.setattr(scanner, "_run", refuse)
 
 
 class TestGrid:
@@ -147,16 +151,23 @@ class TestEpsilonScan:
         assert _law_bits(a) == _law_bits(b)
 
 
-def _probe_and_scan_grid(N, mode):
-    """Every detuning auto_scan evaluates, each +- pair as its -|epsilon|:
-    the probe ladder up to the chosen range and the final grid."""
-    r_final = auto_range(N, 0.485, 1, mode)
-    expected = set(_symmetric_grid(r_final, 65).tolist())
-    r = 0.1 / N**2
-    while r <= r_final:
+def _ladder_grid(N):
+    """The probe grids of every rung of auto_range's doubling ladder, from
+    0.1/N^2 up to RANGE_CAP, each +- pair as its -|epsilon|: the block a
+    width law reads before any mode walks its ladder."""
+    expected, r = set(), 0.1 / N**2
+    while r < scanner.RANGE_CAP:
         expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
         r *= 2.0
+    expected.update(_symmetric_grid(scanner.RANGE_CAP, scanner.PROBE_POINTS).tolist())
     return {swept(e) for e in expected}
+
+
+def _scan_grid(N, mode):
+    """The final 65-point grid of a mode's auto_scan, each +- pair as its
+    -|epsilon|."""
+    r = auto_range(N, 0.485, 1, mode)
+    return {swept(e) for e in _symmetric_grid(r, 65).tolist()}
 
 
 class TestBatchedSweep:
@@ -221,11 +232,13 @@ class TestBatchedSweep:
         n_list = [5, 6, 7, 8]
         ws = width_scaling(n_list, 0.485, 1, mode)
         rows, observed = list(counted_rows), list(reads)
-        expected = {N: _probe_and_scan_grid(N, mode) for N in n_list}
+        # every rung of the ladder up to the cap, then the final grid
+        expected = {N: _ladder_grid(N) | _scan_grid(N, mode) for N in n_list}
         for N in n_list:
             propagated = [e for kicks, e in rows if kicks == N]
             assert len(propagated) == len(set(propagated))
             assert set(propagated) == expected[N]
+        assert len(rows) == {"position": 201, "fidelity": 202}[mode]
         # each row is observed once, in this mode only
         assert {m for m, _, _ in observed} == {mode}
         assert sum(n for _, n, _ in observed) == len(rows)
@@ -330,16 +343,37 @@ class TestSharedRows:
         n_list = list(range(5, 19))
         compare_modes(n_list, 0.485, 1, points=65)
         rows = list(counted_rows)
-        assert len(rows) == len(set(rows)) == 762
+        assert len(rows) == len(set(rows)) == 994
         observed = {mode: 0 for mode in scanner.MODES}
         for mode, n, _ in reads:
             observed[mode] += n
         for N in n_list:
             propagated = {e for kicks, e in rows if kicks == N}
-            assert propagated == (_probe_and_scan_grid(N, "position")
-                                  | _probe_and_scan_grid(N, "fidelity"))
+            # every rung of the ladder up to the cap, then both final grids
+            assert propagated == (_ladder_grid(N) | _scan_grid(N, "position")
+                                  | _scan_grid(N, "fidelity"))
         # each mode observes each propagated row exactly once
         assert observed == {mode: len(rows) for mode in scanner.MODES}
+
+    def test_compare_modes_makes_two_core_calls_per_kick_number(self, monkeypatch,
+                                                                 reads):
+        # one block of every rung's probe grid, one of every final grid
+        calls = []
+        original = scanner._run
+
+        def counting(kicks, phi_d, phases, *args, **kwargs):
+            amps = original(kicks, phi_d, phases, *args, **kwargs)
+            calls.append((kicks, len(amps)))
+            return amps
+
+        monkeypatch.setattr(scanner, "_run", counting)
+        n_list = list(range(5, 19))
+        compare_modes(n_list, 0.485, 1, points=65)
+        assert len(calls) == 28
+        assert [kicks for kicks, _ in calls] == [N for N in n_list for _ in (1, 2)]
+        # each stack is observed once in every mode, as it is returned
+        for mode in scanner.MODES:
+            assert [n for m, n, _ in reads if m == mode] == [n for _, n in calls]
 
     def test_one_store_per_kick_number_shared_by_both_modes(self, sweeps):
         compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
@@ -490,6 +524,23 @@ class TestBadBounds:
     def test_auto_scan_refuses_points(self, no_propagation):
         with pytest.raises(ValueError, match="points"):
             auto_scan(5, 0.485, 1, "position", points=64)
+
+    def test_width_laws_refuse_points_before_any_core_call(self, no_propagation):
+        with pytest.raises(ValueError, match="points must be odd and >= 33"):
+            width_scaling([5, 6, 7, 8], 0.485, 1, "position", points=64)
+        with pytest.raises(ValueError, match="points must be odd and >= 33"):
+            compare_modes([5, 6, 7, 8], 0.485, 1, points=64)
+
+    def test_width_laws_refuse_an_unknown_mode_before_any_core_call(
+            self, no_propagation):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            width_scaling([5, 6, 7, 8], 0.485, 1, "bogus")
+        # a bad mode after a good one is refused before the good one's
+        # probe block, and before bad points
+        for points in (65, 64):
+            with pytest.raises(ValueError, match="mode must be one of"):
+                scanner._widths(np.array([5, 6, 7, 8]), 0.485, 1,
+                                ("position", "bogus"), points)
 
 
 class TestAutoRange:
@@ -668,3 +719,64 @@ def test_compare_modes_matches_bench_reference():
         assert law.widths == pytest.approx(ref[f"{mode}_widths"], rel=1e-12, abs=0)
         assert law.gamma == pytest.approx(ref[f"gamma_{mode}"], rel=1e-12, abs=0)
     assert cmp.crossover_fit == pytest.approx(ref["crossover_fit"], rel=1e-12, abs=0)
+
+
+def _auto_scan_widths(n_list, phi_d, modes):
+    """The widths of one auto_scan and scan_width per mode and kick number,
+    in that order: the first refusal raised is theirs."""
+    widths = [[] for _ in modes]
+    for N in n_list:
+        for mode, column in zip(modes, widths):
+            column.append(scan_width(auto_scan(N, phi_d, 1, mode)))
+    return widths
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestWidthsAreAutoScans:
+    @pytest.mark.parametrize("phi_d", [0.1, 0.25, 0.485, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("n_list", [[2, 3, 4, 5], list(range(5, 13)),
+                                        [20, 40, 60, 80]],
+                             ids=["2-5", "5-12", "20-80"])
+    @pytest.mark.parametrize("modes", [scanner.MODES,
+                                       *((m,) for m in scanner.MODES)],
+                             ids=["both", *scanner.MODES])
+    def test_bit_for_bit_and_the_first_refusal(self, phi_d, n_list, modes):
+        got = _outcome(lambda: scanner._widths(np.array(n_list), phi_d, 1,
+                                               modes, 65))
+        expected = _outcome(lambda: _auto_scan_widths(n_list, phi_d, modes))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert [np.array(w).tobytes() for w in got] == \
+                [np.array(w).tobytes() for w in expected]
+
+    def test_some_cases_are_refused(self):
+        # the comparison above covers refusals: N = 2 is not bracketed
+        # within the cap in position mode at small phi_d
+        with pytest.raises(RangeCapError, match="kicks=2, mode=position"):
+            _auto_scan_widths([2, 3, 4, 5], 0.485, scanner.MODES)
+
+    def test_a_width_refusal_surfaces_before_a_later_mode_range_refusal(
+            self, monkeypatch):
+        # position: bracketed, but its width refused; fidelity: never
+        # bracketed. Mode by mode, the position width fails first.
+        position, fidelity = (scanner.PROBES[m] for m in ("position", "fidelity"))
+        monkeypatch.setitem(scanner.PROBES, "position", position._replace(
+            level=lambda values: float(values.max()) + 1.0))
+        monkeypatch.setitem(scanner.PROBES, "fidelity", fidelity._replace(
+            adequate=lambda values: False))
+        for call in (lambda: compare_modes([5, 6, 7, 8], 0.485, 1),
+                     lambda: _auto_scan_widths([5, 6, 7, 8], 0.485, scanner.MODES)):
+            with pytest.raises(NoCrossingError, match="peak sits below"):
+                call()
+        # and the fidelity range refusal surfaces once no width fails first
+        monkeypatch.setitem(scanner.PROBES, "position", position)
+        with pytest.raises(RangeCapError, match="kicks=5, mode=fidelity"):
+            compare_modes([5, 6, 7, 8], 0.485, 1)
+
