@@ -13,13 +13,17 @@ first_order stages) live only in the standalone manifest file; the
 manifest block embedded in data files omits them, keeping outputs
 byte-stable across re-runs. --threads is accepted and has no effect: a
 sweep runs in one thread. scan makes one core call per probe step and
-per block of up to 128 detunings; scaling makes two per kick number, one
-block of every probe step's detunings and one of every final grid's.
+per block of up to 128 detunings; scaling makes about two per kick
+number: one block of the probe steps up to the deepest one the previous
+kick number stopped at (every probe step for the first), one call per
+probe step climbed past it, and one block of every final grid.
 scan refuses a profile it cannot take the
 width of (exit 3) in CSV as well as in JSON, although only the JSON file
 carries the width. scaling measures its
 widths from the simulation: --mode both writes the two laws side by
-side, one mode writes that mode's widths and fit.
+side, one mode writes that mode's widths and fit. No command creates
+--out before its measurement returns, so a run refused while it measures
+leaves no directory behind.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters (a ValueError or
 an OSError), 3 a numerical invariant failed (a NumericalError, whose
@@ -207,7 +211,6 @@ def _fit_block(ws) -> dict:
 
 
 def _cmd_scaling(args) -> tuple[Path, dict]:
-    out = _out_dir(args.out)
     n_list = list(range(args.n_from, args.n_to + 1))
     config = {
         "phi_d": args.phi_d,
@@ -233,6 +236,7 @@ def _cmd_scaling(args) -> tuple[Path, dict]:
                    "width": _listify(ws.widths)}
         fit = _fit_block(ws)
     manifest = _manifest("scaling", config)
+    out = _out_dir(args.out)
     _write_table(out, "scaling", args.format, manifest, columns,
                  extra={"fit": fit})
     return out, manifest
@@ -294,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=65)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored; a sweep runs in one thread, "
-                        "two core calls per kick number: every probe step, "
-                        "then every final grid")
+                        "about two core calls per kick number: the probe "
+                        "steps up to the previous kick number's stop, then "
+                        "every final grid")
     p.set_defaults(func=_cmd_scaling)
     return parser
 

@@ -49,21 +49,26 @@ scan_epsilon over the auto_range range in one open sweep: the probe grids
 and the final grid are all multiples of r/2^k, so every repeated |detuning|
 is the identical float and is computed once. _widths keeps one sweep per
 kick number, read by every mode it measures, and reads it in two blocks:
-the union of every rung's probe grid up to RANGE_CAP, then the union of
-every mode's final grid. Each mode's ladder walk and final scan then find
-every value in the sweep, so a width law makes two core calls per kick
-number (while a union fits in SWEEP_BLOCK), the rungs past the one a
-mode stops at included: compare_modes over N = 5..18 makes 28 calls on
-994 rows. A sweep of that size is bound by per-call overhead, so those
-rows cost less than the calls of one read per probe step and per mode.
-auto_range and auto_scan called on their own keep one read per rung,
-where for one mode the two roughly cancel. width_scaling and
-compare_modes accept a threads argument and ignore it, because the
-contract tests and the benchmark's sweep workload pass one (timings in
-the README); no other sweep takes one. Detunings beyond the config
-validity window are legitimate here: the propagation is exact unitary
-evolution at any detuning (the 1e-2 window bounds only the first-order
-analytics), and at small kick numbers the profile tails extend past it.
+the union of the probe grids of rungs 0..k*, where k* is the deepest rung
+any mode's walk stopped at for the previous kick number in the list (every
+rung up to RANGE_CAP for the first), then the union of every mode's final
+grid. A walk that climbs past the first block reads each further rung in
+one core call, as a lone auto_range does; every other value the walks and
+final scans ask for is in the sweep. The widths follow power laws in N, so
+the rung a walk stops at hardly moves from one kick number to the next,
+and a width law makes about two core calls per kick number (while a union
+fits in SWEEP_BLOCK): compare_modes over N = 5..18 makes 29 calls on 773
+rows, one more call than with every rung up to the cap in the first block,
+at N = 6, where the position walk climbs one rung past N = 5's stop, and
+221 fewer rows, which lay above every stop and were never read.
+auto_range and auto_scan called on their own keep one read per rung.
+width_scaling and compare_modes accept a threads argument and ignore it,
+because the contract tests and the benchmark's sweep workload pass one
+(timings in the README); no other sweep takes one. Detunings beyond the
+config validity window are legitimate here: the propagation is exact
+unitary evolution at any detuning (the 1e-2 window bounds only the
+first-order analytics), and at small kick numbers the profile tails
+extend past it.
 """
 from __future__ import annotations
 
@@ -480,8 +485,10 @@ def width_scaling(
     """Measure profile widths over the given kick numbers and fit the law.
 
     Per kick number, the auto_scan width, bit for bit, from two block
-    reads of one sweep (_widths): every rung's probe grid, then the final
-    grid. Each distinct |detuning| is propagated once.
+    reads of one sweep (_widths): the probe grids of the rungs up to the
+    previous kick number's stop, then the final grid; a walk past that
+    stop reads each further rung on its own. Each distinct |detuning| is
+    propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
     return _fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
@@ -492,18 +499,24 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
     """Per mode, the auto_scan width at each kick number, bit for bit.
 
     The modes of one kick number read one sweep, in two blocks: the union
-    of every rung's probe grid, after which each mode's ladder walk (the
-    one auto_range makes) finds every value in the sweep, and then the
-    union of every mode's final grid, after which each scan_epsilon does.
-    So a kick number costs two core calls for as long as a union fits in
-    SWEEP_BLOCK, however many rungs the walks climb, and every mode
-    observes both blocks. An unknown mode and bad points are refused
-    before the first block. A
-    mode whose ladder brackets nothing raises its RangeCapError only after
-    the widths of the modes before it, as a mode-by-mode auto_scan would.
-    The sweep is closed when that kick number is done, and on any error.
+    of the probe grids of rungs 0..k*, where k* is the deepest rung any
+    mode's walk stopped at for the previous kick number (every rung up to
+    RANGE_CAP for the first), and then the union of every mode's final
+    grid, after which each scan_epsilon finds every value in the sweep.
+    Each mode's ladder walk (the one auto_range makes) reads its rungs
+    from the sweep, and a rung past the first block in one core call of
+    its own. So a kick number costs two core calls, plus one per rung a
+    walk climbs past the previous stop, for as long as a union fits in
+    SWEEP_BLOCK, and every mode observes every block. An unknown mode and
+    bad points are refused before the first block. A mode whose ladder
+    brackets nothing raises its RangeCapError only after the widths of
+    the modes before it, as a mode-by-mode auto_scan would. The sweep is
+    closed when that kick number is done, and on any error.
     """
     widths: list[list[float]] = [[] for _ in modes]
+    # rungs in the first block: all of them for the first kick number, then
+    # up to the deepest one a walk of the previous kick number stopped at
+    depth = None
     for N in n_arr.tolist():
         # the sweep refuses an unknown mode, then points are checked,
         # before either block propagates
@@ -511,8 +524,9 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
             points = _check_points(points)
             rungs = _rungs(N, RANGE_CAP)
             # each block is observed in every mode; the walks and scans
-            # below read its values
-            sweep.read(modes[0], [e for r in rungs
+            # below read its values, and a walk past the first block reads
+            # each further rung in one core call
+            sweep.read(modes[0], [e for r in rungs[:depth]
                                   for e in _symmetric_grid(r, PROBE_POINTS).tolist()])
             ranges = []
             for mode in modes:
@@ -526,6 +540,7 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
                 column.append(scan_width(scan_epsilon(N, phi_d, l, mode, r, points)))
             if len(ranges) < len(modes):
                 raise _range_cap_error(N, modes[len(ranges)], RANGE_CAP)
+            depth = max(map(rungs.index, ranges)) + 1
     return widths
 
 
@@ -555,9 +570,11 @@ def compare_modes(
 
     Bit for bit the two width_scaling calls, but each kick number is
     measured in both modes before the next, from one set of driven rows:
-    one block of every rung's probe grid and one of both final grids, each
-    observed in both modes. So the first error raised is that of the first
-    kick number that fails.
+    one block of the probe grids up to the deepest rung either walk
+    stopped at for the previous kick number, one core call per rung a walk
+    climbs past it, and one block of both final grids, each observed in
+    both modes. So the first error raised is that of the first kick number
+    that fails.
     """
     n_arr = _kick_numbers(n_list, least=2)
     pos, fid = (_fit_widths(n_arr, w)

@@ -261,6 +261,17 @@ class TestScanCommand:
                 in capsys.readouterr().err)
         assert not list((tmp_path / "x").glob("scan.*"))
 
+    def test_range_of_too_few_floats_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "scan", "--mode", "position", "--kicks", "8",
+            "--eps-max", "5e-324", "--out", str(out),
+        ])
+        assert code == 2
+        assert ("cannot hold 65 distinct detunings"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_points_exits_2(self, tmp_path):
         code = main([
             "scan", "--kicks", "5", "--mode", "fidelity", "--points", "34",
@@ -350,6 +361,16 @@ class TestScalingCommand:
         assert doc["data"] == {"N": [5, 6, 7, 8], "width": law.widths.tolist()}
         assert doc["fit"] == {"gamma": law.gamma, "intercept": law.intercept,
                               "r_squared": law.r_squared}
+
+    @pytest.mark.parametrize("argv,exit_code", [
+        (["--mode", "both", "--n-from", "1", "--n-to", "8"], 2),
+        (["--mode", "position", "--points", "64"], 2),
+        (["--mode", "both", "--phi-d", "0.1", "--n-from", "5", "--n-to", "12"], 3),
+    ], ids=["kick-number", "points", "range-cap"])
+    def test_refused_run_leaves_no_directory(self, tmp_path, argv, exit_code):
+        out = tmp_path / "D"
+        assert main(["scaling", *argv, "--out", str(out)]) == exit_code
+        assert not out.exists()
 
 
 def test_json_refuses_non_finite_and_writes_nothing(tmp_path):

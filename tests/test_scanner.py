@@ -151,16 +151,39 @@ class TestEpsilonScan:
         assert _law_bits(a) == _law_bits(b)
 
 
-def _ladder_grid(N):
-    """The probe grids of every rung of auto_range's doubling ladder, from
-    0.1/N^2 up to RANGE_CAP, each +- pair as its -|epsilon|: the block a
-    width law reads before any mode walks its ladder."""
-    expected, r = set(), 0.1 / N**2
+def _ladder(N):
+    """auto_range's doubling ladder: 0.1/N^2, 0.2/N^2, ..., RANGE_CAP."""
+    rungs, r = [], 0.1 / N**2
     while r < scanner.RANGE_CAP:
-        expected.update(_symmetric_grid(r, scanner.PROBE_POINTS).tolist())
+        rungs.append(r)
         r *= 2.0
-    expected.update(_symmetric_grid(scanner.RANGE_CAP, scanner.PROBE_POINTS).tolist())
-    return {swept(e) for e in expected}
+    return rungs + [scanner.RANGE_CAP]
+
+
+def _ladder_grid(N, top):
+    """The probe grids of the ladder's rungs up to rung top (counted from
+    0), or up to RANGE_CAP when top is None, each +- pair as its
+    -|epsilon|."""
+    return {swept(e) for r in _ladder(N)[:None if top is None else top + 1]
+            for e in _symmetric_grid(r, scanner.PROBE_POINTS).tolist()}
+
+
+def _stop(N, mode):
+    """The rung, counted from 0, at which a mode's ladder walk stops."""
+    return _ladder(N).index(auto_range(N, 0.485, 1, mode))
+
+
+def _walked_grid(n_list, modes):
+    """Per kick number, the probe rows a width law over n_list propagates:
+    every rung for the first kick number, then every rung up to the deepest
+    one any mode stopped at for the previous kick number, and every rung a
+    walk climbs past those."""
+    expected, top = {}, None
+    for N in n_list:
+        stops = [_stop(N, mode) for mode in modes]
+        expected[N] = _ladder_grid(N, None if top is None else max(top, *stops))
+        top = max(stops)
+    return expected
 
 
 def _scan_grid(N, mode):
@@ -232,13 +255,14 @@ class TestBatchedSweep:
         n_list = [5, 6, 7, 8]
         ws = width_scaling(n_list, 0.485, 1, mode)
         rows, observed = list(counted_rows), list(reads)
-        # every rung of the ladder up to the cap, then the final grid
-        expected = {N: _ladder_grid(N) | _scan_grid(N, mode) for N in n_list}
+        # the rungs of the first block and those walked past it, then the
+        # final grid
+        walked = _walked_grid(n_list, (mode,))
         for N in n_list:
             propagated = [e for kicks, e in rows if kicks == N]
             assert len(propagated) == len(set(propagated))
-            assert set(propagated) == expected[N]
-        assert len(rows) == {"position": 201, "fidelity": 202}[mode]
+            assert set(propagated) == walked[N] | _scan_grid(N, mode)
+        assert len(rows) == {"position": 171, "fidelity": 159}[mode]
         # each row is observed once, in this mode only
         assert {m for m, _, _ in observed} == {mode}
         assert sum(n for _, n, _ in observed) == len(rows)
@@ -343,21 +367,24 @@ class TestSharedRows:
         n_list = list(range(5, 19))
         compare_modes(n_list, 0.485, 1, points=65)
         rows = list(counted_rows)
-        assert len(rows) == len(set(rows)) == 994
+        assert len(rows) == len(set(rows)) == 773
         observed = {mode: 0 for mode in scanner.MODES}
         for mode, n, _ in reads:
             observed[mode] += n
+        walked = _walked_grid(n_list, scanner.MODES)
         for N in n_list:
             propagated = {e for kicks, e in rows if kicks == N}
-            # every rung of the ladder up to the cap, then both final grids
-            assert propagated == (_ladder_grid(N) | _scan_grid(N, "position")
+            # the rungs of the first block and those walked past it, then
+            # both final grids
+            assert propagated == (walked[N] | _scan_grid(N, "position")
                                   | _scan_grid(N, "fidelity"))
         # each mode observes each propagated row exactly once
         assert observed == {mode: len(rows) for mode in scanner.MODES}
 
-    def test_compare_modes_makes_two_core_calls_per_kick_number(self, monkeypatch,
-                                                                 reads):
-        # one block of every rung's probe grid, one of every final grid
+    def test_compare_modes_core_calls_per_kick_number(self, monkeypatch, reads):
+        # per kick number one block of the predicted rungs' probe grids, one
+        # core call per rung a walk climbs past them, one block of every
+        # final grid
         calls = []
         original = scanner._run
 
@@ -369,8 +396,11 @@ class TestSharedRows:
         monkeypatch.setattr(scanner, "_run", counting)
         n_list = list(range(5, 19))
         compare_modes(n_list, 0.485, 1, points=65)
-        assert len(calls) == 28
-        assert [kicks for kicks, _ in calls] == [N for N in n_list for _ in (1, 2)]
+        assert len(calls) == 29
+        assert sum(n for _, n in calls) == 773
+        # the position walk at N = 6 climbs one rung past N = 5's stop
+        assert [kicks for kicks, _ in calls] == \
+            [N for N in n_list for _ in range(3 if N == 6 else 2)]
         # each stack is observed once in every mode, as it is returned
         for mode in scanner.MODES:
             assert [n for m, n, _ in reads if m == mode] == [n for _, n in calls]
@@ -515,6 +545,12 @@ class TestBadBounds:
     def test_scan_refuses_epsilon_max(self, bad, no_propagation):
         with pytest.raises(ValueError, match="epsilon_max"):
             scan_epsilon(5, 0.485, 1, "fidelity", bad)
+
+    def test_scan_refuses_a_range_of_too_few_floats(self, no_propagation):
+        # 5e-324 is the least subnormal: 65 grid points coincide
+        with pytest.raises(ValueError,
+                           match="cannot hold 65 distinct detunings"):
+            scan_epsilon(8, 0.485, 1, "position", 5e-324)
 
     @pytest.mark.parametrize("bad", BAD_BOUNDS)
     def test_auto_range_refuses_cap(self, bad, no_propagation):
@@ -740,15 +776,21 @@ def _outcome(call):
 
 class TestWidthsAreAutoScans:
     @pytest.mark.parametrize("phi_d", [0.1, 0.25, 0.485, 1.0, 2.0, 4.0])
+    # the last two lists defeat the previous kick number's stop as a
+    # prediction of the next one's: they descend, or jump
     @pytest.mark.parametrize("n_list", [[2, 3, 4, 5], list(range(5, 13)),
-                                        [20, 40, 60, 80]],
-                             ids=["2-5", "5-12", "20-80"])
+                                        [20, 40, 60, 80], [18, 12, 8, 5],
+                                        [5, 6, 40, 41]],
+                             ids=["2-5", "5-12", "20-80", "18-5", "5-41"])
     @pytest.mark.parametrize("modes", [scanner.MODES,
                                        *((m,) for m in scanner.MODES)],
                              ids=["both", *scanner.MODES])
-    def test_bit_for_bit_and_the_first_refusal(self, phi_d, n_list, modes):
+    def test_bit_for_bit_and_the_first_refusal(self, phi_d, n_list, modes,
+                                               counted_rows):
         got = _outcome(lambda: scanner._widths(np.array(n_list), phi_d, 1,
                                                modes, 65))
+        # within a kick number, no |detuning| is propagated twice
+        assert len(counted_rows) == len(set(counted_rows))
         expected = _outcome(lambda: _auto_scan_widths(n_list, phi_d, modes))
         if isinstance(expected, tuple):
             assert got == expected
@@ -761,6 +803,11 @@ class TestWidthsAreAutoScans:
         # within the cap in position mode at small phi_d
         with pytest.raises(RangeCapError, match="kicks=2, mode=position"):
             _auto_scan_widths([2, 3, 4, 5], 0.485, scanner.MODES)
+        # and at phi_d = 0.1 the echo is not, after the position width at
+        # the first kick number
+        assert _auto_scan_widths([5], 0.1, ("position",))[0][0] > 0
+        with pytest.raises(RangeCapError, match="kicks=5, mode=fidelity"):
+            _auto_scan_widths(list(range(5, 13)), 0.1, scanner.MODES)
 
     def test_a_width_refusal_surfaces_before_a_later_mode_range_refusal(
             self, monkeypatch):
@@ -779,4 +826,5 @@ class TestWidthsAreAutoScans:
         monkeypatch.setitem(scanner.PROBES, "position", position)
         with pytest.raises(RangeCapError, match="kicks=5, mode=fidelity"):
             compare_modes([5, 6, 7, 8], 0.485, 1)
+
 
