@@ -43,11 +43,14 @@ every mode the sweep serves as soon as the core returns it: the sweep
 keeps values, never rows, and a read keeps one block's stack at a time,
 whatever its point count and however many modes the sweep serves. A
 two-mode sweep thus also observes, in the other mode, the rows only one
-mode asked for. auto_range, auto_scan and _widths keep one sweep open
-while they run; every other call sweeps on its own. auto_scan is
-scan_epsilon over the auto_range range in one open sweep: the probe grids
-and the final grid are all multiples of r/2^k, so every repeated |detuning|
-is the identical float and is computed once. _widths keeps one sweep per
+mode asked for. Each public sweep function builds its sweeps itself
+and hands them to the walks and scans it runs, so what shares a sweep is
+read off the call graph, and no sweep outlives the call that built it:
+scan_epsilon builds one for its grid, and auto_range one for its ladder
+walk. auto_scan is scan_epsilon over the auto_range range on one sweep,
+which it hands to the walk and then to the scan: the probe grids and the
+final grid are all multiples of r/2^k, so every repeated |detuning| is
+the identical float and is computed once. _widths builds one sweep per
 kick number, read by every mode it measures, and reads it in two blocks:
 the union of the probe grids of rungs 0..k*, where k* is the deepest rung
 any mode's walk stopped at for the previous kick number in the list (every
@@ -61,7 +64,7 @@ fits in SWEEP_BLOCK): compare_modes over N = 5..18 makes 29 calls on 773
 rows, one more call than with every rung up to the cap in the first block,
 at N = 6, where the position walk climbs one rung past N = 5's stop, and
 221 fewer rows, which lay above every stop and were never read.
-auto_range and auto_scan called on their own keep one read per rung.
+auto_range and auto_scan read their ladder one rung at a time.
 width_scaling and compare_modes accept a threads argument and ignore it,
 because the contract tests and the benchmark's sweep workload pass one
 (timings in the README); no other sweep takes one. Detunings beyond the
@@ -72,8 +75,6 @@ extend past it.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -122,16 +123,18 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
 class _Sweep:
     """One sweep (kicks, phi_d, l): each mode's values, keyed by -|epsilon|.
 
-    read maps every requested detuning to -|epsilon| before the memo, so
-    a +- pair is propagated, observed and stored once, and both signs
-    read the identical float (module docstring); 0.0 stays 0.0. It is the
-    only caller of the core in this module, so no sweep bypasses the
-    keying. The missing keys are propagated SWEEP_BLOCK at a time, one
-    core call per block on its phase table, and each returned stack is
-    observed at once in every mode of the sweep, so every mode holds the
-    same keys and no stack outlives the read that made it. Each mode's
-    observer is made once per sweep from its PROBES entry, so the echo
-    target is built once per sweep.
+    A public sweep function builds it for the modes it measures and hands
+    it to each walk and scan that reads it, so it lives no longer than
+    that call. read maps every requested detuning to -|epsilon| before
+    the memo, so a +- pair is propagated, observed and stored once, and
+    both signs read the identical float (module docstring); 0.0 stays
+    0.0. It is the only caller of the core in this module, so no sweep
+    bypasses the keying. The missing keys are propagated SWEEP_BLOCK at a
+    time, one core call per block on its phase table, and each returned
+    stack is observed at once in every mode of the sweep, so every mode
+    holds the same keys and no stack outlives the read that made it. Each
+    mode's observer is made once per sweep from its PROBES entry, so the
+    echo target is built once per sweep.
     """
 
     def __init__(self, kicks: int, phi_d: float, l: int, modes: tuple):
@@ -222,39 +225,20 @@ PROBES = {
 MODES = tuple(PROBES)
 
 
-#: the sweep auto_range, auto_scan and _widths keep open; unset outside them
-_OPEN_SWEEP: contextvars.ContextVar[_Sweep | None] = contextvars.ContextVar(
-    "_OPEN_SWEEP", default=None)
-
-
-@contextlib.contextmanager
-def _open(kicks: int, phi_d: float, l: int, modes: tuple):
-    """Keep a sweep open for the block: the open one when it is of the same
-    (kicks, phi_d, l) and serves every mode in modes, else a new one."""
-    sweep = _OPEN_SWEEP.get()
-    if (sweep is None or sweep.key != (kicks, phi_d, l)
-            or not set(modes) <= sweep.values.keys()):
-        sweep = _Sweep(kicks, phi_d, l, modes)
-    token = _OPEN_SWEEP.set(sweep)
-    try:
-        yield sweep
-    finally:
-        _OPEN_SWEEP.reset(token)
-
-
 def _sweep_values(
     mode: str,
     kicks: int,
     phi_d: float,
     l: int,
     epsilons: np.ndarray,
-    # unused: the benchmark's probe-step test wraps this signature
-    threads: int = 1,
+    sweep: _Sweep | None = None,
 ) -> np.ndarray:
-    """The observable at each detuning, read from the open sweep, or from a
-    sweep of this call alone when none of (kicks, phi_d, l) is open."""
-    with _open(kicks, phi_d, l, (mode,)) as sweep:
-        return np.array(sweep.read(mode, epsilons.tolist()))
+    """The observable at each detuning, read from sweep, a sweep of
+    (kicks, phi_d, l) that serves the mode; None is a one-mode sweep of
+    this call alone. Every ladder rung and every scan grid is one call."""
+    if sweep is None:
+        sweep = _Sweep(kicks, phi_d, l, (mode,))
+    return np.array(sweep.read(mode, epsilons.tolist()))
 
 
 def _check_points(points: int) -> int:
@@ -320,8 +304,12 @@ def scan_epsilon(
     epsilon_max = _as_finite("epsilon_max", epsilon_max, positive=True)
     eps = _symmetric_grid(epsilon_max, points)
     # the sweep refuses an unknown mode before it propagates
-    vals = _sweep_values(mode, kicks, phi_d, l, eps)
-    return EpsilonScan(kicks, mode, eps, vals)
+    return _scan(_Sweep(kicks, phi_d, l, (mode,)), kicks, mode, eps)
+
+
+def _scan(sweep: _Sweep, kicks: int, mode: str, eps: np.ndarray) -> EpsilonScan:
+    """The mode's scan over the grid eps, read from sweep in one call."""
+    return EpsilonScan(kicks, mode, eps, _sweep_values(mode, *sweep.key, eps, sweep))
 
 
 def _rungs(kicks: int, cap: float) -> list[float]:
@@ -341,15 +329,14 @@ def _rungs(kicks: int, cap: float) -> list[float]:
     return rungs
 
 
-def _first_bracket(kicks: int, phi_d: float, l: int, mode: str,
-                   rungs: list[float]) -> float | None:
+def _first_bracket(sweep: _Sweep, mode: str, rungs: list[float]) -> float | None:
     """The first of the rungs whose probe sweep the mode's adequacy rule
     accepts, or None when none does. Each rung is one _sweep_values read
-    of PROBE_POINTS detunings."""
+    of PROBE_POINTS detunings from sweep."""
     probe = PROBES[mode]
     for r in rungs:
         grid = _symmetric_grid(r, PROBE_POINTS)
-        if probe.adequate(_sweep_values(mode, kicks, phi_d, l, grid)):
+        if probe.adequate(_sweep_values(mode, *sweep.key, grid, sweep)):
             return r
     return None
 
@@ -372,17 +359,16 @@ def auto_range(
     that brackets the profile by the adequacy rule of the mode's PROBES
     entry, so that a width extraction succeeds.
 
-    Each probe step is one sweep of PROBE_POINTS detunings, of which only
-    those the earlier steps (or the open sweep) did not evaluate are
-    propagated. Raises RangeCapError when no rung up to the cap brackets
-    the profile, and ValueError, before any probe, for a kick number whose
-    square is past the float range.
+    Each probe step reads PROBE_POINTS detunings from one sweep of this
+    call, which propagates only those the earlier steps did not evaluate.
+    Raises RangeCapError when no rung up to the cap brackets the profile,
+    and ValueError, before any probe, for a kick number whose square is
+    past the float range.
     """
     kicks = _as_int("kicks", kicks, 1)
     _check_mode(mode)
     rungs = _rungs(kicks, cap)
-    with _open(kicks, phi_d, l, (mode,)):
-        r = _first_bracket(kicks, phi_d, l, mode, rungs)
+    r = _first_bracket(_Sweep(kicks, phi_d, l, (mode,)), mode, rungs)
     if r is None:
         raise _range_cap_error(kicks, mode, cap)
     return r
@@ -398,13 +384,18 @@ def auto_scan(
     """The scan_epsilon sweep over [-r, r] for the range r that auto_range
     returns under RANGE_CAP, reusing the probes' detunings.
 
-    The probe ladder and the final grid read one open sweep, so each
-    distinct |detuning| is propagated once.
+    The probe ladder and the final grid read one sweep of this call, so
+    each distinct |detuning| is propagated once. Bad points are refused
+    first, then an unknown mode, then the kick number.
     """
     points = _check_points(points)
-    with _open(kicks, phi_d, l, (mode,)):
-        r = auto_range(kicks, phi_d, l, mode)
-        return scan_epsilon(kicks, phi_d, l, mode, r, points)
+    # the sweep refuses an unknown mode before the kick number is checked
+    sweep = _Sweep(kicks, phi_d, l, (mode,))
+    kicks = _as_int("kicks", kicks, 1)
+    r = _first_bracket(sweep, mode, _rungs(kicks, RANGE_CAP))
+    if r is None:
+        raise _range_cap_error(kicks, mode, RANGE_CAP)
+    return _scan(sweep, kicks, mode, _symmetric_grid(r, points))
 
 
 def scan_width(scan: EpsilonScan) -> float:
@@ -498,20 +489,22 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
             points: int) -> list[list[float]]:
     """Per mode, the auto_scan width at each kick number, bit for bit.
 
-    The modes of one kick number read one sweep, in two blocks: the union
-    of the probe grids of rungs 0..k*, where k* is the deepest rung any
-    mode's walk stopped at for the previous kick number (every rung up to
-    RANGE_CAP for the first), and then the union of every mode's final
-    grid, after which each scan_epsilon finds every value in the sweep.
-    Each mode's ladder walk (the one auto_range makes) reads its rungs
-    from the sweep, and a rung past the first block in one core call of
-    its own. So a kick number costs two core calls, plus one per rung a
-    walk climbs past the previous stop, for as long as a union fits in
-    SWEEP_BLOCK, and every mode observes every block. An unknown mode and
-    bad points are refused before the first block. A mode whose ladder
-    brackets nothing raises its RangeCapError only after the widths of
-    the modes before it, as a mode-by-mode auto_scan would. The sweep is
-    closed when that kick number is done, and on any error.
+    Each kick number builds one sweep that serves every mode and hands it
+    to all of that kick number's reads. It is read in two blocks: the
+    union of the probe grids of rungs 0..k*, where k* is the deepest rung
+    any mode's walk stopped at for the previous kick number (every rung
+    up to RANGE_CAP for the first), and then the union of every mode's
+    final grid, after which each mode's scan (the one scan_epsilon makes)
+    finds every value in the sweep. Each mode's ladder walk (the one auto_range makes) reads its
+    rungs from the sweep, and a rung past the first block in one core
+    call of its own. So a kick number costs two core calls, plus one per
+    rung a walk climbs past the previous stop, for as long as a union fits
+    in SWEEP_BLOCK, and every mode observes every block. An unknown mode
+    and bad points are refused before the first block. A mode whose
+    ladder brackets nothing raises its RangeCapError only after the widths
+    of the modes before it, as a mode-by-mode auto_scan would. The next
+    kick number builds a new sweep, and none outlives the call, whether
+    it returns or raises.
     """
     widths: list[list[float]] = [[] for _ in modes]
     # rungs in the first block: all of them for the first kick number, then
@@ -520,27 +513,27 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
     for N in n_arr.tolist():
         # the sweep refuses an unknown mode, then points are checked,
         # before either block propagates
-        with _open(N, phi_d, l, modes) as sweep:
-            points = _check_points(points)
-            rungs = _rungs(N, RANGE_CAP)
-            # each block is observed in every mode; the walks and scans
-            # below read its values, and a walk past the first block reads
-            # each further rung in one core call
-            sweep.read(modes[0], [e for r in rungs[:depth]
-                                  for e in _symmetric_grid(r, PROBE_POINTS).tolist()])
-            ranges = []
-            for mode in modes:
-                r = _first_bracket(N, phi_d, l, mode, rungs)
-                if r is None:
-                    break
-                ranges.append(r)
-            sweep.read(modes[0], [e for r in ranges
-                                  for e in _symmetric_grid(r, points).tolist()])
-            for mode, r, column in zip(modes, ranges, widths):
-                column.append(scan_width(scan_epsilon(N, phi_d, l, mode, r, points)))
-            if len(ranges) < len(modes):
-                raise _range_cap_error(N, modes[len(ranges)], RANGE_CAP)
-            depth = max(map(rungs.index, ranges)) + 1
+        sweep = _Sweep(N, phi_d, l, modes)
+        points = _check_points(points)
+        rungs = _rungs(N, RANGE_CAP)
+        # each block is observed in every mode; the walks and scans below
+        # read its values, and a walk past the first block reads each
+        # further rung in one core call
+        sweep.read(modes[0], [e for r in rungs[:depth]
+                              for e in _symmetric_grid(r, PROBE_POINTS).tolist()])
+        ranges = []
+        for mode in modes:
+            r = _first_bracket(sweep, mode, rungs)
+            if r is None:
+                break
+            ranges.append(r)
+        grids = [_symmetric_grid(r, points) for r in ranges]
+        sweep.read(modes[0], [e for grid in grids for e in grid.tolist()])
+        for mode, grid, column in zip(modes, grids, widths):
+            column.append(scan_width(_scan(sweep, N, mode, grid)))
+        if len(ranges) < len(modes):
+            raise _range_cap_error(N, modes[len(ranges)], RANGE_CAP)
+        depth = max(map(rungs.index, ranges)) + 1
     return widths
 
 

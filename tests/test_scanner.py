@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import math
 import re
@@ -345,16 +346,47 @@ def reads(monkeypatch, driven):
 
 @pytest.fixture
 def sweeps(monkeypatch):
-    """The open sweep at each core call, in call order."""
-    seen = []
-    original = scanner._run
+    """The sweep whose read made each core call, in call order; a core call
+    outside every read fails the test."""
+    seen, reading = [], []
+    run, read = scanner._run, scanner._Sweep.read
 
-    def spying(kicks, phi_d, phases, *args, **kwargs):
-        seen.append(scanner._OPEN_SWEEP.get())
-        return original(kicks, phi_d, phases, *args, **kwargs)
+    def spying_read(self, mode, epsilons):
+        reading.append(self)
+        try:
+            return read(self, mode, epsilons)
+        finally:
+            reading.pop()
 
-    monkeypatch.setattr(scanner, "_run", spying)
+    def spying_run(kicks, phi_d, phases, *args, **kwargs):
+        assert reading, "a core call outside a sweep read"
+        assert reading[-1].key == (kicks, phi_d, 1)
+        seen.append(reading[-1])
+        return run(kicks, phi_d, phases, *args, **kwargs)
+
+    monkeypatch.setattr(scanner._Sweep, "read", spying_read)
+    monkeypatch.setattr(scanner, "_run", spying_run)
     return seen
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """A weak reference to every _Sweep built, in build order."""
+    refs = []
+    init = scanner._Sweep.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(scanner._Sweep, "__init__", recording)
+    return refs
+
+
+def reachable(refs) -> int:
+    """How many of the weakly referenced sweeps something still holds."""
+    gc.collect()
+    return sum(ref() is not None for ref in refs)
 
 
 def _law_bits(ws):
@@ -413,6 +445,9 @@ class TestSharedRows:
             by_kicks.setdefault(sweep.key, set()).add(id(sweep))
         assert sorted(by_kicks) == [(N, 0.485, 1) for N in (5, 6, 7, 8)]
         assert all(len(ids) == 1 for ids in by_kicks.values())
+        # one kick number's reads all run before the next one's
+        assert [sweep.key[0] for sweep in sweeps] == \
+            sorted(sweep.key[0] for sweep in sweeps)
 
     def test_no_stack_survives_a_read(self, monkeypatch, driven, reads):
         # each stack is observed in both modes by the read that made it,
@@ -468,30 +503,34 @@ class TestSharedRows:
         assert cmp.crossover_fit == math.exp(
             (fid.intercept - pos.intercept) / (pos.gamma - fid.gamma))
 
-    def test_no_store_outlives_the_call(self, counted_rows):
+    def test_no_store_outlives_the_call(self, counted_rows, built):
         n_list = [8, 7, 6, 5]
         before = _law_bits(width_scaling(n_list, 0.485, 1, "position"))
-        assert scanner._OPEN_SWEEP.get() is None
+        assert len(built) == 4 and reachable(built) == 0
         compare_modes(n_list, 0.485, 1, points=33)
-        assert scanner._OPEN_SWEEP.get() is None
+        assert len(built) == 8 and reachable(built) == 0
         auto_range(5, 0.485, 1, "fidelity")
+        assert len(built) == 9 and reachable(built) == 0
         auto_scan(5, 0.485, 1, "fidelity")
-        assert scanner._OPEN_SWEEP.get() is None
+        scan_epsilon(5, 0.485, 1, "fidelity", 0.01)
+        assert len(built) == 11 and reachable(built) == 0
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
         # N = 6, 5 and 4 are bracketed within RANGE_CAP in both modes, N = 3
         # is not in position mode
         capped = [6, 5, 4, 3]
         counted_rows.clear()
+        built.clear()
         with pytest.raises(RangeCapError, match="kicks=3, mode=position"):
             compare_modes(capped, 0.485, 1)
         assert {kicks for kicks, _ in counted_rows} == {6, 5, 4, 3}
-        assert scanner._OPEN_SWEEP.get() is None
+        assert len(built) == 4 and reachable(built) == 0
         for call in (lambda: width_scaling(capped, 0.485, 1, "position"),
                      lambda: auto_range(3, 0.485, 1, "position"),
                      lambda: auto_scan(3, 0.485, 1, "position")):
+            built.clear()
             with pytest.raises(RangeCapError, match="kicks=3, mode=position"):
                 call()
-            assert scanner._OPEN_SWEEP.get() is None
+            assert built and reachable(built) == 0
         assert _law_bits(width_scaling(n_list, 0.485, 1, "position")) == before
 
     def test_every_stored_row_is_even(self, monkeypatch):
@@ -520,12 +559,12 @@ class TestSharedRows:
         eps = _symmetric_grid(0.4 / kicks**2, 33)
         second = next(mode for mode in scanner.MODES if mode != first)
         values = {}
-        with scanner._open(kicks, 0.485, 1, scanner.MODES):
-            # the first mode propagates every other row, the second reads
-            # those and propagates the rest, and the first then reads those
-            head = _sweep_values(first, kicks, 0.485, 1, eps[::2])
-            values[second] = _sweep_values(second, kicks, 0.485, 1, eps)
-            tail = _sweep_values(first, kicks, 0.485, 1, eps[1::2])
+        sweep = scanner._Sweep(kicks, 0.485, 1, scanner.MODES)
+        # the first mode propagates every other row, the second reads those
+        # and propagates the rest, and the first then reads those
+        head = _sweep_values(first, kicks, 0.485, 1, eps[::2], sweep)
+        values[second] = _sweep_values(second, kicks, 0.485, 1, eps, sweep)
+        tail = _sweep_values(first, kicks, 0.485, 1, eps[1::2], sweep)
         values[first] = np.empty(len(eps))
         values[first][::2], values[first][1::2] = head, tail
         assert sorted(counted_rows) == sorted({(kicks, swept(e)) for e in eps.tolist()})
@@ -578,6 +617,23 @@ class TestBadBounds:
                 scanner._widths(np.array([5, 6, 7, 8]), 0.485, 1,
                                 ("position", "bogus"), points)
 
+    @pytest.mark.parametrize("call, message", [
+        # points, then the mode (the sweep's), then the kick number
+        (lambda: auto_scan(2.5, 0.485, 1, "bogus"), "mode must be one of"),
+        (lambda: auto_scan(5, 0.485, 1, "bogus", points=64),
+         "points must be odd and >= 33"),
+        # the kick number, then the mode
+        (lambda: auto_range(2.5, 0.485, 1, "bogus"), "kicks must be an integer"),
+        # the grid, then the mode (the sweep's)
+        (lambda: scan_epsilon(5, 0.485, 1, "bogus", 5e-324),
+         "cannot hold 65 distinct detunings"),
+    ], ids=["auto_scan-kicks", "auto_scan-points", "auto_range-kicks",
+            "scan_epsilon-grid"])
+    def test_first_refusal_of_doubly_bad_input(self, call, message,
+                                               no_propagation):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestAutoRange:
     def test_position_default_case_succeeds(self):
@@ -606,9 +662,9 @@ class TestAutoRange:
         ranges, probes = [], []
         sweep_values = scanner._sweep_values
 
-        def recording(mode, kicks, phi_d, l, eps, threads=1):
+        def recording(mode, kicks, phi_d, l, eps, sweep=None):
             ranges.append(float(eps[-1]))
-            return sweep_values(mode, kicks, phi_d, l, eps, threads)
+            return sweep_values(mode, kicks, phi_d, l, eps, sweep)
 
         def never(values):
             probes.append(len(values))

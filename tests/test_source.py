@@ -20,9 +20,11 @@ reader of its rescale threshold _RESCALE; _bessel_j_ladder is its
 one-row case. One kick's reach has one owner too, wavepacket._kick_reach,
 the only place the literal 13.2 (its Airy widths) appears: the
 propagation length, the recurrence's top order and the dense oracle's
-kick band all take it from there. State that outlives a call has one
-owner as well: the only context variable is the sweep scanner keeps open
-(scanner._OPEN_SWEEP). The
+kick band all take it from there. No state outlives a call: no module
+makes a context variable. A sweep is an explicit scanner._Sweep, built
+only by scan_epsilon, auto_range, auto_scan, the width laws' _widths and,
+for a read given no sweep, scanner._sweep_values, and handed to every
+walk and scan that reads it. The
 dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
@@ -244,6 +246,58 @@ def test_stray_core_call_is_caught():
     assert owners(tree, is_core_call) == ["read", "_sweep_values", "<module>"]
 
 
+def is_sweep_build(node: ast.AST) -> bool:
+    """A construction of a sweep, _Sweep(...), by name or as an attribute
+    (scanner._Sweep)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "_Sweep"
+        or getattr(node.func, "attr", None) == "_Sweep")
+
+
+def none_case_builds(tree: ast.Module) -> int:
+    """Sweep constructions under an `if sweep is None:` of _sweep_values."""
+    return sum(len(owners(ast.Module(branch.body, []), is_sweep_build))
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_sweep_values"
+               for branch in ast.walk(node)
+               if isinstance(branch, ast.If)
+               and ast.unparse(branch.test) == "sweep is None")
+
+
+def test_only_the_sweep_functions_build_a_sweep():
+    # a sweep is shared by being handed down, so a walk or scan that built
+    # its own would propagate its rows a second time
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}" for name in owners(tree, is_sweep_build)]
+        if path.stem == "scanner":
+            # _sweep_values builds one only for a read given no sweep
+            assert none_case_builds(tree) == 1
+    assert found == ["scanner._sweep_values", "scanner.scan_epsilon",
+                     "scanner.auto_range", "scanner.auto_scan", "scanner._widths"]
+
+
+def test_stray_sweep_build_is_caught():
+    tree = ast.parse("def _sweep_values(m, e, sweep=None):\n"
+                     "    if sweep is None:\n"
+                     "        sweep = _Sweep(k, p, l, (m,))\n"
+                     "    return _Sweep(k, p, l, (m,)).read(m, e)\n"
+                     "def _first_bracket(sweep, m, rungs):\n"
+                     "    if sweep is None:\n"
+                     "        return scanner._Sweep(k, p, l, (m,))\n"
+                     "class _Walk:\n"
+                     "    def step(self):\n"
+                     "        return _Sweep(k, p, l, MODES)\n"
+                     "DEFAULT = _Sweep(1, 0.5, 1, MODES)\n"
+                     "def _scan(sweep=_Sweep):\n"
+                     "    return sweep\n")
+    assert owners(tree, is_sweep_build) == ["_sweep_values", "_sweep_values",
+                                            "_first_bracket", "step", "<module>"]
+    # the second build in _sweep_values is not under its None case
+    assert none_case_builds(tree) == 1
+
+
 def is_within_bin_term(node: ast.AST) -> bool:
     """A division by the literal 12, as in the within-bin variance dx * dx / 12."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
@@ -355,12 +409,12 @@ def context_variables(tree: ast.Module) -> list[str]:
     return sorted(found)
 
 
-def test_the_open_sweep_is_the_only_context_variable():
+def test_no_module_makes_a_context_variable():
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.stem}.{name}" for name in context_variables(tree)]
-    assert found == ["scanner._OPEN_SWEEP"]
+    assert found == []
 
 
 def test_stray_context_variable_is_caught():
