@@ -53,8 +53,9 @@ the state reaches about k phi_d sites. A long run therefore kicks its
 early periods on the ladder their reach needs (_stages): period k needs
 M_k = M - floor(phi_d (N - k)), never less than min(M,
 default_half_width(k, phi_d)), and a new stage starts wherever the FFT
-length of M_k halves. N = 2000 at phi_d = 0.485 runs on 270, 540, 1080
-and 2160 points; every N <= 96 is one stage. Each stage kicks on its own
+length of M_k shrinks by _STAGE_RATIO = 1.25. N = 2000 at phi_d = 0.485
+runs on ten stages, 256, 324, 432, 540, 675, 864, 1080, 1350, 1728 and
+2160 points; every N <= 23 is one stage. Each stage kicks on its own
 exact length and takes the central slice of the one table of free-flight
 factors, so a table the final ladder refuses is refused before period 1.
 
@@ -94,8 +95,10 @@ from .wavepacket import (
 
 #: dense route is an oracle, not a workhorse; keep the cost bounded
 DENSE_HALF_WIDTH_CAP = 512
-#: a new stage of a long run starts where the FFT length shrinks this much
-_STAGE_RATIO = 2
+#: a new stage of a long run starts where the FFT length shrinks this much;
+#: the finest ratio at which every N <= 23 at phi_d = 0.485 (the sweeps'
+#: 5..18 included) is still one stage
+_STAGE_RATIO = 1.25
 
 
 class LeakageError(NumericalError):
@@ -224,21 +227,21 @@ def _stages(kicks: int, phi_d: float, half_width: int) -> list[tuple[int, int]]:
     last period whose grid _propagation_points(M_k) is at most
     1/_STAGE_RATIO of that stage's grid. Each stage runs on the ladder of
     its own last period, which holds every period in it. At phi_d = 0.485
-    every N <= 96 is one stage.
+    every N <= 23 is one stage; N = 24 is the first with two.
     """
     def ladder(k: int) -> int:
         return max(half_width - math.floor(phi_d * (kicks - k)),
                    min(half_width, default_half_width(k, phi_d)))
 
-    def halved(k: int, n: int) -> bool:
+    def shrunk(k: int, n: int) -> bool:
         return _STAGE_RATIO * _propagation_points(ladder(k), phi_d) <= n
 
     stages = [(kicks, half_width)]
     n = _propagation_points(half_width, phi_d)
-    while stages[0][0] > 1 and halved(1, n):
-        # halved holds up to some period and fails after it: find that one
+    while stages[0][0] > 1 and shrunk(1, n):
+        # shrunk holds up to some period and fails after it: find that one
         last = bisect.bisect_left(range(1, stages[0][0]), True,
-                                  key=lambda k: not halved(k, n))
+                                  key=lambda k: not shrunk(k, n))
         stages.insert(0, (last, ladder(last)))
         n = _propagation_points(stages[0][1], phi_d)
     return stages

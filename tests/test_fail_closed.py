@@ -143,11 +143,11 @@ def test_sweep_block_with_one_overflowing_detuning_is_refused(mode):
 
 
 def test_table_refused_past_the_first_stage_is_refused_before_any_kick():
-    # N = 1000 runs in stages on ladders 127, 271 and 555; the phase table
-    # is read once, on the final ladder, so a table that only ladders wider
-    # than the first stage refuse still stops the run before period 1
+    # N = 1000 runs in nine stages, on ladders 73 up to 555; the phase
+    # table is read once, on the final ladder, so a table that only ladders
+    # wider than the first stage refuse still stops the run before period 1
     first = propagator._stages(1000, 0.485, 555)[0][1]
-    assert first == 127
+    assert first == 73
 
     def phases(m):
         if np.abs(m).max() > first:
@@ -160,7 +160,7 @@ def test_table_refused_past_the_first_stage_is_refused_before_any_kick():
 
 def test_phases_overflowing_only_at_the_final_edge_are_refused_before_any_kick():
     # 2 pi epsilon m^2 overflows at |m| = M = 193 (N = 300) and nowhere on
-    # the first stage's ladder, 91
+    # the first stage's ladder, 63
     epsilon = 1.7976931348623157e308 / (2 * math.pi * 192.5**2)
     spec = FreePhaseSpec.revival_relative(1, epsilon)
     spec.phases(np.arange(-192, 193))

@@ -27,6 +27,7 @@ from kickedrotor import propagator
 from kickedrotor.analytics import MINUS_I_POW, _bessel_j_ladder, _bessel_j_rows
 from kickedrotor.propagator import (
     DENSE_HALF_WIDTH_CAP,
+    _STAGE_RATIO,
     _kick,
     _kick_column,
     _kick_phases,
@@ -36,8 +37,9 @@ from kickedrotor.propagator import (
     _unitarity_error,
 )
 from kickedrotor.scanner import RANGE_CAP
-from kickedrotor.wavepacket import (EPSILON_VALIDITY, _fft_slots,
-                                    _kick_reach, _propagation_points)
+from kickedrotor.wavepacket import (EDGE_LEAK_BOUND, EPSILON_VALIDITY,
+                                    _fft_slots, _kick_reach,
+                                    _propagation_points)
 
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
@@ -56,7 +58,7 @@ def random_state(seed: int, M: int = 8, margin: int = 10) -> MomentumWavefunctio
     return MomentumWavefunction(M, vec / np.linalg.norm(vec))
 
 
-def kicked(amps: np.ndarray, kick: np.ndarray) -> np.ndarray:
+def kicked(amps: np.ndarray, kick: np.ndarray, period: int = 1) -> np.ndarray:
     # the spectral core's in-place period on one ladder state or a (P, 2M+1)
     # stack, with no free flight: placed in FFT order on the grid of kick,
     # kicked and truncated by factors that are 1 on the ladder, read back
@@ -67,7 +69,7 @@ def kicked(amps: np.ndarray, kick: np.ndarray) -> np.ndarray:
     buf[:, slots] = rows
     ladder = np.zeros(len(kick))
     ladder[slots] = 1.0
-    _kick(buf, kick, ladder, M, 1)
+    _kick(buf, kick, ladder, M, period)
     return buf[:, slots].reshape(amps.shape)
 
 
@@ -152,6 +154,53 @@ class TestKick:
         amps[8] = np.nan
         with pytest.raises(LeakageError):
             kicked(amps, _kick_phases(default_n_points(8), 0.485))
+
+
+def kick_edges(occupied: dict[tuple[int, int], float], period: int = 7):
+    """One period of a (3, 17) stack at half width 8, each row delta_{m,0}
+    plus occupied[(row, m)] put on site m of that row as its occupancy.
+
+    The kick is the identity (phi = 0 gives exactly 1 on the grid), so the
+    edge check reads the occupancies placed, to the transforms' rounding.
+    """
+    rows = np.zeros((3, 17), dtype=complex)
+    rows[:, 8] = 1.0
+    for (row, m), occ in occupied.items():
+        rows[row, 8 + m] = np.sqrt(occ)
+    kicked(rows, _kick_phases(_propagation_points(8, 0.485), 0.0), period)
+
+
+class TestKickEdgeRule:
+    """_kick refuses a period when |psi(+M)|^2 + |psi(-M)|^2 of any row of
+    the stack passes EDGE_LEAK_BOUND, or is NaN; no site inside the edges
+    counts."""
+
+    ABOVE = 1.01 * EDGE_LEAK_BOUND
+
+    @pytest.mark.parametrize("edge", [8, -8], ids=["plus_M", "minus_M"])
+    def test_one_edge_of_the_last_row_is_refused(self, edge):
+        with pytest.raises(LeakageError) as err:
+            kick_edges({(2, edge): self.ABOVE}, period=7)
+        assert err.value.occupancy == pytest.approx(self.ABOVE, rel=1e-6)
+        assert err.value.period == 7
+
+    def test_both_edges_of_one_row_add_up(self):
+        below = 0.6 * EDGE_LEAK_BOUND
+        kick_edges({(1, 8): below})
+        kick_edges({(1, -8): below})
+        with pytest.raises(LeakageError) as err:
+            kick_edges({(1, 8): below, (1, -8): below}, period=3)
+        assert err.value.occupancy == pytest.approx(2 * below, rel=1e-6)
+        assert err.value.period == 3
+
+    def test_sites_inside_the_edge_do_not_count(self):
+        kick_edges({(row, m): self.ABOVE for row in range(3) for m in (7, -7)})
+
+    def test_nan_at_an_edge_is_refused(self):
+        with pytest.raises(LeakageError) as err:
+            kick_edges({(1, -8): np.nan}, period=5)
+        assert math.isnan(err.value.occupancy)
+        assert err.value.period == 5
 
 
 class TestKickGrid:
@@ -580,16 +629,16 @@ class TestFidelityProtocol:
     def test_echo_runs_on_the_driven_ladder(self):
         # the reversed pulse is read as an overlap, so the ladder is sized
         # for N*phi_d (M = 555), not for the doubled reach (M = 1058); the
-        # driven kicks run in three stages on 288, 576 and 1152 points and
-        # the one pulse of N*phi_d = 485 on 1728, each the length that
-        # kicks by its own phi exactly
+        # driven kicks run in nine stages on 180 to 1152 points and the one
+        # pulse of N*phi_d = 485 on 1728, each the length that kicks by its
+        # own phi exactly
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
             f = fidelity_protocol(1000, 0.485, 0.0)
         assert abs(f - 1.0) <= 1e-12
         assert default_half_width(1000, 0.485) == 555
         grids = [call.args for call in phases.call_args_list]
-        assert grids == [(288, 0.485), (576, 0.485), (1152, 0.485),
-                         (1728, 1000 * 0.485)]
+        driven = (180, 225, 288, 360, 450, 576, 720, 900, 1152)
+        assert grids == [(n, 0.485) for n in driven] + [(1728, 1000 * 0.485)]
         assert grids[-2:] == [(_propagation_points(555, phi), phi)
                               for phi in (0.485, 1000 * 0.485)]
 
@@ -811,16 +860,21 @@ def kick_ladders(run) -> tuple[object, list[tuple[int, int]]]:
 LONG_EPS = (0.0, 1e-8, -1e-8, 3e-7)
 
 
+#: (N, phi_d, M) of the stage-plan checks; M None is the default ladder
+STAGE_CASES = [
+    (300, 0.485, None), (1000, 0.485, None), (2000, 0.485, None),
+    (2000, 0.485, 2116), (400, 0.485, 452), (300, 0.485, 120),
+    (500, 2.3, None), (60, 40.0, None), (20, 0.485, 8), (7, 0.485, None),
+    (1, 0.485, None), (0, 0.485, None),
+]
+
+
 class TestStages:
     """A long run kicks its early periods on the ladder their reach needs:
-    period k on M - floor(phi_d (N - k)), in stages whose grids halve."""
+    period k on M - floor(phi_d (N - k)), in stages whose grids shrink by
+    _STAGE_RATIO (1.25) or more from one stage to the next."""
 
-    @pytest.mark.parametrize("kicks, phi, M", [
-        (300, 0.485, None), (1000, 0.485, None), (2000, 0.485, None),
-        (2000, 0.485, 2116), (400, 0.485, 452), (300, 0.485, 120),
-        (500, 2.3, None), (60, 40.0, None), (20, 0.485, 8), (7, 0.485, None),
-        (1, 0.485, None), (0, 0.485, None),
-    ])
+    @pytest.mark.parametrize("kicks, phi, M", STAGE_CASES)
     def test_ladders_grow_to_the_final_one(self, kicks, phi, M):
         M = default_half_width(kicks, phi) if M is None else M
         stages = _stages(kicks, phi, M)
@@ -831,11 +885,35 @@ class TestStages:
         assert ladders == sorted(ladders)
         grids = [_propagation_points(ladder, phi) for ladder in ladders]
         # each stage holds every period it runs, and its grid is at most
-        # half the next one's
+        # 1/_STAGE_RATIO of the next one's
         for last, ladder in stages:
             assert ladder >= min(M, default_half_width(last, phi))
             assert ladder >= M - math.floor(phi * (kicks - last))
-        assert all(2 * a <= b for a, b in zip(grids, grids[1:]))
+        assert all(_STAGE_RATIO * a <= b for a, b in zip(grids, grids[1:]))
+
+    @pytest.mark.parametrize("kicks, phi, M", STAGE_CASES)
+    def test_stage_ends_are_maximal(self, kicks, phi, M):
+        # a stage runs on the ladder of its last period, and it ends at the
+        # last period whose grid is still 1/_STAGE_RATIO of the next
+        # stage's: the period after it no longer is, so no stage ends early
+        M = default_half_width(kicks, phi) if M is None else M
+
+        def ladder(k):
+            return max(M - math.floor(phi * (kicks - k)),
+                       min(M, default_half_width(k, phi)))
+
+        def shrunk(k, n):
+            return _STAGE_RATIO * _propagation_points(ladder(k), phi) <= n
+
+        stages = _stages(kicks, phi, M)
+        for (last, ladder_s), (_, after) in zip(stages, stages[1:]):
+            n_next = _propagation_points(after, phi)
+            assert ladder_s == ladder(last)
+            assert shrunk(last, n_next)
+            assert not shrunk(last + 1, n_next)
+        # nor could another stage open before the first one
+        first, ladder_1 = stages[0]
+        assert first <= 1 or not shrunk(1, _propagation_points(ladder_1, phi))
 
     def test_run_follows_the_schedule(self):
         amps, steps = kick_ladders(lambda: _run(2000, 0.485, np.zeros_like))
@@ -845,35 +923,43 @@ class TestStages:
             expect += [ladder] * (last - first + 1)
             first = last + 1
         assert [ladder for _, ladder in steps] == expect
-        assert sorted(set(expect)) == [118, 253, 523, 1058]
+        assert sorted(set(expect)) == [111, 145, 199, 253, 320, 415, 523,
+                                       658, 847, 1058]
         assert amps.shape == (1, 2 * 1058 + 1)
 
     @pytest.mark.parametrize("kicks, grids", [
-        (300, [216, 432]), (1000, [288, 576, 1152]), (2000, [270, 540, 1080, 2160]),
+        (300, [160, 200, 256, 324, 432]),
+        (1000, [180, 225, 288, 360, 450, 576, 720, 900, 1152]),
+        (2000, [256, 324, 432, 540, 675, 864, 1080, 1350, 1728, 2160]),
     ])
     def test_long_orbit_grids(self, kicks, grids):
         stages = _stages(kicks, 0.485, default_half_width(kicks, 0.485))
         assert [_propagation_points(ladder, 0.485) for _, ladder in stages] == grids
 
     def test_short_runs_are_one_stage(self):
-        # the sweeps (N = 5..18), qkr scan --kicks 40 and the dense pair
-        # (M = 452, N = 400) run on one ladder, as before the stages
-        for kicks in range(0, 97):
+        # the sweeps (N = 5..18) run on one ladder, as before the stages;
+        # N = 24 is the first run in two, and qkr scan --kicks 40 and the
+        # dense pair (M = 452, N = 400) are staged
+        for kicks in range(0, 24):
             M = default_half_width(kicks, 0.485)
             assert _stages(kicks, 0.485, M) == [(kicks, M)]
-        assert _stages(400, 0.485, 452) == [(400, 452)]
-        assert len(_stages(400, 0.485, default_half_width(400, 0.485))) == 2
+        assert _stages(24, 0.485, 44) == [(1, 33), (24, 44)]
+        assert _stages(40, 0.485, 52) == [(9, 37), (40, 52)]
+        assert [default_half_width(kicks, 0.485) for kicks in (24, 40)] == [44, 52]
+        assert _stages(400, 0.485, 452) == [(51, 283), (224, 367), (400, 452)]
+        assert len(_stages(400, 0.485, default_half_width(400, 0.485))) == 6
 
-    @pytest.mark.parametrize("kicks", [5, 18, 40, 96])
+    @pytest.mark.parametrize("kicks", [5, 18, 23])
     def test_one_stage_rows_are_the_single_ladder_rows(self, kicks):
         block = functools.partial(_revival_phases, 1, (0.0, 1e-4, -3e-3))
         M = default_half_width(kicks, 0.485)
         assert np.array_equal(_run(kicks, 0.485, block),
                               single_ladder(kicks, 0.485, block, M))
 
-    @pytest.mark.parametrize("kicks", [300, 1000, 2000])
+    @pytest.mark.parametrize("kicks", [40, 96, 300, 1000, 2000])
     def test_staged_rows_match_the_single_ladder(self, kicks):
         M = default_half_width(kicks, 0.485)
+        assert len(_stages(kicks, 0.485, M)) > 1
         block = functools.partial(_revival_phases, 1, LONG_EPS)
         general = FreePhaseSpec.general(4 * math.pi * (1 + 1e-4)).phases
         for phases in (block, general):
@@ -890,7 +976,7 @@ class TestStages:
 
     def test_early_stage_leak_is_refused_at_its_period(self):
         # narrow every stage but the last by 40 sites: the first stage of
-        # N = 300 (M = 91 at period 89) then leaks, and the run is refused
+        # N = 300 (M = 63 at period 31) then leaks, and the run is refused
         # there, on the one final ladder it was sized with
         def narrowed(kicks, phi, M):
             stages = _stages(kicks, phi, M)
@@ -902,6 +988,6 @@ class TestStages:
                 with pytest.raises(LeakageError) as err:
                     _run(300, 0.485, block)
         assert [call.args for call in plan.call_args_list] == [(300, 0.485, 193)]
-        assert err.value.period <= 89
+        assert err.value.period <= 31
         steps = [(call.args[4], call.args[3]) for call in step.call_args_list]
-        assert steps == [(period, 51) for period in range(1, err.value.period + 1)]
+        assert steps == [(period, 23) for period in range(1, err.value.period + 1)]
