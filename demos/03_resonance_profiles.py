@@ -13,8 +13,8 @@ from kickedrotor import auto_range, scan_epsilon, scan_width
 KICKS = 5
 PHI_D = 0.485
 
-# Pick the sweep range automatically: it is grown or shrunk until the
-# feature is bracketed, so neither tail nor peak is clipped.
+# Pick the sweep range automatically: it doubles from 0.1/N^2 up to a cap
+# until the feature is bracketed, so neither tail nor peak is clipped.
 for mode in ("position", "fidelity"):
     reach = auto_range(KICKS, PHI_D, 1, mode)
     scan = scan_epsilon(KICKS, PHI_D, 1, mode, reach, points=65)

@@ -12,7 +12,9 @@ where the upward recurrence is not. It has one implementation,
 _bessel_j_rows, which steps any number of arguments through it together
 as arrays: the N arguments of perturbative_density in one block, and
 _bessel_j_ladder (and with it every closed form and kick column) as its
-one-row case.
+one-row case. Each row starts at one kick's reach past its argument
+(wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds exact zeros
+above it, however wide the ladder asked for.
 """
 from __future__ import annotations
 
@@ -29,9 +31,6 @@ MINUS_I_POW = np.array([1, -1j, -1, 1j])
 
 _DOMAIN_ORDER = 10_000
 _DOMAIN_ARG = 1_000.0
-_RESCALE = 1e250
-#: covers the rounding of the recurrence step and of its bound
-_SLACK = 1.0 + 1e-12
 
 
 class TruncationError(NumericalError):
@@ -42,12 +41,15 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
     table, absolute error <= 1e-12 for 0 <= x <= 1000 and n_max <= 10000.
 
-    Two branches, stepped together over the rows that take them: the
-    ascending series below x = 1e-4, and above it the downward recurrence,
-    where each row starts at its own top order, is rescaled when its own
-    value passes _RESCALE and is normalized by its own even-order sum. So
-    no row depends on the others in its block. Refuses (ValueError) an
-    order outside 0..10000 and an argument outside [0, 1000], NaN included.
+    Every row ends at one kick's reach, _kick_reach(x), past which
+    |J_m(x)| < 7e-16: its orders above that are exactly 0. Two branches,
+    stepped together over the rows that take them: the ascending series
+    below x = 1e-4, and above it the downward recurrence, where each row
+    starts at its own reach and is normalized by its own even-order sum.
+    So no row depends on the others in its block. Seeded at 1e-30, no
+    unnormalized value passes 1e149 (at x = 1e-4), so nothing is
+    rescaled. Refuses (ValueError) an order outside 0..10000 and an
+    argument outside [0, 1000], NaN included.
     """
     n_max = _as_int("n_max", n_max)
     if n_max < 0 or n_max > _DOMAIN_ORDER:
@@ -63,50 +65,21 @@ def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
         y = 0.25 * small * small
         term = np.ones_like(small)
         rows = np.zeros((len(small), n_max + 1))
-        for d in range(n_max + 1):
+        for d in range(min(n_max, _kick_reach(small.max())) + 1):
             rows[:, d] = term * (1.0 - y / (d + 1))
             term *= 0.5 * small / (d + 1)
-            if not term.any():
-                break
         table[series] = rows
     if series.all():
         return table
     x = x[~series]
-    # start the recurrence above both the requested order and the turning
-    # point |m| ~ x, where J_m(x) is already decaying, and at least one
-    # kick's reach past x (|J_m(x)| < 7e-16 there): the even-order sum
-    # misses every order above top, 1e-8 of it at x = 250 if top is x + 40
-    start = np.maximum(n_max, np.ceil(x).astype(int))
-    top = start + np.maximum(40, (2.5 * np.sqrt(start + 1.0)).astype(int))
-    top = np.maximum(top, [_kick_reach(v) for v in x])
+    top = np.array([_kick_reach(v) for v in x])
     K = int(top.max())
-    # orders down the first axis, one column per row; order K + 1 is the
-    # zero above every row's start
-    down = np.zeros((K + 2, len(x)))
-    ratio = np.empty(len(x))
-    tops = set(top.tolist())
-    down[K, top == K] = 1e-30
-    # upper bounds on max|down[k]| and max|down[k + 1]|, carried as Python
-    # floats: |J_{k-1}| <= (2k/x)|J_k| + |J_{k+1}|, with slack for the
-    # rounding of both sides; the exact rescale test runs only once the
-    # bound passes _RESCALE, so every rescale falls on the same order
-    x_min = float(x.min())
-    bound, above = 1e-30, 0.0
+    # orders down the first axis, one column per row; each row's seed sits
+    # at its top with zeros above it, and order K + 1 is the zero above all
+    down = np.zeros((max(K, n_max) + 2, len(x)))
+    down[top, np.arange(len(x))] = 1e-30
     for k in range(K, 0, -1):
-        here = down[k - 1]
-        np.divide(2.0 * k, x, out=ratio)
-        np.multiply(ratio, down[k], out=here)
-        here -= down[k + 1]
-        if k - 1 in tops:
-            here[top == k - 1] = 1e-30
-        grown = (2.0 * k / x_min * bound + above) * _SLACK
-        bound, above = max(grown, 1e-30), bound
-        if bound > _RESCALE:
-            big = np.abs(here) > _RESCALE
-            if big.any():
-                down[k - 1:, big] *= 1.0 / _RESCALE
-                above = float(np.abs(down[k]).max())
-            bound = float(np.abs(here).max())
+        down[k - 1] += 2.0 * k / x * down[k] - down[k + 1]
     # each row's own sum, over its own orders
     norm = [col[0] + 2.0 * np.sum(col[2:t + 1:2]) for col, t in zip(down.T, top)]
     down /= norm

@@ -27,12 +27,11 @@ c_{-d} = c_d, and both free-phase modes depend on m^2 only. It holds at
 quasi-momentum beta = 0 only: a row with beta != 0 is not even and would
 need the full ladder (kick_matrix). The spectral route propagates the
 full ladder, odd part included, and its parity test (TestParity in the
-propagator tests) stays the guard on that odd part. E is gathered from c
-without the orders past one kick's reach, |d| > _kick_reach(phi_d): each
-is below 7e-16 (below 5.7e-58 at phi_d = 0.485), and they are dropped for
-speed, not accuracy, since their products with the state's far tail
-underflow to slow subnormals. kick_matrix and the unitarity check keep
-the whole column.
+propagator tests) stays the guard on that odd part. The column's orders
+past one kick's reach, |d| > wavepacket._kick_reach(phi_d), are exact
+zeros, as in every Bessel row (analytics._bessel_j_rows); the true values
+are below 7e-16 (below 5.7e-58 at phi_d = 0.485), and zeros spare E's
+products with the state's far tail from underflowing to slow subnormals.
 
 The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
@@ -88,7 +87,6 @@ from .wavepacket import (
     _as_finite,
     _as_int,
     _fft_slots,
-    _kick_reach,
     _propagation_points,
     default_half_width,
 )
@@ -442,12 +440,9 @@ def evolve_dense(
     free-flight factors for m >= 0. A state that is not even, such as a
     quasi-momentum row with beta != 0, would need the full ladder.
 
-    E leaves out the orders past one kick's reach, |d| > _kick_reach(phi_d)
-    (none when the reach covers the ladder). Each is below 7e-16, and below
-    5.7e-58 at phi_d = 0.485; they are dropped because their products with
-    the state's far tail underflow to subnormals, which made up most of
-    the route's time, not for accuracy. The unitarity check still sees the
-    whole column.
+    c is exactly zero past one kick's reach (analytics._bessel_j_rows), so
+    E holds no products that would underflow to slow subnormals on the
+    state's far tail.
 
     Capped at half_width 512 because the dense cost grows quadratically.
     Free-flight factors that overflow raise ValueError before the kick
@@ -464,10 +459,6 @@ def evolve_dense(
     factors = spec.factors(m)
     c = _kick_column(config.phi_d, M)
     L = len(c)
-    # zero the orders D < |d| <= M, stored at D+1..L-D-1; on the far tail
-    # their products would underflow to slow subnormals
-    D = _kick_reach(config.phi_d)
-    c[D + 1:max(D + 1, L - D)] = 0.0
     E = c[np.subtract.outer(m, m) % L]
     E[:, 1:] += c[np.add.outer(m, m[1:]) % L]
     half = np.zeros(M + 1, dtype=complex)

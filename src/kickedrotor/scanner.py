@@ -231,13 +231,11 @@ def _sweep_values(
     phi_d: float,
     l: int,
     epsilons: np.ndarray,
-    sweep: _Sweep | None = None,
+    sweep: _Sweep,
 ) -> np.ndarray:
     """The observable at each detuning, read from sweep, a sweep of
-    (kicks, phi_d, l) that serves the mode; None is a one-mode sweep of
-    this call alone. Every ladder rung and every scan grid is one call."""
-    if sweep is None:
-        sweep = _Sweep(kicks, phi_d, l, (mode,))
+    (kicks, phi_d, l) that serves the mode. Every ladder rung and every
+    scan grid is one call."""
     return np.array(sweep.read(mode, epsilons.tolist()))
 
 

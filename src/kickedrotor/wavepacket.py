@@ -126,9 +126,10 @@ def _bessel_reach(x: float, widths: float) -> int:
 def _kick_reach(phi: float) -> int:
     """The reach of one kick of strength phi: ceil(|phi|) plus 13.2 Airy
     widths, and at least 32. Past it |J_d(phi)| < 7e-16 for every |phi| up
-    to 5000 (below 5.7e-58 at |phi| = 0.485); the propagation length, the
-    top of the Bessel recurrence and the dense oracle's kick band all
-    stop there."""
+    to 5000 (below 5.7e-58 at |phi| = 0.485). The propagation length stops
+    there, and every Bessel row starts there (analytics._bessel_j_rows),
+    its orders past it exact zeros, so the dense oracle's kick column and
+    every closed form hold zeros there too."""
     return _bessel_reach(abs(phi), 13.2)
 
 

@@ -20,6 +20,7 @@ from kickedrotor import (
     resonant_state,
     to_position,
 )
+from kickedrotor.wavepacket import _kick_reach
 
 TWO_PI = 2 * math.pi
 
@@ -70,10 +71,14 @@ class TestBessel:
         assert np.max(np.abs(row - ref)) < 1e-12
 
     def test_extreme_order_stays_finite(self):
-        row = bessel_j_row(1.0, 10_000)
-        assert np.all(np.isfinite(row))
-        assert np.max(np.abs(row)) <= 1.0
-        assert row[0] == pytest.approx(special.jv(0, 1.0), abs=1e-13)
+        # x = 1e-4, the smallest argument of the recurrence, grows the most
+        # from its seed: 7.5e148 at order 0, with no rescale
+        for x in (1e-4, 1.0, 1000.0):
+            row = bessel_j_row(x, 10_000)
+            assert np.all(np.isfinite(row)), x
+            assert np.max(np.abs(row)) <= 1.0, x
+            ref = special.jv(np.arange(10_001), x)
+            assert np.max(np.abs(row - ref)) <= 1e-12, x
 
     def test_zero_argument(self):
         row = bessel_j_row(0.0, 5)
@@ -113,9 +118,9 @@ class TestBessel:
 
 
 #: arguments across both branches of _bessel_j_rows: the ascending series
-#: below 1e-4 (zero and subnormals included), rescale-heavy small x, the
-#: default strength and its multiples, and x past every n_max below, where
-#: the recurrence starts at ceil(x) instead of n_max
+#: below 1e-4 (zero and subnormals included), small x, whose values grow
+#: the most down the recurrence, the default strength and its multiples,
+#: and x past every n_max below, whose rows are cut at n_max
 STEPPED_X = [0.0, 5e-324, 1e-300, 3e-9, 3e-5, 9.99e-5, 1e-4, 1.3e-4, 1e-3,
              0.01, 0.1, 0.485, 0.97, 2.0, 13.7, 97.0, 250.5, 999.0, 1000.0]
 
@@ -140,18 +145,22 @@ class TestSteppedRows:
         assert np.max(np.abs(table - ref)) <= 1e-12
 
     @pytest.mark.parametrize("n_max", [0, 40, 138, 452, 1200])
-    def test_bound_skips_no_rescale(self, n_max, monkeypatch):
-        # an infinite slack runs the exact rescale test on every order, as
-        # the recurrence did before it carried a bound on the row: the same
-        # rows, bit for bit, in a block and one by one
+    def test_mixed_block_is_its_one_row_cases(self, n_max):
+        # series rows and recurrences started at orders 33 to 1105, in one
+        # block: each row bit for bit its one-row case
         xs = [*STEPPED_X, *(k * 0.485 for k in range(1, 201, 9)),
               *np.random.default_rng(5).uniform(0.0, 1000.0, 20).tolist()]
         block = analytics._bessel_j_rows(xs, n_max)
-        rows = [bessel_j_row(x, n_max) for x in xs]
-        monkeypatch.setattr(analytics, "_SLACK", math.inf)
-        assert np.array_equal(block, analytics._bessel_j_rows(xs, n_max))
-        for x, row in zip(xs, rows):
+        for x, row in zip(xs, block):
             assert np.array_equal(row, bessel_j_row(x, n_max)), x
+
+    @pytest.mark.parametrize("n_max", [0, 40, 452, 1200, 10_000])
+    def test_rows_end_at_one_kicks_reach(self, n_max):
+        # the recurrence starts at _kick_reach(x), and the series stops
+        # there: every order above it is exactly zero
+        table = analytics._bessel_j_rows(STEPPED_X, n_max)
+        for x, row in zip(STEPPED_X, table):
+            assert not np.any(row[_kick_reach(x) + 1:]), x
 
     def test_perturbative_strengths(self):
         # the rows of qkr perturbative --kicks 200

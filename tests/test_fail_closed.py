@@ -35,7 +35,7 @@ from kickedrotor import (
     scan_epsilon,
 )
 from kickedrotor import propagator
-from kickedrotor.scanner import MODES, RANGE_CAP, _sweep_values
+from kickedrotor.scanner import MODES, RANGE_CAP, _Sweep, _sweep_values
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FRACTIONS = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
@@ -138,7 +138,9 @@ def test_overflow_refused_before_numpy_warns(spec):
 def test_sweep_block_with_one_overflowing_detuning_is_refused(mode):
     # the block's phase table is refused as a whole, on its largest |epsilon|
     epsilons = np.array([0.0, 5e-324, -RANGE_CAP, RANGE_CAP, 1e306])
-    err = assert_refused(lambda: _sweep_values(mode, 5, 0.485, 1, epsilons))
+    key = (5, 0.485, 1)
+    err = assert_refused(lambda: _sweep_values(
+        mode, *key, epsilons, _Sweep(*key, (mode,))))
     assert "overflow" in str(err)
 
 

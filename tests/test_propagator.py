@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from kickedrotor import (
     FreePhaseSpec,
@@ -402,10 +403,15 @@ def dense_loop_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
 
 def even_route_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
     """evolve_dense's even route with E gathered from the whole kick
-    column, no order past one kick's reach dropped."""
+    column, its orders past one kick's reach, D < |d| <= M, at their true
+    values (scipy) where the Bessel rows hold exact zeros."""
     M = config.half_width
     m = np.arange(M + 1)
     c = _kick_column(config.phi_d, M)
+    d = np.arange(_kick_reach(config.phi_d) + 1, M + 1)
+    tail = MINUS_I_POW[d % 4] * special.jv(d, config.phi_d)
+    c[d] = tail
+    c[len(c) - d] = tail
     E = c[np.subtract.outer(m, m) % len(c)]
     E[:, 1:] += c[np.add.outer(m, m[1:]) % len(c)]
     factors = free.factors(m)
@@ -564,34 +570,28 @@ class TestDenseRoute:
 
     @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6])
     def test_band_leaves_the_long_run_bit_identical(self, eps):
-        # the orders past one kick's reach, below 5.7e-58 at phi_d = 0.485,
-        # change no bit of the N = 400, M = 452 run
+        # the orders past one kick's reach, exact zeros in evolve_dense and
+        # below 5.7e-58 at their true values at phi_d = 0.485, change no bit
+        # of the N = 400, M = 452 run
         cfg = SimConfig(kicks=400, epsilon=eps, half_width=452)
         ref = even_route_reference(cfg, FreePhaseSpec.revival_relative(1, eps))
         assert np.array_equal(evolve_dense(cfg).amps, ref)
 
-    @pytest.mark.parametrize("past, moves", [(0, True), (1, False)])
-    def test_band_ends_at_one_kicks_reach(self, monkeypatch, past, moves):
-        # a 1e-9 plant at order D + past, on both signs so that the column
-        # stays even, and below the 1e-8 unitarity warning
-        M = 60
-        cfg = SimConfig(kicks=20, half_width=M)
-        clean = evolve_dense(cfg).amps
-        d = _kick_reach(cfg.phi_d) + past
-        ladder = _bessel_j_ladder(cfg.phi_d, M)
-        ladder[M + d] += 1e-9
-        ladder[M - d] += (-1) ** d * 1e-9
-        monkeypatch.setattr(propagator, "_bessel_j_ladder", lambda x, M: ladder)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            planted = evolve_dense(cfg).amps
-        assert np.array_equal(planted, clean) is not moves
+    @pytest.mark.parametrize("phi, M", [(0.485, 60), (5e-5, 60), (40.0, 150)])
+    def test_kick_column_is_zero_past_one_kicks_reach(self, phi, M):
+        # the Bessel rows end at one kick's reach D, so the column holds
+        # exact zeros at the orders D < |d| <= M, stored at D+1..L-D-1, and
+        # the order D on both signs is kept
+        c = _kick_column(phi, M)
+        D = _kick_reach(phi)
+        assert not np.any(c[D + 1:len(c) - D])
+        assert c[D] != 0 and c[len(c) - D] != 0
 
     def test_band_cut_at_a_strong_kick_is_the_elementwise_loop(self):
-        # at phi_d = 40 the band cuts at |J_77(40)| = 5.1e-16
+        # at phi_d = 40 the kick column ends at order 76, |J_77(40)| = 5.1e-16
         cfg = SimConfig(kicks=3, phi_d=40.0, half_width=150)
         D = _kick_reach(cfg.phi_d)
-        assert abs(_bessel_j_rows([cfg.phi_d], D + 1)[0][D + 1]) < 7e-16
+        assert abs(special.jv(D + 1, cfg.phi_d)) < 7e-16
         out = evolve_dense(cfg)
         ref = dense_loop_reference(cfg, FreePhaseSpec.revival_relative(1, 0.0))
         assert np.max(np.abs(out.amps - ref)) <= 1e-13

@@ -48,6 +48,13 @@ def block_detunings(phases) -> list[float]:
     return [phases.__self__.epsilon]
 
 
+def read_once(mode: str, kicks: int, epsilons: np.ndarray) -> np.ndarray:
+    """_sweep_values at phi_d = 0.485, l = 1 on a one-mode sweep of this
+    read alone."""
+    sweep = scanner._Sweep(kicks, 0.485, 1, (mode,))
+    return _sweep_values(mode, kicks, 0.485, 1, epsilons, sweep)
+
+
 def swept(epsilon: float) -> float:
     """The detuning a sweep propagates and observes for epsilon: -|epsilon|,
     so a +- pair is one row, and 0.0 stays 0.0."""
@@ -198,7 +205,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("kicks", [5, 12])
     def test_position_rows_equal_per_point_route(self, kicks):
         eps = _symmetric_grid(0.4 / kicks**2, 33)
-        batch = _sweep_values("position", kicks, 0.485, 1, eps)
+        batch = read_once("position", kicks, eps)
         single = []
         for e in eps:
             state = propagate(kicks, 0.485,
@@ -216,7 +223,7 @@ class TestBatchedSweep:
                 original(self)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        _sweep_values("position", 12, 0.485, 1, _symmetric_grid(0.4 / 12**2, 33))
+        read_once("position", 12, _symmetric_grid(0.4 / 12**2, 33))
         assert built == []
         # the patch does see the per-point route
         state = propagate(12, 0.485, FreePhaseSpec.revival_relative(1, 0.0))
@@ -227,7 +234,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("kicks", [5, 12])
     def test_fidelity_rows_equal_protocol(self, kicks):
         eps = _symmetric_grid(0.4 / kicks**2, 33)
-        batch = _sweep_values("fidelity", kicks, 0.485, 1, eps)
+        batch = read_once("fidelity", kicks, eps)
         single = [fidelity_protocol(kicks, 0.485, swept(e)) for e in eps]
         assert np.array_equal(batch, np.array(single))
 
@@ -244,10 +251,10 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(scanner, "_run", counting)
         monkeypatch.setattr(propagator, "_run", counting)
-        blocked = _sweep_values(mode, 5, 0.485, 1, eps)
+        blocked = read_once(mode, 5, eps)
         assert calls == [scanner.SWEEP_BLOCK, scanner.SWEEP_BLOCK, 33]
         monkeypatch.setattr(scanner, "SWEEP_BLOCK", len(eps))
-        assert np.array_equal(blocked, _sweep_values(mode, 5, 0.485, 1, eps))
+        assert np.array_equal(blocked, read_once(mode, 5, eps))
         assert calls[3:] == [len(eps) // 2 + 1]
 
     @pytest.mark.parametrize("mode", ["position", "fidelity"])
@@ -547,7 +554,7 @@ class TestSharedRows:
         monkeypatch.setattr(scanner, "_run", keeping)
         eps = sorted({*_symmetric_grid(0.4 / 12**2, 33).tolist(),
                       *_symmetric_grid(4.0 / 12**2, 33).tolist()})
-        _sweep_values("position", 12, 0.485, 1, np.array(eps))
+        read_once("position", 12, np.array(eps))
         assert sorted(rows) == sorted({swept(e) for e in eps})
         for row in rows.values():
             assert np.max(np.abs(row - row[::-1])) <= 1e-12

@@ -16,15 +16,14 @@ sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
 Bessel recurrence has one owner, analytics._bessel_j_rows, the only
-reader of its rescale threshold _RESCALE; _bessel_j_ladder is its
-one-row case. One kick's reach has one owner too, wavepacket._kick_reach,
-the only place the literal 13.2 (its Airy widths) appears: the
-propagation length, the recurrence's top order and the dense oracle's
-kick band all take it from there. No state outlives a call: no module
+place its seed literal 1e-30 appears; _bessel_j_ladder is its one-row
+case. One kick's reach has one owner too, wavepacket._kick_reach, the
+only place the literal 13.2 (its Airy widths) appears: the propagation
+length and the top order of every Bessel row, and so of the dense
+oracle's kick column, take it from there. No state outlives a call: no module
 makes a context variable. A sweep is an explicit scanner._Sweep, built
-only by scan_epsilon, auto_range, auto_scan, the width laws' _widths and,
-for a read given no sweep, scanner._sweep_values, and handed to every
-walk and scan that reads it. The
+only by scan_epsilon, auto_range, auto_scan and the width laws' _widths,
+and handed to every walk and scan that reads it. The
 dense oracle, propagator.evolve_dense, is checked against the spectral
 core and so reaches none of the core's pieces, directly or through the
 module's helpers it calls. The core takes its free flight as one phase table, so
@@ -254,16 +253,6 @@ def is_sweep_build(node: ast.AST) -> bool:
         or getattr(node.func, "attr", None) == "_Sweep")
 
 
-def none_case_builds(tree: ast.Module) -> int:
-    """Sweep constructions under an `if sweep is None:` of _sweep_values."""
-    return sum(len(owners(ast.Module(branch.body, []), is_sweep_build))
-               for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name == "_sweep_values"
-               for branch in ast.walk(node)
-               if isinstance(branch, ast.If)
-               and ast.unparse(branch.test) == "sweep is None")
-
-
 def test_only_the_sweep_functions_build_a_sweep():
     # a sweep is shared by being handed down, so a walk or scan that built
     # its own would propagate its rows a second time
@@ -271,11 +260,8 @@ def test_only_the_sweep_functions_build_a_sweep():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.stem}.{name}" for name in owners(tree, is_sweep_build)]
-        if path.stem == "scanner":
-            # _sweep_values builds one only for a read given no sweep
-            assert none_case_builds(tree) == 1
-    assert found == ["scanner._sweep_values", "scanner.scan_epsilon",
-                     "scanner.auto_range", "scanner.auto_scan", "scanner._widths"]
+    assert found == ["scanner.scan_epsilon", "scanner.auto_range",
+                     "scanner.auto_scan", "scanner._widths"]
 
 
 def test_stray_sweep_build_is_caught():
@@ -294,8 +280,6 @@ def test_stray_sweep_build_is_caught():
                      "    return sweep\n")
     assert owners(tree, is_sweep_build) == ["_sweep_values", "_sweep_values",
                                             "_first_bracket", "step", "<module>"]
-    # the second build in _sweep_values is not under its None case
-    assert none_case_builds(tree) == 1
 
 
 def is_within_bin_term(node: ast.AST) -> bool:
@@ -334,33 +318,30 @@ def test_second_sigma_arithmetic_is_caught():
     assert owners(tree, is_mirror_tie_test) == ["f", "g"]
 
 
-def reads_rescale(node: ast.AST) -> bool:
-    """A read of _RESCALE, the downward recurrence's rescale threshold, by
-    name or as an attribute (analytics._RESCALE)."""
-    return isinstance(getattr(node, "ctx", None), ast.Load) and (
-        getattr(node, "id", None) == "_RESCALE"
-        or getattr(node, "attr", None) == "_RESCALE")
+def is_recurrence_seed(node: ast.AST) -> bool:
+    """The literal 1e-30, the downward recurrence's seed at each row's top."""
+    return isinstance(node, ast.Constant) and node.value == 1e-30
 
 
 def test_bessel_recurrence_has_one_owner():
     found = []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.stem}.{name}" for name in owners(tree, reads_rescale)]
-    # the bound's test, the exact rescale test and its factor
-    assert found == ["analytics._bessel_j_rows"] * 3
+        found += [f"{path.stem}.{name}"
+                  for name in owners(tree, is_recurrence_seed)]
+    assert found == ["analytics._bessel_j_rows"]
 
 
 def test_stray_bessel_recurrence_is_caught():
-    tree = ast.parse("_RESCALE = 1e250\n"
+    tree = ast.parse("SEED = 1e-30\n"
                      "def bessel_j_row(x, n):\n"
-                     "    if abs(here) > _RESCALE:\n"
-                     "        here /= analytics._RESCALE\n"
+                     "    down[n] = 1e-30\n"
+                     "    return down / (1e-30 + norm)\n"
                      "def _bessel_j_rows(xs, n):\n"
                      "    return xs\n"
-                     "LIMIT = 2 * _RESCALE\n")
-    assert owners(tree, reads_rescale) == ["bessel_j_row", "bessel_j_row",
-                                           "<module>"]
+                     "TINY = 1e-300\n")
+    assert owners(tree, is_recurrence_seed) == ["<module>", "bessel_j_row",
+                                                "bessel_j_row"]
 
 
 def is_kick_reach_widths(node: ast.AST) -> bool:
