@@ -12,18 +12,17 @@ times (the total, and for perturbative the stage_s of its evolve and
 first_order stages) live only in the standalone manifest file; the
 manifest block embedded in data files omits them, keeping outputs
 byte-stable across re-runs. --threads is accepted and has no effect: a
-sweep runs in one thread. scan makes one core call per probe step and
-per block of up to 128 detunings; scaling makes about two per kick
-number: one block of the probe steps up to the deepest one the previous
-kick number stopped at (every probe step for the first), one call per
-probe step climbed past it, and one block of every final grid.
-scan refuses a profile it cannot take the
+sweep runs in one thread. scan refuses a profile it cannot take the
 width of (exit 3) in CSV as well as in JSON, although only the JSON file
-carries the width. scaling measures its
-widths from the simulation: --mode both writes the two laws side by
-side, one mode writes that mode's widths and fit. No command creates
---out before its measurement returns, so a run refused while it measures
-leaves no directory behind.
+carries the width. scaling measures its widths from the simulation:
+--mode both writes the two laws side by side, one mode writes that
+mode's widths and fit.
+
+Each subcommand only measures: it returns its manifest block, the extra
+fields of the standalone manifest and its tables. main alone writes:
+once the measurement has returned it creates --out, writes each table
+and then manifest.json. So a run refused while it measures leaves no
+directory behind.
 
 Exit codes: 0 success, 2 bad usage or invalid parameters (a ValueError or
 an OSError), 3 a numerical invariant failed (a NumericalError, whose
@@ -106,100 +105,82 @@ def _manifest(command: str, config: dict, health: dict | None = None) -> dict:
     return block
 
 
-def _out_dir(raw: str) -> Path:
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_evolve(args) -> tuple[Path, dict]:
+def _evolved(args, half_width=None) -> tuple:
+    """The step evolve and perturbative share: the SimConfig of the flags,
+    the state after its kicks, the position density on the config's grid
+    and the run's health block."""
     cfg = SimConfig(
         phi_d=args.phi_d,
         epsilon=args.epsilon,
         l=args.l,
         kicks=args.kicks,
-        half_width=args.basis,
+        half_width=half_width,
         n_points=args.grid,
     )
     state = evolve(cfg)
     pos = position_density(to_position(state, cfg.grid()))
-    mom = momentum_density(state)
     health = {
         "norm_drift": abs(1.0 - state.norm_sq()),
         "edge_occupancy": state.edge_occupancy(),
-        "half_width_used": state.half_width,
     }
-    manifest = _manifest("evolve", asdict(cfg), health)
-    out = _out_dir(args.out)
-    _write_table(out, "position_density", args.format, manifest,
-                 {"X": _listify(pos.support), "density": _listify(pos.values)})
-    _write_table(out, "momentum_density", args.format, manifest,
-                 {"m": [int(v) for v in mom.support],
-                  "prob": _listify(mom.values)})
-    return out, manifest
+    return cfg, state, pos, health
 
 
-def _cmd_perturbative(args) -> tuple[Path, dict]:
-    cfg = SimConfig(
-        phi_d=args.phi_d,
-        epsilon=args.epsilon,
-        l=args.l,
-        kicks=args.kicks,
-        n_points=args.grid,
-    )
+def _cmd_evolve(args) -> tuple[dict, dict, list]:
+    cfg, state, pos, health = _evolved(args, args.basis)
+    mom = momentum_density(state)
+    health["half_width_used"] = state.half_width
+    return _manifest("evolve", asdict(cfg), health), {}, [
+        ("position_density",
+         {"X": _listify(pos.support), "density": _listify(pos.values)}),
+        ("momentum_density",
+         {"m": [int(v) for v in mom.support], "prob": _listify(mom.values)}),
+    ]
+
+
+def _cmd_perturbative(args) -> tuple[dict, dict, list]:
     started = time.monotonic()
-    state = evolve(cfg)
-    grid = cfg.grid()
-    numeric = position_density(to_position(state, grid)).values
+    cfg, _, pos, health = _evolved(args)
     evolved = time.monotonic()
     approx = perturbative_density(
-        cfg.kicks, cfg.phi_d, cfg.epsilon, grid, cfg.half_width
+        cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.grid(), cfg.half_width
     ).values
+    # stage times, like wall time, only in the standalone manifest
     stage_s = {"evolve": evolved - started,
                "first_order": time.monotonic() - evolved}
-    diff = numeric - approx
-    manifest = _manifest("perturbative", asdict(cfg), {
-        "norm_drift": abs(1.0 - state.norm_sq()),
-        "edge_occupancy": state.edge_occupancy(),
-    })
-    out = _out_dir(args.out)
-    _write_table(out, "density_comparison", args.format, manifest, {
-        "X": _listify(grid.nodes),
-        "numeric": _listify(numeric),
-        "perturbative": _listify(approx),
-        "difference": _listify(diff),
-    })
-    # stage times, like wall time, only in the standalone manifest
-    return out, {**manifest, "stage_s": stage_s}
+    return _manifest("perturbative", asdict(cfg), health), {"stage_s": stage_s}, [
+        ("density_comparison", {
+            "X": _listify(pos.support),
+            "numeric": _listify(pos.values),
+            "perturbative": _listify(approx),
+            "difference": _listify(pos.values - approx),
+        }),
+    ]
 
 
-def _cmd_scan(args) -> tuple[Path, dict]:
+def _cmd_scan(args) -> tuple[dict, dict, list]:
     if args.eps_max == "auto":
         scan = auto_scan(args.kicks, args.phi_d, args.l, args.mode,
                          args.points)
     else:
         scan = scan_epsilon(args.kicks, args.phi_d, args.l, args.mode,
                             float(args.eps_max), args.points)
-    # the grid ends exactly at the range (see scanner._symmetric_grid)
-    eps_max = float(scan.epsilons[-1])
-    # a profile without a width is refused in either format, before any
-    # file is written; only the JSON file carries the width
-    width = scan_width(scan)
     manifest = _manifest("scan", {
         "phi_d": args.phi_d,
         "l": args.l,
         "kicks": args.kicks,
         "mode": args.mode,
-        "epsilon_max": eps_max,
+        # the grid ends exactly at the range (see scanner._symmetric_grid)
+        "epsilon_max": float(scan.epsilons[-1]),
         "points": args.points,
     })
-    out = _out_dir(args.out)
-    extra = {"fwhm": width} if args.format == "json" else None
-    _write_table(out, "scan", args.format, manifest,
-                 {"epsilon": _listify(scan.epsilons),
-                  "value": _listify(scan.values)},
-                 meta={"kicks": scan.kicks, "mode": scan.mode}, extra=extra)
-    return out, manifest
+    # a profile without a width is refused in either format; only the
+    # JSON file carries the width
+    return manifest, {}, [
+        ("scan",
+         {"epsilon": _listify(scan.epsilons), "value": _listify(scan.values)},
+         {"kicks": scan.kicks, "mode": scan.mode}, {"fwhm": scan_width(scan)}),
+    ]
 
 
 def _fit_block(ws) -> dict:
@@ -210,7 +191,7 @@ def _fit_block(ws) -> dict:
     }
 
 
-def _cmd_scaling(args) -> tuple[Path, dict]:
+def _cmd_scaling(args) -> tuple[dict, dict, list]:
     n_list = list(range(args.n_from, args.n_to + 1))
     config = {
         "phi_d": args.phi_d,
@@ -235,11 +216,9 @@ def _cmd_scaling(args) -> tuple[Path, dict]:
         columns = {"N": [int(n) for n in ws.kick_numbers],
                    "width": _listify(ws.widths)}
         fit = _fit_block(ws)
-    manifest = _manifest("scaling", config)
-    out = _out_dir(args.out)
-    _write_table(out, "scaling", args.format, manifest, columns,
-                 extra={"fit": fit})
-    return out, manifest
+    return _manifest("scaling", config), {}, [
+        ("scaling", columns, None, {"fit": fit}),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,47 +239,48 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", required=True, help="output directory")
 
+    def evolving(p, basis=False):
+        p.add_argument("--epsilon", type=float, default=0.0,
+                       help="period detuning (default 0)")
+        if basis:
+            p.add_argument("--basis", type=int, default=None,
+                           help="momentum ladder half width "
+                                "(default: sized from N)")
+        p.add_argument("--grid", type=int, default=None,
+                       help="observation grid points "
+                            "(default: sized from the ladder)")
+
+    def sweeping(p, modes, eps_max=False):
+        p.add_argument("--mode", choices=modes, required=True)
+        if eps_max:
+            p.add_argument("--eps-max", default="auto",
+                           help="sweep half range, or 'auto' (default)")
+        p.add_argument("--points", type=int, default=65,
+                       help="odd sweep point count (default 65)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and ignored; a sweep runs in one thread")
+
     p = sub.add_parser("evolve", help="densities after N periods")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="period detuning (default 0)")
-    p.add_argument("--basis", type=int, default=None,
-                   help="momentum ladder half width (default: sized from N)")
-    p.add_argument("--grid", type=int, default=None,
-                   help="observation grid points (default: sized from basis)")
+    evolving(p, basis=True)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("perturbative",
                        help="first-order density vs full numerics")
     common(p)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--grid", type=int, default=None,
-                   help="observation grid points (default: sized from N)")
+    evolving(p)
     p.set_defaults(func=_cmd_perturbative)
 
     p = sub.add_parser("scan", help="observable swept over detuning")
     common(p)
-    p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--eps-max", default="auto",
-                   help="sweep half range, or 'auto' (default)")
-    p.add_argument("--points", type=int, default=65,
-                   help="odd sweep point count (default 65)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; a sweep runs in one thread, "
-                        "one core call per block of up to 128 detunings")
+    sweeping(p, MODES, eps_max=True)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("scaling", help="width power law over kick numbers")
     common(p, kicks=False)
     p.add_argument("--n-from", type=int, default=5)
     p.add_argument("--n-to", type=int, default=12)
-    p.add_argument("--mode", choices=(*MODES, "both"), required=True)
-    p.add_argument("--points", type=int, default=65)
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored; a sweep runs in one thread, "
-                        "about two core calls per kick number: the probe "
-                        "steps up to the previous kick number's stop, then "
-                        "every final grid")
+    sweeping(p, (*MODES, "both"))
     p.set_defaults(func=_cmd_scaling)
     return parser
 
@@ -310,10 +290,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        out, manifest = args.func(args)
+        manifest, extras, tables = args.func(args)
+        # the one place --out is made, after the measurement has returned
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for stem, *table in tables:
+            _write_table(out, stem, args.format, manifest, *table)
         # wall time only here: the manifest block in data files omits it
         wall = {"wall_time_s": time.monotonic() - started}
-        _write_json(out / "manifest.json", {**manifest, **wall})
+        _write_json(out / "manifest.json", {**manifest, **extras, **wall})
         return 0
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)

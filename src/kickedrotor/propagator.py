@@ -311,21 +311,25 @@ def _echo_fidelities(kicks: int, phi_d: float):
     """The echo read-out of N driven periods, F = |<K(N phi_d) delta_0 | psi_N>|^2.
 
     Returns a function from a (P, 2M+1) stack of driven rows to their P
-    fidelities. The target K(N phi_d) delta_0 is built on first read of
-    each ladder M, on the grid that kicks by N phi_d exactly, and kept
-    for every later read by the same function. It is one period of the
-    core with zero free-flight phases, whose factors are exactly 1: the
-    pulse and the truncation, no free flight.
+    fidelities. Every stack read with one such function lies on one
+    ladder, default_half_width(kicks, phi_d): each block of a sweep and
+    fidelity_protocol's one row alike. So one target K(N phi_d) delta_0
+    is kept, built on the first read, on that read's ladder and the grid
+    that kicks by N phi_d exactly; a stack on another ladder is refused
+    by np.vdot with a ValueError. The target is one period of the core
+    with zero free-flight phases, whose factors are exactly 1: the pulse
+    and the truncation, no free flight.
     """
     pulse = _as_int("kicks", kicks, 1) * phi_d
-    targets: dict[int, np.ndarray] = {}
+    target = None
 
     def fidelities(amps: np.ndarray) -> list[float]:
-        M = (amps.shape[1] - 1) // 2
-        if M not in targets:
-            targets[M] = _periods(1, pulse, lambda m: np.zeros(len(m)), M)[0]
+        nonlocal target
+        if target is None:
+            M = (amps.shape[1] - 1) // 2
+            target = _periods(1, pulse, lambda m: np.zeros(len(m)), M)[0]
         # one vdot per row: a stacked matmul would break row bit-identity
-        return [abs(complex(np.vdot(targets[M], row))) ** 2 for row in amps]
+        return [abs(complex(np.vdot(target, row))) ** 2 for row in amps]
 
     return fidelities
 

@@ -546,8 +546,10 @@ class ModeComparison:
     #: first listed N whose position width meets or exceeds the fidelity
     #: width; None when the lists never cross
     crossover_first_exceed: int | None
-    #: kick number where the two fitted laws intersect
-    crossover_fit: float
+    #: kick number where the two fitted laws intersect; None when they
+    #: meet at no finite kick number: parallel laws, or a meeting past
+    #: the float range
+    crossover_fit: float | None
 
 
 def compare_modes(
@@ -576,7 +578,10 @@ def compare_modes(
         rows.append((int(N), float(wp), float(wf), float(wp / wf)))
         if first_exceed is None and wp >= wf:
             first_exceed = int(N)
-    cross = math.exp(
-        (fid.intercept - pos.intercept) / (pos.gamma - fid.gamma)
-    )
+    # the laws meet at log N = exponent; it is checked against the float
+    # range before math.exp, which would raise OverflowError past it
+    slope = pos.gamma - fid.gamma
+    exponent = (fid.intercept - pos.intercept) / slope if slope else math.inf
+    cross = (math.exp(exponent) if exponent <= math.log(np.finfo(float).max)
+             else None)
     return ModeComparison(pos, fid, tuple(rows), first_exceed, cross)

@@ -280,6 +280,7 @@ class TestScanCommand:
         assert code == 2
 
     def test_byte_stable_across_threads(self, tmp_path):
+        # --threads omitted, 1 and 4 write the same bytes
         scan = [
             "scan", "--kicks", "5", "--mode", "fidelity",
             "--eps-max", "0.032", "--points", "33",
@@ -292,28 +293,14 @@ class TestScanCommand:
                 (scaling, "scaling", "json")]
         for base, stem, fmt in runs:
             outs = []
-            for threads in ("1", "4"):
-                out = tmp_path / f"{stem}-{fmt}-{threads}"
-                code = main(base + ["--format", fmt, "--threads", threads,
+            for threads in ([], ["--threads", "1"], ["--threads", "4"]):
+                out = tmp_path / f"{stem}-{fmt}-{len(outs)}"
+                code = main(base + ["--format", fmt, *threads,
                                     "--out", str(out)])
                 assert code == 0
                 outs.append(out)
             name = f"{stem}.{fmt}"
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        ref = tmp_path / "ref"
-        assert main([
-            "scan", "--kicks", "4", "--mode", "fidelity", "--eps-max", "0.05",
-            "--points", "33", "--threads", "1", "--out", str(ref),
-        ]) == 0
-        monkeypatch.setenv("QKR_THREADS", "3")
-        env = tmp_path / "env"
-        assert main([
-            "scan", "--kicks", "4", "--mode", "fidelity", "--eps-max", "0.05",
-            "--points", "33", "--out", str(env),
-        ]) == 0
-        assert (ref / "scan.csv").read_bytes() == (env / "scan.csv").read_bytes()
+            assert len({(out / name).read_bytes() for out in outs}) == 1
 
 
 class TestScalingCommand:
@@ -371,6 +358,32 @@ class TestScalingCommand:
         out = tmp_path / "D"
         assert main(["scaling", *argv, "--out", str(out)]) == exit_code
         assert not out.exists()
+
+    def test_laws_that_never_meet_write_a_null_crossover(self, tmp_path):
+        # the fitted slopes differ by 0.002: the laws meet past the float
+        # range, where math.exp would overflow
+        out = tmp_path / "run"
+        code = main([
+            "scaling", "--mode", "both", "--phi-d", "7.9984375",
+            "--n-from", "25", "--n-to", "29", "--points", "33",
+            "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        assert read_json(out / "scaling.json")["fit"]["crossover_fit"] is None
+
+
+@pytest.mark.parametrize("argv,exit_code", [
+    (["evolve", "--kicks", "2", "--basis", "40", "--grid", "64"], 2),
+    (["perturbative", "--kicks", "5", "--epsilon", "0.5"], 2),
+    (["scan", "--mode", "position", "--kicks", "0"], 2),
+    (["scan", "--mode", "fidelity", "--kicks", "5", "--phi-d", "0.1"], 3),
+], ids=["evolve", "perturbative", "scan-position", "scan-fidelity"])
+def test_refused_subcommand_leaves_no_directory(tmp_path, argv, exit_code):
+    # only main makes --out, and only once the measurement has returned;
+    # TestScalingCommand::test_refused_run_leaves_no_directory runs scaling
+    out = tmp_path / "D"
+    assert main([*argv, "--out", str(out)]) == exit_code
+    assert not out.exists()
 
 
 def test_json_refuses_non_finite_and_writes_nothing(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import json
@@ -807,6 +808,29 @@ class TestCompareModes:
         # ratios rise monotonically toward the crossover
         ratios = [row[3] for row in cmp.table]
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+    def test_laws_meeting_past_the_float_range_have_no_crossover(self):
+        # slopes 0.002 apart meet at log N ~ 820, where math.exp overflows
+        cmp = compare_modes(range(25, 30), 7.9984375, 1, points=33)
+        pos, fid = cmp.position, cmp.fidelity
+        exponent = (fid.intercept - pos.intercept) / (pos.gamma - fid.gamma)
+        assert exponent > 709.78
+        assert cmp.crossover_fit is None
+
+    @pytest.mark.parametrize("intercepts", [(0.0, 1.0), (0.5, 0.5)],
+                             ids=["apart", "equal"])
+    def test_parallel_laws_have_no_crossover(self, monkeypatch, intercepts):
+        # equal slopes would divide by zero; the laws meet at no finite N
+        fits, fit = iter(intercepts), scanner._fit_widths
+
+        def parallel(n_values, widths):
+            law = fit(n_values, widths)
+            return dataclasses.replace(law, gamma=-2.0, intercept=next(fits))
+
+        monkeypatch.setattr(scanner, "_fit_widths", parallel)
+        cmp = compare_modes([5, 6, 7, 8], 0.485, 1, points=33)
+        assert cmp.position.gamma == cmp.fidelity.gamma == -2.0
+        assert cmp.crossover_fit is None
 
 
 def test_compare_modes_matches_bench_reference():

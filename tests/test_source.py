@@ -38,7 +38,8 @@ that only a sibling module of the package reads, or that a reader writes
 only as a string key or in a comment, is not public. Every
 exception class the package defines is a NumericalError (the CLI's exit
 3) or a ValueError (exit 2), and only the CLI's main catches a
-NumericalError: no code retries or swallows a numerical refusal.
+NumericalError: no code retries or swallows a numerical refusal. Only
+the CLI's main makes a directory: a subcommand measures, main writes.
 """
 import ast
 import builtins
@@ -814,3 +815,36 @@ def test_stray_numerical_catch_is_caught():
     }
     assert numerical_catchers(sources) == ["a.main", "b._run", "b.quiet",
                                            "b.broad", "b.<module>"]
+
+
+def is_directory_make(node: ast.AST) -> bool:
+    """A call of mkdir or makedirs, by name or as an attribute
+    (Path.mkdir, os.makedirs)."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) in ("mkdir", "makedirs")
+        or getattr(node.func, "attr", None) in ("mkdir", "makedirs"))
+
+
+def test_only_the_cli_main_makes_a_directory():
+    # --out is made once, after the measurement returns, so a refused run
+    # leaves no directory behind
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{owner}" for owner in owners(tree, is_directory_make)]
+    assert found == ["cli.main"]
+
+
+def test_stray_directory_make_is_caught():
+    tree = ast.parse("def main(args):\n"
+                     "    Path(args.out).mkdir(parents=True, exist_ok=True)\n"
+                     "def _out_dir(raw):\n"
+                     "    out = Path(raw)\n"
+                     "    out.mkdir(exist_ok=True)\n"
+                     "    return out\n"
+                     "def helper(p):\n"
+                     "    os.makedirs(p)\n"
+                     "    return mkdir(p)\n"
+                     "os.mkdir('x')\n")
+    assert owners(tree, is_directory_make) == ["main", "_out_dir", "helper",
+                                               "helper", "<module>"]
