@@ -302,6 +302,22 @@ class TestScanCommand:
             name = f"{stem}.{fmt}"
             assert len({(out / name).read_bytes() for out in outs}) == 1
 
+    def test_threads_env_fallback(self, tmp_path, monkeypatch):
+        # QKR_THREADS is no longer read: with it set and --threads omitted,
+        # a scan writes the bytes of --threads 1
+        ref = tmp_path / "ref"
+        assert main([
+            "scan", "--kicks", "4", "--mode", "fidelity", "--eps-max", "0.05",
+            "--points", "33", "--threads", "1", "--out", str(ref),
+        ]) == 0
+        monkeypatch.setenv("QKR_THREADS", "3")
+        env = tmp_path / "env"
+        assert main([
+            "scan", "--kicks", "4", "--mode", "fidelity", "--eps-max", "0.05",
+            "--points", "33", "--out", str(env),
+        ]) == 0
+        assert (ref / "scan.csv").read_bytes() == (env / "scan.csv").read_bytes()
+
 
 class TestScalingCommand:
     def test_live_both_mode(self, tmp_path):
