@@ -31,8 +31,8 @@ state = evolve(cfg)
 grid = SpatialGrid(default_n_points(state.half_width))
 full = position_density(to_position(state, grid))
 
-# First-order analytics on the same grid: uniform background plus one
-# correction field per elapsed period.
+# First-order analytics on the same grid: the uniform background plus one
+# cosine ripple, (1 - K cos X)/2pi with K = 2 pi l eps phi_d N(N+1).
 pert = perturbative_density(KICKS, cfg.phi_d, EPS, grid, state.half_width)
 worst = np.max(np.abs(pert.values - full.values))
 ripple = np.max(np.abs(full.values - 1.0 / (2.0 * np.pi)))

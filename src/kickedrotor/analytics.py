@@ -3,18 +3,17 @@
 At exact revival the state after t kicks is psi(m) = (-i)^m J_m(t*phi_d):
 the kicks compound because every free flight is the identity. Slightly off
 revival, the leading change of the position density is linear in the
-detuning epsilon and is a sum of per-period correction fields; each field
-is a short Fourier series whose coefficients are bilinear in Bessel values.
+detuning epsilon and, summed over the ladder, is one cosine: the density
+after N periods is (1 - K cos X)/2pi with K = 2 pi l epsilon phi_d N(N+1).
 
 Bessel values come from a downward three-term recurrence normalized with
 the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
 where the upward recurrence is not. It has one implementation,
 _bessel_j_rows, which steps any number of arguments through it together
-as arrays: the N arguments of perturbative_density in one block, and
-_bessel_j_ladder (and with it every closed form and kick column) as its
-one-row case. Each row starts at one kick's reach past its argument
-(wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds exact zeros
-above it, however wide the ladder asked for.
+as arrays; _bessel_j_ladder (and with it every closed form and kick
+column) is its one-row case. Each row starts at one kick's reach past its
+argument (wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds
+exact zeros above it, however wide the ladder asked for.
 """
 from __future__ import annotations
 
@@ -95,17 +94,9 @@ def _bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
     (-1)^d J_d(x) fills the negative orders, and J_d(-x) = J_{-d}(x)
     means a negative argument reads this ladder reversed.
     """
-    return _two_sided(_bessel_j_rows([x], half_width)[0])
-
-
-def _two_sided(row: np.ndarray) -> np.ndarray:
-    """The ladder J_{-M}..J_M from the row J_0..J_M: J_{-d} = (-1)^d J_d."""
-    M = len(row) - 1
-    out = np.empty(2 * M + 1)
-    out[M:] = row
-    signs = np.where(np.arange(1, M + 1) % 2 == 1, -1.0, 1.0)
-    out[:M] = (signs * row[1:])[::-1]
-    return out
+    row = _bessel_j_rows([x], half_width)[0]
+    signs = np.where(np.arange(1, len(row)) % 2 == 1, -1.0, 1.0)
+    return np.concatenate(((signs * row[1:])[::-1], row))
 
 
 def resonant_state(
@@ -155,49 +146,34 @@ class CorrectionField:
 
 
 def correction_term(
-    k: int, phi_d: float, epsilon: float, grid: SpatialGrid, half_width: int
+    k: int, phi_d: float, epsilon: float, grid: SpatialGrid, half_width: int,
+    *, l: int = 1,
 ) -> CorrectionField:
     """Density correction from the free flight of period k, linear in epsilon.
 
-    The double Bessel sum over ladder pairs (m, n), n > m, collapses into a
-    Fourier series over the gap d = n - m:
+    The flight's phase 2 pi l epsilon m^2 on the revival state
+    (-i)^m J_m(a), a = k * phi_d, changes the density by a Fourier series
+    over the ladder gap d = n - m:
 
-        C(X) = sum_{d>=1} Re[ 2 eps i^(d+1) e^{-i d X} ] * S_d,
-        S_d  = sum_m (2 m d + d^2) J_{m+d}(a) J_m(a),  a = k * phi_d.
+        C(X) = sum_{d>=1} Re[ 2 l eps i^(d+1) e^{-i d X} ] * S_d,
+        S_d  = sum_m (2 m d + d^2) J_{m+d}(a) J_m(a).
 
-    S_d = 2 d B_d + d^2 A_d comes from two lag correlations of the ladder,
-    A_d = sum_m J_m J_{m+d} and B_d = sum_m m J_m J_{m+d}, computed for
-    every gap at once. Epsilon enters only as the final factor, so the
-    field is exactly zero at epsilon = 0 and doubles exactly with it.
-    Assembled on the grid through one FFT of the coefficient vector.
-    Raises ValueError for a non-finite epsilon, a phi_d that is not
-    finite and positive or a half width below 1, and GridTooSmallError
-    for a grid that cannot resolve the ladder.
+    Neumann's addition theorem (sum_m J_m J_{m+d} = delta_{d0}) and
+    m J_m = (a/2)(J_{m-1} + J_{m+1}) give S_d = a delta_{d1}, so the field
+    is the one cosine C(X) = -2 l eps k phi_d cos X. Epsilon enters as one
+    factor, so the field is exactly zero at epsilon = 0 and doubles
+    exactly with it. The half width enters only the grid check. Raises
+    ValueError for a non-finite epsilon, a phi_d that is not finite and
+    positive, a half width or an l below 1, and GridTooSmallError for a
+    grid that cannot resolve the ladder.
     """
     k = _as_int("k", k, 1)
-    _as_finite("phi_d", phi_d, positive=True)
-    _as_finite("epsilon", epsilon)
+    phi_d = _as_finite("phi_d", phi_d, positive=True)
+    epsilon = _as_finite("epsilon", epsilon)
     M = _as_int("half_width", half_width, 1)
+    l = _as_int("l", l, 1)
     _check_grid(grid.n_points, M)
-    return _correction_field(_bessel_j_ladder(k * phi_d, M), epsilon, grid)
-
-
-def _correction_field(J: np.ndarray, epsilon: float,
-                      grid: SpatialGrid) -> CorrectionField:
-    """correction_term's arithmetic on the signed Bessel ladder J = J_m(a),
-    m = -M..M, of a checked argument set."""
-    n = grid.n_points
-    L = len(J)
-    M = (L - 1) // 2
-    m = np.arange(-M, M + 1).astype(float)
-    d = np.arange(1, L, dtype=float)
-    A = np.correlate(J, J, "full")[L:]
-    B = np.correlate(J, m * J, "full")[L:]
-    s = 2.0 * d * B + d * d * A
-    coeff = np.zeros(n, dtype=complex)
-    coeff[1:L] = 2.0 * epsilon * 1j ** np.mod(np.arange(2, L + 1), 4) * s
-    values = np.fft.fft(coeff).real
-    return CorrectionField(grid, values)
+    return CorrectionField(grid, epsilon * (-2.0 * l * k * phi_d) * np.cos(grid.nodes))
 
 
 @dataclass(frozen=True)
@@ -212,7 +188,17 @@ class PerturbativeDensity:
         total = float(np.mean(vals)) * TWO_PI
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"density integrates to {total!r}, not 1")
+        # written to fail closed, as Density's guard is
+        if not vals.min() >= 0.0:
+            raise ValueError("density values must not be negative")
         object.__setattr__(self, "values", vals)
+
+
+def _first_order_k(kicks: int, phi_d: float, epsilon: float, l: int) -> float:
+    """K = 2 pi l epsilon phi_d N(N+1), the strength of the first-order
+    ripple after N periods. The density (1 - K cos X)/2pi goes negative
+    past |K| = 1, and its error grows as K^2."""
+    return TWO_PI * l * epsilon * phi_d * kicks * (kicks + 1.0)
 
 
 def perturbative_density(
@@ -221,24 +207,28 @@ def perturbative_density(
     epsilon: float,
     grid: SpatialGrid,
     half_width: int,
+    *,
+    l: int = 1,
 ) -> PerturbativeDensity:
-    """First-order position density after N periods.
+    """First-order position density after N periods: (1 - K cos X)/2pi.
 
     The kick leaves the position density invariant, so only the N free
     flights contribute; segment k acts on the revival state of strength
-    k*phi_d. The result is 1/2pi plus the sum of the per-segment fields,
-    each correction_term(k, ...) to the bit: the N Bessel ladders come
-    from one stepped recurrence (_bessel_j_rows), and each field keeps
-    its own arithmetic. Raises ValueError for a non-finite epsilon or a
-    half width below 1.
+    k*phi_d and adds correction_term(k, ...) = -2 l eps k phi_d cos X.
+    Their sum over k = 1..N is -K cos X/2pi with K = _first_order_k(...),
+    so the ripple's amplitude grows as N(N+1). Raises ValueError and
+    GridTooSmallError as correction_term does and, after every argument
+    check, ValueError for |K| > 1 (NaN and overflow included), where the
+    first-order density goes negative.
     """
     N = _as_int("kicks", kicks, 0)
-    _as_finite("epsilon", epsilon)
-    _as_finite("phi_d", phi_d, positive=True)
+    epsilon = _as_finite("epsilon", epsilon)
+    phi_d = _as_finite("phi_d", phi_d, positive=True)
     M = _as_int("half_width", half_width, 1)
+    l = _as_int("l", l, 1)
     _check_grid(grid.n_points, M)
-    strengths = [k * phi_d for k in range(1, N + 1)]
-    values = np.full(grid.n_points, 1.0 / TWO_PI)
-    for row in _bessel_j_rows(strengths, M):
-        values = values + _correction_field(_two_sided(row), epsilon, grid).values
-    return PerturbativeDensity(grid, values)
+    K = _first_order_k(N, phi_d, epsilon, l)
+    if not abs(K) <= 1.0:
+        raise ValueError(f"first-order strength K = {K!r} lies outside [-1, 1], "
+                         "where the first-order density goes negative")
+    return PerturbativeDensity(grid, (1.0 - K * np.cos(grid.nodes)) / TWO_PI)

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytics import perturbative_density
+from .analytics import _first_order_k, perturbative_density
 from .observables import momentum_density, position_density
 from .propagator import evolve
 from .scanner import (
@@ -143,12 +143,14 @@ def _cmd_perturbative(args) -> tuple[dict, dict, list]:
     cfg, _, pos, health = _evolved(args)
     evolved = time.monotonic()
     approx = perturbative_density(
-        cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.grid(), cfg.half_width
+        cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.grid(), cfg.half_width, l=cfg.l
     ).values
-    # stage times, like wall time, only in the standalone manifest
-    stage_s = {"evolve": evolved - started,
-               "first_order": time.monotonic() - evolved}
-    return _manifest("perturbative", asdict(cfg), health), {"stage_s": stage_s}, [
+    # stage times, like wall time, only in the standalone manifest, and K
+    # beside them, so the data file's manifest block stays as it was
+    extras = {"stage_s": {"evolve": evolved - started,
+                          "first_order": time.monotonic() - evolved},
+              "first_order_K": _first_order_k(cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.l)}
+    return _manifest("perturbative", asdict(cfg), health), extras, [
         ("density_comparison", {
             "X": _listify(pos.support),
             "numeric": _listify(pos.values),

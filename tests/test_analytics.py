@@ -230,17 +230,20 @@ class TestIntegerArguments:
 
 
 def correction_loop(k, phi_d, epsilon, grid, half_width):
-    """The correction field with one numpy reduction per gap d: the direct
-    form of S_d = sum_m (2 m d + d^2) J_{m+d} J_m, kept as a reference."""
-    M = half_width
-    J = bessel_j_ladder(k * phi_d, M)
-    m = np.arange(-M, M + 1).astype(float)
+    """The correction field as the paper's Bessel sum, one reduction per gap
+    d: S_d = sum_m (2 m d + d^2) J_{m+d} J_m, on scipy's values over a
+    ladder 32 sites wider than half_width, each gap summed with math.fsum.
+    The ladder half_width alone cuts the sum where the tail terms, up to
+    about 1e4 in weight, still carry 1e-10 of the field at k phi_d = 97."""
+    W = half_width + 32
+    assert 2 * W < grid.n_points
+    m = np.arange(-W, W + 1)
+    J = special.jv(m, k * phi_d)
     coeff = np.zeros(grid.n_points, dtype=complex)
-    i_pow = 1j ** np.mod(np.arange(0, 2 * M + 2), 4)
-    for d in range(1, 2 * M + 1):
-        s_d = float(np.sum((2.0 * m[: 2 * M + 1 - d] * d + d * d)
-                           * J[d:] * J[: 2 * M + 1 - d]))
-        coeff[d] = 2.0 * epsilon * i_pow[d + 1] * s_d
+    for d in range(1, 2 * W + 1):
+        s_d = math.fsum((2.0 * m[: 2 * W + 1 - d] * d + d * d)
+                        * J[d:] * J[: 2 * W + 1 - d])
+        coeff[d] = 2.0 * epsilon * 1j ** ((d + 1) % 4) * s_d
     return np.fft.fft(coeff).real
 
 
@@ -249,11 +252,13 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.fixture
 def no_bessel(monkeypatch):
-    """Fail the test if any Bessel row is computed."""
+    """Fail the test if any Bessel row or FFT is computed: the first-order
+    route is one cosine, with no Bessel sum to refuse before or after."""
     def refuse(*args):
-        raise AssertionError("Bessel work before the epsilon check")
+        raise AssertionError("Bessel or FFT work in the first-order route")
 
     monkeypatch.setattr(analytics, "_bessel_j_rows", refuse)
+    monkeypatch.setattr(np.fft, "fft", refuse)
 
 
 class TestCorrectionField:
@@ -269,6 +274,23 @@ class TestCorrectionField:
     def test_refuses_non_finite_epsilon(self, eps, no_bessel):
         with pytest.raises(ValueError, match="epsilon"):
             correction_term(2, 0.485, eps, SpatialGrid(256), 35)
+
+    def test_is_one_cosine(self, no_bessel):
+        # S_d = a delta_{d1}: the field is -2 l eps k phi_d cos X, with no
+        # Bessel row and no FFT behind it
+        grid = SpatialGrid(256)
+        field = correction_term(7, 0.485, 1.1e-6, grid, 40).values
+        expect = -2.0 * 1.1e-6 * 7 * 0.485 * np.cos(grid.nodes)
+        assert np.max(np.abs(field - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("l", [2, 4])
+    def test_revival_order_is_a_factor(self, l):
+        # the flight phase 2 pi l eps m^2 scales the field by l, exactly
+        # for a power of two
+        grid = SpatialGrid(256)
+        one = correction_term(7, 0.485, 1.1e-6, grid, 40).values
+        assert np.array_equal(correction_term(7, 0.485, 1.1e-6, grid, 40, l=l).values,
+                              l * one)
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_guard_fails_closed(self, bad):
@@ -335,8 +357,20 @@ class TestPerturbativeDensity:
         expect = np.full(grid.n_points, 1.0 / TWO_PI)
         for k in range(1, 201):
             expect = expect + correction_term(k, 0.485, 1.1e-6, grid, M).values
-        # bit for bit: the stepped Bessel rows are each correction_term's own
-        assert np.array_equal(dens, expect)
+        # the closed form against its 200 summands, to rounding: 4.7e-14
+        # of the ripple amplitude is measured at N = 200
+        ripple = np.max(np.abs(dens - 1.0 / TWO_PI))
+        assert np.max(np.abs(dens - expect)) <= 1e-13 * ripple
+
+    def test_whole_route_is_one_cosine(self, no_bessel):
+        # a full N = 400 run: no Bessel row and no FFT, and the density is
+        # (1 - K cos X)/2pi with K = 2 pi l eps phi_d N(N+1)
+        cfg = SimConfig(kicks=400)
+        grid = cfg.grid()
+        dens = perturbative_density(400, 0.485, 1e-7, grid, cfg.half_width).values
+        K = TWO_PI * 1e-7 * 0.485 * 400 * 401
+        expect = (1.0 - K * np.cos(grid.nodes)) / TWO_PI
+        assert np.max(np.abs(dens - expect)) <= 1e-16
 
     @pytest.mark.parametrize("eps", NON_FINITE)
     def test_refuses_non_finite_epsilon(self, eps, no_bessel):
@@ -349,6 +383,38 @@ class TestPerturbativeDensity:
         grid = SpatialGrid(256)
         with pytest.raises(ValueError, match="integrates"):
             PerturbativeDensity(grid, np.full(256, bad))
+
+    def test_guard_refuses_negative_values(self):
+        # integrates to 1, but dips below zero
+        grid = SpatialGrid(256)
+        with pytest.raises(ValueError, match="negative"):
+            PerturbativeDensity(grid, (1.0 - 1.5 * np.cos(grid.nodes)) / TWO_PI)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_strength_just_inside_one_is_accepted(self, sign):
+        cfg = SimConfig(kicks=40)
+        grid, M = cfg.grid(), cfg.half_width
+        eps = sign * (1.0 - 1e-9) / (TWO_PI * 0.485 * 40 * 41)
+        dens = perturbative_density(40, 0.485, eps, grid, M).values
+        assert 0.0 <= dens.min() < 1e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_strength_just_past_one_is_refused(self, sign, l):
+        cfg = SimConfig(kicks=40)
+        grid, M = cfg.grid(), cfg.half_width
+        eps = sign * (1.0 + 1e-9) / (TWO_PI * l * 0.485 * 40 * 41)
+        with pytest.raises(ValueError, match=r"strength K = -?1\.00000000"):
+            perturbative_density(40, 0.485, eps, grid, M, l=l)
+        # the same run at l = 1 is inside for l = 2
+        if l == 2:
+            perturbative_density(40, 0.485, eps, grid, M)
+
+    def test_non_finite_strength_is_refused(self):
+        # 2 pi l overflows to inf, and inf times eps = 0 is NaN
+        grid = SpatialGrid(256)
+        with pytest.raises(ValueError, match="K = nan"):
+            perturbative_density(3, 0.485, 0.0, grid, 40, l=2**1023)
 
     def test_no_kicks_is_uniform(self):
         cfg = SimConfig(kicks=0)
@@ -379,3 +445,36 @@ class TestPerturbativeDensity:
 
         ratio = residual(2e-6) / residual(1e-6)
         assert 3.5 < ratio < 4.5
+
+    @pytest.mark.parametrize("kicks,eps", [(5, 2e-6), (40, 2e-7)])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_error_halves_quadratically_at_revival_order(self, l, kicks, eps):
+        # with l in K the ratio measures 4.00-4.005; an l = 1 density
+        # against the l run leaves a first-order error, ratio 2.00-2.004
+        cfg = SimConfig(kicks=kicks, l=l)
+        grid, M = cfg.grid(), cfg.half_width
+
+        def residual(e: float) -> float:
+            run = SimConfig(kicks=kicks, epsilon=e, l=l, half_width=M)
+            full = position_density(to_position(evolve(run), grid)).values
+            approx = perturbative_density(kicks, 0.485, e, grid, M, l=l).values
+            return float(np.max(np.abs(full - approx)))
+
+        ratio = residual(eps) / residual(eps / 2)
+        assert 3.5 < ratio < 4.5
+
+    @pytest.mark.parametrize("kicks", [5, 12, 40, 200, 400])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_error_is_second_order_in_strength(self, l, kicks):
+        # residual / K^2 measures 0.134-0.136 at K = 0.01, 0.144-0.146 at
+        # 0.1 and 0.209-0.224 at 0.5, the same at l = 1 and 2 for N = 5..400
+        # (it reaches 0.67 at K = 0.99): the error is O(K^2), with c = 0.25
+        c = 0.25
+        M = SimConfig(kicks=kicks).half_width
+        grid = SimConfig(kicks=kicks).grid()
+        for K in (0.01, 0.1, 0.5):
+            eps = K / (TWO_PI * l * 0.485 * kicks * (kicks + 1))
+            run = SimConfig(kicks=kicks, epsilon=eps, l=l, half_width=M)
+            full = position_density(to_position(evolve(run), grid)).values
+            approx = perturbative_density(kicks, 0.485, eps, grid, M, l=l).values
+            assert np.max(np.abs(full - approx)) <= c * K * K, K

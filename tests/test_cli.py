@@ -15,6 +15,7 @@ from kickedrotor import (
     NumericalError,
     SimConfig,
     evolve,
+    perturbative_density,
     position_density,
     to_position,
     width_scaling,
@@ -150,6 +151,35 @@ class TestPerturbativeCommand:
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    def test_strength_past_one_exits_2(self, tmp_path, capsys):
+        # K = 613 inside the detuning window: the first-order density
+        # would run from -97 to +98, so the run is refused and writes nothing
+        out = tmp_path / "x"
+        code = main(["perturbative", "--kicks", "200", "--epsilon", "5e-3",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "K = 612.5" in capsys.readouterr().err
+
+    def test_strength_only_in_standalone_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["perturbative", "--kicks", "20", "--epsilon", "1.1e-6",
+                     "--l", "2", "--format", "json", "--out", str(out)]) == 0
+        K = read_json(out / "manifest.json")["first_order_K"]
+        assert K == pytest.approx(2 * math.pi * 2 * 1.1e-6 * 0.485 * 20 * 21, rel=1e-15)
+        data = read_json(out / "density_comparison.json")
+        assert "first_order_K" not in data["manifest"]
+
+    def test_first_order_column_at_revival_order(self, tmp_path):
+        # --l reaches the first-order density, not only the exact run
+        out = tmp_path / "run"
+        assert main(["perturbative", "--kicks", "40", "--epsilon", "1e-5",
+                     "--l", "2", "--out", str(out)]) == 0
+        _, rows = read_csv(out / "density_comparison.csv")
+        cfg = SimConfig(kicks=40, epsilon=1e-5, l=2)
+        expect = perturbative_density(40, 0.485, 1e-5, cfg.grid(), cfg.half_width, l=2)
+        assert [float(r[2]) for r in rows] == expect.values.tolist()
 
 
 class TestScanCommand:

@@ -373,15 +373,17 @@ SHARED_RULES = [
      {"t": integer_rule("t", 0), "phi_d": positive_rule("phi_d"),
       "half_width": integer_rule("half_width", 1)}),
     ("correction_term",
-     lambda k=2, phi_d=0.485, epsilon=1e-6, half_width=35:
-         correction_term(k, phi_d, epsilon, GRID, half_width),
+     lambda k=2, phi_d=0.485, epsilon=1e-6, half_width=35, l=1:
+         correction_term(k, phi_d, epsilon, GRID, half_width, l=l),
      {"k": integer_rule("k", 1), "phi_d": positive_rule("phi_d"),
-      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1)}),
+      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1),
+      "l": integer_rule("l", 1)}),
     ("perturbative_density",
-     lambda kicks=3, phi_d=0.485, epsilon=1e-6, half_width=35:
-         perturbative_density(kicks, phi_d, epsilon, GRID, half_width),
+     lambda kicks=3, phi_d=0.485, epsilon=1e-6, half_width=35, l=1:
+         perturbative_density(kicks, phi_d, epsilon, GRID, half_width, l=l),
      {"kicks": integer_rule("kicks", 0), "phi_d": positive_rule("phi_d"),
-      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1)}),
+      "epsilon": finite_rule("epsilon"), "half_width": integer_rule("half_width", 1),
+      "l": integer_rule("l", 1)}),
     ("mean_energy",
      lambda hbar_s=4 * math.pi: mean_energy(STATE, hbar_s),
      {"hbar_s": finite_rule("hbar_s")}),

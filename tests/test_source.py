@@ -5,10 +5,9 @@ usually the residue of code folded elsewhere; this test fails on one.
 The spectral core's FFT length is chosen by one rule in one place: every
 kick factor is built on a _propagation_points length. The transforms have
 owners too: numpy's fft and ifft are called only in the core's period
-(propagator._kick), the observation grid's synthesis
-(wavepacket._synthesize) and the first-order field (analytics._correction_field,
-the arithmetic of correction_term), which stays apart from the
-propagation code it is checked against. Every period is one _kick, and
+(propagator._kick) and the observation grid's synthesis
+(wavepacket._synthesize); the first-order field is one cosine and needs
+none. Every period is one _kick, and
 only the core's period loop, propagator._periods, calls it. Every
 sweep reaches the core through scanner._Sweep.read, the only caller of
 _run in scanner, which keys each detuning by -|epsilon|. The
@@ -170,10 +169,8 @@ def test_transforms_run_only_in_their_owners():
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         owners += [f"{path.stem}.{name}" for name in transform_owners(tree)]
-    # the first-order field's one fft, the core's ifft and fft, and the
-    # observation grid's synthesis
-    assert sorted(owners) == ["analytics._correction_field",
-                              "propagator._kick", "propagator._kick",
+    # the core's ifft and fft, and the observation grid's synthesis
+    assert sorted(owners) == ["propagator._kick", "propagator._kick",
                               "wavepacket._synthesize"]
 
 
