@@ -9,10 +9,9 @@ after N periods is (1 - K cos X)/2pi with K = 2 pi l epsilon phi_d N(N+1).
 Bessel values come from a downward three-term recurrence normalized with
 the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
 where the upward recurrence is not. It has one implementation,
-_bessel_j_rows, which steps any number of arguments through it together
-as arrays; _bessel_j_ladder (and with it every closed form and kick
-column) is its one-row case. Each row starts at one kick's reach past its
-argument (wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds
+_bessel_j_ladder, which steps one argument at a time and serves every
+closed form and kick column. Each ladder starts at one kick's reach past
+its argument (wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds
 exact zeros above it, however wide the ladder asked for.
 """
 from __future__ import annotations
@@ -36,65 +35,41 @@ class TruncationError(NumericalError):
     """A truncated Bessel sum lost more probability than allowed."""
 
 
-def _bessel_j_rows(xs, n_max: int) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) at every x of xs, as one (len(xs), n_max+1)
-    table, absolute error <= 1e-12 for 0 <= x <= 1000 and n_max <= 10000.
-
-    Every row ends at one kick's reach, _kick_reach(x), past which
-    |J_m(x)| < 7e-16: its orders above that are exactly 0. Two branches,
-    stepped together over the rows that take them: the ascending series
-    below x = 1e-4, and above it the downward recurrence, where each row
-    starts at its own reach and is normalized by its own even-order sum.
-    So no row depends on the others in its block. Seeded at 1e-30, no
-    unnormalized value passes 1e149 (at x = 1e-4), so nothing is
-    rescaled. Refuses (ValueError) an order outside 0..10000 and an
-    argument outside [0, 1000], NaN included.
-    """
-    n_max = _as_int("n_max", n_max)
-    if n_max < 0 or n_max > _DOMAIN_ORDER:
-        raise ValueError(f"order out of range: {n_max}")
-    x = np.asarray(xs, dtype=float)
-    outside = x[~((0.0 <= x) & (x <= _DOMAIN_ARG))]
-    if len(outside):
-        raise ValueError(f"argument out of range: {outside[0]}")
-    table = np.zeros((len(x), n_max + 1))
-    series = x < 1e-4
-    if series.any():
-        small = x[series]
-        y = 0.25 * small * small
-        term = np.ones_like(small)
-        rows = np.zeros((len(small), n_max + 1))
-        for d in range(min(n_max, _kick_reach(small.max())) + 1):
-            rows[:, d] = term * (1.0 - y / (d + 1))
-            term *= 0.5 * small / (d + 1)
-        table[series] = rows
-    if series.all():
-        return table
-    x = x[~series]
-    top = np.array([_kick_reach(v) for v in x])
-    K = int(top.max())
-    # orders down the first axis, one column per row; each row's seed sits
-    # at its top with zeros above it, and order K + 1 is the zero above all
-    down = np.zeros((max(K, n_max) + 2, len(x)))
-    down[top, np.arange(len(x))] = 1e-30
-    for k in range(K, 0, -1):
-        down[k - 1] += 2.0 * k / x * down[k] - down[k + 1]
-    # each row's own sum, over its own orders
-    norm = [col[0] + 2.0 * np.sum(col[2:t + 1:2]) for col, t in zip(down.T, top)]
-    down /= norm
-    table[~series] = down[: n_max + 1].T
-    return table
-
-
 def _bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
-    """J_m(x) for m = -M..M as one array (index m + M), x >= 0: the
-    one-row case of _bessel_j_rows, made two-sided.
+    """J_m(x) for m = -M..M as one array (index m + M), absolute error
+    <= 1e-12 for 0 <= x <= 1000 and M <= 10000.
 
-    The one place the Bessel sign rules are applied: J_{-d}(x) =
-    (-1)^d J_d(x) fills the negative orders, and J_d(-x) = J_{-d}(x)
-    means a negative argument reads this ladder reversed.
+    The ladder ends at one kick's reach, _kick_reach(x), past which
+    |J_m(x)| < 7e-16: its orders above that are exactly 0. Two branches:
+    the ascending series below x = 1e-4, and above it the downward
+    recurrence, started at that reach and normalized by its even-order
+    sum. Seeded at 1e-30, no unnormalized value passes 1e149 (at
+    x = 1e-4), so nothing is rescaled. Then the one place the Bessel sign
+    rules are applied: J_{-d}(x) = (-1)^d J_d(x) fills the negative
+    orders, and J_d(-x) = J_{-d}(x) means a negative argument reads this
+    ladder reversed. Refuses (ValueError) a half width outside 0..10000
+    and an argument outside [0, 1000], NaN included.
     """
-    row = _bessel_j_rows([x], half_width)[0]
+    M = _as_int("half_width", half_width)
+    if M < 0 or M > _DOMAIN_ORDER:
+        raise ValueError(f"order out of range: {M}")
+    if not 0.0 <= x <= _DOMAIN_ARG:
+        raise ValueError(f"argument out of range: {x}")
+    top = _kick_reach(x)
+    # orders 0 .. max(top, M) + 1: zeros above the top, whatever M is
+    row = np.zeros(max(top, M) + 2)
+    if x < 1e-4:
+        y = 0.25 * x * x
+        term = 1.0
+        for d in range(min(M, top) + 1):
+            row[d] = term * (1.0 - y / (d + 1))
+            term *= 0.5 * x / (d + 1)
+    else:
+        row[top] = 1e-30
+        for k in range(top, 0, -1):
+            row[k - 1] = 2.0 * k / x * row[k] - row[k + 1]
+        row /= row[0] + 2.0 * np.sum(row[2:top + 1:2])
+    row = row[: M + 1]
     signs = np.where(np.arange(1, len(row)) % 2 == 1, -1.0, 1.0)
     return np.concatenate(((signs * row[1:])[::-1], row))
 
@@ -106,7 +81,7 @@ def resonant_state(
 
     Raises TruncationError when the ladder is too short to hold the state
     (norm deficit above 1e-10), and ValueError for a half width below 1
-    or outside the domain of _bessel_j_rows: t*phi_d > 1000 (t > 2061 at
+    or outside the domain of _bessel_j_ladder: t*phi_d > 1000 (t > 2061 at
     phi_d = 0.485) or a half width above 10000. propagate has no such
     limit, so past it the numerics have no closed form to be checked
     against.

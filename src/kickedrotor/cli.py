@@ -105,11 +105,9 @@ def _manifest(command: str, config: dict, health: dict | None = None) -> dict:
     return block
 
 
-def _evolved(args, half_width=None) -> tuple:
-    """The step evolve and perturbative share: the SimConfig of the flags,
-    the state after its kicks, the position density on the config's grid
-    and the run's health block."""
-    cfg = SimConfig(
+def _config(args, half_width=None) -> SimConfig:
+    """The SimConfig of the flags evolve and perturbative share."""
+    return SimConfig(
         phi_d=args.phi_d,
         epsilon=args.epsilon,
         l=args.l,
@@ -117,17 +115,24 @@ def _evolved(args, half_width=None) -> tuple:
         half_width=half_width,
         n_points=args.grid,
     )
+
+
+def _evolved(cfg: SimConfig) -> tuple:
+    """The step evolve and perturbative share: the state after the
+    config's kicks, the position density on its grid and the run's health
+    block."""
     state = evolve(cfg)
     pos = position_density(to_position(state, cfg.grid()))
     health = {
         "norm_drift": abs(1.0 - state.norm_sq()),
         "edge_occupancy": state.edge_occupancy(),
     }
-    return cfg, state, pos, health
+    return state, pos, health
 
 
 def _cmd_evolve(args) -> tuple[dict, dict, list]:
-    cfg, state, pos, health = _evolved(args, args.basis)
+    cfg = _config(args, args.basis)
+    state, pos, health = _evolved(cfg)
     mom = momentum_density(state)
     health["half_width_used"] = state.half_width
     return _manifest("evolve", asdict(cfg), health), {}, [
@@ -139,16 +144,19 @@ def _cmd_evolve(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_perturbative(args) -> tuple[dict, dict, list]:
+    cfg = _config(args)
+    # the first-order route first: its |K| > 1 refusal reads only the
+    # flags, so a refused run makes no period
     started = time.monotonic()
-    cfg, _, pos, health = _evolved(args)
-    evolved = time.monotonic()
     approx = perturbative_density(
         cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.grid(), cfg.half_width, l=cfg.l
     ).values
+    first_order = time.monotonic()
+    _, pos, health = _evolved(cfg)
     # stage times, like wall time, only in the standalone manifest, and K
     # beside them, so the data file's manifest block stays as it was
-    extras = {"stage_s": {"evolve": evolved - started,
-                          "first_order": time.monotonic() - evolved},
+    extras = {"stage_s": {"evolve": time.monotonic() - first_order,
+                          "first_order": first_order - started},
               "first_order_K": _first_order_k(cfg.kicks, cfg.phi_d, cfg.epsilon, cfg.l)}
     return _manifest("perturbative", asdict(cfg), health), extras, [
         ("density_comparison", {

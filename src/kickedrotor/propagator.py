@@ -29,9 +29,10 @@ need the full ladder (kick_matrix). The spectral route propagates the
 full ladder, odd part included, and its parity test (TestParity in the
 propagator tests) stays the guard on that odd part. The column's orders
 past one kick's reach, |d| > wavepacket._kick_reach(phi_d), are exact
-zeros, as in every Bessel row (analytics._bessel_j_rows); the true values
-are below 7e-16 (below 5.7e-58 at phi_d = 0.485), and zeros spare E's
-products with the state's far tail from underflowing to slow subnormals.
+zeros, as in every Bessel ladder (analytics._bessel_j_ladder); the true
+values are below 7e-16 (below 5.7e-58 at phi_d = 0.485), and zeros spare
+E's products with the state's far tail from underflowing to slow
+subnormals.
 
 The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
@@ -444,7 +445,7 @@ def evolve_dense(
     free-flight factors for m >= 0. A state that is not even, such as a
     quasi-momentum row with beta != 0, would need the full ladder.
 
-    c is exactly zero past one kick's reach (analytics._bessel_j_rows), so
+    c is exactly zero past one kick's reach (analytics._bessel_j_ladder), so
     E itself holds no subnormals. The state can: at epsilon = 0 its far
     tail decays into subnormal parts (18 at kicks = 400, M = 452), and
     the products on them are slow. That run takes 34-44 ms against

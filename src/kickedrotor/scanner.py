@@ -67,11 +67,10 @@ at N = 6, where the position walk climbs one rung past N = 5's stop, and
 auto_range and auto_scan read their ladder one rung at a time.
 width_scaling and compare_modes accept a threads argument and ignore it,
 because the contract tests and the benchmark's sweep workload pass one
-(timings in the README); no other sweep takes one. Detunings beyond the
-config validity window are legitimate here: the propagation is exact
-unitary evolution at any detuning (the 1e-2 window bounds only the
-first-order analytics), and at small kick numbers the profile tails
-extend past it.
+(timings in the README); no other sweep takes one. Any finite detuning
+is legitimate here: the propagation is exact unitary evolution at any
+detuning (only the first-order route is bounded, by its strength K),
+and at small kick numbers the profile tails reach large detunings.
 """
 from __future__ import annotations
 

@@ -35,8 +35,6 @@ ROOT_TWO_PI = math.sqrt(TWO_PI)
 
 #: combined occupancy allowed in the two outermost ladder sites
 EDGE_LEAK_BOUND = 1e-14
-#: upper bound of the small-detuning regime the first-order formulas target
-EPSILON_VALIDITY = 1e-2
 
 
 class GridTooSmallError(ValueError):
@@ -127,9 +125,9 @@ def _kick_reach(phi: float) -> int:
     """The reach of one kick of strength phi: ceil(|phi|) plus 13.2 Airy
     widths, and at least 32. Past it |J_d(phi)| < 7e-16 for every |phi| up
     to 5000 (below 5.7e-58 at |phi| = 0.485). The propagation length stops
-    there, and every Bessel row starts there (analytics._bessel_j_rows),
-    its orders past it exact zeros, so the dense oracle's kick column and
-    every closed form hold zeros there too."""
+    there, and every Bessel ladder starts there
+    (analytics._bessel_j_ladder), its orders past it exact zeros, so the
+    dense oracle's kick column and every closed form hold zeros there too."""
     return _bessel_reach(abs(phi), 13.2)
 
 
@@ -258,9 +256,10 @@ class SimConfig:
     l the resonance order, kicks the number of periods. half_width and
     n_points are filled from the sizing rules when not given. n_points
     names only the observation grid of to_position, sigma_x and the
-    position files; the spectral core picks its own FFT length. epsilon is
-    restricted to the small-detuning window |epsilon| < 1e-2 in which the
-    first-order analytics hold.
+    position files; the spectral core picks its own FFT length. epsilon
+    may be any finite detuning: the propagation is exact at any of them,
+    and the first-order route bounds itself by its strength K
+    (analytics.perturbative_density).
     """
 
     phi_d: float = 0.485
@@ -272,11 +271,7 @@ class SimConfig:
 
     def __post_init__(self):
         _as_finite("phi_d", self.phi_d, positive=True)
-        if not abs(self.epsilon) < EPSILON_VALIDITY:
-            raise ValueError(
-                f"|epsilon| must be below {EPSILON_VALIDITY} "
-                f"(got {self.epsilon!r})"
-            )
+        _as_finite("epsilon", self.epsilon)
         l = _as_int("l", self.l, 1)
         kicks = _as_int("kicks", self.kicks, 0)
         M = (default_half_width(kicks, self.phi_d) if self.half_width is None

@@ -28,13 +28,14 @@ TWO_PI = 2 * math.pi
 J0_0485 = 0.942052665520175
 J1_0485 = 0.23543928467863354
 
-#: J_m(x) for m = -M..M, the two-sided one-row case of _bessel_j_rows
+#: J_m(x) for m = -M..M, the package's one Bessel ladder
 bessel_j_ladder = analytics._bessel_j_ladder
 
 
 def bessel_j_row(x: float, n_max: int) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x): the one-row case of _bessel_j_rows."""
-    return analytics._bessel_j_rows([x], n_max)[0]
+    """J_0(x) .. J_{n_max}(x): the ladder's orders from 0 up."""
+    ladder = bessel_j_ladder(x, n_max)
+    return ladder[len(ladder) // 2:]
 
 
 def jn_series(n: int, x: float, terms: int = 30) -> float:
@@ -117,7 +118,7 @@ class TestBessel:
             bessel_j_row(x, n_max)
 
 
-#: arguments across both branches of _bessel_j_rows: the ascending series
+#: arguments across both branches of the ladder: the ascending series
 #: below 1e-4 (zero and subnormals included), small x, whose values grow
 #: the most down the recurrence, the default strength and its multiples,
 #: and x past every n_max below, whose rows are cut at n_max
@@ -126,58 +127,44 @@ STEPPED_X = [0.0, 5e-324, 1e-300, 3e-9, 3e-5, 9.99e-5, 1e-4, 1.3e-4, 1e-3,
 
 
 class TestSteppedRows:
-    """_bessel_j_rows is the one downward recurrence: checked against scipy,
-    and each row of a block bit for bit its one-row case (bessel_j_row),
-    so rows stepped together do not couple."""
-
-    @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 40, 138, 300, 1200])
-    def test_rows_are_their_one_row_case(self, n_max):
-        table = analytics._bessel_j_rows(STEPPED_X, n_max)
-        assert table.shape == (len(STEPPED_X), n_max + 1)
-        for x, row in zip(STEPPED_X, table):
-            assert np.array_equal(row, bessel_j_row(x, n_max)), x
+    """_bessel_j_ladder is the one downward recurrence: checked against
+    scipy over both branches and the whole argument domain."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 5, 40, 138, 300, 1200])
     def test_rows_match_scipy(self, n_max):
         # the reference independent of the recurrence
-        table = analytics._bessel_j_rows(STEPPED_X, n_max)
+        table = np.array([bessel_j_row(x, n_max) for x in STEPPED_X])
         ref = special.jv(np.arange(n_max + 1), np.array(STEPPED_X)[:, None])
         assert np.max(np.abs(table - ref)) <= 1e-12
-
-    @pytest.mark.parametrize("n_max", [0, 40, 138, 452, 1200])
-    def test_mixed_block_is_its_one_row_cases(self, n_max):
-        # series rows and recurrences started at orders 33 to 1105, in one
-        # block: each row bit for bit its one-row case
-        xs = [*STEPPED_X, *(k * 0.485 for k in range(1, 201, 9)),
-              *np.random.default_rng(5).uniform(0.0, 1000.0, 20).tolist()]
-        block = analytics._bessel_j_rows(xs, n_max)
-        for x, row in zip(xs, block):
-            assert np.array_equal(row, bessel_j_row(x, n_max)), x
 
     @pytest.mark.parametrize("n_max", [0, 40, 452, 1200, 10_000])
     def test_rows_end_at_one_kicks_reach(self, n_max):
         # the recurrence starts at _kick_reach(x), and the series stops
         # there: every order above it is exactly zero
-        table = analytics._bessel_j_rows(STEPPED_X, n_max)
-        for x, row in zip(STEPPED_X, table):
-            assert not np.any(row[_kick_reach(x) + 1:]), x
+        for x in STEPPED_X:
+            assert not np.any(bessel_j_row(x, n_max)[_kick_reach(x) + 1:]), x
 
-    def test_perturbative_strengths(self):
-        # the rows of qkr perturbative --kicks 200
-        xs = [k * 0.485 for k in range(1, 201)]
-        table = analytics._bessel_j_rows(xs, 138)
-        assert np.array_equal(table, np.array([bessel_j_row(x, 138) for x in xs]))
-
-    def test_empty_block(self):
-        assert analytics._bessel_j_rows([], 7).shape == (0, 8)
+    @given(st.floats(0.0, 1000.0), st.integers(0, 10_000))
+    def test_drawn_ladder_matches_scipy(self, x, half_width):
+        # anywhere in the domain, not only at the fixed points above
+        lad = bessel_j_ladder(x, half_width)
+        ref = special.jv(np.arange(-half_width, half_width + 1), x)
+        assert np.max(np.abs(lad - ref)) <= 1e-12
+        past = np.abs(np.arange(-half_width, half_width + 1)) > _kick_reach(x)
+        assert not np.any(lad[past])
 
     @pytest.mark.parametrize(
         "xs,n_max", [([0.3, -0.1], 5), ([1000.5], 5), ([1.0, math.nan], 5),
                      ([1.0], -1), ([1.0], 10_001)]
     )
     def test_domain_guard(self, xs, n_max):
+        # each argument on its own: the last of xs is refused, with the
+        # in-range ones before it accepted at the same order
+        *fine, bad = xs
+        for x in fine:
+            bessel_j_row(x, n_max)
         with pytest.raises(ValueError, match="out of range"):
-            analytics._bessel_j_rows(xs, n_max)
+            bessel_j_row(bad, n_max)
 
 
 class TestResonantState:
@@ -257,7 +244,7 @@ def no_bessel(monkeypatch):
     def refuse(*args):
         raise AssertionError("Bessel or FFT work in the first-order route")
 
-    monkeypatch.setattr(analytics, "_bessel_j_rows", refuse)
+    monkeypatch.setattr(analytics, "_bessel_j_ladder", refuse)
     monkeypatch.setattr(np.fft, "fft", refuse)
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from kickedrotor import (
     to_position,
     width_scaling,
 )
-from kickedrotor import cli, scanner
+from kickedrotor import cli, propagator, scanner
 from kickedrotor.cli import NonFiniteOutputError, _write_table, main
 
 #: every refusal the package exports for exit 3, and the CLI's own
@@ -112,6 +113,17 @@ class TestEvolveCommand:
         ])
         assert code == 2
 
+    def test_detuning_past_one_percent_runs(self, tmp_path):
+        # the exact propagation holds at any finite detuning
+        out = tmp_path / "run"
+        assert main(["evolve", "--kicks", "3", "--epsilon", "0.02",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert read_json(out / "manifest.json")["config"]["epsilon"] == 0.02
+        data = read_json(out / "position_density.json")["data"]
+        cfg = SimConfig(kicks=3, epsilon=0.02)
+        expect = position_density(to_position(evolve(cfg), cfg.grid())).values
+        assert data["density"] == expect.tolist()
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["evolve", "--out", "somewhere"])  # --kicks missing
@@ -145,15 +157,39 @@ class TestPerturbativeCommand:
         for seconds in stages.values():
             assert isinstance(seconds, float) and seconds >= 0.0
 
-    def test_detuning_window_enforced(self, tmp_path):
+    def test_detuning_window_enforced(self, tmp_path, capsys):
+        # no window on epsilon itself: the first-order strength K = 45.7
+        # refuses the run
         code = main([
             "perturbative", "--kicks", "5", "--epsilon", "0.5",
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
+        assert "first-order strength K = 45.7" in capsys.readouterr().err
+
+    def test_detuning_past_one_percent_runs(self, tmp_path):
+        # |epsilon| = 0.02 at one kick is K = 0.122, inside the route
+        out = tmp_path / "run"
+        assert main(["perturbative", "--kicks", "1", "--epsilon", "0.02",
+                     "--format", "json", "--out", str(out)]) == 0
+        K = read_json(out / "manifest.json")["first_order_K"]
+        assert K == pytest.approx(2 * math.pi * 0.02 * 0.485 * 2, rel=1e-15)
+        data = read_json(out / "density_comparison.json")["data"]
+        assert min(data["perturbative"]) > 0.0
+
+    def test_refused_strength_makes_no_period(self, tmp_path):
+        # K = 60977 reads the flags alone: the refusal comes before the
+        # exact run's 2000 periods, not after them
+        out = tmp_path / "x"
+        with mock.patch.object(propagator, "_kick", wraps=propagator._kick) as kick:
+            code = main(["perturbative", "--kicks", "2000", "--epsilon", "5e-3",
+                         "--out", str(out)])
+        assert code == 2
+        assert kick.call_count == 0
+        assert not out.exists()
 
     def test_strength_past_one_exits_2(self, tmp_path, capsys):
-        # K = 613 inside the detuning window: the first-order density
+        # K = 613 at a small detuning: the first-order density
         # would run from -97 to +98, so the run is refused and writes nothing
         out = tmp_path / "x"
         code = main(["perturbative", "--kicks", "200", "--epsilon", "5e-3",

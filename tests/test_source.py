@@ -14,12 +14,12 @@ _run in scanner, which keys each detuning by -|epsilon|. The
 sigma_x arithmetic has one owner, observables._sigma_rows, which
 sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
-Bessel recurrence has one owner, analytics._bessel_j_rows, the only
-place its seed literal 1e-30 appears; _bessel_j_ladder is its one-row
-case. One kick's reach has one owner too, wavepacket._kick_reach, the
-only place the literal 13.2 (its Airy widths) appears: the propagation
-length and the top order of every Bessel row, and so of the dense
-oracle's kick column, take it from there. No state outlives a call: no module
+Bessel recurrence has one owner, analytics._bessel_j_ladder, the only
+place its seed literal 1e-30 appears. One kick's reach has one owner
+too, wavepacket._kick_reach, the only place the literal 13.2 (its Airy
+widths) appears: the propagation length and the top order of every
+Bessel ladder, and so of the dense oracle's kick column, take it from
+there. No state outlives a call: no module
 makes a context variable. A sweep is an explicit scanner._Sweep, built
 only by scan_epsilon, auto_range, auto_scan and the width laws' _widths,
 and handed to every walk and scan that reads it. The
@@ -327,7 +327,7 @@ def test_bessel_recurrence_has_one_owner():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.stem}.{name}"
                   for name in owners(tree, is_recurrence_seed)]
-    assert found == ["analytics._bessel_j_rows"]
+    assert found == ["analytics._bessel_j_ladder"]
 
 
 def test_stray_bessel_recurrence_is_caught():
@@ -335,8 +335,8 @@ def test_stray_bessel_recurrence_is_caught():
                      "def bessel_j_row(x, n):\n"
                      "    down[n] = 1e-30\n"
                      "    return down / (1e-30 + norm)\n"
-                     "def _bessel_j_rows(xs, n):\n"
-                     "    return xs\n"
+                     "def _bessel_j_ladder(x, n):\n"
+                     "    return x\n"
                      "TINY = 1e-300\n")
     assert owners(tree, is_recurrence_seed) == ["<module>", "bessel_j_row",
                                                 "bessel_j_row"]

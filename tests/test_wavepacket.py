@@ -141,8 +141,9 @@ class TestSimConfig:
         [
             {"phi_d": 0.0},
             {"phi_d": -0.5},
-            {"epsilon": 1e-2},
-            {"epsilon": -0.5},
+            {"epsilon": math.nan},
+            {"epsilon": math.inf},
+            {"epsilon": -math.inf},
             {"l": 0},
             {"l": 1.5},
             {"kicks": -1},
@@ -152,6 +153,12 @@ class TestSimConfig:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("epsilon", [1e-2, -0.02, 0.5])
+    def test_any_finite_detuning_accepted(self, epsilon):
+        # the propagation is exact at any detuning; only the first-order
+        # route is bounded, by its strength K
+        assert SimConfig(kicks=5, epsilon=epsilon).epsilon == epsilon
 
     def test_grid_too_small_for_ladder(self):
         with pytest.raises(GridTooSmallError):
