@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from dataclasses import asdict
@@ -231,8 +232,21 @@ def _cmd_scaling(args) -> tuple[dict, dict, list]:
     ]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes a negative number in exponent notation,
+    --epsilon -2e-5, for a value, as it takes -0.00002. argparse's own
+    rule matches only forms like -5 and -0.5 (Python 3.11), so it reads
+    -2e-5 as an option and refuses the flag. Its subcommand parsers are of
+    this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkr",
         description="Kicked-ring revival simulator and width-scaling toolkit",
     )

@@ -194,15 +194,16 @@ def _fwhm(x: np.ndarray, y: np.ndarray,
     """
     i_pk = int(np.argmax(y))
     peak = float(y[i_pk])
-    if i_pk in (0, len(y) - 1):
-        raise NoCrossingError("profile peaks at the scan edge")
     floor = float(y.min())
     # a contrast at rounding-noise level means the feature is unresolved;
-    # any crossing found in it would be an artifact of the noise
+    # any crossing found in it would be an artifact of the noise. It is
+    # checked first: argmax puts the peak of a flat profile at the edge
     if peak - floor <= 1e-12 * max(1.0, abs(peak)):
         raise NoCrossingError(
             "profile contrast is at rounding noise; widen the range"
         )
+    if i_pk in (0, len(y) - 1):
+        raise NoCrossingError("profile peaks at the scan edge")
     if half_level is None:
         half_level = 0.5 * (peak + floor)
     half = float(half_level)

@@ -51,19 +51,22 @@ walk. auto_scan is scan_epsilon over the auto_range range on one sweep,
 which it hands to the walk and then to the scan: the probe grids and the
 final grid are all multiples of r/2^k, so every repeated |detuning| is
 the identical float and is computed once. _widths builds one sweep per
-kick number, read by every mode it measures, and reads it in two blocks:
-the union of the probe grids of rungs 0..k*, where k* is the deepest rung
-any mode's walk stopped at for the previous kick number in the list (every
-rung up to RANGE_CAP for the first), then the union of every mode's final
-grid. A walk that climbs past the first block reads each further rung in
-one core call, as a lone auto_range does; every other value the walks and
-final scans ask for is in the sweep. The widths follow power laws in N, so
-the rung a walk stops at hardly moves from one kick number to the next,
-and a width law makes about two core calls per kick number (while a union
-fits in SWEEP_BLOCK): compare_modes over N = 5..18 makes 29 calls on 773
-rows, one more call than with every rung up to the cap in the first block,
-at N = 6, where the position walk climbs one rung past N = 5's stop, and
-221 fewer rows, which lay above every stop and were never read.
+kick number, read by every mode it measures, and builds each rung's probe
+grid once for it. Its first block holds the probe grids of rungs 0..k*,
+where k* is the deepest rung any mode's walk stopped at for the previous
+kick number in the list (every rung up to RANGE_CAP for the first), and
+each mode's final grid at the rung, on this kick number's ladder, where
+its walk stopped for the previous kick number. A walk that climbs past
+the first block reads each further rung in one core call, as a lone
+auto_range does; a walk that stops at another rung than before reads its
+final grid in one more block, shared by every such mode. The widths follow
+power laws in N, so the rung a walk stops at hardly moves from one kick
+number to the next, and a width law makes about one core call per kick
+number (while a block fits in SWEEP_BLOCK): compare_modes over N = 5..18
+makes 18 calls on 781 rows, against 29 calls on 773 rows when every final
+grid waited for its walk. Two calls at N = 5, which has no previous stop;
+three at N = 6, where the position walk climbs one rung past N = 5's stop;
+two at N = 10, where the echo walk stops one rung below N = 9's.
 auto_range and auto_scan read their ladder one rung at a time.
 width_scaling and compare_modes accept a threads argument and ignore it,
 because the contract tests and the benchmark's sweep workload pass one
@@ -108,8 +111,11 @@ def _symmetric_grid(epsilon_max: float, points: int) -> np.ndarray:
     # exact 0 at the center and exact sign symmetry, which linspace over
     # [-e, e] does not guarantee; point i is i * (e / (points // 2)), so
     # when the step ratio of two grids is a power of two, their common
-    # detunings are the identical floats
-    half = np.linspace(0.0, epsilon_max, (points + 1) // 2)
+    # detunings are the identical floats. The half is linspace(0, e, k + 1)
+    # bit for bit, without its dispatch
+    k = points // 2
+    half = np.arange(k + 1) * (epsilon_max / k)
+    half[-1] = epsilon_max
     grid = np.concatenate([-half[:0:-1], half])
     # a range of a few subnormals has coinciding points
     if not np.all(np.diff(grid) > 0):
@@ -326,15 +332,19 @@ def _rungs(kicks: int, cap: float) -> list[float]:
     return rungs
 
 
-def _first_bracket(sweep: _Sweep, mode: str, rungs: list[float]) -> float | None:
-    """The first of the rungs whose probe sweep the mode's adequacy rule
-    accepts, or None when none does. Each rung is one _sweep_values read
-    of PROBE_POINTS detunings from sweep."""
+def _probe_grids(rungs: list[float]):
+    """The PROBE_POINTS grid of each rung, each built as a walk reaches it."""
+    return (_symmetric_grid(r, PROBE_POINTS) for r in rungs)
+
+
+def _first_bracket(sweep: _Sweep, mode: str, grids) -> int | None:
+    """The index of the first of the probe grids whose sweep the mode's
+    adequacy rule accepts, or None when none does. Each grid is one
+    _sweep_values read from sweep."""
     probe = PROBES[mode]
-    for r in rungs:
-        grid = _symmetric_grid(r, PROBE_POINTS)
+    for k, grid in enumerate(grids):
         if probe.adequate(_sweep_values(mode, *sweep.key, grid, sweep)):
-            return r
+            return k
     return None
 
 
@@ -365,10 +375,11 @@ def auto_range(
     kicks = _as_int("kicks", kicks, 1)
     _check_mode(mode)
     rungs = _rungs(kicks, cap)
-    r = _first_bracket(_Sweep(kicks, phi_d, l, (mode,)), mode, rungs)
-    if r is None:
+    k = _first_bracket(_Sweep(kicks, phi_d, l, (mode,)), mode,
+                       _probe_grids(rungs))
+    if k is None:
         raise _range_cap_error(kicks, mode, cap)
-    return r
+    return rungs[k]
 
 
 def auto_scan(
@@ -389,10 +400,11 @@ def auto_scan(
     # the sweep refuses an unknown mode before the kick number is checked
     sweep = _Sweep(kicks, phi_d, l, (mode,))
     kicks = _as_int("kicks", kicks, 1)
-    r = _first_bracket(sweep, mode, _rungs(kicks, RANGE_CAP))
-    if r is None:
+    rungs = _rungs(kicks, RANGE_CAP)
+    k = _first_bracket(sweep, mode, _probe_grids(rungs))
+    if k is None:
         raise _range_cap_error(kicks, mode, RANGE_CAP)
-    return _scan(sweep, kicks, mode, _symmetric_grid(r, points))
+    return _scan(sweep, kicks, mode, _symmetric_grid(rungs[k], points))
 
 
 def scan_width(scan: EpsilonScan) -> float:
@@ -472,11 +484,12 @@ def width_scaling(
 ) -> WidthScaling:
     """Measure profile widths over the given kick numbers and fit the law.
 
-    Per kick number, the auto_scan width, bit for bit, from two block
-    reads of one sweep (_widths): the probe grids of the rungs up to the
-    previous kick number's stop, then the final grid; a walk past that
-    stop reads each further rung on its own. Each distinct |detuning| is
-    propagated once.
+    Per kick number, the auto_scan width, bit for bit, from one sweep
+    (_widths) whose first block holds the probe grids of the rungs up to
+    the previous kick number's stop and the final grid at that stop; a
+    walk past that stop reads each further rung on its own, and a walk
+    that stops elsewhere reads its final grid in a second block. Each
+    distinct |detuning| is propagated once.
     """
     n_arr = _kick_numbers(n_list, least=2)
     return _fit_widths(n_arr, _widths(n_arr, phi_d, l, (mode,), points)[0])
@@ -487,50 +500,65 @@ def _widths(n_arr: np.ndarray, phi_d: float, l: int, modes: tuple,
     """Per mode, the auto_scan width at each kick number, bit for bit.
 
     Each kick number builds one sweep that serves every mode and hands it
-    to all of that kick number's reads. It is read in two blocks: the
-    union of the probe grids of rungs 0..k*, where k* is the deepest rung
-    any mode's walk stopped at for the previous kick number (every rung
-    up to RANGE_CAP for the first), and then the union of every mode's
-    final grid, after which each mode's scan (the one scan_epsilon makes)
-    finds every value in the sweep. Each mode's ladder walk (the one auto_range makes) reads its
-    rungs from the sweep, and a rung past the first block in one core
-    call of its own. So a kick number costs two core calls, plus one per
-    rung a walk climbs past the previous stop, for as long as a union fits
-    in SWEEP_BLOCK, and every mode observes every block. An unknown mode
-    and bad points are refused before the first block. A mode whose
-    ladder brackets nothing raises its RangeCapError only after the widths
-    of the modes before it, as a mode-by-mode auto_scan would. The next
-    kick number builds a new sweep, and none outlives the call, whether
-    it returns or raises.
+    to all of that kick number's reads, and builds each rung's probe grid
+    once for the first block and every walk. The first block holds the
+    probe grids of rungs 0..k*, where k* is the deepest rung any mode's
+    walk stopped at for the previous kick number (every rung up to
+    RANGE_CAP for the first), and each mode's final grid at the rung index
+    where its walk stopped for the previous kick number, rungs[k] on this
+    kick number's ladder (none when k is past its top). Each mode's ladder
+    walk (the one auto_range makes) reads its rungs from the sweep, and a
+    rung past the first block in one core call of its own. Then the union
+    of every mode's final grid is read: it finds every value in the sweep
+    when each walk stopped at its previous rung, and otherwise propagates
+    the missing grids in one block. Each mode's scan (the one scan_epsilon
+    makes) then finds every value in the sweep. So a kick number costs one
+    core call, plus one per rung a walk climbs past the previous stop, plus
+    one when a walk stops elsewhere, for as long as a block fits in
+    SWEEP_BLOCK, and every mode observes every block. An unknown mode and
+    bad points are refused before the first block. A mode whose ladder
+    brackets nothing raises its RangeCapError only after the widths of the
+    modes before it, as a mode-by-mode auto_scan would. The next kick
+    number builds a new sweep, and none outlives the call, whether it
+    returns or raises.
     """
     widths: list[list[float]] = [[] for _ in modes]
-    # rungs in the first block: all of them for the first kick number, then
-    # up to the deepest one a walk of the previous kick number stopped at
-    depth = None
+    # per mode, the rung index its walk stopped at for the previous kick
+    # number; None for the first
+    stops = None
     for N in n_arr.tolist():
         # the sweep refuses an unknown mode, then points are checked,
         # before either block propagates
         sweep = _Sweep(N, phi_d, l, modes)
         points = _check_points(points)
         rungs = _rungs(N, RANGE_CAP)
+        probes = list(_probe_grids(rungs))
+        # the first block: every probe grid for the first kick number, then
+        # those up to the deepest previous stop and each mode's final grid
+        # at its previous stop (none past this ladder's top)
+        first = probes
+        if stops is not None:
+            first = probes[:max(stops) + 1] + [
+                _symmetric_grid(rungs[k], points)
+                for k in stops if k < len(rungs)]
         # each block is observed in every mode; the walks and scans below
         # read its values, and a walk past the first block reads each
         # further rung in one core call
-        sweep.read(modes[0], [e for r in rungs[:depth]
-                              for e in _symmetric_grid(r, PROBE_POINTS).tolist()])
-        ranges = []
+        sweep.read(modes[0], [e for grid in first for e in grid.tolist()])
+        stops = []
         for mode in modes:
-            r = _first_bracket(sweep, mode, rungs)
-            if r is None:
+            k = _first_bracket(sweep, mode, probes)
+            if k is None:
                 break
-            ranges.append(r)
-        grids = [_symmetric_grid(r, points) for r in ranges]
+            stops.append(k)
+        grids = [_symmetric_grid(rungs[k], points) for k in stops]
+        # no core call when every walk stopped where it did for the
+        # previous kick number
         sweep.read(modes[0], [e for grid in grids for e in grid.tolist()])
         for mode, grid, column in zip(modes, grids, widths):
             column.append(scan_width(_scan(sweep, N, mode, grid)))
-        if len(ranges) < len(modes):
-            raise _range_cap_error(N, modes[len(ranges)], RANGE_CAP)
-        depth = max(map(rungs.index, ranges)) + 1
+        if len(stops) < len(modes):
+            raise _range_cap_error(N, modes[len(stops)], RANGE_CAP)
     return widths
 
 
@@ -563,10 +591,11 @@ def compare_modes(
     Bit for bit the two width_scaling calls, but each kick number is
     measured in both modes before the next, from one set of driven rows:
     one block of the probe grids up to the deepest rung either walk
-    stopped at for the previous kick number, one core call per rung a walk
-    climbs past it, and one block of both final grids, each observed in
-    both modes. So the first error raised is that of the first kick number
-    that fails.
+    stopped at for the previous kick number and both final grids at the
+    previous stops, one core call per rung a walk climbs past them, and
+    one block of the final grids whose walk stopped elsewhere, each
+    observed in both modes. So the first error raised is that of the
+    first kick number that fails.
     """
     n_arr = _kick_numbers(n_list, least=2)
     pos, fid = (_fit_widths(n_arr, w)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -274,18 +275,22 @@ class TestScanCommand:
         assert len(rows) == len(set(rows)) == sum(reads) == 33
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_no_crossing_exits_3(self, tmp_path, fmt):
+    def test_no_crossing_exits_3(self, tmp_path, capsys, fmt):
         # a range far below the feature size leaves the profile flat to
         # rounding noise; the width request must fail loudly, also when
-        # the file written would not carry the width
-        out = tmp_path / "x"
-        code = main([
-            "scan", "--kicks", "5", "--mode", "fidelity",
-            "--eps-max", "1e-18", "--points", "33",
-            "--format", fmt, "--out", str(out),
-        ])
-        assert code == 3
-        assert not list(out.glob("scan.*"))
+        # the file written would not carry the width. At 1e-300 every
+        # value is exactly 1, so argmax sits at the edge
+        for eps_max in ("1e-18", "1e-300"):
+            out = tmp_path / eps_max
+            code = main([
+                "scan", "--kicks", "5", "--mode", "fidelity",
+                "--eps-max", eps_max, "--points", "33",
+                "--format", fmt, "--out", str(out),
+            ])
+            assert code == 3
+            assert capsys.readouterr().err == \
+                "error: profile contrast is at rounding noise; widen the range\n"
+            assert not list(out.glob("scan.*"))
 
     def test_range_cap_exits_3(self, tmp_path):
         code = main([
@@ -513,6 +518,65 @@ class TestExitCodes:
         # only a NumericalError is a numerical refusal; anything else is a bug
         with pytest.raises(RuntimeError, match="a bug"):
             self.run_raising(monkeypatch, tmp_path, RuntimeError("a bug"))
+
+
+class TestNegativeExponent:
+    """A negative value in exponent notation is a value for every float
+    flag, as it is written with a decimal point."""
+
+    @staticmethod
+    def outputs(out: Path) -> dict:
+        """Each file of a run; manifest.json without its wall and stage times."""
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        manifest.pop("wall_time_s")
+        manifest.pop("stage_s", None)
+        return {**files, "manifest.json": manifest}
+
+    @pytest.mark.parametrize("command", ["evolve", "perturbative"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spaced_value_runs_as_the_joined_one(self, tmp_path, command, fmt):
+        runs = []
+        for name, flag in (("spaced", ["--epsilon", "-2e-5"]),
+                           ("joined", ["--epsilon=-2e-5"])):
+            out = tmp_path / name
+            assert main([command, "--kicks", "7", *flag, "--format", fmt,
+                         "--out", str(out)]) == 0
+            runs.append(self.outputs(out))
+        assert runs[0] == runs[1]
+        assert runs[0]["manifest.json"]["config"]["epsilon"] == -2e-5
+
+    @pytest.mark.parametrize("argv,dest,value", [
+        (["evolve", "--kicks", "7", "--epsilon", "-2E+0"], "epsilon", -2.0),
+        (["perturbative", "--kicks", "7", "--epsilon", "-.5e-3"], "epsilon",
+         -5e-4),
+        (["evolve", "--kicks", "7", "--phi-d", "-4.85e-1"], "phi_d", -0.485),
+        (["scan", "--kicks", "7", "--mode", "position", "--eps-max", "-1e-3"],
+         "eps_max", "-1e-3"),
+        (["scaling", "--mode", "both", "--phi-d", "-1e0"], "phi_d", -1.0),
+    ])
+    def test_every_float_flag(self, argv, dest, value):
+        args = cli.build_parser().parse_args([*argv, "--out", "D"])
+        assert getattr(args, dest) == value
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["evolve", "--out", "D"],
+        ["evolve", "--kicks", "7", "--epsilon", "--out", "D"],
+        ["evolve", "--kicks", "7", "--epsilon", "abc", "--out", "D"],
+        ["evolve", "--kicks", "-1.5", "--out", "D"],
+        ["scan", "--kicks", "7", "--mode", "echo", "--out", "D"],
+        ["scaling", "--mode", "both", "--out", "D", "--bogus"],
+        ["scan", "--help"],
+    ])
+    def test_usage_text_is_argparse_text(self, monkeypatch, capsys, argv):
+        texts = []
+        for parser_class in (cli._Parser, argparse.ArgumentParser):
+            monkeypatch.setattr(cli, "_Parser", parser_class)
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            texts.append((err.value.code, capsys.readouterr()))
+        assert texts[0] == texts[1]
 
 
 class TestEntryPoint:

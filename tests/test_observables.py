@@ -338,7 +338,9 @@ class TestFwhm:
         assert _fwhm(x, y, half_level=0.25) == pytest.approx(1.5, abs=1e-12)
 
     def test_flat_profile_rejected(self):
-        with pytest.raises(NoCrossingError):
+        # argmax puts a flat profile's peak at the edge; the cause is the
+        # missing contrast
+        with pytest.raises(NoCrossingError, match="contrast is at rounding noise"):
             _fwhm(np.arange(5.0), np.ones(5))
 
     def test_edge_peak_rejected(self):
