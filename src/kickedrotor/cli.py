@@ -232,17 +232,26 @@ def _cmd_scaling(args) -> tuple[dict, dict, list]:
     ]
 
 
+#: a digit run with single underscores between digits, as float() reads it
+_DIGITS = r"\d(?:_?\d)*"
+#: the negative numbers float() reads: digits with an optional point and
+#: exponent, or inf, infinity or nan in any case, and trailing white space
+_NEGATIVE_FLOAT = re.compile(
+    rf"^-(?:(?:(?:{_DIGITS})?\.{_DIGITS}|{_DIGITS}\.?)(?:[eE][+-]?{_DIGITS})?"
+    r"|(?i:inf|infinity|nan))\s*$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that takes a negative number in exponent notation,
-    --epsilon -2e-5, for a value, as it takes -0.00002. argparse's own
-    rule matches only forms like -5 and -0.5 (Python 3.11), so it reads
-    -2e-5 as an option and refuses the flag. Its subcommand parsers are of
+    """An ArgumentParser that takes every negative number float() reads,
+    --epsilon -2e-5, -inf or -1_0, for a value, as it takes -0.00002, so
+    the spaced form of a flag acts as its = form. argparse's own rule
+    matches only forms like -5 and -0.5 (Python 3.11), so it reads the
+    others as options and refuses the flag. Its subcommand parsers are of
     this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        self._negative_number_matcher = _NEGATIVE_FLOAT
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,25 +14,27 @@ its one-row case.
 Two independent evolution routes are kept deliberately separate: the
 spectral route (one core, _run, kicking on its own FFT length on one
 ladder per run, sized once; it propagates a whole stack of detunings at
-once, and a single state is the one-row case) and a dense-matrix route
-whose kick is built from Bessel coefficients. They share no transform
-code and cross-validate each other to 1e-9. The echo's reversed pulse is
-not a pass of its own but an overlap (see fidelity_protocol).
+once, and a single state is the one-row case) and a dense route whose
+kick is a banded convolution with Bessel coefficients. They share no
+transform code and cross-validate each other to 1e-9. The echo's reversed
+pulse is not a pass of its own but an overlap (see fidelity_protocol).
 
 The dense route, evolve_dense, propagates only the even half of the
-ladder, a_m for m = 0..M, with the (M+1) x (M+1) matrix E[n, 0] = c_n,
-E[n, m] = c_{(n-m) mod L} + c_{(n+m) mod L} (L = 2M+1) gathered from the
-wrapped kick column c. This is exact because the delta_0 start is even,
+ladder, a_m for m = 0..M, under the (M+1) x (M+1) operator E[n, 0] = c_n,
+E[n, m] = c_{(n-m) mod L} + c_{(n+m) mod L} (L = 2M+1) of the wrapped
+kick column c. This is exact because the delta_0 start is even,
 c_{-d} = c_d, and both free-phase modes depend on m^2 only. It holds at
 quasi-momentum beta = 0 only: a row with beta != 0 is not even and would
 need the full ladder (kick_matrix). The spectral route propagates the
 full ladder, odd part included, and its parity test (TestParity in the
 propagator tests) stays the guard on that odd part. The column's orders
-past one kick's reach, |d| > wavepacket._kick_reach(phi_d), are exact
+past one kick's reach, |d| > D = wavepacket._kick_reach(phi_d), are exact
 zeros, as in every Bessel ladder (analytics._bessel_j_ladder); the true
-values are below 7e-16 (below 5.7e-58 at phi_d = 0.485), and zeros spare
-E's products with the state's far tail from underflowing to slow
-subnormals.
+values are below 7e-16 (below 5.7e-58 at phi_d = 0.485). So E is a band,
+nonzero only for |n - m| <= D, its wrapped corners included, and
+evolve_dense applies it as a banded convolution of the mirrored half
+with the 2D+1 taps c_{-D..D}, at cost O(M D) per period; E itself is
+never formed.
 
 The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
@@ -88,11 +90,13 @@ from .wavepacket import (
     _as_finite,
     _as_int,
     _fft_slots,
+    _kick_reach,
     _propagation_points,
     default_half_width,
 )
 
-#: dense route is an oracle, not a workhorse; keep the cost bounded
+#: dense route is an oracle, not a workhorse; its banded convolution costs
+#: O(M D) per period (D one kick's reach), and the cap keeps runs bounded
 DENSE_HALF_WIDTH_CAP = 512
 #: a new stage of a long run starts where the FFT length shrinks this much;
 #: the finest ratio at which every N <= 23 at phi_d = 0.485 (the sweeps'
@@ -428,7 +432,7 @@ def kick_matrix(phi: float, half_width: int) -> np.ndarray:
 def evolve_dense(
     config: SimConfig, free: FreePhaseSpec | None = None
 ) -> MomentumWavefunction:
-    """Brute-force twin of evolve using matrix-vector products.
+    """Brute-force twin of evolve: one banded convolution per period.
 
     Same contract as evolve; exists purely as an independent check of the
     spectral route, and shares no transform code with it. It propagates
@@ -437,21 +441,28 @@ def evolve_dense(
     column is even (c_{-d} = c_d, see _kick_column) and both free-phase
     modes depend on m^2 only, so every period maps an even state to an
     even one. On even states the circulant kick U[n, m] = c_{(n-m) mod L}
-    acts on the half as the (M+1) x (M+1) matrix
+    acts on the half as the (M+1) x (M+1) operator
 
         E[n, 0] = c_n,    E[n, m] = c_{(n-m) mod L} + c_{(n+m) mod L},
 
-    gathered straight from c, and one period is a = f * (E @ a), with f the
-    free-flight factors for m >= 0. A state that is not even, such as a
-    quasi-momentum row with beta != 0, would need the full ladder.
+    and one period is a = f * (E @ a), with f the free-flight factors for
+    m >= 0. A state that is not even, such as a quasi-momentum row with
+    beta != 0, would need the full ladder.
 
-    c is exactly zero past one kick's reach (analytics._bessel_j_ladder), so
-    E itself holds no subnormals. The state can: at epsilon = 0 its far
-    tail decays into subnormal parts (18 at kicks = 400, M = 452), and
-    the products on them are slow. That run takes 34-44 ms against
-    22-31 ms at epsilon = 1.1e-6 (2-vCPU Xeon, numpy 2.4.6, medians of 7).
+    c is exactly zero past one kick's reach D = wavepacket._kick_reach(phi_d)
+    (analytics._bessel_j_ladder), so E[n, m] vanishes unless |n - m| <= D
+    or its wrapped corner does. A period is therefore one banded
+    convolution: the half is read at the wrapped sites |n - d|, n = 0..M,
+    |d| <= D, mirrored onto m >= 0, and convolved with the 2D+1 taps
+    c_{-D..D}. That is E @ a term by term, summed in another order; where
+    D >= M the band is cut at M and its 2M+1 taps are the whole circulant.
+    The cost is O(M D) per period and E is never formed: kicks = 400 at
+    M = 452, phi_d = 0.485 (D = 33) takes 16-20 ms at epsilon = 1.1e-6
+    and 26-34 ms at epsilon = 0, where the state's far tail decays into
+    slow subnormals (2-vCPU Xeon, numpy 2.4.6, medians of 9 calls in
+    three runs).
 
-    Capped at half_width 512 because the dense cost grows quadratically.
+    Capped at half_width 512: the route is an oracle, not a workhorse.
     Free-flight factors that overflow raise ValueError before the kick
     column is built (FreePhaseSpec.factors); a kick column whose unitarity
     error passes 1e-8 warns.
@@ -462,16 +473,17 @@ def evolve_dense(
             f"dense route capped at half_width {DENSE_HALF_WIDTH_CAP}, got {M}"
         )
     spec = free or FreePhaseSpec.revival_relative(config.l, config.epsilon)
-    m = np.arange(M + 1)
-    factors = spec.factors(m)
+    factors = spec.factors(np.arange(M + 1))
     c = _kick_column(config.phi_d, M)
     L = len(c)
-    E = c[np.subtract.outer(m, m) % L]
-    E[:, 1:] += c[np.add.outer(m, m[1:]) % L]
+    D = min(_kick_reach(config.phi_d), M)
+    taps = c[np.arange(-D, D + 1) % L]
+    # the even half's index of each wrapped site n - d, n = 0..M, |d| <= D
+    sites = np.abs((np.arange(-D, M + D + 1) + M) % L - M)
     half = np.zeros(M + 1, dtype=complex)
     half[0] = 1.0
     for _ in range(config.kicks):
-        half = factors * (E @ half)
+        half = factors * np.convolve(half[sites], taps, "valid")
     return MomentumWavefunction(M, np.concatenate([half[:0:-1], half]))
 
 

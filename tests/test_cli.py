@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kickedrotor
 from kickedrotor import (
@@ -522,7 +523,9 @@ class TestExitCodes:
 
 class TestNegativeExponent:
     """A negative value in exponent notation is a value for every float
-    flag, as it is written with a decimal point."""
+    flag, as it is written with a decimal point; so is every other
+    negative number float() reads, -inf, -nan and underscored digits
+    included."""
 
     @staticmethod
     def outputs(out: Path) -> dict:
@@ -546,6 +549,41 @@ class TestNegativeExponent:
         assert runs[0] == runs[1]
         assert runs[0]["manifest.json"]["config"]["epsilon"] == -2e-5
 
+    @pytest.mark.parametrize("command", ["evolve", "perturbative"])
+    @pytest.mark.parametrize("spelling", ["-inf", "-INF", "-infinity",
+                                          "-Infinity", "-nan", "-NaN"])
+    def test_non_finite_value_reaches_the_value_check(self, tmp_path, capsys,
+                                                      command, spelling):
+        for flag in (["--epsilon", spelling], [f"--epsilon={spelling}"]):
+            out = tmp_path / "out"
+            assert main([command, "--kicks", "7", *flag, "--out", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: epsilon must be finite, got {float(spelling)!r}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["-1_0e-7", "-.5_5e-1_0", "-1_0"])
+    def test_underscored_value_runs_as_the_joined_one(self, tmp_path, spelling):
+        runs = []
+        for name, flag in (("spaced", ["--epsilon", spelling]),
+                           ("joined", [f"--epsilon={spelling}"])):
+            out = tmp_path / name
+            assert main(["evolve", "--kicks", "7", *flag, "--out", str(out)]) == 0
+            runs.append(self.outputs(out))
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=400, derandomize=True)
+    @given(st.lists(st.sampled_from(
+        [*"0123456789._eE+- \t", "\u0663", "inf", "Infinity", "NaN", "x"]),
+        max_size=6).map("".join))
+    def test_matcher_reads_what_float_reads(self, tail):
+        arg = "-" + tail
+        try:
+            float(arg)
+            number = True
+        except ValueError:
+            number = False
+        assert bool(cli._Parser()._negative_number_matcher.match(arg)) == number
+
     @pytest.mark.parametrize("argv,dest,value", [
         (["evolve", "--kicks", "7", "--epsilon", "-2E+0"], "epsilon", -2.0),
         (["perturbative", "--kicks", "7", "--epsilon", "-.5e-3"], "epsilon",
@@ -554,6 +592,9 @@ class TestNegativeExponent:
         (["scan", "--kicks", "7", "--mode", "position", "--eps-max", "-1e-3"],
          "eps_max", "-1e-3"),
         (["scaling", "--mode", "both", "--phi-d", "-1e0"], "phi_d", -1.0),
+        (["scan", "--kicks", "7", "--mode", "position", "--eps-max", "-inf"],
+         "eps_max", "-inf"),
+        (["evolve", "--kicks", "7", "--phi-d", "-1_0"], "phi_d", -10.0),
     ])
     def test_every_float_flag(self, argv, dest, value):
         args = cli.build_parser().parse_args([*argv, "--out", "D"])
@@ -568,6 +609,8 @@ class TestNegativeExponent:
         ["scan", "--kicks", "7", "--mode", "echo", "--out", "D"],
         ["scaling", "--mode", "both", "--out", "D", "--bogus"],
         ["scan", "--help"],
+        ["evolve", "--kicks", "7", "--epsilon", "-x", "--out", "D"],
+        ["evolve", "--kicks", "7", "--epsilon", "-1__0", "--out", "D"],
     ])
     def test_usage_text_is_argparse_text(self, monkeypatch, capsys, argv):
         texts = []

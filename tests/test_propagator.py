@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -567,14 +568,44 @@ class TestDenseRoute:
         assert np.max(np.abs(out.amps - dense_loop_reference(cfg, free))) <= 1e-13
         assert np.array_equal(out.amps, out.amps[::-1])
 
-    @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6])
-    def test_band_leaves_the_long_run_bit_identical(self, eps):
+    @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6, 0.0])
+    def test_band_is_the_whole_column_route_to_rounding(self, eps):
         # the orders past one kick's reach, exact zeros in evolve_dense and
-        # below 5.7e-58 at their true values at phi_d = 0.485, change no bit
-        # of the N = 400, M = 452 run
+        # below 5.7e-58 at their true values at phi_d = 0.485, move the
+        # N = 400, M = 452 run by rounding only: the banded convolution
+        # sums E @ a in another order (measured 6.2e-16, 8.5e-16 at
+        # epsilon = 0)
         cfg = SimConfig(kicks=400, epsilon=eps, half_width=452)
         ref = even_route_reference(cfg, FreePhaseSpec.revival_relative(1, eps))
-        assert np.array_equal(evolve_dense(cfg).amps, ref)
+        assert np.max(np.abs(evolve_dense(cfg).amps - ref)) <= 2e-15
+
+    @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
+    @pytest.mark.parametrize("free", [FreePhaseSpec.revival_relative(1, 1e-3),
+                                      FreePhaseSpec.general(0.3)],
+                             ids=["revival_relative", "general"])
+    @pytest.mark.parametrize("phi, M", [(0.485, 1), (0.485, 2), (0.485, 5),
+                                        (0.485, 33), (0.485, 34), (40.0, 76),
+                                        (40.0, 77)])
+    def test_band_that_wraps_is_the_elementwise_loop(self, phi, M, free):
+        # one kick's reach D is 33 at phi_d = 0.485 and 76 at 40: up to
+        # M = D the band is cut at M and its taps are the whole circulant,
+        # and at M = D + 1 it falls just short of it
+        cfg = SimConfig(kicks=7, phi_d=phi, epsilon=1e-3, half_width=M)
+        out = evolve_dense(cfg, free)
+        assert np.max(np.abs(out.amps - dense_loop_reference(cfg, free))) <= 1e-13
+
+    def test_no_square_matrix_is_formed(self):
+        # E alone would take 3.3 MB at M = 452; the band's working arrays
+        # are a few kilobytes
+        cfg = SimConfig(kicks=400, epsilon=1.1e-6, half_width=452)
+        evolve_dense(cfg)
+        tracemalloc.start()
+        try:
+            evolve_dense(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("phi, M", [(0.485, 60), (5e-5, 60), (40.0, 150)])
     def test_kick_column_is_zero_past_one_kicks_reach(self, phi, M):
