@@ -10,9 +10,11 @@ Bessel values come from a downward three-term recurrence normalized with
 the even-order sum rule (J_0 + 2 J_2 + 2 J_4 + ... = 1), which is stable
 where the upward recurrence is not. It has one implementation,
 _bessel_j_ladder, which steps one argument at a time and serves every
-closed form and kick column. Each ladder starts at one kick's reach past
-its argument (wavepacket._kick_reach), where |J_m(x)| < 7e-16, and holds
-exact zeros above it, however wide the ladder asked for.
+closed form and kick column. Each ladder starts at one kick's reach
+(wavepacket._kick_reach), past which |J_m(x)| < 7e-16, and holds exact
+zeros above it, however wide the ladder asked for. For a weak argument
+that reach is the last order whose Taylor bound (x/2)**m / m! is still
+>= 7e-16 (11 at x = 0.485); above x = 23.29 it lies an Airy margin past x.
 """
 from __future__ import annotations
 
@@ -43,9 +45,9 @@ def _bessel_j_ladder(x: float, half_width: int) -> np.ndarray:
     |J_m(x)| < 7e-16: its orders above that are exactly 0. Two branches:
     the ascending series below x = 1e-4, and above it the downward
     recurrence, started at that reach and normalized by its even-order
-    sum. Seeded at 1e-30, no unnormalized value passes 1e149 (at
-    x = 1e-4), so nothing is rescaled. Then the one place the Bessel sign
-    rules are applied: J_{-d}(x) = (-1)^d J_d(x) fills the negative
+    sum. Seeded at 1e-30, no unnormalized value passes 1e-14 (4.0e-15
+    near x = 23.3), so nothing is rescaled. Then the one place the Bessel
+    sign rules are applied: J_{-d}(x) = (-1)^d J_d(x) fills the negative
     orders, and J_d(-x) = J_{-d}(x) means a negative argument reads this
     ladder reversed. Refuses (ValueError) a half width outside 0..10000
     and an argument outside [0, 1000], NaN included.

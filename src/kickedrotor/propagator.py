@@ -30,11 +30,11 @@ full ladder, odd part included, and its parity test (TestParity in the
 propagator tests) stays the guard on that odd part. The column's orders
 past one kick's reach, |d| > D = wavepacket._kick_reach(phi_d), are exact
 zeros, as in every Bessel ladder (analytics._bessel_j_ladder); the true
-values are below 7e-16 (below 5.7e-58 at phi_d = 0.485). So E is a band,
-nonzero only for |n - m| <= D, its wrapped corners included, and
-evolve_dense applies it as a banded convolution of the mirrored half
-with the 2D+1 taps c_{-D..D}, at cost O(M D) per period; E itself is
-never formed.
+values are below 7e-16 (D = 11 and |J_12| = 8.6e-17 at phi_d = 0.485).
+So E is a band, nonzero only for |n - m| <= D, its wrapped corners
+included, and evolve_dense applies it as a banded convolution of the
+mirrored half with the 2D+1 taps c_{-D..D} (25 at phi_d = 0.485), at
+cost O(M D) per period; E itself is never formed.
 
 The spectral core takes its free flight as one phase function,
 phases(m), which returns the block's theta table on the ladder m: the
@@ -56,15 +56,18 @@ early periods on the ladder their reach needs (_stages): period k needs
 M_k = M - floor(phi_d (N - k)), never less than min(M,
 default_half_width(k, phi_d)), and a new stage starts wherever the FFT
 length of M_k shrinks by _STAGE_RATIO = 1.25. N = 2000 at phi_d = 0.485
-runs on ten stages, 256, 324, 432, 540, 675, 864, 1080, 1350, 1728 and
-2160 points; every N <= 23 is one stage. Each stage kicks on its own
-exact length and takes the central slice of the one table of free-flight
-factors, so a table the final ladder refuses is refused before period 1.
+runs on eleven stages, 200, 256, 324, 432, 540, 675, 864, 1080, 1350,
+1728 and 2160 points; every N <= 20 is one stage. Each stage kicks on
+its own exact length and takes the central slice of the one table of
+free-flight factors, so a table the final ladder refuses is refused
+before period 1.
 
 The spectral core keeps its stack on one (P, n) buffer in FFT order
 (wavepacket._fft_slots) through each stage. A period, _kick, is an
-in-place ifft, the kick multiply, an in-place fft, the edge check and
-one multiply by the free-flight factors, which are zero off the stage's
+in-place ifft, the kick multiply, an in-place fft, the edge check (one
+sum over the whole stack's edge sites; the per-row rule runs only when
+that sum fails) and one multiply by the free-flight factors, which are
+zero off the stage's
 ladder and so also truncate; the transform pair's scales cancel, so none
 is applied. The stack returns to ladder order at the end of each stage,
 where the next stage takes it over; a short run is one stage.
@@ -99,8 +102,8 @@ from .wavepacket import (
 #: O(M D) per period (D one kick's reach), and the cap keeps runs bounded
 DENSE_HALF_WIDTH_CAP = 512
 #: a new stage of a long run starts where the FFT length shrinks this much;
-#: the finest ratio at which every N <= 23 at phi_d = 0.485 (the sweeps'
-#: 5..18 included) is still one stage
+#: at phi_d = 0.485 the sweeps' N = 5..18 stay one stage (every N <= 20
+#: does, and N = 21 is the first with two)
 _STAGE_RATIO = 1.25
 
 
@@ -208,14 +211,23 @@ def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
     applies the free flight in one multiply. Before that multiply, raises
     LeakageError, with the worst occupancy and the period, when the edge
     sites m = +-M of any row hold more than EDGE_LEAK_BOUND, or a NaN.
+    The edge sites of the whole stack are summed first, in one call; only
+    a total past a few ulps below the bound, or NaN, runs the per-row
+    rule, which then decides, so the refusals are the per-row rule's.
     """
     np.fft.ifft(buf, out=buf)
     buf *= kick
     np.fft.fft(buf, out=buf)
-    occ = np.abs(buf[:, half_width]) ** 2 + np.abs(buf[:, -half_width]) ** 2
-    worst = occ.max()  # NaN if any row holds one
-    if not worst <= EDGE_LEAK_BOUND:
-        raise LeakageError(float(worst), period)
+    edges = buf[:, (half_width, -half_width)]
+    # the whole stack's edge total bounds every row's occupancy: a sum of
+    # nonnegative terms rounds to no less than any of its parts, and the
+    # few ulps below the bound cover the rows' own rounding, so the gate
+    # admits no stack the per-row rule refuses; NaN fails it
+    if not np.vdot(edges, edges).real <= (1 - 2**-50) * EDGE_LEAK_BOUND:
+        occ = np.abs(edges[:, 0]) ** 2 + np.abs(edges[:, 1]) ** 2
+        worst = occ.max()  # NaN if any row holds one
+        if not worst <= EDGE_LEAK_BOUND:
+            raise LeakageError(float(worst), period)
     buf *= factors
 
 
@@ -230,7 +242,7 @@ def _stages(kicks: int, phi_d: float, half_width: int) -> list[tuple[int, int]]:
     last period whose grid _propagation_points(M_k) is at most
     1/_STAGE_RATIO of that stage's grid. Each stage runs on the ladder of
     its own last period, which holds every period in it. At phi_d = 0.485
-    every N <= 23 is one stage; N = 24 is the first with two.
+    every N <= 20 is one stage; N = 21 is the first with two.
     """
     def ladder(k: int) -> int:
         return max(half_width - math.floor(phi_d * (kicks - k)),
@@ -457,10 +469,10 @@ def evolve_dense(
     c_{-D..D}. That is E @ a term by term, summed in another order; where
     D >= M the band is cut at M and its 2M+1 taps are the whole circulant.
     The cost is O(M D) per period and E is never formed: kicks = 400 at
-    M = 452, phi_d = 0.485 (D = 33) takes 16-20 ms at epsilon = 1.1e-6
-    and 26-34 ms at epsilon = 0, where the state's far tail decays into
-    slow subnormals (2-vCPU Xeon, numpy 2.4.6, medians of 9 calls in
-    three runs).
+    M = 452, phi_d = 0.485 (D = 11, 25 taps) takes 9-12 ms at
+    epsilon = 1.1e-6 and 13 ms at epsilon = 0, where the state's far tail
+    decays into slow subnormals (2-vCPU Xeon, numpy 2.4.6, medians of 9
+    calls in three runs).
 
     Capped at half_width 512: the route is an oracle, not a workhorse.
     Free-flight factors that overflow raise ValueError before the kick

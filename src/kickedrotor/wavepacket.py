@@ -13,9 +13,11 @@ samples the density |Psi|**2, whose band is 4M+1, so it keeps the
 Nyquist margin n >= 2*(2M+1) (default_n_points, _check_grid). The
 propagation grid only carries the kick exp(-i phi cos X) back to the
 ladder, which is exact once n - 2M exceeds the kick's own Bessel reach
-(_propagation_points). FFTs are used internally; the contract is the
-sum. Both grids hold the ladder in FFT order, m >= 0 at index m and
-m < 0 at n + m (_fft_slots).
+(_kick_reach, _propagation_points): the order past which every
+|J_d(phi)| < 7e-16, 11 at phi = 0.485 by the Taylor bound
+(phi/2)**d / d!, and an Airy margin past ceil(phi) for strong kicks.
+FFTs are used internally; the contract is the sum. Both grids hold the
+ladder in FFT order, m >= 0 at index m and m < 0 at n + m (_fft_slots).
 
 The package's argument rules live here, one owner each: _as_int
 (integers, optionally with a least value), _as_finite (finite, or finite
@@ -122,13 +124,29 @@ def _bessel_reach(x: float, widths: float) -> int:
 
 
 def _kick_reach(phi: float) -> int:
-    """The reach of one kick of strength phi: ceil(|phi|) plus 13.2 Airy
-    widths, and at least 32. Past it |J_d(phi)| < 7e-16 for every |phi| up
-    to 5000 (below 5.7e-58 at |phi| = 0.485). The propagation length stops
-    there, and every Bessel ladder starts there
-    (analytics._bessel_j_ladder), its orders past it exact zeros, so the
-    dense oracle's kick column and every closed form hold zeros there too."""
-    return _bessel_reach(abs(phi), 13.2)
+    """The reach of one kick of strength phi: past it |J_d(phi)| < 7e-16
+    for every |phi| up to 5000. It is the smaller of two reaches. One is
+    ceil(|phi|) plus 13.2 Airy widths, and at least 32 (_bessel_reach).
+    The other is the last order d whose Taylor bound (|phi|/2)**d / d!
+    (DLMF 10.14.4, |J_d(x)| <= (x/2)**d / d! for x >= 0) is still >=
+    7e-16: 11 at |phi| = 0.485, where |J_12| = 8.6e-17, and 0 at phi = 0.
+    The Taylor reach is the smaller for every |phi| below 21.97 and for
+    none above 23.29; one lgamma at the Airy order tells which wins, so
+    the search runs only where it can. The propagation length stops there, and every Bessel
+    ladder starts there (analytics._bessel_j_ladder), its orders past it
+    exact zeros, so the dense oracle's kick column and every closed form
+    hold zeros there too."""
+    x, tiny = abs(phi), 7e-16
+    airy = _bessel_reach(x, 13.2)
+    # log of the Taylor bound at the Airy order; log(x) - log(2), as x/2
+    # underflows to 0 at the least subnormal
+    if x > 0 and (airy * (math.log(x) - math.log(2)) - math.lgamma(airy + 1)
+                  >= math.log(tiny)):
+        return airy
+    d, bound = 0, 1.0
+    while d < airy and (bound := bound * x / (2 * (d + 1))) >= tiny:
+        d += 1
+    return d
 
 
 def default_n_points(half_width: int) -> int:
@@ -152,16 +170,18 @@ def _propagation_points(half_width: int, phi: float) -> int:
     The spectral core's FFT length. On n points the kick's coefficients
     (-i)**d J_d(phi) alias onto d + k*n, and between two sites of the
     ladder d spans [-2M, 2M], so the nearest alias is J_{n-2M}(phi). The
-    target is the ladder plus the reach of one kick (_kick_reach), 2M+1 +
-    ceil(|phi|) + max(32, ceil(13.2 (|phi|/2)**(1/3))): two Airy widths
-    more than default_half_width's 11.2 keep the nearest alias below
-    7e-16 for every |phi| up to 5000 (11.2 lets it reach 4.6e-13). Up to
-    |phi| = 28.5 the reach is ceil(|phi|) + 32, the one-kick ladder
-    default_half_width(1, |phi|). That is about half the density's
-    Nyquist length 4*(M+1): 1152 against 2250 at M = 555, phi = 0.485.
-    5-smooth lengths transform about as fast per point as a power of two,
-    and the nearest one is at most 1.11x the target for every target up
-    to 8192, where the next power of two can be almost 2x.
+    target is the ladder plus the reach of one kick, 2M+1 +
+    _kick_reach(phi), which keeps the nearest alias below 7e-16. Below
+    |phi| = 21.97 that reach is the Taylor one, 11 at phi = 0.485, so the
+    sweeps' N = 5, 12 and 18 kick on 90, 90 and 96 points. Above 23.29 it
+    is ceil(|phi|) + max(32, ceil(13.2 (|phi|/2)**(1/3))): two Airy
+    widths more than default_half_width's 11.2 (which lets the alias
+    reach 4.6e-13), for every |phi| up to 5000. That is about half the
+    density's Nyquist length 4*(M+1): 1125 against 2250 at M = 555,
+    phi = 0.485. 5-smooth lengths transform about as fast per point as a
+    power of two, and the nearest one is at most 1.11x the target for
+    every target from 22 up to 8192 (15/13 at most below), where the next
+    power of two can be almost 2x.
     """
     target = 2 * half_width + 1 + _kick_reach(phi)
     best = 1 << (target - 1).bit_length()

@@ -119,11 +119,13 @@ class TestBessel:
 
 
 #: arguments across both branches of the ladder: the ascending series
-#: below 1e-4 (zero and subnormals included), small x, whose values grow
-#: the most down the recurrence, the default strength and its multiples,
-#: and x past every n_max below, whose rows are cut at n_max
+#: below 1e-4 (zero and subnormals included), small x, started at their
+#: short Taylor reach, the default strength and its multiples, 23.3,
+#: where the Airy reach takes over and the values grow the most down the
+#: recurrence, and x past every n_max below, whose rows are cut at n_max
 STEPPED_X = [0.0, 5e-324, 1e-300, 3e-9, 3e-5, 9.99e-5, 1e-4, 1.3e-4, 1e-3,
-             0.01, 0.1, 0.485, 0.97, 2.0, 13.7, 97.0, 250.5, 999.0, 1000.0]
+             0.01, 0.1, 0.485, 0.97, 2.0, 13.7, 23.3, 97.0, 250.5, 999.0,
+             1000.0]
 
 
 class TestSteppedRows:

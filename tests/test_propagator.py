@@ -157,14 +157,16 @@ class TestKick:
             kicked(amps, _kick_phases(default_n_points(8), 0.485))
 
 
-def kick_edges(occupied: dict[tuple[int, int], float], period: int = 7):
-    """One period of a (3, 17) stack at half width 8, each row delta_{m,0}
-    plus occupied[(row, m)] put on site m of that row as its occupancy.
+def kick_edges(occupied: dict[tuple[int, int], float], period: int = 7,
+               stack: int = 3):
+    """One period of a (stack, 17) stack at half width 8, each row
+    delta_{m,0} plus occupied[(row, m)] put on site m of that row as its
+    occupancy.
 
     The kick is the identity (phi = 0 gives exactly 1 on the grid), so the
     edge check reads the occupancies placed, to the transforms' rounding.
     """
-    rows = np.zeros((3, 17), dtype=complex)
+    rows = np.zeros((stack, 17), dtype=complex)
     rows[:, 8] = 1.0
     for (row, m), occ in occupied.items():
         rows[row, 8 + m] = np.sqrt(occ)
@@ -203,14 +205,46 @@ class TestKickEdgeRule:
         assert math.isnan(err.value.occupancy)
         assert err.value.period == 5
 
+    # the edge check first sums the whole stack's edges in one call; only a
+    # total past the bound (or NaN) falls back to the per-row rule
+
+    def test_rows_under_the_bound_pass_whatever_their_total(self):
+        # 64 rows at 0.6x the bound: the total is 38x it, and no row leaks
+        kick_edges({(row, 8 if row % 2 else -8): 0.6 * EDGE_LEAK_BOUND
+                    for row in range(64)}, stack=64)
+
+    @pytest.mark.parametrize("others", [0.0, 0.6], ids=["alone", "among_0.6"])
+    @pytest.mark.parametrize("row", [0, 37, 63])
+    def test_one_row_just_above_the_bound_is_refused(self, row, others):
+        above = (1 + 1e-6) * EDGE_LEAK_BOUND
+        occupied = {(r, 8): others * EDGE_LEAK_BOUND for r in range(64)}
+        occupied[(row, -8)] = above - occupied[(row, 8)]
+        with pytest.raises(LeakageError) as err:
+            kick_edges(occupied, period=11, stack=64)
+        assert err.value.occupancy == pytest.approx(above, rel=1e-7)
+        assert err.value.period == 11
+        # the same row just below the bound passes
+        occupied[(row, -8)] = (1 - 1e-6) * EDGE_LEAK_BOUND - occupied[(row, 8)]
+        kick_edges(occupied, stack=64)
+
+    @pytest.mark.parametrize("row", [0, 37, 63])
+    def test_nan_in_any_one_row_is_refused(self, row):
+        occupied = {(r, 8): 0.6 * EDGE_LEAK_BOUND for r in range(64)}
+        occupied[(row, 8)] = np.nan
+        with pytest.raises(LeakageError) as err:
+            kick_edges(occupied, period=13, stack=64)
+        assert math.isnan(err.value.occupancy)
+        assert err.value.period == 13
+
 
 class TestKickGrid:
     """The core's FFT length kicks exactly: no alias of the kick's Bessel
     coefficients reaches the ladder, so a longer grid changes nothing."""
 
-    @pytest.mark.parametrize("phi", [0.1, 0.485, 2.3, 10.0, 50.0])
+    @pytest.mark.parametrize("phi", [1e-5, 1e-3, 0.1, 0.485, 2.3, 10.0, 50.0])
     @pytest.mark.parametrize("M", [1, 8, 40, 300])
     def test_equals_the_kick_on_an_eight_times_longer_grid(self, M, phi):
+        # the reach is 2, 4 and 8 at phi = 1e-5, 1e-3 and 0.1, far below 32
         rng = np.random.default_rng(M)
         filled = rng.normal(size=2 * M + 1) + 1j * rng.normal(size=2 * M + 1)
         delta = np.zeros(2 * M + 1, dtype=complex)
@@ -221,10 +255,11 @@ class TestKickGrid:
         with mock.patch.object(propagator, "EDGE_LEAK_BOUND", math.inf):
             short = kicked(rows, _kick_phases(n, phi))
             long = kicked(rows, _kick_phases(8 * n, phi))
-            # the check has teeth: the bare ladder length aliases
+            # the check has teeth: the bare ladder length aliases, by about
+            # J_1(phi) ~ phi/2 times an edge amplitude
             bare = kicked(rows, _kick_phases(2 * M + 1, phi))
         assert np.max(np.abs(short - long)) <= 1e-14
-        assert np.max(np.abs(bare - long)) > 1e-6
+        assert np.max(np.abs(bare - long)) > min(1e-6, 1e-3 * phi)
 
 
 class TestFreeFlight:
@@ -401,17 +436,20 @@ def dense_loop_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
     return amps
 
 
-def even_route_reference(config: SimConfig, free: FreePhaseSpec) -> np.ndarray:
+def even_route_reference(config: SimConfig, free: FreePhaseSpec,
+                         true_tail: bool = False) -> np.ndarray:
     """evolve_dense's even route with E gathered from the whole kick
-    column, its orders past one kick's reach, D < |d| <= M, at their true
-    values (scipy) where the Bessel rows hold exact zeros."""
+    column; with true_tail, its orders past one kick's reach,
+    D < |d| <= M, at their true values (scipy) where the Bessel rows hold
+    exact zeros."""
     M = config.half_width
     m = np.arange(M + 1)
     c = _kick_column(config.phi_d, M)
-    d = np.arange(_kick_reach(config.phi_d) + 1, M + 1)
-    tail = MINUS_I_POW[d % 4] * special.jv(d, config.phi_d)
-    c[d] = tail
-    c[len(c) - d] = tail
+    if true_tail:
+        d = np.arange(_kick_reach(config.phi_d) + 1, M + 1)
+        tail = MINUS_I_POW[d % 4] * special.jv(d, config.phi_d)
+        c[d] = tail
+        c[len(c) - d] = tail
     E = c[np.subtract.outer(m, m) % len(c)]
     E[:, 1:] += c[np.add.outer(m, m[1:]) % len(c)]
     factors = free.factors(m)
@@ -570,26 +608,41 @@ class TestDenseRoute:
 
     @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6, 0.0])
     def test_band_is_the_whole_column_route_to_rounding(self, eps):
-        # the orders past one kick's reach, exact zeros in evolve_dense and
-        # below 5.7e-58 at their true values at phi_d = 0.485, move the
-        # N = 400, M = 452 run by rounding only: the banded convolution
-        # sums E @ a in another order (measured 6.2e-16, 8.5e-16 at
-        # epsilon = 0)
+        # the banded convolution sums E @ a in another order, so on the
+        # N = 400, M = 452 run it is the route through the whole column,
+        # its exact zeros included, to rounding
         cfg = SimConfig(kicks=400, epsilon=eps, half_width=452)
         ref = even_route_reference(cfg, FreePhaseSpec.revival_relative(1, eps))
         assert np.max(np.abs(evolve_dense(cfg).amps - ref)) <= 2e-15
+
+    @pytest.mark.parametrize("eps", [1.1e-6, -1.1e-6, 0.0])
+    def test_true_tail_moves_the_run_within_its_bound(self, eps):
+        # the orders past one kick's reach (D = 11 at phi_d = 0.485, |J_12|
+        # = 8.6e-17) are exact zeros in evolve_dense; restoring their true
+        # values changes the circulant kick by at most the tail's l1 norm
+        # in operator norm, so N unitary periods move the run by at most N
+        # times it (7.0e-14 at N = 400; measured 4.4e-15, 6.2e-15 at
+        # epsilon = 0), plus the rounding of the route above
+        cfg = SimConfig(kicks=400, epsilon=eps, half_width=452)
+        ref = even_route_reference(cfg, FreePhaseSpec.revival_relative(1, eps),
+                                   true_tail=True)
+        d = np.arange(_kick_reach(cfg.phi_d) + 1, 453)
+        tail = 2 * np.sum(np.abs(special.jv(d, cfg.phi_d)))
+        assert np.max(np.abs(evolve_dense(cfg).amps - ref)) <= cfg.kicks * tail + 2e-15
 
     @pytest.mark.filterwarnings("ignore:kick matrix unitarity error:RuntimeWarning")
     @pytest.mark.parametrize("free", [FreePhaseSpec.revival_relative(1, 1e-3),
                                       FreePhaseSpec.general(0.3)],
                              ids=["revival_relative", "general"])
     @pytest.mark.parametrize("phi, M", [(0.485, 1), (0.485, 2), (0.485, 5),
+                                        (0.485, 11), (0.485, 12),
                                         (0.485, 33), (0.485, 34), (40.0, 76),
                                         (40.0, 77)])
     def test_band_that_wraps_is_the_elementwise_loop(self, phi, M, free):
-        # one kick's reach D is 33 at phi_d = 0.485 and 76 at 40: up to
+        # one kick's reach D is 11 at phi_d = 0.485 and 76 at 40: up to
         # M = D the band is cut at M and its taps are the whole circulant,
-        # and at M = D + 1 it falls just short of it
+        # at M = D + 1 it falls just short of it, and at M = 33, 34 (the
+        # Airy reach at 0.485) it is a band well inside the ladder
         cfg = SimConfig(kicks=7, phi_d=phi, epsilon=1e-3, half_width=M)
         out = evolve_dense(cfg, free)
         assert np.max(np.abs(out.amps - dense_loop_reference(cfg, free))) <= 1e-13
@@ -659,7 +712,7 @@ class TestFidelityProtocol:
     def test_echo_runs_on_the_driven_ladder(self):
         # the reversed pulse is read as an overlap, so the ladder is sized
         # for N*phi_d (M = 555), not for the doubled reach (M = 1058); the
-        # driven kicks run in nine stages on 180 to 1152 points and the one
+        # driven kicks run in nine stages on 180 to 1125 points and the one
         # pulse of N*phi_d = 485 on 1728, each the length that kicks by its
         # own phi exactly
         with mock.patch.object(propagator, "_kick_phases", wraps=_kick_phases) as phases:
@@ -667,7 +720,7 @@ class TestFidelityProtocol:
         assert abs(f - 1.0) <= 1e-12
         assert default_half_width(1000, 0.485) == 555
         grids = [call.args for call in phases.call_args_list]
-        driven = (180, 225, 288, 360, 450, 576, 720, 900, 1152)
+        driven = (180, 225, 288, 360, 450, 576, 720, 900, 1125)
         assert grids == [(n, 0.485) for n in driven] + [(1728, 1000 * 0.485)]
         assert grids[-2:] == [(_propagation_points(555, phi), phi)
                               for phi in (0.485, 1000 * 0.485)]
@@ -953,14 +1006,14 @@ class TestStages:
             expect += [ladder] * (last - first + 1)
             first = last + 1
         assert [ladder for _, ladder in steps] == expect
-        assert sorted(set(expect)) == [111, 145, 199, 253, 320, 415, 523,
-                                       658, 847, 1058]
+        assert sorted(set(expect)) == [94, 122, 156, 210, 264, 331, 426,
+                                       534, 669, 858, 1058]
         assert amps.shape == (1, 2 * 1058 + 1)
 
     @pytest.mark.parametrize("kicks, grids", [
-        (300, [160, 200, 256, 324, 432]),
-        (1000, [180, 225, 288, 360, 450, 576, 720, 900, 1152]),
-        (2000, [256, 324, 432, 540, 675, 864, 1080, 1350, 1728, 2160]),
+        (300, [128, 160, 200, 256, 320, 400]),
+        (1000, [180, 225, 288, 360, 450, 576, 720, 900, 1125]),
+        (2000, [200, 256, 324, 432, 540, 675, 864, 1080, 1350, 1728, 2160]),
     ])
     def test_long_orbit_grids(self, kicks, grids):
         stages = _stages(kicks, 0.485, default_half_width(kicks, 0.485))
@@ -968,18 +1021,19 @@ class TestStages:
 
     def test_short_runs_are_one_stage(self):
         # the sweeps (N = 5..18) run on one ladder, as before the stages;
-        # N = 24 is the first run in two, and qkr scan --kicks 40 and the
+        # N = 21 is the first run in two, and qkr scan --kicks 40 and the
         # dense pair (M = 452, N = 400) are staged
-        for kicks in range(0, 24):
+        for kicks in range(0, 21):
             M = default_half_width(kicks, 0.485)
             assert _stages(kicks, 0.485, M) == [(kicks, M)]
-        assert _stages(24, 0.485, 44) == [(1, 33), (24, 44)]
-        assert _stages(40, 0.485, 52) == [(9, 37), (40, 52)]
-        assert [default_half_width(kicks, 0.485) for kicks in (24, 40)] == [44, 52]
-        assert _stages(400, 0.485, 452) == [(51, 283), (224, 367), (400, 452)]
-        assert len(_stages(400, 0.485, default_half_width(400, 0.485))) == 6
+        assert _stages(21, 0.485, 43) == [(2, 34), (21, 43)]
+        assert _stages(24, 0.485, 44) == [(3, 34), (24, 44)]
+        assert _stages(40, 0.485, 52) == [(19, 42), (40, 52)]
+        assert [default_half_width(kicks, 0.485) for kicks in (21, 24, 40)] == [43, 44, 52]
+        assert _stages(400, 0.485, 452) == [(74, 294), (247, 378), (400, 452)]
+        assert len(_stages(400, 0.485, default_half_width(400, 0.485))) == 7
 
-    @pytest.mark.parametrize("kicks", [5, 18, 23])
+    @pytest.mark.parametrize("kicks", [5, 18, 20])
     def test_one_stage_rows_are_the_single_ladder_rows(self, kicks):
         block = functools.partial(_revival_phases, 1, (0.0, 1e-4, -3e-3))
         M = default_half_width(kicks, 0.485)
@@ -1006,7 +1060,7 @@ class TestStages:
 
     def test_early_stage_leak_is_refused_at_its_period(self):
         # narrow every stage but the last by 40 sites: the first stage of
-        # N = 300 (M = 63 at period 31) then leaks, and the run is refused
+        # N = 300 (M = 58 at period 21) then leaks, and the run is refused
         # there, on the one final ladder it was sized with
         def narrowed(kicks, phi, M):
             stages = _stages(kicks, phi, M)
@@ -1018,6 +1072,6 @@ class TestStages:
                 with pytest.raises(LeakageError) as err:
                     _run(300, 0.485, block)
         assert [call.args for call in plan.call_args_list] == [(300, 0.485, 193)]
-        assert err.value.period <= 31
+        assert err.value.period <= 21
         steps = [(call.args[4], call.args[3]) for call in step.call_args_list]
-        assert steps == [(period, 23) for period in range(1, err.value.period + 1)]
+        assert steps == [(period, 18) for period in range(1, err.value.period + 1)]

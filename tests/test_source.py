@@ -16,8 +16,9 @@ sigma_x and the sweeps' stacked observation share: it alone holds the
 within-bin term dx * dx / 12 and the MIRROR_TIE comparison. The downward
 Bessel recurrence has one owner, analytics._bessel_j_ladder, the only
 place its seed literal 1e-30 appears. One kick's reach has one owner
-too, wavepacket._kick_reach, the only place the literal 13.2 (its Airy
-widths) appears: the propagation length and the top order of every
+too, wavepacket._kick_reach, the only place the literals 13.2 (its Airy
+widths) and 7e-16 (the bound on |J_d| past it, which its Taylor reach
+tests) appear: the propagation length and the top order of every
 Bessel ladder, and so of the dense oracle's kick column, take it from
 there. No state outlives a call: no module
 makes a context variable. A sweep is an explicit scanner._Sweep, built
@@ -365,6 +366,34 @@ def test_stray_kick_reach_is_caught():
                      "WIDTHS = 13.2\n")
     assert owners(tree, is_kick_reach_widths) == ["_propagation_points",
                                                   "_kick_reach", "<module>"]
+
+
+def is_kick_reach_bound(node: ast.AST) -> bool:
+    """The literal 7e-16, the bound on |J_d| past one kick's reach."""
+    return isinstance(node, ast.Constant) and node.value == 7e-16
+
+
+def test_kick_reach_bound_has_one_owner():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}.{name}"
+                  for name in owners(tree, is_kick_reach_bound)]
+    assert found == ["wavepacket._kick_reach"]
+
+
+def test_stray_kick_reach_bound_is_caught():
+    tree = ast.parse("def _bessel_j_ladder(x, M):\n"
+                     "    top = _kick_reach(x)\n"
+                     "    return top if x / 2 < 7e-16 else top + 1\n"
+                     "def _kick_reach(phi):\n"
+                     "    '|J_d| < 7e-16 past it'\n"
+                     "    x, tiny = abs(phi), 7e-16\n"
+                     "    return 0 if x < tiny else 1\n"
+                     "BOUND = 7e-16\n"
+                     "LOOSE = 7e-15\n")
+    assert owners(tree, is_kick_reach_bound) == ["_bessel_j_ladder",
+                                                 "_kick_reach", "<module>"]
 
 
 def context_variables(tree: ast.Module) -> list[str]:

@@ -1,5 +1,7 @@
 import bisect
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from kickedrotor import (
     to_position,
 )
 from kickedrotor.analytics import correction_term
-from kickedrotor.wavepacket import _check_grid, _propagation_points
+from kickedrotor.wavepacket import (_bessel_reach, _check_grid, _kick_reach,
+                                    _propagation_points)
 
 TWO_PI = 2 * math.pi
 #: every 2^a 3^b 5^c up to 2^15, sorted
@@ -27,6 +30,28 @@ FIVE_SMOOTH = sorted(
     for a in range(16) for b in range(10) for c in range(7)
     if 2**a * 3**b * 5**c <= 1 << 15
 )
+#: the bound past one kick's reach, as an exact fraction of its float
+REACH_BOUND = Fraction(7e-16)
+
+
+def airy_reach(a: float) -> int:
+    """ceil(a) plus 13.2 Airy widths (a/2)**(1/3), and at least 32."""
+    return math.ceil(a) + max(32, math.ceil(13.2 * (a / 2) ** (1 / 3)))
+
+
+def taylor_bound(a: float, d: int) -> Fraction:
+    """(a/2)**d / d! in exact arithmetic: |J_d(a)| <= it (DLMF 10.14.4)."""
+    return (Fraction(a) / 2) ** d / math.factorial(d)
+
+
+def exact_reach(a: float) -> int:
+    """The smaller of the Airy reach and the last order whose Taylor bound
+    is still >= 7e-16, the bound walked in exact arithmetic."""
+    airy, d, bound = airy_reach(a), 0, Fraction(1)
+    while d < airy and bound * Fraction(a) / (2 * (d + 1)) >= REACH_BOUND:
+        bound *= Fraction(a) / (2 * (d + 1))
+        d += 1
+    return d
 
 
 def delta0(half_width: int) -> MomentumWavefunction:
@@ -80,17 +105,22 @@ class TestSizing:
 
     def test_propagation_points_smallest_5_smooth(self):
         # the ladder plus the reach of one kick, whatever its sign: the
-        # one-kick ladder default_half_width(1, |phi|) up to |phi| = 28.5,
-        # two Airy widths (|phi|/2)**(1/3) more than its margin beyond
-        for phi in (0.485, -2.3, 28.0, 50.0, 970.0):
+        # Taylor reach below |phi| = 21.97, the Airy reach past 23.29; that is
+        # the one-kick ladder default_half_width(1, |phi|) up to |phi| =
+        # 28.5, two Airy widths (|phi|/2)**(1/3) more than its margin beyond
+        for phi in (1e-5, 0.485, -2.3, 28.0, 50.0, 970.0):
             a = abs(phi)
-            reach = math.ceil(a) + max(32, math.ceil(13.2 * (a / 2) ** (1 / 3)))
-            assert (reach == default_half_width(1, a)) == (a <= 28.5)
+            reach = exact_reach(a)
+            assert (airy_reach(a) == default_half_width(1, a)) == (a <= 28.5)
+            assert (reach < airy_reach(a)) == (a < 21.97)
             for M in range(1, 4097):
                 target = 2 * M + 1 + reach
                 n = _propagation_points(M, phi)
                 assert n == FIVE_SMOOTH[bisect.bisect_left(FIVE_SMOOTH, target)]
-                assert target <= n <= 1.11 * target
+                # at most 1.11x from 22 on; 8/7, 15/13 and 24/21 at the
+                # targets 7, 13 and 21
+                assert target <= n
+                assert n <= 1.11 * target or (target < 22 and 13 * n <= 15 * target)
                 assert n == _propagation_points(M, -phi)
 
     def test_propagation_points_of_the_benchmark_orbits(self):
@@ -98,7 +128,10 @@ class TestSizing:
         # density's Nyquist length 4(M+1) (800, 2250, 4320)
         ladders = [default_half_width(N, 0.485) for N in (300, 1000, 2000)]
         assert ladders == [193, 555, 1058]
-        assert [_propagation_points(M, 0.485) for M in ladders] == [432, 1152, 2160]
+        assert [_propagation_points(M, 0.485) for M in ladders] == [400, 1125, 2160]
+        # and the sweeps' N = 5, 12, 18 on their ladders plus the reach 11
+        ladders = [default_half_width(N, 0.485) for N in (5, 12, 18)]
+        assert [_propagation_points(M, 0.485) for M in ladders] == [90, 90, 96]
 
     def test_n_points_power_of_two_and_fits(self):
         for M in (1, 5, 37, 64, 100):
@@ -274,3 +307,59 @@ class TestTransforms:
     def test_values_length_checked(self):
         with pytest.raises(ValueError):
             PositionWavefunction(SpatialGrid(8), np.zeros(9, dtype=complex))
+
+
+class TestKickReach:
+    """_kick_reach(phi) is the smaller of the Airy reach and the Taylor
+    reach, and past it every |J_d(phi)| is below 7e-16."""
+
+    @staticmethod
+    def check(a: float) -> None:
+        reach = _kick_reach(a)
+        assert reach == _kick_reach(-a) == exact_reach(a)
+        d = np.arange(reach + 1, reach + 61)
+        assert np.max(np.abs(special.jv(d, a))) < 7e-16
+        if reach < airy_reach(a):
+            # the Taylor branch decides, and its reach is tight
+            assert taylor_bound(a, reach) >= REACH_BOUND
+            assert taylor_bound(a, reach + 1) < REACH_BOUND
+        # the Taylor reach is the smaller for every a below 21.97 and for
+        # none above 23.29, so from 30 on the reach is the Airy one
+        if a < 21.97:
+            assert reach < airy_reach(a)
+        if a > 23.29:
+            assert reach == _bessel_reach(a, 13.2)
+
+    def test_bessel_tail_on_a_grid(self):
+        for a in np.linspace(0.0, 60.0, 601):
+            self.check(float(a))
+
+    @given(st.floats(0.0, 60.0))
+    def test_bessel_tail_of_drawn_kicks(self, a):
+        self.check(a)
+
+    @pytest.mark.parametrize("a, reach", [(0.0, 0), (5e-324, 0), (1e-5, 2),
+                                          (1e-3, 4), (0.1, 8), (0.485, 11),
+                                          (20.0, 50), (30.0, 63)])
+    def test_known_reaches(self, a, reach):
+        assert _kick_reach(a) == reach
+
+    @pytest.mark.parametrize("a", [30.0, 100.0, 970.0, 5000.0])
+    def test_large_kicks_skip_the_search(self, a):
+        # one lgamma decides, so the Taylor walk (about 1,000 steps at
+        # a = 970 if run to the Airy reach) never starts
+        lines = []
+
+        def trace(frame, event, arg):
+            if frame.f_code is _kick_reach.__code__:
+                lines.append(frame.f_lineno)
+                return trace
+            return None
+
+        sys.settrace(trace)
+        try:
+            reach = _kick_reach(a)
+        finally:
+            sys.settrace(None)
+        assert reach == _bessel_reach(a, 13.2)
+        assert len(lines) < 10
