@@ -64,10 +64,8 @@ before period 1.
 
 The spectral core keeps its stack on one (P, n) buffer in FFT order
 (wavepacket._fft_slots) through each stage. A period, _kick, is an
-in-place ifft, the kick multiply, an in-place fft, the edge check (one
-sum over the whole stack's edge sites; the per-row rule runs only when
-that sum fails) and one multiply by the free-flight factors, which are
-zero off the stage's
+in-place ifft, the kick multiply, an in-place fft, the edge check and
+one multiply by the free-flight factors, which are zero off the stage's
 ladder and so also truncate; the transform pair's scales cancel, so none
 is applied. The stack returns to ladder order at the end of each stage,
 where the next stage takes it over; a short run is one stage.
@@ -211,23 +209,14 @@ def _kick(buf: np.ndarray, kick: np.ndarray, factors: np.ndarray,
     applies the free flight in one multiply. Before that multiply, raises
     LeakageError, with the worst occupancy and the period, when the edge
     sites m = +-M of any row hold more than EDGE_LEAK_BOUND, or a NaN.
-    The edge sites of the whole stack are summed first, in one call; only
-    a total past a few ulps below the bound, or NaN, runs the per-row
-    rule, which then decides, so the refusals are the per-row rule's.
     """
     np.fft.ifft(buf, out=buf)
     buf *= kick
     np.fft.fft(buf, out=buf)
-    edges = buf[:, (half_width, -half_width)]
-    # the whole stack's edge total bounds every row's occupancy: a sum of
-    # nonnegative terms rounds to no less than any of its parts, and the
-    # few ulps below the bound cover the rows' own rounding, so the gate
-    # admits no stack the per-row rule refuses; NaN fails it
-    if not np.vdot(edges, edges).real <= (1 - 2**-50) * EDGE_LEAK_BOUND:
-        occ = np.abs(edges[:, 0]) ** 2 + np.abs(edges[:, 1]) ** 2
-        worst = occ.max()  # NaN if any row holds one
-        if not worst <= EDGE_LEAK_BOUND:
-            raise LeakageError(float(worst), period)
+    occ = np.abs(buf[:, half_width]) ** 2 + np.abs(buf[:, -half_width]) ** 2
+    worst = occ.max()  # NaN if any row holds one
+    if not worst <= EDGE_LEAK_BOUND:
+        raise LeakageError(float(worst), period)
     buf *= factors
 
 

@@ -205,8 +205,7 @@ class TestKickEdgeRule:
         assert math.isnan(err.value.occupancy)
         assert err.value.period == 5
 
-    # the edge check first sums the whole stack's edges in one call; only a
-    # total past the bound (or NaN) falls back to the per-row rule
+    # on a 64-row stack the rule is still per row: no total of rows counts
 
     def test_rows_under_the_bound_pass_whatever_their_total(self):
         # 64 rows at 0.6x the bound: the total is 38x it, and no row leaks
